@@ -257,16 +257,17 @@ void BM_MlpTrain(benchmark::State& state, simd::Path path) {
     simd::set_path(ambient);
 }
 
-/// Pairwise banded DTW matrix under a pinned SIMD kernel path — one row
+/// Pairwise DTW matrix under a pinned SIMD kernel path and band — one row
 /// per (path, days) pair so BENCH_kernels.json carries the scalar vs
 /// vector speedup explicitly instead of only the dispatched winner.
-void BM_DtwMatrixBandedPath(benchmark::State& state, simd::Path path) {
+/// Arg = days of history per series.
+void BM_DtwMatrixPath(benchmark::State& state, simd::Path path, int band) {
     const simd::Path ambient = simd::active_path();
     simd::set_path(path);
     const auto series = box_series(static_cast<int>(state.range(0)));
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            cluster::dtw_distance_matrix(series, /*band=*/8).size());
+            cluster::dtw_distance_matrix(series, band).size());
     }
     simd::set_path(ambient);
 }
@@ -279,9 +280,18 @@ void register_per_path_benchmarks() {
         benchmark::RegisterBenchmark(
             ("BM_DtwMatrixBanded" + tag).c_str(),
             [path](benchmark::State& state) {
-                BM_DtwMatrixBandedPath(state, path);
+                BM_DtwMatrixPath(state, path, /*band=*/8);
             })
             ->Arg(1)
+            ->Arg(5)
+            ->Unit(benchmark::kMillisecond);
+        // The shape the fleet's DTW search runs: unconstrained, over one
+        // box's five-day (480-sample) series.
+        benchmark::RegisterBenchmark(
+            ("BM_DtwMatrixFull" + tag).c_str(),
+            [path](benchmark::State& state) {
+                BM_DtwMatrixPath(state, path, /*band=*/-1);
+            })
             ->Arg(5)
             ->Unit(benchmark::kMillisecond);
         benchmark::RegisterBenchmark(

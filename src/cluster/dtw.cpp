@@ -24,11 +24,15 @@ double dtw_distance(std::span<const double> p, std::span<const double> q,
     if (n == 0 && m == 0) return 0.0;
     if (n == 0 || m == 0) return kInf;
 
-    // The recurrence itself lives in the SIMD kernel layer: scalar row DP
-    // or a vectorized anti-diagonal wavefront, selected once at dispatch
-    // time. All paths are bit-identical for finite inputs (simd.hpp).
-    return simd::active_kernels().dtw_distance(p.data(), n, q.data(), m, band,
-                                               workspace.scratch);
+    // The recurrence itself lives in the SIMD kernel layer; a single pair
+    // is a batch of one. All paths are bit-identical for finite inputs
+    // (simd.hpp).
+    const double* ps[1] = {p.data()};
+    const double* qs[1] = {q.data()};
+    double out = 0.0;
+    simd::active_kernels().dtw_distance_batch(ps, qs, 1, n, m, band,
+                                              workspace.scratch, &out);
+    return out;
 }
 
 double dtw_distance(std::span<const double> p, std::span<const double> q, int band) {

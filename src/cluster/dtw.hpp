@@ -18,9 +18,9 @@ class MetricsRegistry;
 
 namespace atm::cluster {
 
-/// Reusable scratch for the DTW kernels: the rolling DP rows/diagonals of
+/// Reusable scratch for the DTW kernels: the rolling DP rows of
 /// `dtw_distance` (owned by the SIMD kernel layer — the scalar path uses
-/// two rolling rows, the vector paths rolling anti-diagonals) and the
+/// two rolling rows, the vector paths one lane-interleaved row) and the
 /// full table of `dtw_align`, grown on demand and never shrunk. One
 /// workspace serves any sequence of calls of any sizes (each call
 /// re-initializes the cells it uses), so the steady state of a pair loop
@@ -53,9 +53,9 @@ struct DtwWorkspace {
 /// The workspace overload reuses `workspace`'s DP state instead of
 /// allocating fresh storage; the banded kernel touches only the band
 /// window, so it is O(band) per row instead of O(m). Both overloads
-/// return bit-identical values. The recurrence runs on the active
-/// simd::KernelTable path (scalar row DP or vectorized anti-diagonal
-/// wavefront); all paths are bit-identical for finite inputs
+/// return bit-identical values. The recurrence runs as a batch of one on
+/// the active simd::KernelTable path (scalar row DP or the vectorized
+/// strip kernel); all paths are bit-identical for finite inputs
 /// (simd.hpp's tolerance policy), so the choice is pure performance.
 double dtw_distance(std::span<const double> p, std::span<const double> q,
                     int band, DtwWorkspace& workspace);

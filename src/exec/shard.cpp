@@ -59,28 +59,32 @@ struct ShardedState {
         for (;;) {
             const std::size_t s = next_shard.fetch_add(1);
             if (s >= num_shards) return;
-            const std::size_t begin = s * shard;
-            const std::size_t end = std::min(n, begin + shard);
-            for (std::size_t i = begin; i < end; ++i) {
-                if (i < error_index.load(std::memory_order_acquire)) {
-                    try {
-                        fn(worker, i);
-                    } catch (...) {
-                        const std::lock_guard<std::mutex> lock(error_mutex);
-                        if (i < error_index.load(std::memory_order_relaxed)) {
-                            error_index.store(i, std::memory_order_release);
-                            error = std::current_exception();
-                        }
+            run_shard(worker, s);
+        }
+    }
+
+    void run_shard(unsigned worker, std::size_t s) {
+        const std::size_t begin = s * shard;
+        const std::size_t end = std::min(n, begin + shard);
+        for (std::size_t i = begin; i < end; ++i) {
+            if (i < error_index.load(std::memory_order_acquire)) {
+                try {
+                    fn(worker, i);
+                } catch (...) {
+                    const std::lock_guard<std::mutex> lock(error_mutex);
+                    if (i < error_index.load(std::memory_order_relaxed)) {
+                        error_index.store(i, std::memory_order_release);
+                        error = std::current_exception();
                     }
                 }
             }
-            // Whole shards complete at once; completed == n still means
-            // no fn invocation is in flight (skipped indices count too).
-            const std::size_t done = end - begin;
-            if (completed.fetch_add(done) + done == n) {
-                const std::lock_guard<std::mutex> lock(done_mutex);
-                done_cv.notify_all();
-            }
+        }
+        // Whole shards complete at once; completed == n still means
+        // no fn invocation is in flight (skipped indices count too).
+        const std::size_t done = end - begin;
+        if (completed.fetch_add(done) + done == n) {
+            const std::lock_guard<std::mutex> lock(done_mutex);
+            done_cv.notify_all();
         }
     }
 };
@@ -107,6 +111,10 @@ void run_sharded(ThreadPool* pool, std::size_t n, const ShardOptions& options,
     state->shard = resolve_shard_size(n, workers, options.shard_size);
     state->num_shards = (n + state->shard - 1) / state->shard;
 
+    // The caller claims shard 0 before any helper exists, so worker 0
+    // always participates, however fast the helpers start.
+    const std::size_t first = state->next_shard.fetch_add(1);
+
     // Worker ids are handed out here, not claimed from a counter inside
     // the task: id h+1 belongs to helper h even if it never runs, so ids
     // stay dense in [0, workers) and each maps to one workspace slot.
@@ -117,6 +125,7 @@ void run_sharded(ThreadPool* pool, std::size_t n, const ShardOptions& options,
         pool->submit([state, worker] { state->drain(worker); });
     }
 
+    state->run_shard(0, first);
     state->drain(0);
     {
         std::unique_lock<std::mutex> lock(state->done_mutex);

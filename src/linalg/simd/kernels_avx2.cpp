@@ -1,4 +1,4 @@
-// AVX2 instantiation of the generic wavefront/MLP kernels. Compiled with
+// AVX2 instantiation of the generic DTW/MLP kernels. Compiled with
 // -mavx2 -ffp-contract=off (and deliberately NOT -mfma: contraction of
 // mul+add into FMA would change results and break the DTW bit-identity
 // contract). Only dispatched after __builtin_cpu_supports("avx2").
@@ -13,6 +13,9 @@ namespace {
 
 struct VecAvx2 {
     static constexpr std::size_t kWidth = 4;
+    // DTW rows per strip: 4 rows' left/up-left/p registers fit the
+    // 16-register file alongside the row-0 load and temporaries.
+    static constexpr std::size_t kStripRows = 4;
     using Reg = __m256d;
     static Reg zero() { return _mm256_setzero_pd(); }
     static Reg set1(double x) { return _mm256_set1_pd(x); }
@@ -30,11 +33,6 @@ struct VecAvx2 {
         return _mm_cvtsd_f64(_mm_add_sd(pair, swapped));
     }
 };
-
-double dtw_distance_avx2(const double* p, std::size_t n, const double* q,
-                         std::size_t m, int band, DtwScratch& scratch) {
-    return dtw_distance_wavefront<VecAvx2>(p, n, q, m, band, scratch);
-}
 
 void dtw_distance_batch_avx2(const double* const* ps, const double* const* qs,
                              std::size_t count, std::size_t n, std::size_t m,
@@ -68,7 +66,6 @@ void mlp_sgd_layer_avx2(double* weights, double* velocity, const double* in,
 const KernelTable& avx2_kernel_table() {
     static const KernelTable table{
         Path::kAvx2,
-        dtw_distance_avx2,
         /*dtw_batch_width=*/VecAvx2::kWidth,
         dtw_distance_batch_avx2,
         mlp_forward_layer_avx2,

@@ -1,4 +1,4 @@
-// AVX-512 instantiation of the generic wavefront/MLP kernels. Compiled
+// AVX-512 instantiation of the generic DTW/MLP kernels. Compiled
 // with -mavx512f -ffp-contract=off (no -mfma — see kernels_avx2.cpp).
 // Only dispatched after __builtin_cpu_supports("avx512f").
 
@@ -12,6 +12,9 @@ namespace {
 
 struct VecAvx512 {
     static constexpr std::size_t kWidth = 8;
+    // DTW rows per strip: 8 rows' left/up-left/p registers fit the
+    // 32-register file alongside the row-0 load and temporaries.
+    static constexpr std::size_t kStripRows = 8;
     using Reg = __m512d;
     static Reg zero() { return _mm512_setzero_pd(); }
     static Reg set1(double x) { return _mm512_set1_pd(x); }
@@ -23,11 +26,6 @@ struct VecAvx512 {
     static Reg min(Reg a, Reg b) { return _mm512_min_pd(a, b); }
     static double hsum(Reg r) { return _mm512_reduce_add_pd(r); }
 };
-
-double dtw_distance_avx512(const double* p, std::size_t n, const double* q,
-                           std::size_t m, int band, DtwScratch& scratch) {
-    return dtw_distance_wavefront<VecAvx512>(p, n, q, m, band, scratch);
-}
 
 void dtw_distance_batch_avx512(const double* const* ps,
                                const double* const* qs, std::size_t count,
@@ -63,7 +61,6 @@ void mlp_sgd_layer_avx512(double* weights, double* velocity, const double* in,
 const KernelTable& avx512_kernel_table() {
     static const KernelTable table{
         Path::kAvx512,
-        dtw_distance_avx512,
         /*dtw_batch_width=*/VecAvx512::kWidth,
         dtw_distance_batch_avx512,
         mlp_forward_layer_avx512,

@@ -116,7 +116,6 @@ void mlp_sgd_layer_scalar(double* weights, double* velocity, const double* in,
 const KernelTable& scalar_kernel_table() {
     static const KernelTable table{
         Path::kScalar,
-        dtw_distance_scalar,
         /*dtw_batch_width=*/1,
         dtw_distance_batch_scalar,
         mlp_forward_layer_scalar,

@@ -3,6 +3,8 @@
 // Generic vectorized kernel bodies, parameterized over a vector-traits
 // type V supplying:
 //   V::kWidth                      lanes per register (doubles)
+//   V::kStripRows                  DTW rows advanced per strip (a power
+//                                  of two sized to the register file)
 //   V::Reg                         register type
 //   V::zero() / V::set1(x)         broadcast constructors
 //   V::loadu(p) / V::storeu(p, r)  unaligned load/store
@@ -12,28 +14,19 @@
 // instantiates these templates under the matching target flags; this
 // header itself must stay ISA-agnostic. All remainder lanes fall back to
 // scalar tails that evaluate the identical per-element expressions.
-//
-// DTW layout: instead of the scalar kernel's row-by-row sweep, cells are
-// visited by anti-diagonal d = i + j. Every cell on one diagonal depends
-// only on diagonals d−1 and d−2, so the whole diagonal is data-parallel.
-// Three rolling arrays indexed by i hold D(d−2), D(d−1), D(d) with
-// D(d)[i] = λ(i, d−i); a reversed copy of q makes the q operand a
-// contiguous ascending load (q[d−i−1] = qrev[m−d+i]). Per-cell
-// arithmetic — one subtract, one multiply, a three-way min, one add —
-// is exactly the scalar recurrence, so the result is bit-identical for
-// finite inputs (see simd.hpp's tolerance policy).
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <vector>
+#include <type_traits>
+#include <utility>
 
 #include "linalg/simd/simd.hpp"
 
 namespace atm::simd {
 
-inline constexpr double kWavefrontInf = std::numeric_limits<double>::infinity();
+inline constexpr double kDtwInf = std::numeric_limits<double>::infinity();
 
 /// Per-row band windows [jlo[i], jhi[i]], i in [1, n] — the same
 /// floor/ceil expressions as the scalar kernel, evaluated once. Windows
@@ -60,93 +53,120 @@ inline void compute_band_windows(std::size_t n, std::size_t m, int band,
     }
 }
 
-template <typename V>
-double dtw_distance_wavefront(const double* p, std::size_t n, const double* q,
-                              std::size_t m, int band, DtwScratch& scratch) {
-    const auto reset = [](ScratchVec& a, std::size_t size) {
-        if (a.size() < size) a.resize(size);
-        std::fill(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(size),
-                  kWavefrontInf);
-    };
-    reset(scratch.prev, n + 1);
-    reset(scratch.curr, n + 1);
-    reset(scratch.next, n + 1);
-    scratch.prev[0] = 0.0;  // λ(0, 0) on diagonal 0
-    if (scratch.qrev.size() < m) scratch.qrev.resize(m);
-    for (std::size_t k = 0; k < m; ++k) scratch.qrev[k] = q[m - 1 - k];
-    compute_band_windows(n, m, band, scratch.jlo, scratch.jhi);
-
-    double* d2 = scratch.prev.data();  // diagonal d − 2
-    double* d1 = scratch.curr.data();  // diagonal d − 1
-    double* d0 = scratch.next.data();  // diagonal being computed
-    const std::size_t* jlo = scratch.jlo.data();
-    const std::size_t* jhi = scratch.jhi.data();
-
-    // Valid i-range of diagonal d: { i : jlo[i] ≤ d − i ≤ jhi[i] }. It is
-    // contiguous, and because i + jhi[i] and i + jlo[i] are strictly
-    // increasing in i, both endpoints are nondecreasing in d — a
-    // two-pointer walk finds them in O(1) amortized. Instead of clearing
-    // whole diagonals, only the cells a later diagonal can read are
-    // patched to +inf: reads from D(d) land in [ilo(d) − 1, ihi(d) + 1]
-    // (endpoints move by ≤ 1 per diagonal), so writing the valid cells
-    // plus those two border cells fully determines every future read.
-    std::size_t ilo = 1;
-    std::size_t ihi = 0;
-    for (std::size_t d = 2; d <= n + m; ++d) {
-        while (ilo <= n && ilo + jhi[ilo] < d) ++ilo;
-        while (ihi < n && (ihi + 1) + jlo[ihi + 1] <= d) ++ihi;
-        if (ilo > ihi) {
-            // Empty diagonal (possible under extreme length ratios with a
-            // narrow band): future reads land in [ilo − 1, ilo + 1].
-            for (std::size_t i = ilo - 1; i <= std::min(n, ilo + 1); ++i) {
-                d0[i] = kWavefrontInf;
-            }
-        } else {
-            const std::size_t len = ihi - ilo + 1;
-            const double* pb = p + (ilo - 1);
-            // Signed offset: m − d is negative once d passes m, so form
-            // the base pointer from the full (non-negative) index
-            // m − d + ilo rather than stepping below qrev's start.
-            const std::ptrdiff_t off = static_cast<std::ptrdiff_t>(m) -
-                                       static_cast<std::ptrdiff_t>(d) +
-                                       static_cast<std::ptrdiff_t>(ilo);
-            const double* qb = scratch.qrev.data() + off;
-            const double* d2b = d2 + (ilo - 1);  // λ(i−1, j−1)
-            const double* d1a = d1 + (ilo - 1);  // λ(i−1, j)
-            const double* d1b = d1 + ilo;        // λ(i, j−1)
-            double* ob = d0 + ilo;
-            std::size_t k = 0;
-            for (; k + V::kWidth <= len; k += V::kWidth) {
-                const auto diff = V::sub(V::loadu(pb + k), V::loadu(qb + k));
-                const auto cost = V::mul(diff, diff);
-                const auto best = V::min(
-                    V::min(V::loadu(d2b + k), V::loadu(d1a + k)),
-                    V::loadu(d1b + k));
-                V::storeu(ob + k, V::add(cost, best));
-            }
-            for (; k < len; ++k) {
-                const double diff = pb[k] - qb[k];
-                const double cost = diff * diff;
-                const double best = std::min(std::min(d2b[k], d1a[k]), d1b[k]);
-                ob[k] = cost + best;
-            }
-            if (ilo >= 1) d0[ilo - 1] = kWavefrontInf;
-            if (ihi + 1 <= n) d0[ihi + 1] = kWavefrontInf;
-        }
-        double* rotate = d2;
-        d2 = d1;
-        d1 = d0;
-        d0 = rotate;
-    }
-    return d1[n];  // after the last rotation d1 holds diagonal n + m
+/// Calls f(std::integral_constant<std::size_t, r>) for r = R−1 down to 0.
+/// The constant index lets the strip's per-row arrays live in registers.
+template <std::size_t R, typename F>
+[[gnu::always_inline]] inline void for_each_row_desc(F&& f) {
+    [&]<std::size_t... k>(std::index_sequence<k...>)
+        __attribute__((always_inline)) {
+        (f(std::integral_constant<std::size_t, R - 1 - k>{}), ...);
+    }(std::make_index_sequence<R>{});
 }
 
-/// Batched DTW: one pair per SIMD lane, scalar row-DP control flow.
+/// One strip of R consecutive DP rows i0+1 .. i0+R of a lane group.
+///
+/// The strip is swept in skewed order: at step s, strip row r computes
+/// column j = s − r, so every row's up and up-left neighbours are what
+/// row r−1 computed at steps s−1 and s−2 — still in registers (`cur`,
+/// `old`). Only row 0 reads the previous strip's last row from `row`
+/// (λ(i0, ·), one load per step; its up-left is the previous step's
+/// load) and only row R−1 writes the strip's result back into the same
+/// buffer, R−1 columns behind row 0's reads. That puts R independent
+/// min+add chains in flight per step instead of one.
+///
+/// A row whose column lies outside its band window [jlo[r], jhi[r]]
+/// yields +inf, exactly the value the scalar kernel's reset/never-written
+/// cells hold there; in-window cells see the same three neighbours and
+/// evaluate the same sub, mul, min(min(up-left, up), left), add. `row`
+/// and `ql` are padded by ≥ R columns on both sides, so out-of-window
+/// steps read and write padding instead of branching. On exit `row`
+/// holds λ(i0+R, ·) over every column the next strip reads. `pl`, `jlo`
+/// and `jhi` point at the strip's first row.
+template <typename V, std::size_t R>
+void dtw_strip(const double* pl, const double* ql, double* row,
+               const std::size_t* jlo, const std::size_t* jhi) {
+    using Reg = typename V::Reg;
+    constexpr auto kW = static_cast<std::ptrdiff_t>(V::kWidth);
+    constexpr auto kR = static_cast<std::ptrdiff_t>(R);
+    const Reg inf = V::set1(kDtwInf);
+    Reg pv[R];   // row r's p, one per lane
+    Reg cur[R];  // row r's latest value: its own left neighbour
+    Reg old[R];  // the value before that: row r+1's up-left
+    for_each_row_desc<R>([&](auto r) {
+        pv[r] = V::loadu(pl + r * kW);
+        cur[r] = inf;
+        old[r] = inf;
+    });
+    const auto s_begin = static_cast<std::ptrdiff_t>(jlo[0]);
+    Reg up_left = V::loadu(row + (s_begin - 1) * kW);
+
+    const auto step = [&](std::ptrdiff_t s, auto masked)
+                          __attribute__((always_inline)) {
+        // Descending r: row r reads row r−1's registers before row r−1
+        // advances them to step s.
+        for_each_row_desc<R>([&](auto rc) __attribute__((always_inline)) {
+            constexpr std::size_t r = decltype(rc)::value;
+            const std::ptrdiff_t j = s - static_cast<std::ptrdiff_t>(r);
+            Reg up;
+            Reg ul;
+            if constexpr (r == 0) {
+                up = V::loadu(row + j * kW);
+                ul = up_left;
+                up_left = up;
+            } else {
+                up = cur[r - 1];
+                ul = old[r - 1];
+            }
+            const Reg diff = V::sub(pv[r], V::loadu(ql + (j - 1) * kW));
+            const Reg cost = V::mul(diff, diff);
+            Reg value = V::add(cost, V::min(V::min(ul, up), cur[r]));
+            if (decltype(masked)::value &&
+                (j < static_cast<std::ptrdiff_t>(jlo[r]) ||
+                 j > static_cast<std::ptrdiff_t>(jhi[r]))) {
+                value = inf;
+            }
+            old[r] = cur[r];
+            cur[r] = value;
+            if constexpr (r == R - 1) V::storeu(row + j * kW, value);
+        });
+    };
+
+    // Every row is in its window on [full_begin, full_end] (both ends are
+    // monotone in r, so the last row bounds the start and row 0 the end);
+    // only the ramps around it pay for the window test.
+    const auto full_begin = static_cast<std::ptrdiff_t>(jlo[R - 1]) + kR - 1;
+    const auto full_end = static_cast<std::ptrdiff_t>(jhi[0]);
+    const auto s_end = static_cast<std::ptrdiff_t>(jhi[R - 1]) + kR - 1;
+    std::ptrdiff_t s = s_begin;
+    if (full_begin <= full_end) {
+        for (; s < full_begin; ++s) step(s, std::true_type{});
+        for (; s <= full_end; ++s) step(s, std::false_type{});
+    }
+    // Row R−1 has now written columns [s_begin − R + 1, jhi[R−1]]; the
+    // next strip reads from its own jlo − 1 ≥ s_begin − 1, inside that
+    // range when R ≥ 2 (an R = 1 strip is always the last one).
+    for (; s <= s_end; ++s) step(s, std::true_type{});
+}
+
+/// Runs as many R-row strips as fit from row i0 + 1, then hands the
+/// remainder to the R/2 strip, so n mod R rows cost log2(R) templates.
+template <typename V, std::size_t R>
+void dtw_strips(std::size_t i0, std::size_t n, const double* pl,
+                const double* ql, double* row, const std::size_t* jlo,
+                const std::size_t* jhi) {
+    for (; i0 + R <= n; i0 += R) {
+        dtw_strip<V, R>(pl + i0 * V::kWidth, ql, row, jlo + i0 + 1,
+                        jhi + i0 + 1);
+    }
+    if constexpr (R > 1) dtw_strips<V, R / 2>(i0, n, pl, ql, row, jlo, jhi);
+}
+
+/// Batched DTW: one pair per SIMD lane, rows advanced in register-blocked
+/// strips of V::kStripRows (see dtw_strip).
 ///
 /// All `count` pairs share (n, m, band), so every lane has the same band
-/// windows and visits the same (i, j) cells in the same order — the loop
-/// structure IS the scalar kernel's, with each scalar value widened to a
-/// register of per-pair values. Inputs and the two rolling DP rows are
+/// windows and visits the same (i, j) cells — each scalar value widened
+/// to a register of per-pair values. Inputs and the DP row are
 /// lane-interleaved (`buf[index * kWidth + lane]`) so every access is one
 /// contiguous unaligned load/store. Per-cell arithmetic matches the
 /// scalar sequence exactly (the scalar `best == inf ? inf : d + best`
@@ -158,71 +178,37 @@ void dtw_distance_batch_vec(const double* const* ps, const double* const* qs,
                             std::size_t count, std::size_t n, std::size_t m,
                             int band, DtwScratch& scratch, double* out) {
     constexpr std::size_t kW = V::kWidth;
-    // The distance-matrix loop mostly batches pairs from one row of the
-    // upper triangle, so all lanes usually share the same p series — a
-    // broadcast then replaces the strided p staging entirely.
-    bool shared_p = true;
-    for (std::size_t b = 1; b < count; ++b) shared_p &= ps[b] == ps[0];
-    if (!shared_p) {
-        if (scratch.lanes_p.size() < n * kW) scratch.lanes_p.resize(n * kW);
-        for (std::size_t lane = 0; lane < kW; ++lane) {
-            const double* p = ps[lane < count ? lane : count - 1];
-            for (std::size_t i = 0; i < n; ++i) {
-                scratch.lanes_p[i * kW + lane] = p[i];
-            }
-        }
-    }
-    if (scratch.lanes_q.size() < m * kW) scratch.lanes_q.resize(m * kW);
-    double* ql = scratch.lanes_q.data();
-    for (std::size_t lane = 0; lane < kW; ++lane) {
-        const double* q = qs[lane < count ? lane : count - 1];
-        for (std::size_t j = 0; j < m; ++j) ql[j * kW + lane] = q[j];
-    }
-    const double* pl = scratch.lanes_p.data();
-
-    const std::size_t row = (m + 1) * kW;
-    const auto reset = [row](ScratchVec& a) {
-        if (a.size() < row) a.resize(row);
-        std::fill(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(row),
-                  kWavefrontInf);
+    constexpr std::size_t kPad = V::kStripRows;  // columns per side
+    // Grows `buf` to `columns` + padding and fills it with `fill`;
+    // returns column 0. Padding is touched only by out-of-window steps.
+    const auto padded = [](ScratchVec& buf, std::size_t columns,
+                           double fill) {
+        const std::size_t size = (columns + 2 * kPad) * kW;
+        if (buf.size() < size) buf.resize(size);
+        std::fill(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(size),
+                  fill);
+        return buf.data() + kPad * kW;
     };
-    reset(scratch.prev);
-    reset(scratch.curr);
-    for (std::size_t lane = 0; lane < kW; ++lane) {
-        scratch.prev[lane] = 0.0;  // λ(0, 0) in every lane
-    }
-    double* prev = scratch.prev.data();
-    double* curr = scratch.curr.data();
+    const auto stage = [count](double* lanes, const double* const* series,
+                               std::size_t len) {
+        for (std::size_t lane = 0; lane < kW; ++lane) {
+            const double* x = series[lane < count ? lane : count - 1];
+            for (std::size_t k = 0; k < len; ++k) lanes[k * kW + lane] = x[k];
+        }
+    };
+    double* pl = padded(scratch.lanes_p, n, 0.0);
+    double* ql = padded(scratch.lanes_q, m, 0.0);
+    stage(pl, ps, n);
+    stage(ql, qs, m);
+    // One DP row, updated in place strip by strip: starts as the virtual
+    // row λ(0, ·) = (0, +inf, +inf, …) in every lane.
+    double* row = padded(scratch.prev, m + 1, kDtwInf);
+    std::fill(row, row + kW, 0.0);
 
     compute_band_windows(n, m, band, scratch.jlo, scratch.jhi);
-    const auto infv = V::set1(kWavefrontInf);
-    for (std::size_t i = 1; i <= n; ++i) {
-        const std::size_t j_lo = scratch.jlo[i];
-        const std::size_t j_hi = scratch.jhi[i];
-        // Unlike the scalar kernel this resets only the left border cell
-        // j_lo − 1: the compute loop overwrites all of [j_lo, j_hi]
-        // anyway, cells right of the window were never written (windows
-        // only move right, both buffers start all-inf), and cells left
-        // of j_lo − 1 are never read again (window monotonicity) — so
-        // every future read still sees exactly the scalar's values.
-        V::storeu(curr + (j_lo - 1) * kW, infv);
-        const auto pv =
-            shared_p ? V::set1(ps[0][i - 1]) : V::loadu(pl + (i - 1) * kW);
-        // The j recurrence chains through curr[j − 1]; carrying it in a
-        // register keeps the chain to min + add, no store-to-load hop.
-        auto left = infv;
-        for (std::size_t j = j_lo; j <= j_hi; ++j) {
-            const auto diff = V::sub(pv, V::loadu(ql + (j - 1) * kW));
-            const auto cost = V::mul(diff, diff);
-            const auto best = V::min(V::min(V::loadu(prev + (j - 1) * kW),
-                                            V::loadu(prev + j * kW)),
-                                     left);
-            left = V::add(cost, best);
-            V::storeu(curr + j * kW, left);
-        }
-        std::swap(prev, curr);
-    }
-    for (std::size_t b = 0; b < count; ++b) out[b] = prev[m * kW + b];
+    dtw_strips<V, V::kStripRows>(0, n, pl, ql, row, scratch.jlo.data(),
+                                 scratch.jhi.data());
+    for (std::size_t b = 0; b < count; ++b) out[b] = row[m * kW + b];
 }
 
 template <typename V>

@@ -16,9 +16,6 @@ const KernelTable& avx2_kernel_table();
 #if defined(ATM_SIMD_HAVE_AVX512)
 const KernelTable& avx512_kernel_table();
 #endif
-#if defined(ATM_SIMD_HAVE_NEON)
-const KernelTable& neon_kernel_table();
-#endif
 
 namespace {
 
@@ -39,12 +36,9 @@ bool cpu_supports(Path path) {
             return false;
 #endif
         case Path::kNeon:
-            // NEON is baseline on aarch64: compiled-in implies supported.
-#if defined(ATM_SIMD_HAVE_NEON)
-            return true;
-#else
+            // Kept as a name so `--simd neon` reports "not compiled in";
+            // no NEON kernels are built.
             return false;
-#endif
     }
     return false;
 }
@@ -60,10 +54,6 @@ const KernelTable* table_for(Path path) {
 #if defined(ATM_SIMD_HAVE_AVX512)
         case Path::kAvx512:
             return &avx512_kernel_table();
-#endif
-#if defined(ATM_SIMD_HAVE_NEON)
-        case Path::kNeon:
-            return &neon_kernel_table();
 #endif
         default:
             return nullptr;
@@ -137,9 +127,6 @@ Path parse_path(const std::string& name) {
 
 std::vector<Path> compiled_paths() {
     std::vector<Path> paths{Path::kScalar};
-#if defined(ATM_SIMD_HAVE_NEON)
-    paths.push_back(Path::kNeon);
-#endif
 #if defined(ATM_SIMD_HAVE_AVX2)
     paths.push_back(Path::kAvx2);
 #endif

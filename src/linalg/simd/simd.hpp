@@ -13,22 +13,24 @@
 ///
 /// Dispatch model: every binary carries the scalar reference kernels plus
 /// whichever vector translation units the target architecture compiles
-/// (AVX2/AVX-512 on x86-64, NEON on aarch64). The active path is chosen
-/// once — CPUID probe for the best supported ISA, overridable with the
-/// ATM_SIMD environment variable or the CLI `--simd` flag — and every
+/// (AVX2/AVX-512 on x86-64; other targets run scalar). The active path is
+/// chosen once — CPUID probe for the best supported ISA, overridable with
+/// the ATM_SIMD environment variable or the CLI `--simd` flag — and every
 /// kernel call goes through one function-pointer table, so any path can
 /// be forced for testing, reproduction, and differential comparison.
 ///
 /// FP tolerance policy (the contract tests/test_simd.cpp and the golden
 /// suite enforce):
-///   * DTW is **bit-identical on every path**. The single-pair vector
-///     kernel walks anti-diagonal wavefronts instead of rows, and the
-///     batched kernel runs the row recurrence with one pair per lane;
-///     both evaluate exactly the per-cell expression of the scalar
-///     recurrence — one multiply, one three-way min, one add, never
-///     fused (-ffp-contract=off) — and FP min/add per cell are
-///     order-free here because each cell's operands are the same three
-///     cells in every traversal.
+///   * DTW is **bit-identical on every path**. The vector kernel runs one
+///     pair per lane and sweeps each strip of kStripRows DP rows in
+///     skewed order (row r of the strip computes column s − r at step
+///     s), so cells are visited in a different order than the scalar
+///     kernel's row by row. Per-cell arithmetic is unchanged: every cell
+///     evaluates (p − q)², min(min(up-left, up), left) and one add —
+///     never fused (-ffp-contract=off) — on the same three neighbours,
+///     and out-of-band neighbours are +inf exactly as in the scalar
+///     rows. A cell's value depends only on its operands, never on when
+///     it is computed, so the visiting order cannot change any bit.
 ///   * MLP backprop deltas and SGD/momentum updates are **bit-identical**:
 ///     they vectorize across units/weights while keeping each element's
 ///     accumulation order unchanged.
@@ -44,7 +46,9 @@ namespace atm::simd {
 
 /// Instruction-set paths a build may carry. kScalar is always compiled
 /// and is the reference every other path is differentially tested
-/// against; the vector paths exist only on their architecture.
+/// against; the vector paths exist only on their architecture. kNeon is
+/// a name only: no NEON kernels are built, so forcing it fails as "not
+/// compiled into this binary".
 enum class Path : int {
     kScalar = 0,
     kAvx2,
@@ -52,21 +56,19 @@ enum class Path : int {
     kNeon,
 };
 
-/// Reusable scratch for the DTW kernels, grown on demand and never
-/// shrunk (steady-state calls allocate nothing). The scalar path uses
-/// `prev`/`curr` as the two rolling DP *rows*; the vector single-pair
-/// path uses `prev`/`curr`/`next` as three rolling anti-*diagonals* plus
-/// a reversed copy of q (`qrev`, so diagonal loads are contiguous) and
-/// the per-row band windows (`jlo`/`jhi`). The batched kernel reuses
-/// `prev`/`curr` as lane-interleaved rolling rows and stages the input
-/// series lane-interleaved in `lanes_p`/`lanes_q`. Not thread-safe: one
-/// scratch per thread/task.
 /// Grown-on-demand buffer types for kernel scratch: default-constructed
 /// they are plain heap vectors; constructed over an exec::Arena they
 /// draw slab memory instead (per-worker workspaces, DESIGN.md §7.14).
 using ScratchVec = exec::ArenaVector<double>;
 using ScratchIdxVec = exec::ArenaVector<std::size_t>;
 
+/// Reusable scratch for the DTW kernels, grown on demand and never
+/// shrunk (steady-state calls allocate nothing). The scalar path uses
+/// `prev`/`curr` as the two rolling DP *rows*. The vector path keeps one
+/// lane-interleaved DP row in `prev`, updated in place strip by strip,
+/// stages the input series lane-interleaved in `lanes_p`/`lanes_q`, and
+/// keeps the per-row band windows in `jlo`/`jhi`. Not thread-safe: one
+/// scratch per thread/task.
 struct DtwScratch {
     DtwScratch() = default;
     /// Arena-backed scratch for workspace-lifetime reuse. The arena must
@@ -74,8 +76,6 @@ struct DtwScratch {
     explicit DtwScratch(exec::Arena* arena)
         : prev(exec::ArenaAllocator<double>(arena)),
           curr(exec::ArenaAllocator<double>(arena)),
-          next(exec::ArenaAllocator<double>(arena)),
-          qrev(exec::ArenaAllocator<double>(arena)),
           lanes_p(exec::ArenaAllocator<double>(arena)),
           lanes_q(exec::ArenaAllocator<double>(arena)),
           jlo(exec::ArenaAllocator<std::size_t>(arena)),
@@ -83,8 +83,6 @@ struct DtwScratch {
 
     ScratchVec prev;
     ScratchVec curr;
-    ScratchVec next;
-    ScratchVec qrev;
     ScratchVec lanes_p;
     ScratchVec lanes_q;
     ScratchIdxVec jlo;
@@ -96,29 +94,21 @@ struct DtwScratch {
 struct KernelTable {
     Path path;
 
-    /// Banded DTW distance for non-empty p, q (the caller handles empty
-    /// series). band < 0 = unconstrained. Scalar-path result is the
-    /// historical row kernel's; vector paths are bit-identical to it for
-    /// finite inputs (NaN propagation is unspecified — the pipeline
-    /// repairs series before DTW).
-    double (*dtw_distance)(const double* p, std::size_t n, const double* q,
-                           std::size_t m, int band, DtwScratch& scratch);
-
     /// Pairs the batched DTW kernel folds into one pass (1 on the scalar
     /// path, the register lane count on vector paths). Callers size their
     /// flush groups with this.
     std::size_t dtw_batch_width;
 
-    /// Batched banded DTW over `count` ≤ dtw_batch_width pairs that all
-    /// share the same lengths (n, m) and band: writes out[b] =
-    /// dtw_distance(ps[b], n, qs[b], m, band) for b < count. Vector paths
-    /// run the *row* recurrence with one pair per lane — identical
-    /// control flow and band windows across lanes, per-cell arithmetic
+    /// Batched banded DTW over `count` ≤ dtw_batch_width non-empty pairs
+    /// that all share the same lengths (n, m) and band (band < 0 =
+    /// unconstrained): writes out[b] = DTW(ps[b], qs[b]) for b < count.
+    /// The scalar path runs the reference row recurrence pair by pair.
+    /// Vector paths run one pair per lane in register-blocked strips of
+    /// rows — identical band windows across lanes, per-cell arithmetic
     /// exactly the scalar sequence — so every lane's result is
-    /// bit-identical to the scalar kernel's (same finite-input caveat as
-    /// dtw_distance). This is the throughput kernel behind the pairwise
-    /// distance matrix, where the narrow band makes within-pair
-    /// vectorization overhead-bound.
+    /// bit-identical to the scalar kernel's for finite inputs (NaN
+    /// propagation is unspecified — the pipeline repairs series before
+    /// DTW). This is the one DTW entry point: single pairs pass count = 1.
     void (*dtw_distance_batch)(const double* const* ps,
                                const double* const* qs, std::size_t count,
                                std::size_t n, std::size_t m, int band,

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -106,8 +107,7 @@ TEST(SimdDispatchTest, SetPathForcesEveryCompiledSupportedPath) {
 }
 
 TEST(SimdDispatchTest, UncompiledOrUnsupportedPathThrows) {
-    // At most one of avx512/neon is available on any one machine, so at
-    // least one of them must be rejected.
+    // No NEON kernels are compiled, so at least that path is rejected.
     const std::vector<Path> supported = supported_paths();
     int rejected = 0;
     for (Path p : {Path::kAvx2, Path::kAvx512, Path::kNeon}) {
@@ -136,18 +136,35 @@ TEST(SimdDispatchTest, UlpDistance) {
 // ---------------------------------------------------------------------
 // DTW: every vector path bit-identical to scalar
 
+/// One pair through `kernels`' batch entry (count = 1, the path
+/// cluster::dtw_distance takes).
+double batch_of_one(const KernelTable& kernels, const double* p,
+                    std::size_t n, const double* q, std::size_t m, int band,
+                    DtwScratch& scratch) {
+    double out = -1.0;
+    kernels.dtw_distance_batch(&p, &q, 1, n, m, band, scratch, &out);
+    return out;
+}
+
+/// The scalar reference distance for one pair.
+double scalar_dtw(const double* p, std::size_t n, const double* q,
+                  std::size_t m, int band) {
+    DtwScratch scratch;
+    return batch_of_one(scalar_table(), p, n, q, m, band, scratch);
+}
+
 /// Runs one (p, q, band) case through the scalar kernel and every vector
 /// path and requires exact equality (infinity included: narrow bands on
 /// skewed lengths legitimately produce +inf).
 void expect_dtw_bitwise(const std::vector<double>& p,
                         const std::vector<double>& q, int band) {
-    DtwScratch scalar_scratch;
-    const double expected = scalar_table().dtw_distance(
-        p.data(), p.size(), q.data(), q.size(), band, scalar_scratch);
+    const double expected =
+        scalar_dtw(p.data(), p.size(), q.data(), q.size(), band);
     for (Path path : vector_paths()) {
         DtwScratch scratch;
-        const double actual = kernels_for(path).dtw_distance(
-            p.data(), p.size(), q.data(), q.size(), band, scratch);
+        const double actual = batch_of_one(kernels_for(path), p.data(),
+                                           p.size(), q.data(), q.size(), band,
+                                           scratch);
         // EXPECT_EQ on doubles is bitwise here: values are either finite
         // (never -0.0: sums of squares) or +inf.
         EXPECT_EQ(expected, actual)
@@ -188,9 +205,9 @@ TEST(SimdDtwTest, UnequalLengthsBitwise) {
 }
 
 TEST(SimdDtwTest, ExtremeSlopeEmptyDiagonalsBitwise) {
-    // Narrow bands on very skewed lengths produce anti-diagonals with no
-    // in-band cell at all — the wavefront's empty-diagonal housekeeping
-    // path. Several of these are +inf end to end.
+    // Narrow bands on very skewed lengths leave strips whose rows are
+    // never all in-window at once, so every step takes the masked path;
+    // several of these are +inf end to end.
     std::mt19937 rng(99);
     for (const auto& [n, m] : std::vector<std::pair<std::size_t, std::size_t>>{
              {3, 100}, {100, 3}, {1, 5}, {5, 1}, {1, 1}, {2, 97}, {97, 2}}) {
@@ -248,10 +265,12 @@ TEST(SimdDtwTest, WorkspaceReuseAcrossSizesAndPaths) {
         for (const auto& [p, q] : cases) {
             for (const int band : {-1, 3}) {
                 DtwScratch fresh;
-                const double expected = kernels.dtw_distance(
-                    p.data(), p.size(), q.data(), q.size(), band, fresh);
-                const double actual = kernels.dtw_distance(
-                    p.data(), p.size(), q.data(), q.size(), band, reused);
+                const double expected = batch_of_one(
+                    kernels, p.data(), p.size(), q.data(), q.size(), band,
+                    fresh);
+                const double actual = batch_of_one(
+                    kernels, p.data(), p.size(), q.data(), q.size(), band,
+                    reused);
                 EXPECT_EQ(expected, actual) << to_string(path);
             }
         }
@@ -259,42 +278,76 @@ TEST(SimdDtwTest, WorkspaceReuseAcrossSizesAndPaths) {
 }
 
 TEST(SimdDtwTest, BatchKernelMatchesScalarPerPairBitwise) {
-    // The lane-batched kernel must reproduce the scalar per-pair result
-    // bit-for-bit in every lane, for every occupancy count up to the
-    // path's width, on shapes that hit full windows, narrow bands, and
-    // the empty-diagonal extremes.
+    // The lane-batched strip kernel must reproduce the scalar per-pair
+    // result bit-for-bit in every lane, for every occupancy count up to
+    // the path's width. Row counts straddle the strip heights (4, 8): the
+    // n mod R remainder runs the smaller strips, and 479/481 are the
+    // fleet's 480 off by one. Bands cover unconstrained, the narrowest
+    // windows (masked ramps only), the paper's ±8, and a band wider than
+    // some series. Lanes where p = q and constant series make the
+    // three-way min tie.
     std::mt19937 rng(31415);
-    const std::vector<std::pair<std::size_t, std::size_t>> shapes{
-        {1, 1}, {5, 5}, {17, 17}, {96, 96}, {480, 480}, {3, 100}, {97, 2}};
+    std::vector<std::pair<std::size_t, std::size_t>> shapes;
+    for (const std::size_t n : {2, 3, 7, 8, 9, 15, 17, 479, 481}) {
+        shapes.emplace_back(n, n);
+        shapes.emplace_back(n, n + 5);
+        shapes.emplace_back(n, n / 2 + 1);
+    }
+    shapes.emplace_back(1, 1);
+    shapes.emplace_back(3, 100);
+    shapes.emplace_back(97, 2);
+    const std::vector<int> bands{-1, 0, 1, 2, 8, 300};
+    std::size_t lanes = 1;
     for (Path path : supported_paths()) {
-        const KernelTable& kernels = kernels_for(path);
-        ASSERT_GE(kernels.dtw_batch_width, std::size_t{1}) << to_string(path);
-        DtwScratch batch_scratch;  // reused across every call below
-        for (const auto& [n, m] : shapes) {
+        lanes = std::max(lanes, kernels_for(path).dtw_batch_width);
+    }
+    DtwScratch batch_scratch;  // reused across every call below
+    for (const auto& [n, m] : shapes) {
+        std::vector<std::vector<double>> p_data;
+        std::vector<std::vector<double>> q_data;
+        for (std::size_t b = 0; b < lanes; ++b) {
+            p_data.push_back(random_series(rng, n));
+            if (b % 3 == 1 && n == m) {
+                q_data.push_back(p_data.back());  // p = q: distance 0
+            } else if (b % 3 == 2) {
+                q_data.emplace_back(m, 50.0);  // constant: ties
+            } else {
+                q_data.push_back(random_series(rng, m));
+            }
+        }
+        p_data[lanes - 1].assign(n, 50.0);
+        // Scalar references per band and lane, for each lane's own p and
+        // for p shared from lane 0 (as pairs from one matrix row are).
+        std::vector<std::vector<double>> own(bands.size());
+        std::vector<std::vector<double>> shared(bands.size());
+        for (std::size_t k = 0; k < bands.size(); ++k) {
+            for (std::size_t b = 0; b < lanes; ++b) {
+                own[k].push_back(scalar_dtw(p_data[b].data(), n,
+                                            q_data[b].data(), m, bands[k]));
+                shared[k].push_back(scalar_dtw(p_data[0].data(), n,
+                                               q_data[b].data(), m, bands[k]));
+            }
+        }
+        for (Path path : supported_paths()) {
+            const KernelTable& kernels = kernels_for(path);
             for (std::size_t count = 1; count <= kernels.dtw_batch_width;
                  ++count) {
-                std::vector<std::vector<double>> p_data;
-                std::vector<std::vector<double>> q_data;
+                const bool share_p = count % 2 == 0;
                 std::vector<const double*> ps;
                 std::vector<const double*> qs;
                 for (std::size_t b = 0; b < count; ++b) {
-                    p_data.push_back(random_series(rng, n));
-                    q_data.push_back(random_series(rng, m));
-                    ps.push_back(p_data.back().data());
-                    qs.push_back(q_data.back().data());
+                    ps.push_back(p_data[share_p ? 0 : b].data());
+                    qs.push_back(q_data[b].data());
                 }
-                for (const int band : {-1, 0, 2, 8}) {
+                for (std::size_t k = 0; k < bands.size(); ++k) {
                     std::vector<double> out(count, -1.0);
                     kernels.dtw_distance_batch(ps.data(), qs.data(), count, n,
-                                               m, band, batch_scratch,
+                                               m, bands[k], batch_scratch,
                                                out.data());
                     for (std::size_t b = 0; b < count; ++b) {
-                        DtwScratch fresh;
-                        const double expected = scalar_table().dtw_distance(
-                            ps[b], n, qs[b], m, band, fresh);
-                        EXPECT_EQ(expected, out[b])
+                        EXPECT_EQ(share_p ? shared[k][b] : own[k][b], out[b])
                             << to_string(path) << " n=" << n << " m=" << m
-                            << " band=" << band << " count=" << count
+                            << " band=" << bands[k] << " count=" << count
                             << " lane=" << b;
                     }
                 }
@@ -365,6 +418,41 @@ TEST(SimdDtwTest, DistanceMatrixAndCellCountersIdenticalAcrossPaths) {
         for (std::size_t i = 0; i < series.size(); ++i) {
             for (std::size_t j = 0; j < series.size(); ++j) {
                 EXPECT_EQ(expected(i, j), actual(i, j)) << to_string(path);
+            }
+        }
+        EXPECT_EQ(scalar_counters, metrics.snapshot().counters)
+            << to_string(path);
+    }
+}
+
+TEST(SimdDtwTest, DistanceMatrixAtFleetShapeIdenticalAcrossPaths) {
+    // The shape the fleet's DTW search runs: a box of 24 series of five
+    // days at 96 samples per day, unconstrained. Full strips, lane
+    // groups that share p and partial groups at chunk ends are all
+    // exercised; matrix and counters must match scalar.
+    std::mt19937 rng(480);
+    std::vector<std::vector<double>> series;
+    for (int s = 0; s < 24; ++s) series.push_back(random_series(rng, 480));
+
+    const PathGuard guard;
+    set_path(Path::kScalar);
+    obs::MetricsRegistry scalar_metrics;
+    const la::FlatMatrix expected =
+        cluster::dtw_distance_matrix(series, -1, nullptr, &scalar_metrics);
+    const auto scalar_counters = scalar_metrics.snapshot().counters;
+    EXPECT_EQ(scalar_counters.at("cluster.dtw.pairs"), 24u * 23u / 2u);
+    EXPECT_EQ(scalar_counters.at("cluster.dtw.cells"),
+              24u * 23u / 2u * 480u * 480u);
+
+    for (Path path : vector_paths()) {
+        set_path(path);
+        obs::MetricsRegistry metrics;
+        const la::FlatMatrix actual =
+            cluster::dtw_distance_matrix(series, -1, nullptr, &metrics);
+        for (std::size_t i = 0; i < series.size(); ++i) {
+            for (std::size_t j = 0; j < series.size(); ++j) {
+                EXPECT_EQ(expected(i, j), actual(i, j))
+                    << to_string(path) << " (" << i << ", " << j << ")";
             }
         }
         EXPECT_EQ(scalar_counters, metrics.snapshot().counters)
