@@ -7,8 +7,8 @@ never interrupted. Wall-clock fields can never match between two runs, so
 they are stripped before comparing:
 
   * top-level `jobs` and `wall_seconds`
-  * the top-level `scheduler` section (worker/shard geometry and arena
-    counters — execution shape, which legitimately differs across jobs)
+  * the top-level `scheduler` section (worker count and shard size —
+    execution shape, which legitimately differs across jobs)
   * every `timers` object inside a metrics snapshot (fleet and per-box)
   * the top-level `transport` section of atm.serve-metrics.v1 reports
     (connection/rejection counts and queue high-water marks depend on

@@ -19,8 +19,8 @@
 //
 // ATM_PAPER_SCALE=1 appends the paper-scale section: a 6000-box /
 // ~80K-VM / 7-day fleet (the population of the DSN'16 datacenter) timed
-// at jobs=1 and jobs=8, with peak RSS and the scheduler's arena
-// counters, written under "paper" in the JSON artifact.
+// at jobs=1 and jobs=8, with peak RSS and the scheduler's geometry,
+// written under "paper" in the JSON artifact.
 //
 // Knobs: ATM_BOXES (default 24), ATM_MAX_JOBS (default
 // max(8, hardware concurrency) so the sweep exercises oversubscription
@@ -123,10 +123,6 @@ atm::obs::json::Value exec_stats_json(const atm::core::FleetExecStats& stats) {
     v.set("workers", json::Value::of(static_cast<std::int64_t>(stats.workers)));
     v.set("shard_size",
           json::Value::of(static_cast<std::uint64_t>(stats.shard_size)));
-    v.set("arena_bytes_reserved", json::Value::of(stats.arena_bytes_reserved));
-    v.set("arena_high_water", json::Value::of(stats.arena_high_water));
-    v.set("arena_allocations", json::Value::of(stats.arena_allocations));
-    v.set("arena_slabs", json::Value::of(stats.arena_slabs));
     return v;
 }
 
@@ -270,8 +266,8 @@ int main() {
         paper_config.collect_metrics = false;  // pure wall-clock run
 
         obs::json::Value paper_runs = obs::json::Value::make_array();
-        std::printf("%6s %10s %11s %14s %16s\n", "jobs", "wall(s)",
-                    "boxes/sec", "peak RSS(MB)", "arena high(MB)");
+        std::printf("%6s %10s %11s %14s\n", "jobs", "wall(s)",
+                    "boxes/sec", "peak RSS(MB)");
         std::int64_t paper_cpu_after = -1;
         for (const int jobs : {1, 8}) {
             paper_config.jobs = jobs;
@@ -283,11 +279,9 @@ int main() {
                           fleet.wall_seconds
                     : 0.0;
             const std::uint64_t rss = peak_rss_bytes();
-            std::printf("%6d %10.2f %11.2f %14.1f %16.2f\n", jobs,
+            std::printf("%6d %10.2f %11.2f %14.1f\n", jobs,
                         fleet.wall_seconds, boxes_per_sec,
-                        static_cast<double>(rss) / (1024.0 * 1024.0),
-                        static_cast<double>(fleet.exec_stats.arena_high_water) /
-                            (1024.0 * 1024.0));
+                        static_cast<double>(rss) / (1024.0 * 1024.0));
             // Cheap cross-jobs identity probe on the aggregate (the small
             // sweep above does the exhaustive per-box comparison).
             const std::int64_t cpu_after =

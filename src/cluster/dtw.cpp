@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "exec/cancel.hpp"
+#include "exec/shard.hpp"
 #include "exec/thread_pool.hpp"
 #include "linalg/simd/simd.hpp"
 #include "obs/metrics.hpp"
@@ -116,6 +117,8 @@ la::FlatMatrix dtw_distance_matrix(
     // the parallel and serial fills are bit-identical for any worker count
     // and chunk size. Metric writes from chunk tasks are integer counters
     // whose totals are chunking-invariant, so their merge is exact too.
+    // With 4 chunks per participant run_sharded's auto shard size is 1,
+    // so every chunk is claimed on its own.
     const std::uint64_t pairs =
         static_cast<std::uint64_t>(n) * (n - 1) / 2;
     const std::size_t participants = pool != nullptr ? pool->size() + 1 : 1;
@@ -123,7 +126,7 @@ la::FlatMatrix dtw_distance_matrix(
         std::min<std::uint64_t>(pairs, std::max<std::size_t>(1, 4 * participants)));
     const std::uint64_t per_chunk = (pairs + chunks - 1) / chunks;
 
-    exec::parallel_for_each(pool, chunks, [&](std::size_t c) {
+    exec::run_sharded(pool, chunks, {}, [&](unsigned worker, std::size_t c) {
         const std::uint64_t begin = static_cast<std::uint64_t>(c) * per_chunk;
         const std::uint64_t end = std::min(pairs, begin + per_chunk);
         if (begin >= end) return;
@@ -137,15 +140,15 @@ la::FlatMatrix dtw_distance_matrix(
         }
         std::size_t j = i + 1 + static_cast<std::size_t>(begin - offset);
 
-        // Reused across the chunk's pairs. Serial runs (no pool) borrow
-        // the caller's workspace when offered — the per-worker
-        // arena-backed scratch of the sharded fleet scheduler — so
-        // repeated matrices stop re-growing DP rows. Pooled chunks run
-        // on different threads and keep private workspaces.
+        // Reused across the chunk's pairs. Worker 0 is the calling
+        // thread, so its chunks borrow the caller's workspace when
+        // offered — the per-worker scratch of the sharded fleet
+        // scheduler — and repeated matrices stop re-growing DP rows.
+        // Pool helpers run on other threads and keep private workspaces.
         DtwWorkspace local_workspace;
         DtwWorkspace& workspace =
-            (pool == nullptr && caller_workspace != nullptr) ? *caller_workspace
-                                                             : local_workspace;
+            (worker == 0 && caller_workspace != nullptr) ? *caller_workspace
+                                                         : local_workspace;
         // Cell counting is only observable through the registry, and
         // dtw_cell_count walks every row — skip it entirely without a
         // registry and memoize per shape with one (consecutive pairs
@@ -183,7 +186,7 @@ la::FlatMatrix dtw_distance_matrix(
 
         for (std::uint64_t k = begin; k < end; ++k) {
             // Cancellation point: one atomic load per O(len²) pair. The
-            // exception is delivered by parallel_for_each after in-flight
+            // exception is delivered by run_sharded after in-flight
             // chunks finish their current pair (a pending batch of other
             // pairs is abandoned uncomputed with the rest of the matrix).
             exec::checkpoint(cancel, "search.dtw");

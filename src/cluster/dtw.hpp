@@ -27,11 +27,6 @@ namespace atm::cluster {
 /// — same-length series, one workspace — performs zero heap allocations
 /// per call. Not thread-safe: one workspace per thread/task.
 struct DtwWorkspace {
-    DtwWorkspace() = default;
-    /// Arena-backed scratch (per-worker workspaces, exec/arena.hpp's
-    /// lifetime rules apply: the arena must outlive the workspace).
-    explicit DtwWorkspace(exec::Arena* arena) : scratch(arena) {}
-
     simd::DtwScratch scratch;
     la::FlatMatrix table;  ///< dtw_align's (n+1) x (m+1) DP table
 };
@@ -81,11 +76,10 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band = -1);
 /// per the obs determinism convention; totals are chunking-invariant).
 /// When `cancel` is non-null it is checked once per pair ("search.dtw")
 /// so a cancelled box abandons the O(n² · len²) loop promptly.
-/// When `pool` is null and `workspace` is non-null, the serial pair loop
-/// runs on the caller's workspace instead of a fresh one — the sharded
-/// fleet scheduler passes each worker's arena-backed workspace here so
-/// box after box reuses the same high-water scratch (bit-identity is
-/// unaffected; the workspace is pure scratch).
+/// When `workspace` is non-null, the chunks the calling thread runs use
+/// it instead of a fresh one — the sharded fleet scheduler passes each
+/// worker's workspace here so box after box reuses the same high-water
+/// scratch (bit-identity is unaffected; the workspace is pure scratch).
 la::FlatMatrix dtw_distance_matrix(
     const std::vector<std::vector<double>>& series, int band = -1,
     exec::ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr,

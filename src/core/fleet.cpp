@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -94,85 +91,6 @@ void aggregate(const FleetConfig& config, FleetResult& fleet) {
     }
 }
 
-/// Background thread that periodically prods every registered per-box
-/// CancellationToken. A token self-trips when its armed deadline is read
-/// (CancellationToken::reason), so correctness never depends on this
-/// thread getting scheduled — the watchdog exists so a box stuck in a
-/// *long* stretch between cancellation points is still flagged close to
-/// its deadline rather than at the next check. Registration is
-/// mutex-protected: unwatch() returning guarantees the watchdog no longer
-/// touches the (stack-owned) token.
-class DeadlineWatchdog {
-  public:
-    explicit DeadlineWatchdog(double deadline_seconds) {
-        // Scan at ~deadline/4, clamped to [1ms, 250ms].
-        const double period = std::clamp(deadline_seconds / 4.0, 1e-3, 0.25);
-        period_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::duration<double>(period));
-        thread_ = std::thread([this] { loop(); });
-    }
-
-    DeadlineWatchdog(const DeadlineWatchdog&) = delete;
-    DeadlineWatchdog& operator=(const DeadlineWatchdog&) = delete;
-
-    ~DeadlineWatchdog() {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        wake_.notify_all();
-        thread_.join();
-    }
-
-    void watch(exec::CancellationToken* token) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        active_.push_back(token);
-    }
-
-    void unwatch(exec::CancellationToken* token) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        active_.erase(std::find(active_.begin(), active_.end(), token));
-    }
-
-  private:
-    void loop() {
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (!stop_) {
-            // reason() trips an armed token whose deadline has passed.
-            for (exec::CancellationToken* token : active_) token->reason();
-            wake_.wait_for(lock, period_, [this] { return stop_; });
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::vector<exec::CancellationToken*> active_;
-    bool stop_ = false;
-    std::chrono::nanoseconds period_{};
-    std::thread thread_;
-};
-
-/// RAII registration of a per-attempt token with the (optional) watchdog.
-class WatchdogGuard {
-  public:
-    WatchdogGuard(DeadlineWatchdog* watchdog, exec::CancellationToken* token)
-        : watchdog_(watchdog) {
-        if (watchdog_ != nullptr) {
-            token_ = token;
-            watchdog_->watch(token_);
-        }
-    }
-    WatchdogGuard(const WatchdogGuard&) = delete;
-    WatchdogGuard& operator=(const WatchdogGuard&) = delete;
-    ~WatchdogGuard() {
-        if (watchdog_ != nullptr) watchdog_->unwatch(token_);
-    }
-
-  private:
-    DeadlineWatchdog* watchdog_;
-    exec::CancellationToken* token_ = nullptr;
-};
-
 /// Transient codes re-run under FleetConfig::max_retries: injected faults
 /// re-roll their Bernoulli draws per attempt, and kInternal covers
 /// environmental flakes (the catch-all). Structural failures (bad input,
@@ -253,23 +171,17 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
     exec::ThreadPool* pool =
         jobs > 1 ? &exec::shared_pool(jobs - 1) : nullptr;
 
-    // One reusable workspace per worker: a bump arena backing the DTW and
-    // MLP scratch plus the per-box DTW memo. Workers evaluate box after
-    // box on the same workspace, so steady-state inner kernels allocate
-    // nothing; scratch contents never affect results.
-    std::vector<std::unique_ptr<PipelineWorkspace>> workspaces;
-    workspaces.reserve(jobs);
-    for (unsigned w = 0; w < jobs; ++w) {
-        workspaces.push_back(std::make_unique<PipelineWorkspace>());
-    }
+    // One reusable workspace per worker: the DTW and MLP scratch plus the
+    // per-box DTW memo. Workers evaluate box after box on the same
+    // workspace, so steady-state inner kernels allocate nothing; scratch
+    // contents never affect results.
+    std::vector<PipelineWorkspace> workspaces(jobs);
 
     exec::ShardOptions shard_options;
     shard_options.workers = jobs;
-    shard_options.shard_size =
-        config.shard_size > 0 ? static_cast<std::size_t>(config.shard_size) : 0;
     fleet.exec_stats.workers = static_cast<int>(jobs);
-    fleet.exec_stats.shard_size = exec::resolve_shard_size(
-        selected.size(), jobs, shard_options.shard_size);
+    fleet.exec_stats.shard_size =
+        exec::resolve_shard_size(selected.size(), jobs);
 
     // Lend the fleet pool to each box's DTW matrix only when there are
     // fewer boxes than workers — otherwise box-level sharding already
@@ -280,11 +192,6 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
         (pool != nullptr && selected.size() < static_cast<std::size_t>(jobs))
             ? pool
             : nullptr;
-
-    std::unique_ptr<DeadlineWatchdog> watchdog;
-    if (config.box_deadline_seconds > 0.0) {
-        watchdog = std::make_unique<DeadlineWatchdog>(config.box_deadline_seconds);
-    }
 
     const int max_attempts = 1 + std::max(0, config.max_retries);
     fleet.boxes.resize(selected.size());
@@ -320,12 +227,13 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
             slot.error_stage.clear();
             slot.result = BoxPipelineResult{};
             slot.attempts = attempt + 1;
-            // Fresh token — and fresh deadline budget — per attempt.
+            // Fresh token — and fresh deadline budget — per attempt. Every
+            // cancellation point reads it through reason(), which latches
+            // an expired deadline itself, so no watchdog thread is needed.
             exec::CancellationToken box_cancel;
             if (config.box_deadline_seconds > 0.0) {
                 box_cancel.arm_deadline_after(config.box_deadline_seconds);
             }
-            const WatchdogGuard guard(watchdog.get(), &box_cancel);
             try {
                 const exec::FaultContext fault{
                     config.faults.empty() ? nullptr : &config.faults,
@@ -334,7 +242,7 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
                 ATM_FAULT_SITE(fault, "fleet.box");
                 evaluate_box(box_index, box_pool,
                              static_cast<std::uint64_t>(attempt), &box_cancel,
-                             workspaces[worker].get(), slot.result);
+                             &workspaces[worker], slot.result);
             } catch (const PipelineError& e) {
                 slot.error = e.what();
                 slot.error_code = e.code();
@@ -376,13 +284,6 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
     });
 
     aggregate(config, fleet);
-    for (const std::unique_ptr<PipelineWorkspace>& ws : workspaces) {
-        const exec::ArenaStats& stats = ws->arena.stats();
-        fleet.exec_stats.arena_bytes_reserved += stats.bytes_reserved;
-        fleet.exec_stats.arena_high_water += stats.high_water;
-        fleet.exec_stats.arena_allocations += stats.allocations;
-        fleet.exec_stats.arena_slabs += stats.slabs;
-    }
     for (const FleetBoxResult& b : fleet.boxes) {
         if (replayed.count(b.box_index) != 0) ++fleet.boxes_replayed;
     }
@@ -448,10 +349,6 @@ std::string FleetConfig::validate() const {
         add("jobs must be >= 0 (0 = hardware concurrency), got " +
             std::to_string(jobs));
     }
-    if (shard_size < 0) {
-        add("shard_size must be >= 0 (0 = auto), got " +
-            std::to_string(shard_size));
-    }
     if (max_retries < 0) {
         add("max_retries must be >= 0, got " + std::to_string(max_retries));
     }
@@ -514,10 +411,10 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
             if (attempt != 0) seed = exec::derive_seed(seed, attempt);
             box_config.seed = static_cast<unsigned>(seed);
             box_config.cancel = cancel;
-            // Per-worker scratch: DTW/MLP workspaces draw from the
-            // worker's arena, and the DTW matrix memo is reused across
-            // boxes (cleared first — it is per-box). The pool is the
-            // fleet's only when boxes are scarcer than workers.
+            // Per-worker scratch: the DTW/MLP workspaces and the DTW
+            // matrix memo are reused across boxes (the memo is cleared
+            // first — it is per-box). The pool is the fleet's only when
+            // boxes are scarcer than workers.
             workspace->dtw_cache.clear();
             box_config.workspace = workspace;
             box_config.search.pool = pool;

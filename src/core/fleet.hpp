@@ -23,14 +23,6 @@ struct FleetConfig {
     /// index (splitmix64), never from scheduling order.
     int jobs = 0;
 
-    /// Boxes per scheduler shard: 0 picks ~8 shards per worker (clamped
-    /// to [1, 64]). Purely an execution knob — workers claim whole shards
-    /// from an atomic cursor, so larger shards mean fewer claims (less
-    /// contention) and smaller shards mean better load balance, but the
-    /// per-box results never depend on it. Excluded from the checkpoint
-    /// journal's config digest for the same reason as `jobs`.
-    int shard_size = 0;
-
     /// Drop boxes whose monitoring data has gaps (the paper's Section V
     /// evaluation keeps only the gap-free boxes).
     bool skip_gappy_boxes = true;
@@ -156,24 +148,15 @@ struct FleetPolicyTotals {
     }
 };
 
-/// How the sharded scheduler executed a fleet run: worker/shard geometry
-/// plus the per-worker arena counters summed over all workers. Purely
-/// observational (never part of the resume-equivalence contract or the
-/// golden metrics) — reported in the metrics report's "scheduler"
-/// section and the fleet benchmarks.
+/// How the sharded scheduler executed a fleet run: worker/shard
+/// geometry. Purely observational (never part of the resume-equivalence
+/// contract or the golden metrics) — reported in the metrics report's
+/// "scheduler" section and the fleet benchmarks.
 struct FleetExecStats {
     /// Workers the scheduler ran with (== FleetResult::jobs).
     int workers = 0;
-    /// Resolved boxes-per-shard the run used (after the 0 = auto rule).
+    /// Boxes per shard the run used (exec::resolve_shard_size).
     std::size_t shard_size = 0;
-    /// Sum over workers of each arena's slab bytes reserved.
-    std::uint64_t arena_bytes_reserved = 0;
-    /// Sum over workers of each arena's high-water mark (live bytes).
-    std::uint64_t arena_high_water = 0;
-    /// Sum over workers of arena allocation calls served.
-    std::uint64_t arena_allocations = 0;
-    /// Sum over workers of slabs created.
-    std::uint64_t arena_slabs = 0;
 };
 
 /// Fleet-level outcome: per-box results plus cross-box aggregates.
@@ -229,7 +212,7 @@ struct FleetResult {
     /// True when FleetConfig::stop drained this run: some boxes were
     /// recorded as kCancelled without being evaluated (or journaled).
     bool interrupted = false;
-    /// Scheduler/arena execution statistics (like wall_seconds and jobs,
+    /// Scheduler execution statistics (like wall_seconds and jobs,
     /// excluded from the determinism and resume-equivalence contracts).
     FleetExecStats exec_stats;
 

@@ -24,7 +24,7 @@ obs::json::Value build_metrics_report(const FleetResult& fleet,
                json::Value::of(static_cast<std::uint64_t>(fleet.boxes_skipped)));
     report.set("boxes_failed",
                json::Value::of(static_cast<std::uint64_t>(fleet.boxes_failed)));
-    // Scheduler/arena execution stats. Like "jobs" and "wall_seconds"
+    // Scheduler execution stats. Like "jobs" and "wall_seconds"
     // this section describes how the run executed, not what it computed,
     // so report-equivalence checks strip it.
     json::Value scheduler = json::Value::make_object();
@@ -32,14 +32,6 @@ obs::json::Value build_metrics_report(const FleetResult& fleet,
                                  fleet.exec_stats.workers)));
     scheduler.set("shard_size", json::Value::of(static_cast<std::uint64_t>(
                                     fleet.exec_stats.shard_size)));
-    scheduler.set("arena_bytes_reserved",
-                  json::Value::of(fleet.exec_stats.arena_bytes_reserved));
-    scheduler.set("arena_high_water",
-                  json::Value::of(fleet.exec_stats.arena_high_water));
-    scheduler.set("arena_allocations",
-                  json::Value::of(fleet.exec_stats.arena_allocations));
-    scheduler.set("arena_slabs",
-                  json::Value::of(fleet.exec_stats.arena_slabs));
     report.set("scheduler", std::move(scheduler));
     report.set("fleet", json::to_json(merged));
 

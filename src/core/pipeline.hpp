@@ -6,7 +6,6 @@
 #include "core/errors.hpp"
 #include "core/signature_search.hpp"
 #include "core/spatial_model.hpp"
-#include "exec/arena.hpp"
 #include "exec/cancel.hpp"
 #include "exec/fault.hpp"
 #include "forecast/forecaster.hpp"
@@ -19,21 +18,17 @@
 namespace atm::core {
 
 /// Per-worker reusable scratch for run_pipeline_on_box (DESIGN.md
-/// §7.14): one bump arena backing the DTW and MLP workspaces, plus the
-/// per-box DTW matrix memo. The sharded fleet scheduler keeps one per
-/// worker and reuses it box after box, so in the steady state the box
-/// pipeline's inner kernels perform no heap allocation at all. The
-/// caller must clear `dtw_cache` between boxes (it memoizes per series
-/// set); `dtw`/`mlp` are pure scratch and carry nothing across calls —
-/// results are bit-identical with or without a workspace.
+/// §7.14): the DTW and MLP workspaces plus the per-box DTW matrix memo.
+/// The sharded fleet scheduler keeps one per worker and reuses it box
+/// after box; the workspaces' buffers only grow, so in the steady state
+/// the box pipeline's inner kernels perform no heap allocation at all.
+/// The caller must clear `dtw_cache` between boxes (it memoizes per
+/// series set); `dtw`/`mlp` are pure scratch and carry nothing across
+/// calls — results are bit-identical with or without a workspace.
 struct PipelineWorkspace {
-    PipelineWorkspace() : dtw(&arena), mlp(&arena) {}
-
-    exec::Arena arena;
     cluster::DtwWorkspace dtw;
     forecast::MlpWorkspace mlp;
-    /// Per-box DTW matrix memo (heap-backed: its matrices are per-box
-    /// temporaries, which must not draw from the monotonic arena).
+    /// Per-box DTW matrix memo.
     cluster::DtwMatrixCache dtw_cache;
 };
 

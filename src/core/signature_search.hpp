@@ -56,8 +56,8 @@ struct SignatureSearchOptions {
     /// per series set.
     cluster::DtwMatrixCache* dtw_cache = nullptr;
     /// Optional caller-owned DTW scratch (not owned), forwarded to the
-    /// distance matrix for serial (pool-less) computation — the fleet
-    /// scheduler's per-worker arena-backed workspace. Pure scratch:
+    /// distance matrix for the chunks the calling thread computes — the
+    /// fleet scheduler's per-worker workspace. Pure scratch:
     /// results are bit-identical with or without it.
     cluster::DtwWorkspace* dtw_workspace = nullptr;
     /// Optional stage-metrics sink (not owned). Records search counters

@@ -50,11 +50,11 @@ class OperationCancelled : public std::runtime_error {
 
 /// Cooperative cancellation: long-running stages poll `check()` at loop
 /// boundaries; anyone holding the token can `cancel()` it. Lock-free —
-/// `cancel()` is a single atomic CAS, safe from other threads, a watchdog,
-/// or a signal handler (std::atomic<int> is lock-free on every platform we
-/// target). A token can also carry a wall-clock deadline: once armed,
-/// `check()` trips itself when steady_clock passes the deadline, so
-/// cancellation does not depend on a watchdog getting scheduled in time.
+/// `cancel()` is a single atomic CAS, safe from other threads or a signal
+/// handler (std::atomic<int> is lock-free on every platform we target).
+/// A token can also carry a wall-clock deadline: once armed, `check()`
+/// trips itself when steady_clock passes the deadline, so no watchdog
+/// thread is needed.
 class CancellationToken {
   public:
     CancellationToken() = default;
@@ -81,7 +81,7 @@ class CancellationToken {
 
     /// Current reason; kNone while the token is live. Reading the reason of
     /// an armed token past its deadline trips it (so the trip is observed
-    /// even without a watchdog).
+    /// by whoever reads next, with no watchdog thread).
     [[nodiscard]] CancelReason reason() const noexcept {
         int state = state_.load(std::memory_order_acquire);
         if (state == 0) {

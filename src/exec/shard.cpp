@@ -7,6 +7,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "exec/thread_pool.hpp"
 
@@ -19,10 +20,8 @@ ThreadPool& shared_pool(unsigned min_helpers) {
     return pool;
 }
 
-std::size_t resolve_shard_size(std::size_t n, unsigned workers,
-                               std::size_t requested) {
+std::size_t resolve_shard_size(std::size_t n, unsigned workers) {
     if (n == 0) return 1;
-    if (requested != 0) return std::min(requested, n);
     if (workers == 0) workers = 1;
     // ~8 shards per worker balances stragglers (a worker stuck on a slow
     // box strands at most 1/8 of its share) while keeping claims rare;
@@ -33,12 +32,12 @@ std::size_t resolve_shard_size(std::size_t n, unsigned workers,
 
 namespace {
 
-/// Shared state of one run_sharded call — the ForEachState pattern
-/// (thread_pool.cpp) with two changes: the claim unit is a shard of
+/// Shared state of one run_sharded call: the claim unit is a shard of
 /// contiguous indices, and each drainer carries a dense worker id.
 /// Heap-allocated and owned jointly by caller and helpers so a helper
-/// scheduled after the caller already drained everything finds the
-/// state alive and exits as a no-op.
+/// scheduled after the caller already drained everything (the nested
+/// case: every pool thread busy with outer work) finds the state alive
+/// and exits as a no-op.
 struct ShardedState {
     std::function<void(unsigned, std::size_t)> fn;
     std::size_t n = 0;
@@ -46,9 +45,10 @@ struct ShardedState {
     std::size_t num_shards = 0;
     std::atomic<std::size_t> next_shard{0};
     std::atomic<std::size_t> completed{0};
-    /// Lowest index that has thrown (SIZE_MAX while none has); same
-    /// lowest-wins protocol as ForEachState, so the delivered exception
-    /// is a pure function of fn, independent of sharding and scheduling.
+    /// Lowest index that has thrown (SIZE_MAX while none has). An index
+    /// is skipped only when a lower one has already thrown, so the lowest
+    /// thrower always runs and its exception is the one kept: a pure
+    /// function of fn, independent of sharding and scheduling.
     std::atomic<std::size_t> error_index{SIZE_MAX};
     std::exception_ptr error;
     std::mutex error_mutex;
@@ -108,7 +108,7 @@ void run_sharded(ThreadPool* pool, std::size_t n, const ShardOptions& options,
     auto state = std::make_shared<ShardedState>();
     state->fn = fn;
     state->n = n;
-    state->shard = resolve_shard_size(n, workers, options.shard_size);
+    state->shard = resolve_shard_size(n, workers);
     state->num_shards = (n + state->shard - 1) / state->shard;
 
     // The caller claims shard 0 before any helper exists, so worker 0
@@ -133,7 +133,10 @@ void run_sharded(ThreadPool* pool, std::size_t n, const ShardOptions& options,
             lock, [&state] { return state->completed.load() == state->n; });
     }
     if (state->error_index.load() != SIZE_MAX) {
-        std::rethrow_exception(state->error);
+        // Take the exception out of the shared state: a helper that runs
+        // late may drop the last reference to the state, and the caller
+        // that handles the exception must be the one to destroy it.
+        std::rethrow_exception(std::exchange(state->error, nullptr));
     }
 }
 

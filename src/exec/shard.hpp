@@ -14,20 +14,16 @@ class ThreadPool;
 /// threads instead of paying a spawn/join cycle per run.
 ThreadPool& shared_pool(unsigned min_helpers);
 
-/// Knobs for run_sharded. Both default to "pick for me".
+/// Knobs for run_sharded.
 struct ShardOptions {
     /// Total workers including the calling thread (0 = pool size + 1).
     unsigned workers = 0;
-    /// Indices per contiguous shard (0 = auto: enough shards to balance,
-    /// few enough that claiming stays off the hot path).
-    std::size_t shard_size = 0;
 };
 
-/// The shard size run_sharded will use for `n` indices on `workers`
-/// workers when `requested` is 0 (returns `requested` clamped to [1, n]
-/// otherwise). Exposed so the fleet driver can report it.
-std::size_t resolve_shard_size(std::size_t n, unsigned workers,
-                               std::size_t requested);
+/// The shard size run_sharded uses for `n` indices on `workers` workers:
+/// enough shards to balance, few enough that claiming stays off the hot
+/// path. Exposed so the fleet driver can report it.
+std::size_t resolve_shard_size(std::size_t n, unsigned workers);
 
 /// Runs `fn(worker, 0) .. fn(worker, n-1)`, partitioning the index space
 /// into contiguous shards claimed from a single atomic cursor. Each
@@ -43,9 +39,14 @@ std::size_t resolve_shard_size(std::size_t n, unsigned workers,
 /// which worker ran an index — determinism comes from the index, the
 /// worker id only selects equivalent scratch space.
 ///
-/// Exception safety mirrors parallel_for_each: the lowest-index
-/// exception is rethrown on the caller after all in-flight work
-/// finishes; indices above a thrown one may be skipped.
+/// Safe to nest: a call from inside a pool task on the same pool
+/// completes, because its caller drains shards itself instead of
+/// waiting for a free helper.
+///
+/// Exception safety: the lowest-index exception is rethrown on the
+/// caller after all in-flight work finishes, so the delivered exception
+/// is independent of sharding and scheduling; indices above a thrown one
+/// may be skipped. The pool stays usable afterwards.
 void run_sharded(ThreadPool* pool, std::size_t n, const ShardOptions& options,
                  const std::function<void(unsigned, std::size_t)>& fn);
 

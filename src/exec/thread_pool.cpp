@@ -1,9 +1,5 @@
 #include "exec/thread_pool.hpp"
 
-#include <atomic>
-#include <cstdint>
-#include <exception>
-#include <memory>
 #include <utility>
 
 namespace atm::exec {
@@ -47,11 +43,6 @@ void ThreadPool::submit(std::function<void()> task) {
     work_available_.notify_one();
 }
 
-void ThreadPool::wait_idle() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
     for (;;) {
         std::function<void()> task;
@@ -62,101 +53,8 @@ void ThreadPool::worker_loop() {
             if (queue_.empty()) return;  // stopping_ and drained
             task = std::move(queue_.front());
             queue_.pop_front();
-            ++running_;
         }
         task();
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            --running_;
-            if (queue_.empty() && running_ == 0) idle_.notify_all();
-        }
-    }
-}
-
-namespace {
-
-/// Shared state of one parallel_for_each call. Heap-allocated and owned
-/// jointly by the caller and every helper task: a helper that only gets
-/// scheduled after the caller has already drained the index space (the
-/// nested-call scenario — all workers busy with outer tasks) must still
-/// find the state alive, see the counter exhausted, and exit as a no-op.
-struct ForEachState {
-    std::function<void(std::size_t)> fn;
-    std::size_t n = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> completed{0};
-    /// Lowest index that has thrown so far (SIZE_MAX while none has). The
-    /// caller must see the *first trace-order* exception regardless of
-    /// scheduling, so later throwers are demoted, not first-come-first-kept.
-    std::atomic<std::size_t> error_index{SIZE_MAX};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-
-    /// Claims indices until the space is exhausted. Every claimed index
-    /// bumps `completed` exactly once — even when skipped after a failure —
-    /// so `completed == n` means no fn invocation is still in flight.
-    ///
-    /// Determinism: fn(i) is skipped only when some index below i has
-    /// already thrown. Hence every index below the minimal throwing index
-    /// always runs (nothing below it can be in error_index), that minimal
-    /// thrower itself always runs, and its exception — having the lowest
-    /// index — is the one retained. The delivered exception is therefore a
-    /// pure function of fn, independent of worker count and scheduling.
-    void drain() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= n) return;
-            if (i < error_index.load(std::memory_order_acquire)) {
-                try {
-                    fn(i);
-                } catch (...) {
-                    const std::lock_guard<std::mutex> lock(error_mutex);
-                    if (i < error_index.load(std::memory_order_relaxed)) {
-                        error_index.store(i, std::memory_order_release);
-                        error = std::current_exception();
-                    }
-                }
-            }
-            if (completed.fetch_add(1) + 1 == n) {
-                const std::lock_guard<std::mutex> lock(done_mutex);
-                done_cv.notify_all();
-            }
-        }
-    }
-};
-
-}  // namespace
-
-void parallel_for_each(ThreadPool* pool, std::size_t n,
-                       const std::function<void(std::size_t)>& fn) {
-    if (n == 0) return;
-    const unsigned workers = pool == nullptr ? 0 : pool->size();
-    if (workers == 0 || n == 1) {
-        for (std::size_t i = 0; i < n; ++i) fn(i);
-        return;
-    }
-
-    auto state = std::make_shared<ForEachState>();
-    state->fn = fn;
-    state->n = n;
-
-    // The caller drains too, so one helper per remaining index suffices and
-    // the call completes even if no helper is ever scheduled.
-    const std::size_t helpers = std::min<std::size_t>(workers, n - 1);
-    for (std::size_t h = 0; h < helpers; ++h) {
-        pool->submit([state] { state->drain(); });
-    }
-
-    state->drain();
-    {
-        std::unique_lock<std::mutex> lock(state->done_mutex);
-        state->done_cv.wait(lock,
-                            [&state] { return state->completed.load() == state->n; });
-    }
-    if (state->error_index.load() != SIZE_MAX) {
-        std::rethrow_exception(state->error);
     }
 }
 

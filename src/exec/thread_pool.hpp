@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -15,8 +14,8 @@ namespace atm::exec {
 ///
 /// Built for the fleet driver's batch shape — many independent per-box
 /// tasks — rather than general task graphs: tasks must not block waiting
-/// for other pool tasks (use `parallel_for_each`, whose caller participates
-/// in the work, for nested parallelism). Submission order is the order
+/// for other pool tasks (use `run_sharded`, whose caller participates in
+/// the work, for nested parallelism). Submission order is the order
 /// tasks are *started* in; with one worker this is strict FIFO execution.
 ///
 /// The destructor drains the queue: all submitted tasks run before the
@@ -41,40 +40,18 @@ public:
     void grow(unsigned threads);
 
     /// Enqueues a task. The task must not throw (wrap work that can throw —
-    /// `parallel_for_each` does, capturing the first exception).
+    /// `run_sharded` does, capturing the lowest-index exception).
     void submit(std::function<void()> task);
-
-    /// Blocks until the queue is empty and no task is executing.
-    void wait_idle();
 
 private:
     void worker_loop();
 
     std::mutex mutex_;
     std::condition_variable work_available_;
-    std::condition_variable idle_;
     std::deque<std::function<void()>> queue_;
     std::vector<std::thread> workers_;  // guarded by mutex_
     std::atomic<unsigned> size_{0};
-    std::size_t running_ = 0;
     bool stopping_ = false;
 };
-
-/// Runs `fn(0) .. fn(n-1)` with dynamic (work-stealing-style) scheduling:
-/// indices are drawn from a shared atomic counter by the pool's workers
-/// *and by the calling thread*, so the call always completes even when the
-/// pool is saturated or `pool` is null (serial fallback) — safe to nest
-/// from inside another pool task. Blocks until every index has run.
-///
-/// Exception safety: the first exception thrown by any `fn` invocation is
-/// captured and rethrown on the calling thread after all in-flight
-/// invocations finish; remaining unclaimed indices are skipped.
-///
-/// Any writes `fn` makes must be to disjoint, index-owned locations (the
-/// per-box result slot pattern); `fn` sees indices in nondeterministic
-/// order, so determinism must come from index-derived state, never from
-/// shared mutable state.
-void parallel_for_each(ThreadPool* pool, std::size_t n,
-                       const std::function<void(std::size_t)>& fn);
 
 }  // namespace atm::exec

@@ -69,7 +69,8 @@ std::vector<double> MlpForecaster::forecast(int horizon) const {
 
     // One workspace and feature buffer reused across the horizon: the
     // per-step loop below is allocation-free. A caller-provided
-    // workspace (per-worker, arena-backed) is reused across boxes too.
+    // workspace (the fleet scheduler's per-worker one) is reused across
+    // boxes too.
     MlpWorkspace local_workspace;
     MlpWorkspace& workspace = options_.workspace != nullptr
                                   ? *options_.workspace

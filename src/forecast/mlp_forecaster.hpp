@@ -21,8 +21,8 @@ struct MlpForecasterOptions {
     Activation activation = Activation::kTanh;
     MlpTrainOptions train;
     /// Optional caller-owned scratch (not owned) shared by fit() and
-    /// forecast() — the fleet scheduler's per-worker arena-backed
-    /// workspace, reused across boxes. Results are identical with or
+    /// forecast() — the fleet scheduler's per-worker workspace, reused
+    /// across boxes. Results are identical with or
     /// without it; null keeps per-call local scratch.
     MlpWorkspace* workspace = nullptr;
 };

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "exec/arena.hpp"
 #include "linalg/flat_matrix.hpp"
 
 namespace atm::exec {
@@ -59,16 +58,6 @@ struct MlpTrainOptions {
 /// concurrent predict/train calls is a race.
 class MlpWorkspace {
   public:
-    MlpWorkspace() = default;
-    /// Arena-backed buffers (per-worker workspaces; the arena must
-    /// outlive the workspace — exec/arena.hpp's lifetime rules).
-    explicit MlpWorkspace(exec::Arena* arena)
-        : acts(exec::ArenaAllocator<double>(arena)),
-          pres(exec::ArenaAllocator<double>(arena)),
-          deltas(exec::ArenaAllocator<double>(arena)),
-          act_off(exec::ArenaAllocator<std::size_t>(arena)),
-          unit_off(exec::ArenaAllocator<std::size_t>(arena)) {}
-
     /// Sizes the buffers for `layer_sizes` ({in, hidden..., out}) if not
     /// already sized for exactly that topology. Idempotent and cheap when
     /// the shape is unchanged — the steady state allocates nothing.
@@ -77,13 +66,13 @@ class MlpWorkspace {
   private:
     friend class MlpNetwork;
 
-    exec::ArenaVector<double> acts;    ///< activations, all layers incl. input
-    exec::ArenaVector<double> pres;    ///< pre-activations, layers 1..L
-    exec::ArenaVector<double> deltas;  ///< backprop deltas, layers 1..L
+    std::vector<double> acts;    ///< activations, all layers incl. input
+    std::vector<double> pres;    ///< pre-activations, layers 1..L
+    std::vector<double> deltas;  ///< backprop deltas, layers 1..L
     /// acts offset of layer l (0-based over layer_sizes).
-    exec::ArenaVector<std::size_t> act_off;
+    std::vector<std::size_t> act_off;
     /// pres/deltas offset of layer l+1 (0-based over weight layers).
-    exec::ArenaVector<std::size_t> unit_off;
+    std::vector<std::size_t> unit_off;
     std::vector<int> sized_for;  ///< topology the offsets were built for
 };
 

@@ -7,15 +7,16 @@
 
 namespace atm::la {
 
-/// Contiguous row-major matrix of doubles with row-span access.
+/// Contiguous row-major matrix of doubles with row-span access — the
+/// library's one matrix type.
 ///
-/// The allocation-free-kernel counterpart to `Matrix`: one flat buffer,
-/// no per-row vectors, so a whole distance matrix (or DP table) is a
-/// single cache-friendly block that can be reused across calls without
-/// re-allocating. `operator[]` returns a row span, so code written
-/// against `vector<vector<double>>` (`m[i][j]`, `m.size()`) ports with
-/// no call-site changes; the converting constructor keeps nested-vector
-/// literals (tests, examples) working as before.
+/// One flat buffer, no per-row vectors, so a whole distance matrix, DP
+/// table or design matrix is a single cache-friendly block that can be
+/// reused across calls without re-allocating. `operator[]` returns a row
+/// span, so code written against `vector<vector<double>>` (`m[i][j]`,
+/// `m.size()`) ports with no call-site changes; the converting
+/// constructor keeps nested-vector literals (tests, examples) working as
+/// before.
 class FlatMatrix {
   public:
     FlatMatrix() = default;

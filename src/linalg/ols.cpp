@@ -1,8 +1,6 @@
 #include "linalg/ols.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -47,7 +45,7 @@ OlsFit ols_fit(std::span<const double> y,
     }
     if (n == 0) throw std::invalid_argument("ols_fit: empty response");
 
-    Matrix x(n, p + 1);
+    FlatMatrix x(n, p + 1);
     for (std::size_t i = 0; i < n; ++i) {
         x(i, 0) = 1.0;
         for (std::size_t j = 0; j < p; ++j) x(i, j + 1) = predictors[j][i];
@@ -135,37 +133,6 @@ std::vector<std::size_t> reduce_multicollinearity(
         if (metrics != nullptr) metrics->add("linalg.vif.removed");
     }
     return kept;
-}
-
-std::vector<std::size_t> forward_stepwise(
-    std::span<const double> y,
-    const std::vector<std::vector<double>>& candidates,
-    double min_gain) {
-    std::vector<std::size_t> selected;
-    std::vector<bool> used(candidates.size(), false);
-    double best_adj_r2 = -std::numeric_limits<double>::infinity();
-
-    std::vector<std::span<const double>> trial;
-    for (;;) {
-        std::size_t best_j = candidates.size();
-        double best_candidate_r2 = best_adj_r2;
-        for (std::size_t j = 0; j < candidates.size(); ++j) {
-            if (used[j]) continue;
-            trial.clear();
-            for (std::size_t idx : selected) trial.push_back(candidates[idx]);
-            trial.push_back(candidates[j]);
-            const OlsFit fit = ols_fit(y, trial);
-            if (fit.adjusted_r_squared > best_candidate_r2 + min_gain) {
-                best_candidate_r2 = fit.adjusted_r_squared;
-                best_j = j;
-            }
-        }
-        if (best_j == candidates.size()) break;
-        selected.push_back(best_j);
-        used[best_j] = true;
-        best_adj_r2 = best_candidate_r2;
-    }
-    return selected;
 }
 
 }  // namespace atm::la

@@ -3,7 +3,7 @@
 #include <span>
 #include <vector>
 
-#include "linalg/matrix.hpp"
+#include "linalg/solve.hpp"
 
 namespace atm::obs {
 class MetricsRegistry;
@@ -30,8 +30,8 @@ struct OlsFit {
 };
 
 /// Fits y on the given predictor columns with an intercept, using QR
-/// least squares (robust to collinear predictor sets, which stepwise
-/// regression probes deliberately).
+/// least squares (robust to collinear predictor sets, which the VIF
+/// reduction probes deliberately).
 ///
 /// `predictors[j]` is the j-th predictor series; all must be the same
 /// length as y. Throws std::invalid_argument on shape mismatch.
@@ -44,8 +44,8 @@ OlsFit ols_fit(std::span<const double> y,
                const std::vector<std::vector<double>>& predictors);
 
 /// Core overload over column *views*: fits against caller-owned storage
-/// without copying any predictor column. The VIF / stepwise drivers below
-/// assemble span lists over the original columns instead of materializing
+/// without copying any predictor column. The VIF driver below assembles
+/// span lists over the original columns instead of materializing
 /// per-trial copies; the nested-vector overload forwards here.
 OlsFit ols_fit(std::span<const double> y,
                std::span<const std::span<const double>> predictors);
@@ -73,14 +73,5 @@ std::vector<double> variance_inflation_factors(
 std::vector<std::size_t> reduce_multicollinearity(
     const std::vector<std::vector<double>>& predictors,
     double vif_threshold = 4.0, obs::MetricsRegistry* metrics = nullptr);
-
-/// Classical forward-selection stepwise regression: greedily adds the
-/// predictor that most improves adjusted R² until no candidate improves it
-/// by at least `min_gain`. Returns selected indices in selection order.
-/// Provided for ablation against the VIF-driven backward elimination.
-std::vector<std::size_t> forward_stepwise(
-    std::span<const double> y,
-    const std::vector<std::vector<double>>& candidates,
-    double min_gain = 1e-4);
 
 }  // namespace atm::la

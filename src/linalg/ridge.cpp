@@ -1,8 +1,6 @@
 #include "linalg/ridge.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "linalg/flat_matrix.hpp"
@@ -60,7 +58,7 @@ OlsFit ridge_fit(std::span<const double> y,
         for (std::size_t i = 0; i < n; ++i) row[i] = col[i] - mu;
     }
 
-    Matrix gram(p, p);
+    FlatMatrix gram(p, p);
     std::vector<double> xty(p, 0.0);
     for (std::size_t j = 0; j < p; ++j) {
         const double* xj = xc[j].data();
@@ -116,110 +114,6 @@ OlsFit ridge_fit(std::span<const double> y,
                               static_cast<double>(n - p - 1)
                   : fit.r_squared;
     return fit;
-}
-
-double select_ridge_lambda(std::span<const double> y,
-                           const std::vector<std::vector<double>>& predictors,
-                           std::span<const double> candidates,
-                           double holdout_fraction) {
-    if (candidates.empty()) {
-        throw std::invalid_argument("select_ridge_lambda: no candidates");
-    }
-    holdout_fraction = std::clamp(holdout_fraction, 0.05, 0.9);
-    const std::size_t n = y.size();
-    const auto train_n = static_cast<std::size_t>(
-        static_cast<double>(n) * (1.0 - holdout_fraction));
-    if (train_n < 2 || train_n >= n) {
-        throw std::invalid_argument("select_ridge_lambda: series too short");
-    }
-
-    // Train columns are prefixes of the originals — view them, don't copy.
-    std::vector<std::span<const double>> train_x(predictors.size());
-    for (std::size_t j = 0; j < predictors.size(); ++j) {
-        train_x[j] = std::span<const double>(predictors[j]).subspan(0, train_n);
-    }
-    const std::span<const double> train_y = y.subspan(0, train_n);
-
-    double best_lambda = candidates[0];
-    double best_mse = std::numeric_limits<double>::infinity();
-    std::vector<double> at(predictors.size());
-    for (double lambda : candidates) {
-        const OlsFit fit = ridge_fit(train_y, train_x, lambda);
-        double mse = 0.0;
-        for (std::size_t i = train_n; i < n; ++i) {
-            for (std::size_t j = 0; j < predictors.size(); ++j) {
-                at[j] = predictors[j][i];
-            }
-            const double err = fit.predict(at) - y[i];
-            mse += err * err;
-        }
-        if (mse < best_mse) {
-            best_mse = mse;
-            best_lambda = lambda;
-        }
-    }
-    return best_lambda;
-}
-
-Matrix inverse(const Matrix& a) {
-    const std::size_t n = a.rows();
-    if (a.cols() != n) throw std::invalid_argument("inverse: need square matrix");
-    // Gauss-Jordan on [A | I].
-    Matrix w(n, 2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) w(i, j) = a(i, j);
-        w(i, n + i) = 1.0;
-    }
-    for (std::size_t col = 0; col < n; ++col) {
-        std::size_t pivot = col;
-        for (std::size_t r = col + 1; r < n; ++r) {
-            if (std::abs(w(r, col)) > std::abs(w(pivot, col))) pivot = r;
-        }
-        if (std::abs(w(pivot, col)) < 1e-12) {
-            throw std::runtime_error("inverse: singular matrix");
-        }
-        if (pivot != col) {
-            for (std::size_t j = 0; j < 2 * n; ++j) std::swap(w(pivot, j), w(col, j));
-        }
-        const double d = w(col, col);
-        for (std::size_t j = 0; j < 2 * n; ++j) w(col, j) /= d;
-        for (std::size_t r = 0; r < n; ++r) {
-            if (r == col) continue;
-            const double factor = w(r, col);
-            if (factor == 0.0) continue;
-            for (std::size_t j = 0; j < 2 * n; ++j) w(r, j) -= factor * w(col, j);
-        }
-    }
-    Matrix out(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j) out(i, j) = w(i, n + j);
-    }
-    return out;
-}
-
-double determinant(const Matrix& a) {
-    const std::size_t n = a.rows();
-    if (a.cols() != n) throw std::invalid_argument("determinant: need square matrix");
-    Matrix w = a;
-    double det = 1.0;
-    for (std::size_t col = 0; col < n; ++col) {
-        std::size_t pivot = col;
-        for (std::size_t r = col + 1; r < n; ++r) {
-            if (std::abs(w(r, col)) > std::abs(w(pivot, col))) pivot = r;
-        }
-        if (std::abs(w(pivot, col)) < 1e-14) return 0.0;
-        if (pivot != col) {
-            for (std::size_t j = 0; j < n; ++j) std::swap(w(pivot, j), w(col, j));
-            det = -det;
-        }
-        det *= w(col, col);
-        for (std::size_t r = col + 1; r < n; ++r) {
-            const double factor = w(r, col) / w(col, col);
-            if (factor == 0.0) continue;
-            for (std::size_t j = col; j < n; ++j) w(r, j) -= factor * w(col, j);
-        }
-    }
-    return det;
 }
 
 }  // namespace atm::la

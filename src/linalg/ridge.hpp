@@ -30,20 +30,4 @@ OlsFit ridge_fit(std::span<const double> y,
                  std::span<const std::span<const double>> predictors,
                  double lambda);
 
-/// Leave-future-out lambda selection: fits on the first
-/// `1 - holdout_fraction` of samples for each lambda in `candidates` and
-/// returns the lambda with the lowest mean squared error on the held-out
-/// suffix (time-series aware: validation never precedes training).
-double select_ridge_lambda(std::span<const double> y,
-                           const std::vector<std::vector<double>>& predictors,
-                           std::span<const double> candidates,
-                           double holdout_fraction = 0.25);
-
-/// Inverse of a square matrix via Gauss-Jordan with partial pivoting.
-/// Throws std::runtime_error if singular.
-Matrix inverse(const Matrix& a);
-
-/// Determinant via LU with partial pivoting (0 for singular inputs).
-double determinant(const Matrix& a);
-
 }  // namespace atm::la

@@ -23,8 +23,22 @@ struct VecAvx512 {
     static Reg add(Reg a, Reg b) { return _mm512_add_pd(a, b); }
     static Reg sub(Reg a, Reg b) { return _mm512_sub_pd(a, b); }
     static Reg mul(Reg a, Reg b) { return _mm512_mul_pd(a, b); }
-    static Reg min(Reg a, Reg b) { return _mm512_min_pd(a, b); }
-    static double hsum(Reg r) { return _mm512_reduce_add_pd(r); }
+    // The plain _mm512_min_pd and _mm512_extractf64x4_pd pass an
+    // _mm512_undefined_pd() register through their all-lanes mask, which
+    // g++ reports as -Wmaybe-uninitialized wherever they inline. The
+    // masked forms below select every lane, so they compute the same
+    // values with a defined passthrough.
+    static Reg min(Reg a, Reg b) { return _mm512_mask_min_pd(a, 0xFF, a, b); }
+    // _mm512_reduce_add_pd's exact pairing: upper + lower 256-bit halves,
+    // then upper + lower 128-bit halves, then the last pair.
+    static double hsum(Reg r) {
+        const __m256d hi = _mm512_maskz_extractf64x4_pd(0xF, r, 1);
+        const __m256d lo = _mm512_maskz_extractf64x4_pd(0xF, r, 0);
+        const __m256d quad = _mm256_add_pd(hi, lo);
+        const __m128d pair = _mm_add_pd(_mm256_extractf128_pd(quad, 1),
+                                        _mm256_extractf128_pd(quad, 0));
+        return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
+    }
 };
 
 void dtw_distance_batch_avx512(const double* const* ps,

@@ -18,7 +18,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Grows `row` to at least `size` elements and fills the used prefix with
 /// +inf. Capacity is never released, so a reused scratch stops
 /// allocating once it has seen its largest series.
-void reset_row(ScratchVec& row, std::size_t size) {
+void reset_row(std::vector<double>& row, std::size_t size) {
     if (row.size() < size) row.resize(size);
     std::fill(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(size), kInf);
 }

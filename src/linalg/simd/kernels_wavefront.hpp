@@ -32,7 +32,8 @@ inline constexpr double kDtwInf = std::numeric_limits<double>::infinity();
 /// floor/ceil expressions as the scalar kernel, evaluated once. Windows
 /// are always non-empty and both endpoints are nondecreasing in i.
 inline void compute_band_windows(std::size_t n, std::size_t m, int band,
-                                 ScratchIdxVec& jlo, ScratchIdxVec& jhi) {
+                                 std::vector<std::size_t>& jlo,
+                                 std::vector<std::size_t>& jhi) {
     if (jlo.size() < n + 1) jlo.resize(n + 1);
     if (jhi.size() < n + 1) jhi.resize(n + 1);
     const double slope =
@@ -181,7 +182,7 @@ void dtw_distance_batch_vec(const double* const* ps, const double* const* qs,
     constexpr std::size_t kPad = V::kStripRows;  // columns per side
     // Grows `buf` to `columns` + padding and fills it with `fill`;
     // returns column 0. Padding is touched only by out-of-window steps.
-    const auto padded = [](ScratchVec& buf, std::size_t columns,
+    const auto padded = [](std::vector<double>& buf, std::size_t columns,
                            double fill) {
         const std::size_t size = (columns + 2 * kPad) * kW;
         if (buf.size() < size) buf.resize(size);

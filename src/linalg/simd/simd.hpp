@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/arena.hpp"
-
 /// Runtime-dispatched SIMD kernels for the two pipeline hot loops: the
 /// banded DTW recurrence and the MLP forward/backward/update passes
 /// (DESIGN.md §7.13).
@@ -56,12 +54,6 @@ enum class Path : int {
     kNeon,
 };
 
-/// Grown-on-demand buffer types for kernel scratch: default-constructed
-/// they are plain heap vectors; constructed over an exec::Arena they
-/// draw slab memory instead (per-worker workspaces, DESIGN.md §7.14).
-using ScratchVec = exec::ArenaVector<double>;
-using ScratchIdxVec = exec::ArenaVector<std::size_t>;
-
 /// Reusable scratch for the DTW kernels, grown on demand and never
 /// shrunk (steady-state calls allocate nothing). The scalar path uses
 /// `prev`/`curr` as the two rolling DP *rows*. The vector path keeps one
@@ -70,23 +62,12 @@ using ScratchIdxVec = exec::ArenaVector<std::size_t>;
 /// keeps the per-row band windows in `jlo`/`jhi`. Not thread-safe: one
 /// scratch per thread/task.
 struct DtwScratch {
-    DtwScratch() = default;
-    /// Arena-backed scratch for workspace-lifetime reuse. The arena must
-    /// outlive the scratch; see exec/arena.hpp's lifetime rules.
-    explicit DtwScratch(exec::Arena* arena)
-        : prev(exec::ArenaAllocator<double>(arena)),
-          curr(exec::ArenaAllocator<double>(arena)),
-          lanes_p(exec::ArenaAllocator<double>(arena)),
-          lanes_q(exec::ArenaAllocator<double>(arena)),
-          jlo(exec::ArenaAllocator<std::size_t>(arena)),
-          jhi(exec::ArenaAllocator<std::size_t>(arena)) {}
-
-    ScratchVec prev;
-    ScratchVec curr;
-    ScratchVec lanes_p;
-    ScratchVec lanes_q;
-    ScratchIdxVec jlo;
-    ScratchIdxVec jhi;
+    std::vector<double> prev;
+    std::vector<double> curr;
+    std::vector<double> lanes_p;
+    std::vector<double> lanes_q;
+    std::vector<std::size_t> jlo;
+    std::vector<std::size_t> jhi;
 };
 
 /// The per-path kernel table. All pointers are non-null in every

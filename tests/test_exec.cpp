@@ -1,4 +1,4 @@
-// Tests for the exec subsystem (thread pool, parallel_for_each, seed
+// Tests for the exec subsystem (thread pool, sharded scheduler, seed
 // derivation, ArgParser) and the fleet driver's determinism contract:
 // identical results at every worker count.
 
@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <numeric>
@@ -17,7 +16,6 @@
 
 #include "cluster/dtw.hpp"
 #include "core/fleet.hpp"
-#include "exec/arena.hpp"
 #include "exec/arg_parser.hpp"
 #include "exec/cancel.hpp"
 #include "exec/io.hpp"
@@ -34,22 +32,24 @@ namespace {
 // ---------------------------------------------------------------- ThreadPool
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-    exec::ThreadPool pool(4);
     std::atomic<int> count{0};
-    for (int i = 0; i < 200; ++i) {
-        pool.submit([&count] { count.fetch_add(1); });
-    }
-    pool.wait_idle();
+    {
+        exec::ThreadPool pool(4);
+        for (int i = 0; i < 200; ++i) {
+            pool.submit([&count] { count.fetch_add(1); });
+        }
+    }  // ~ThreadPool runs every queued task before joining
     EXPECT_EQ(count.load(), 200);
 }
 
 TEST(ThreadPoolTest, SingleWorkerExecutesInSubmissionOrder) {
-    exec::ThreadPool pool(1);
     std::vector<int> order;
-    for (int i = 0; i < 50; ++i) {
-        pool.submit([&order, i] { order.push_back(i); });
+    {
+        exec::ThreadPool pool(1);
+        for (int i = 0; i < 50; ++i) {
+            pool.submit([&order, i] { order.push_back(i); });
+        }
     }
-    pool.wait_idle();
     std::vector<int> expected(50);
     std::iota(expected.begin(), expected.end(), 0);
     EXPECT_EQ(order, expected);
@@ -69,81 +69,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
 TEST(ThreadPoolTest, ZeroRequestsHardwareConcurrency) {
     const exec::ThreadPool pool(0);
     EXPECT_GE(pool.size(), 1u);
-}
-
-// --------------------------------------------------------- parallel_for_each
-
-TEST(ParallelForEachTest, CoversEveryIndexExactlyOnce) {
-    exec::ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(257);
-    exec::parallel_for_each(&pool, hits.size(),
-                            [&hits](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    }
-}
-
-TEST(ParallelForEachTest, NullPoolRunsSeriallyInOrder) {
-    std::vector<std::size_t> seen;
-    exec::parallel_for_each(nullptr, 10,
-                            [&seen](std::size_t i) { seen.push_back(i); });
-    std::vector<std::size_t> expected(10);
-    std::iota(expected.begin(), expected.end(), 0u);
-    EXPECT_EQ(seen, expected);
-}
-
-TEST(ParallelForEachTest, PropagatesFirstExceptionAndKeepsPoolUsable) {
-    exec::ThreadPool pool(3);
-    EXPECT_THROW(
-        exec::parallel_for_each(&pool, 64,
-                                [](std::size_t i) {
-                                    if (i == 7) {
-                                        throw std::runtime_error("boom at 7");
-                                    }
-                                }),
-        std::runtime_error);
-    // The pool must survive a failed loop and run later work.
-    std::atomic<int> count{0};
-    exec::parallel_for_each(&pool, 32,
-                            [&count](std::size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 32);
-}
-
-TEST(ParallelForEachTest, DeliversLowestIndexExceptionDeterministically) {
-    // Several indices throw concurrently; the contract is that the caller
-    // always sees the exception from the lowest index, independent of
-    // scheduling — chaos tests rely on this to assert exact failures.
-    exec::ThreadPool pool(7);
-    for (int repeat = 0; repeat < 25; ++repeat) {
-        try {
-            exec::parallel_for_each(&pool, 128, [](std::size_t i) {
-                if (i == 5 || i == 23 || i == 77 || i == 127) {
-                    throw std::runtime_error("boom " + std::to_string(i));
-                }
-            });
-            FAIL() << "expected an exception";
-        } catch (const std::runtime_error& e) {
-            EXPECT_STREQ(e.what(), "boom 5") << "repeat " << repeat;
-        }
-    }
-}
-
-TEST(ParallelForEachTest, NestedCallsOnTheSamePoolComplete) {
-    // All workers sit inside outer iterations, so inner calls can only
-    // finish because the calling task drains its own index space — this
-    // deadlocks with a naive fork/join pool.
-    exec::ThreadPool pool(2);
-    std::atomic<int> count{0};
-    exec::parallel_for_each(&pool, 4, [&pool, &count](std::size_t) {
-        exec::parallel_for_each(&pool, 8,
-                                [&count](std::size_t) { count.fetch_add(1); });
-    });
-    EXPECT_EQ(count.load(), 32);
-}
-
-TEST(ParallelForEachTest, ZeroItemsIsANoOp) {
-    exec::ThreadPool pool(2);
-    exec::parallel_for_each(&pool, 0, [](std::size_t) { FAIL(); });
 }
 
 // ------------------------------------------------------------------- seeding
@@ -182,6 +107,24 @@ TEST(DtwParallelTest, PooledMatrixMatchesSerial) {
             EXPECT_EQ(parallel[i][j], serial[i][j]) << i << "," << j;
         }
     }
+}
+
+TEST(DtwParallelTest, NestedPooledMatrixMatchesSerial) {
+    // The fleet's shape when boxes are scarcer than workers: each box task
+    // lends the same pool to its DTW matrix, and the chunks the calling
+    // thread runs use that worker's own workspace.
+    const auto series = small_series_set();
+    const auto serial = cluster::dtw_distance_matrix(series);
+    exec::ThreadPool pool(3);
+    std::vector<cluster::DtwWorkspace> workspaces(pool.size() + 1);
+    std::vector<la::FlatMatrix> nested(3);
+    exec::run_sharded(&pool, nested.size(), {},
+                      [&](unsigned worker, std::size_t b) {
+                          nested[b] = cluster::dtw_distance_matrix(
+                              series, -1, &pool, nullptr, nullptr,
+                              &workspaces[worker]);
+                      });
+    for (const la::FlatMatrix& m : nested) EXPECT_EQ(m, serial);
 }
 
 TEST(DtwParallelTest, CacheComputesEachBandOnce) {
@@ -687,7 +630,7 @@ TEST(JournalTest, AppendIsThreadSafe) {
     {
         exec::JournalWriter writer = exec::JournalWriter::create(path, "h");
         exec::ThreadPool pool(4);
-        exec::parallel_for_each(&pool, 64, [&writer](std::size_t i) {
+        exec::run_sharded(&pool, 64, {}, [&writer](unsigned, std::size_t i) {
             writer.append("record-" + std::to_string(i));
         });
     }
@@ -782,66 +725,17 @@ TEST(CancellationTokenTest, CheckpointToleratesNullToken) {
 }
 
 // ---------------------------------------------------------------------------
-// Arena (exec/arena.hpp): monotonic bump allocator behind the per-worker
-// pipeline workspaces.
-
-TEST(ArenaTest, AllocationsAreAlignedAndCounted) {
-    exec::Arena arena(/*slab_bytes=*/256);
-    for (const std::size_t align : {1ul, 8ul, 16ul, 64ul}) {
-        void* p = arena.allocate(24, align);
-        ASSERT_NE(p, nullptr);
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
-            << "align " << align;
-    }
-    const exec::ArenaStats& stats = arena.stats();
-    EXPECT_EQ(stats.allocations, 4u);
-    EXPECT_GE(stats.bytes_allocated, 4 * 24u);
-    EXPECT_GE(stats.bytes_reserved, stats.high_water);
-    EXPECT_GE(stats.high_water, stats.bytes_allocated);
-    EXPECT_GE(stats.slabs, 1u);
-}
-
-TEST(ArenaTest, OversizedRequestGetsItsOwnSlab) {
-    exec::Arena arena(/*slab_bytes=*/128);
-    // Larger than a whole slab: the arena must grow, not fail.
-    void* big = arena.allocate(4096, 64);
-    ASSERT_NE(big, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big) % 64, 0u);
-    std::memset(big, 0xAB, 4096);  // the whole block must be writable
-    EXPECT_GE(arena.stats().bytes_reserved, 4096u);
-}
-
-TEST(ArenaTest, ArenaVectorUsesTheArenaAndHeapFallsBack) {
-    exec::Arena arena;
-    exec::ArenaVector<double> vec{exec::ArenaAllocator<double>(&arena)};
-    vec.assign(100, 1.5);
-    EXPECT_EQ(vec[99], 1.5);
-    EXPECT_GE(arena.stats().bytes_allocated, 100 * sizeof(double));
-    // Default-constructed allocator (null arena) = plain heap: the type
-    // must remain usable as an ordinary vector.
-    exec::ArenaVector<double> heap_vec;
-    heap_vec.assign(10, 2.5);
-    EXPECT_EQ(heap_vec[9], 2.5);
-    // Allocators compare equal only when both point at the same arena.
-    EXPECT_TRUE(exec::ArenaAllocator<double>(&arena) ==
-                exec::ArenaAllocator<double>(&arena));
-    EXPECT_FALSE(exec::ArenaAllocator<double>(&arena) ==
-                 exec::ArenaAllocator<double>());
-}
-
-// ---------------------------------------------------------------------------
 // Sharded scheduler (exec/shard.hpp).
 
 TEST(ShardTest, ResolveShardSizeRules) {
-    // Explicit request wins, clamped to n.
-    EXPECT_EQ(exec::resolve_shard_size(100, 4, 10), 10u);
-    EXPECT_EQ(exec::resolve_shard_size(5, 4, 10), 5u);
-    // Auto: ~8 shards per worker, floor 1, cap 64.
-    EXPECT_EQ(exec::resolve_shard_size(8, 8, 0), 1u);
-    EXPECT_EQ(exec::resolve_shard_size(6400, 4, 0), 64u);
-    EXPECT_GE(exec::resolve_shard_size(1000, 2, 0), 1u);
-    // Degenerate n.
-    EXPECT_EQ(exec::resolve_shard_size(0, 4, 0), 1u);
+    // ~8 shards per worker, floor 1, cap 64.
+    EXPECT_EQ(exec::resolve_shard_size(8, 8), 1u);
+    EXPECT_EQ(exec::resolve_shard_size(71, 4), 2u);
+    EXPECT_EQ(exec::resolve_shard_size(6400, 4), 64u);
+    EXPECT_EQ(exec::resolve_shard_size(1000, 2), 62u);
+    // Degenerate n and workers.
+    EXPECT_EQ(exec::resolve_shard_size(0, 4), 1u);
+    EXPECT_EQ(exec::resolve_shard_size(100, 0), 12u);
 }
 
 TEST(ShardTest, SerialPathCoversEveryIndexInOrder) {
@@ -855,12 +749,63 @@ TEST(ShardTest, SerialPathCoversEveryIndexInOrder) {
     EXPECT_EQ(seen, want);
 }
 
+TEST(ShardTest, NullPoolIgnoresWorkersOption) {
+    // Without a pool there are no helpers to hand ids to, whatever the
+    // options ask for: the caller runs everything, in order, as worker 0.
+    exec::ShardOptions options;
+    options.workers = 4;
+    std::vector<std::size_t> seen;
+    exec::run_sharded(nullptr, 10, options, [&](unsigned worker, std::size_t i) {
+        EXPECT_EQ(worker, 0u);
+        seen.push_back(i);
+    });
+    std::vector<std::size_t> want(10);
+    std::iota(want.begin(), want.end(), 0u);
+    EXPECT_EQ(seen, want);
+}
+
+TEST(ShardTest, DefaultWorkersCoverEveryIndexExactlyOnce) {
+    // Default options: pool size + 1 workers, auto shard size of 6, and a
+    // short last shard.
+    exec::ThreadPool pool(4);
+    std::vector<std::atomic<int>> hits(257);
+    ASSERT_EQ(exec::resolve_shard_size(hits.size(), pool.size() + 1), 6u);
+    exec::run_sharded(&pool, hits.size(), {},
+                      [&hits](unsigned, std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    }
+}
+
+TEST(ShardTest, LowestIndexExceptionWinsAcrossMultiIndexShards) {
+    // Several indices throw concurrently, some inside the same shard and
+    // one at the very last index; the caller always sees the lowest one,
+    // independent of scheduling — chaos tests rely on this to assert
+    // exact failures.
+    exec::ThreadPool pool(7);
+    constexpr std::size_t kN = 128;
+    ASSERT_EQ(exec::resolve_shard_size(kN, pool.size() + 1), 2u);
+    for (int repeat = 0; repeat < 25; ++repeat) {
+        try {
+            exec::run_sharded(&pool, kN, {}, [](unsigned, std::size_t i) {
+                if (i == 5 || i == 23 || i == 77 || i == 127) {
+                    throw std::runtime_error("boom " + std::to_string(i));
+                }
+            });
+            FAIL() << "expected an exception";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "boom 5") << "repeat " << repeat;
+        }
+    }
+}
+
 TEST(ShardTest, PooledRunCoversEveryIndexExactlyOnceWithDenseWorkerIds) {
     exec::ThreadPool pool(3);
     exec::ShardOptions options;
     options.workers = 4;
-    options.shard_size = 2;
-    constexpr std::size_t kN = 103;
+    // Shards of 2 with a short last shard.
+    constexpr std::size_t kN = 71;
+    ASSERT_EQ(exec::resolve_shard_size(kN, options.workers), 2u);
     std::vector<std::atomic<int>> hits(kN);
     std::vector<std::atomic<int>> worker_used(4);
     exec::run_sharded(&pool, kN, options, [&](unsigned worker, std::size_t i) {
@@ -879,10 +824,12 @@ TEST(ShardTest, LowestIndexExceptionWins) {
     exec::ThreadPool pool(3);
     exec::ShardOptions options;
     options.workers = 4;
-    options.shard_size = 1;
+    // One index per shard, so the throwers race on different workers.
+    constexpr std::size_t kN = 63;
+    ASSERT_EQ(exec::resolve_shard_size(kN, options.workers), 1u);
     for (int repeat = 0; repeat < 20; ++repeat) {
         try {
-            exec::run_sharded(&pool, 64, options,
+            exec::run_sharded(&pool, kN, options,
                               [&](unsigned, std::size_t i) {
                                   if (i == 7 || i == 31 || i == 50) {
                                       throw std::runtime_error(
@@ -911,6 +858,42 @@ TEST(ShardTest, SharedPoolGrowsAndNeverShrinks) {
     EXPECT_EQ(ran.load(), 32);
 }
 
+TEST(ShardTest, NestedCallsOnTheSamePoolComplete) {
+    // Every pool thread sits inside an outer shard, so the inner calls
+    // can only finish because each caller drains its own shards — this
+    // deadlocks with a naive fork/join pool. Production nests this way
+    // when a fleet with fewer boxes than workers lends the pool to DTW.
+    exec::ThreadPool pool(2);
+    std::atomic<int> count{0};
+    exec::run_sharded(&pool, 4, {}, [&pool, &count](unsigned, std::size_t) {
+        exec::run_sharded(&pool, 8, {}, [&count](unsigned, std::size_t) {
+            count.fetch_add(1);
+        });
+    });
+    EXPECT_EQ(count.load(), 32);
+}
+
+TEST(ShardTest, PropagatesFirstExceptionAndKeepsPoolUsable) {
+    exec::ThreadPool pool(3);
+    EXPECT_THROW(exec::run_sharded(&pool, 64, {},
+                                   [](unsigned, std::size_t i) {
+                                       if (i == 7) {
+                                           throw std::runtime_error("boom at 7");
+                                       }
+                                   }),
+                 std::runtime_error);
+    // The pool must survive a failed run and take later work.
+    std::atomic<int> count{0};
+    exec::run_sharded(&pool, 32, {},
+                      [&count](unsigned, std::size_t) { count.fetch_add(1); });
+    EXPECT_EQ(count.load(), 32);
+}
+
+TEST(ShardTest, ZeroItemsIsANoOp) {
+    exec::ThreadPool pool(2);
+    exec::run_sharded(&pool, 0, {}, [](unsigned, std::size_t) { FAIL(); });
+}
+
 // ---------------------------------------------------------------------------
 // 64-bit safety audit: counters and cell-count arithmetic that a
 // paper-scale fleet (6K boxes / 80K VMs / 10^10+ DTW cells) pushes past
@@ -934,9 +917,6 @@ TEST(SixtyFourBitTest, FleetTotalsAreSixtyFourBitWide) {
                                  std::int64_t>);
     static_assert(std::is_same_v<decltype(core::FleetPolicyTotals::ram_after),
                                  std::int64_t>);
-    static_assert(
-        std::is_same_v<decltype(core::FleetExecStats::arena_high_water),
-                       std::uint64_t>);
     // Summing per-box int tickets near INT_MAX must not wrap.
     core::FleetPolicyTotals totals;
     for (int i = 0; i < 4; ++i) {
@@ -956,16 +936,6 @@ TEST(SixtyFourBitTest, MetricsCountersAccumulatePastTwoToTheThirtyTwo) {
     }
     EXPECT_EQ(registry.snapshot().counter("audit.samples"),
               std::uint64_t{5} << 30);
-}
-
-TEST(SixtyFourBitTest, ArenaStatsAreSixtyFourBitWide) {
-    static_assert(
-        std::is_same_v<decltype(exec::ArenaStats::bytes_allocated),
-                       std::uint64_t>);
-    static_assert(std::is_same_v<decltype(exec::ArenaStats::high_water),
-                                 std::uint64_t>);
-    static_assert(std::is_same_v<decltype(exec::ArenaStats::allocations),
-                                 std::uint64_t>);
 }
 
 }  // namespace

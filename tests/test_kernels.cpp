@@ -21,10 +21,10 @@
 #include "exec/thread_pool.hpp"
 #include "forecast/nn.hpp"
 #include "linalg/flat_matrix.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/ols.hpp"
 #include "linalg/ridge.hpp"
 #include "linalg/simd/simd.hpp"
+#include "linalg/solve.hpp"
 #include "obs/metrics.hpp"
 
 // ---- Counting allocator -----------------------------------------------------
@@ -383,7 +383,7 @@ TEST(KernelsOlsTest, ImplicitQMatchesExplicitQrReference) {
     std::mt19937 rng(99);
     std::normal_distribution<double> noise(0.0, 0.1);
     const std::size_t n = 120;
-    la::Matrix a(n, 4);
+    la::FlatMatrix a(n, 4);
     std::vector<double> b(n);
     for (std::size_t i = 0; i < n; ++i) {
         const double t = static_cast<double>(i) / 10.0;
@@ -449,7 +449,7 @@ TEST(KernelsRidgeTest, CenteredColumnFusionIsBitIdenticalToPairwiseReference) {
     const double ybar = mean_of(y);
     std::vector<double> xbar(p, 0.0);
     for (std::size_t j = 0; j < p; ++j) xbar[j] = mean_of(predictors[j]);
-    la::Matrix gram(p, p);
+    la::FlatMatrix gram(p, p);
     std::vector<double> xty(p, 0.0);
     for (std::size_t j = 0; j < p; ++j) {
         for (std::size_t k = j; k < p; ++k) {

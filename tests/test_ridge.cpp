@@ -3,7 +3,6 @@
 #include <cmath>
 #include <random>
 
-#include "linalg/matrix.hpp"
 #include "linalg/ridge.hpp"
 
 namespace atm::la {
@@ -66,61 +65,6 @@ TEST(RidgeTest, ValidationErrors) {
     const std::vector<double> y{1, 2, 3};
     EXPECT_THROW(ridge_fit(y, {{1, 2}}, 1.0), std::invalid_argument);
     EXPECT_THROW(ridge_fit(y, std::vector<std::vector<double>>{}, -1.0), std::invalid_argument);
-}
-
-TEST(RidgeSelectTest, PrefersSmallLambdaOnCleanData) {
-    std::mt19937 rng(3);
-    std::normal_distribution<double> noise(0.0, 0.01);
-    std::vector<std::vector<double>> preds(1, std::vector<double>(100));
-    std::vector<double> y(100);
-    for (std::size_t i = 0; i < 100; ++i) {
-        preds[0][i] = static_cast<double>(i) / 100.0;
-        y[i] = 5.0 * preds[0][i] + noise(rng);
-    }
-    const std::vector<double> candidates{0.0, 1.0, 100.0, 10000.0};
-    EXPECT_LE(select_ridge_lambda(y, preds, candidates), 1.0);
-}
-
-TEST(RidgeSelectTest, TooShortThrows) {
-    const std::vector<double> y{1, 2};
-    const std::vector<std::vector<double>> preds{{1, 2}};
-    const std::vector<double> candidates{1.0};
-    EXPECT_THROW(select_ridge_lambda(y, preds, candidates),
-                 std::invalid_argument);
-}
-
-TEST(InverseTest, RoundTripsWithMultiply) {
-    const Matrix a{{4, 7}, {2, 6}};
-    const Matrix inv = inverse(a);
-    EXPECT_LT((a * inv).max_abs_diff(Matrix::identity(2)), 1e-10);
-    EXPECT_LT((inv * a).max_abs_diff(Matrix::identity(2)), 1e-10);
-}
-
-TEST(InverseTest, SingularThrows) {
-    const Matrix a{{1, 2}, {2, 4}};
-    EXPECT_THROW(inverse(a), std::runtime_error);
-    const Matrix rect{{1, 2, 3}, {4, 5, 6}};
-    EXPECT_THROW(inverse(rect), std::invalid_argument);
-}
-
-TEST(DeterminantTest, KnownValues) {
-    EXPECT_DOUBLE_EQ(determinant(Matrix::identity(3)), 1.0);
-    const Matrix a{{1, 2}, {3, 4}};
-    EXPECT_NEAR(determinant(a), -2.0, 1e-12);
-    const Matrix singular{{1, 2}, {2, 4}};
-    EXPECT_DOUBLE_EQ(determinant(singular), 0.0);
-}
-
-TEST(DeterminantTest, RowSwapFlipsSign) {
-    const Matrix a{{0, 1}, {1, 0}};  // permutation: det = -1
-    EXPECT_NEAR(determinant(a), -1.0, 1e-12);
-}
-
-TEST(DeterminantTest, MatchesInverseConsistency) {
-    const Matrix a{{2, 1, 0}, {1, 3, 1}, {0, 1, 2}};
-    const double det_a = determinant(a);
-    const double det_inv = determinant(inverse(a));
-    EXPECT_NEAR(det_a * det_inv, 1.0, 1e-9);
 }
 
 }  // namespace

@@ -83,9 +83,6 @@ void add_pipeline_flags(exec::ArgParser& parser) {
         .option("epsilon", "5", "discretization factor, % of VM capacity")
         .option("train-days", "5", "days of training history")
         .option("jobs", "0", "worker threads; 0 = hardware concurrency")
-        .option("shard-size", "0",
-                "boxes per scheduler shard; 0 = auto (execution knob, "
-                "never affects results)")
         .option("simd", "",
                 "force the SIMD kernel path: scalar|avx2|avx512|neon "
                 "(default: best supported; env ATM_SIMD)")
@@ -148,7 +145,6 @@ core::FleetConfig fleet_config_from_flags(const exec::ArgParser& parser) {
     config.pipeline.epsilon_pct = parser.get_double("epsilon");
     config.pipeline.train_days = parser.get_int("train-days");
     config.jobs = parser.get_int("jobs");
-    config.shard_size = parser.get_int("shard-size");
 
     // The flag wins over a conflicting ATM_SIMD environment variable —
     // both go through simd::set_path, so an unsupported choice is a
