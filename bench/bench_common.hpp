@@ -99,11 +99,9 @@ inline void print_stage_breakdown(const obs::MetricsSnapshot& metrics) {
     const auto counter = [&metrics](const char* name) {
         return static_cast<unsigned long long>(metrics.counter(name));
     };
-    std::printf("  dtw cells=%llu (cache hit/miss %llu/%llu)  "
+    std::printf("  dtw cells=%llu  "
                 "vif iters=%llu  mlp epochs=%llu  mckp iters=%llu\n",
-                counter("cluster.dtw.cells"), counter("cluster.dtw.cache_hits"),
-                counter("cluster.dtw.cache_misses"),
-                counter("linalg.vif.iterations"), counter("forecast.mlp.epochs"),
+                counter("cluster.dtw.cells"), counter("linalg.vif.iterations"), counter("forecast.mlp.epochs"),
                 counter("resize.mckp.greedy_iterations"));
 }
 

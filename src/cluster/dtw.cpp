@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 #include "exec/cancel.hpp"
 #include "exec/shard.hpp"
@@ -229,34 +228,6 @@ la::FlatMatrix dtw_distance_matrix(
         }
     });
     return dist;
-}
-
-const la::FlatMatrix& DtwMatrixCache::matrix(
-    const std::vector<std::vector<double>>& series, int band,
-    exec::ThreadPool* pool, obs::MetricsRegistry* metrics,
-    const exec::CancellationToken* cancel, DtwWorkspace* workspace) {
-    if (series_count_ == 0) {
-        series_count_ = series.size();
-    } else if (series_count_ != series.size()) {
-        throw std::invalid_argument(
-            "DtwMatrixCache: series-set size changed; one cache serves one "
-            "series set (call clear() between boxes)");
-    }
-    const auto it = by_band_.find(band);
-    if (it != by_band_.end()) {
-        if (metrics != nullptr) metrics->add("cluster.dtw.cache_hits");
-        return it->second;
-    }
-    if (metrics != nullptr) metrics->add("cluster.dtw.cache_misses");
-    return by_band_
-        .emplace(band, dtw_distance_matrix(series, band, pool, metrics, cancel,
-                                           workspace))
-        .first->second;
-}
-
-void DtwMatrixCache::clear() {
-    series_count_ = 0;
-    by_band_.clear();
 }
 
 }  // namespace atm::cluster

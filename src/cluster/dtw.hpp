@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -85,44 +84,6 @@ la::FlatMatrix dtw_distance_matrix(
     exec::ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr,
     const exec::CancellationToken* cancel = nullptr,
     DtwWorkspace* workspace = nullptr);
-
-/// Memoizes DTW distance matrices per (series set, band).
-///
-/// One cache serves one fixed series set — a box's training window — and
-/// hands out the matrix for any band, computing it at most once per band.
-/// Callers that probe the same box repeatedly (step-1-only vs two-step
-/// searches, band ablations, repeated cluster/silhouette sweeps) stop
-/// paying the O(n² · len²) recompute. The cache verifies the series-set
-/// cardinality as a cheap guard against accidental reuse across boxes;
-/// it is NOT thread-safe — use one instance per box task.
-class DtwMatrixCache {
-public:
-    /// Returns the (possibly cached) matrix for `series` at `band`.
-    /// Throws std::invalid_argument if `series` has a different cardinality
-    /// than the set the cache was first used with. When `metrics` is
-    /// non-null, records a `cluster.dtw.cache_hits` / `cache_misses`
-    /// counter (and forwards `metrics` into the matrix computation).
-    const la::FlatMatrix& matrix(
-        const std::vector<std::vector<double>>& series, int band = -1,
-        exec::ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr,
-        const exec::CancellationToken* cancel = nullptr,
-        DtwWorkspace* workspace = nullptr);
-
-    /// True when the matrix for `band` is already memoized.
-    [[nodiscard]] bool has(int band) const {
-        return by_band_.find(band) != by_band_.end();
-    }
-
-    /// Drops all memoized matrices (e.g. when moving to the next box).
-    void clear();
-
-    /// Number of distinct bands currently memoized.
-    [[nodiscard]] std::size_t size() const { return by_band_.size(); }
-
-private:
-    std::size_t series_count_ = 0;
-    std::map<int, la::FlatMatrix> by_band_;
-};
 
 /// Full DTW alignment: the optimal warping path as (i, j) index pairs
 /// (0-based, monotone, from (0, 0) to (n-1, m-1)) plus the cumulative

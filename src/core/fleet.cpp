@@ -130,7 +130,9 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
     std::map<int, FleetBoxResult> replayed;
     std::optional<exec::JournalWriter> journal;
     if (!config.checkpoint_path.empty()) {
-        const std::string header = fleet_journal_header(trace, config);
+        const std::string header =
+            journal_header(kFleetJournalSchema, trace,
+                           fleet_config_digest(config), config.pipeline.seed);
         bool fresh = true;
         if (config.resume) {
             const exec::JournalLoad load =
@@ -171,10 +173,9 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
     exec::ThreadPool* pool =
         jobs > 1 ? &exec::shared_pool(jobs - 1) : nullptr;
 
-    // One reusable workspace per worker: the DTW and MLP scratch plus the
-    // per-box DTW memo. Workers evaluate box after box on the same
-    // workspace, so steady-state inner kernels allocate nothing; scratch
-    // contents never affect results.
+    // One reusable workspace per worker: the DTW and MLP scratch. Workers
+    // evaluate box after box on the same workspace, so steady-state inner
+    // kernels allocate nothing; scratch contents never affect results.
     std::vector<PipelineWorkspace> workspaces(jobs);
 
     exec::ShardOptions shard_options;
@@ -325,26 +326,11 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
 }  // namespace
 
 std::string FleetConfig::validate() const {
-    std::string problems;
+    std::string problems = pipeline.validate();
     const auto add = [&problems](const std::string& p) {
         if (!problems.empty()) problems += "; ";
         problems += p;
     };
-    if (pipeline.alpha <= 0.0 || pipeline.alpha > 1.0) {
-        add("alpha must be in (0, 1], got " + std::to_string(pipeline.alpha));
-    }
-    if (pipeline.train_days < 1) {
-        add("train_days must be >= 1, got " + std::to_string(pipeline.train_days));
-    }
-    if (pipeline.epsilon_pct < 0.0 || pipeline.epsilon_pct >= 100.0) {
-        add("epsilon_pct must be in [0, 100) (0 disables discretization), got " +
-            std::to_string(pipeline.epsilon_pct));
-    }
-    if (pipeline.max_bad_sample_fraction < 0.0 ||
-        pipeline.max_bad_sample_fraction > 1.0) {
-        add("max_bad_sample_fraction must be in [0, 1], got " +
-            std::to_string(pipeline.max_bad_sample_fraction));
-    }
     if (jobs < 0) {
         add("jobs must be >= 0 (0 = hardware concurrency), got " +
             std::to_string(jobs));
@@ -352,7 +338,7 @@ std::string FleetConfig::validate() const {
     if (max_retries < 0) {
         add("max_retries must be >= 0, got " + std::to_string(max_retries));
     }
-    if (box_deadline_seconds < 0.0) {
+    if (!(box_deadline_seconds >= 0.0)) {
         add("box_deadline_seconds must be > 0 (or 0 to disable), got " +
             std::to_string(box_deadline_seconds));
     }
@@ -411,14 +397,11 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
             if (attempt != 0) seed = exec::derive_seed(seed, attempt);
             box_config.seed = static_cast<unsigned>(seed);
             box_config.cancel = cancel;
-            // Per-worker scratch: the DTW/MLP workspaces and the DTW
-            // matrix memo are reused across boxes (the memo is cleared
-            // first — it is per-box). The pool is the fleet's only when
-            // boxes are scarcer than workers.
-            workspace->dtw_cache.clear();
+            // Per-worker scratch: the DTW/MLP workspaces are reused
+            // across boxes. The pool is the fleet's only when boxes are
+            // scarcer than workers.
             box_config.workspace = workspace;
             box_config.search.pool = pool;
-            box_config.search.dtw_cache = &workspace->dtw_cache;
             // One registry per box: pool workers touching this box's DTW
             // rows write counters here, never into another box's registry.
             std::optional<obs::MetricsRegistry> registry;

@@ -1,7 +1,5 @@
 #include "core/fleet_journal.hpp"
 
-#include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include "exec/journal.hpp"
@@ -11,38 +9,12 @@
 namespace atm::core {
 namespace {
 
+using exec::hex16;
+using exec::mix_bytes;
+using exec::mix_double;
+using exec::mix_string;
+using exec::mix_u64;
 using obs::json::Value;
-
-/// Streaming digest helpers on the journal's FNV-1a chain. Every numeric
-/// field is fed as its exact bit pattern (doubles via memcpy, never via
-/// text), so the digest is stable across locales and formatting.
-void mix_bytes(std::uint64_t& hash, const void* data, std::size_t size) {
-    hash = exec::fnv1a64_mix(
-        hash, std::string_view(static_cast<const char*>(data), size));
-}
-
-void mix_u64(std::uint64_t& hash, std::uint64_t value) {
-    mix_bytes(hash, &value, sizeof(value));
-}
-
-void mix_double(std::uint64_t& hash, double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix_u64(hash, bits);
-}
-
-void mix_string(std::uint64_t& hash, const std::string& text) {
-    // Length-prefixed so ("ab","c") and ("a","bc") digest differently.
-    mix_u64(hash, text.size());
-    mix_bytes(hash, text.data(), text.size());
-}
-
-std::string hex16(std::uint64_t value) {
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
-}
 
 Value int_array(const std::vector<int>& values) {
     Value array = Value::make_array();
@@ -125,26 +97,28 @@ std::uint64_t fleet_config_digest(const FleetConfig& config) {
     }
     mix_u64(hash, config.collect_metrics ? 1 : 0);
     mix_u64(hash, static_cast<std::uint64_t>(config.max_retries));
-    // Chaos plan: seed plus every rule.
-    mix_u64(hash, config.faults.seed);
-    mix_u64(hash, config.faults.rules.size());
-    for (const exec::FaultRule& rule : config.faults.rules) {
+    mix_fault_plan(hash, config.faults);
+    return hash;
+}
+
+void mix_fault_plan(std::uint64_t& hash, const exec::FaultPlan& plan) {
+    mix_u64(hash, plan.seed);
+    mix_u64(hash, plan.rules.size());
+    for (const exec::FaultRule& rule : plan.rules) {
         mix_string(hash, rule.site);
         mix_u64(hash, static_cast<std::uint64_t>(rule.action));
         mix_double(hash, rule.rate);
     }
-    return hash;
 }
 
-std::string fleet_journal_header(const trace::Trace& trace,
-                                 const FleetConfig& config) {
+std::string journal_header(const char* schema, const trace::Trace& trace,
+                           std::uint64_t config_digest, unsigned seed) {
     Value header = Value::make_object();
-    header.set("schema", Value::of(kFleetJournalSchema));
+    header.set("schema", Value::of(schema));
     // u64 digests as hex strings: doubles only hold 53 exact bits.
     header.set("fingerprint", Value::of(hex16(trace_fingerprint(trace))));
-    header.set("config", Value::of(hex16(fleet_config_digest(config))));
-    header.set("seed",
-               Value::of(static_cast<std::uint64_t>(config.pipeline.seed)));
+    header.set("config", Value::of(hex16(config_digest)));
+    header.set("seed", Value::of(static_cast<std::uint64_t>(seed)));
     // The dispatched SIMD path is result-affecting (vectorized MLP
     // forwards reassociate; simd.hpp's tolerance policy), so a journal
     // written under one path must not be replayed under another — a
@@ -152,6 +126,7 @@ std::string fleet_journal_header(const trace::Trace& trace,
     header.set("simd", Value::of(simd::to_string(simd::active_path())));
     return obs::json::serialize(header, 0);
 }
+
 
 std::string encode_box_record(const FleetBoxResult& box) {
     Value record = Value::make_object();

@@ -36,12 +36,18 @@ inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v1";
 /// journaled, so resuming with a longer deadline just retries them).
 [[nodiscard]] std::uint64_t fleet_config_digest(const FleetConfig& config);
 
-/// The journal's header payload: one compact JSON line binding the file
-/// to (schema, trace fingerprint, config digest, seed). A resume whose
-/// header does not match byte-for-byte ignores the old journal and
-/// starts fresh.
-[[nodiscard]] std::string fleet_journal_header(const trace::Trace& trace,
-                                               const FleetConfig& config);
+/// Mixes a chaos plan (its seed and every rule) into a config digest;
+/// shared by the fleet and serve digests.
+void mix_fault_plan(std::uint64_t& hash, const exec::FaultPlan& plan);
+
+/// A journal's header payload: one compact JSON line binding the file to
+/// (schema, trace fingerprint, config digest, seed, SIMD path). A resume
+/// whose header does not match byte-for-byte ignores the old journal and
+/// starts fresh. Shared by the fleet and serve journals.
+[[nodiscard]] std::string journal_header(const char* schema,
+                                         const trace::Trace& trace,
+                                         std::uint64_t config_digest,
+                                         unsigned seed);
 
 /// Encodes one completed box outcome as a compact single-line JSON
 /// payload for exec::JournalWriter. Everything that feeds the fleet

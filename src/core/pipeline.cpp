@@ -19,14 +19,14 @@ double series_capacity(const trace::BoxTrace& box, std::size_t flat) {
     return box.vms[static_cast<std::size_t>(id.vm_index)].capacity(id.resource);
 }
 
-/// Records one fired rung of the degradation ladder: an entry in the box
-/// result plus a `robust.fallback.<stage>` counter. Nothing here runs on
-/// the clean path, so the golden run's counter set is untouched.
-void note_degradation(BoxPipelineResult& result, obs::MetricsRegistry* metrics,
-                      PipelineErrorCode code, std::string stage,
-                      std::string detail) {
+/// Records one fired rung of the degradation ladder: an entry in
+/// `degradations` plus a `robust.fallback.<stage>` counter. Nothing here
+/// runs on the clean path, so the golden run's counter set is untouched.
+void note_degradation(std::vector<Degradation>& degradations,
+                      obs::MetricsRegistry* metrics, PipelineErrorCode code,
+                      std::string stage, std::string detail) {
     if (metrics != nullptr) metrics->add("robust.fallback." + stage, 1);
-    result.degradations.push_back(
+    degradations.push_back(
         Degradation{code, std::move(stage), std::move(detail)});
 }
 
@@ -52,38 +52,19 @@ PipelineErrorCode classify_current(const std::exception& e,
     return fallback_code;
 }
 
-/// Resize policies evaluated for one resource kind, given the demand
-/// series the policy *sees* (predicted or actual) and the actual demands
-/// used for ticket accounting.
+/// Resize policies evaluated for one resource kind on `input` (built by
+/// make_resize_input from the demand series the policy *sees*, predicted
+/// or actual), with tickets counted on the actual demands.
 void run_policies_for_kind(
     const trace::BoxTrace& box, ts::ResourceKind kind,
-    const std::vector<std::vector<double>>& policy_demands,
+    const resize::ResizeInput& input,
     const std::vector<std::vector<double>>& actual_demands,
-    const std::vector<double>& lower_bounds, double alpha, double epsilon_pct,
     const std::vector<resize::ResizePolicy>& policies,
-    std::vector<PolicyTickets>& results, obs::MetricsRegistry* metrics,
-    const exec::FaultContext& fault,
-    const exec::CancellationToken* cancel,
+    std::vector<PolicyTickets>& results, const exec::FaultContext& fault,
     std::vector<Degradation>* degradations) {
     const std::size_t m = box.vms.size();
-
-    resize::ResizeInput input;
-    input.demands = policy_demands;
-    input.total_capacity = box.capacity(kind);
-    input.alpha = alpha;
-    input.lower_bounds = lower_bounds;
-    input.metrics = metrics;
-    input.cancel = cancel;
-    input.current_capacities.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-        input.current_capacities[i] = box.vms[i].capacity(kind);
-    }
-    if (epsilon_pct > 0.0) {
-        input.epsilons.resize(m);
-        for (std::size_t i = 0; i < m; ++i) {
-            input.epsilons[i] = epsilon_pct / 100.0 * box.vms[i].capacity(kind);
-        }
-    }
+    const double alpha = input.alpha;
+    obs::MetricsRegistry* metrics = input.metrics;
 
     // Tickets before resizing: actual demands against current allocations.
     int before = 0;
@@ -144,6 +125,129 @@ void run_policies_for_kind(
 }
 
 }  // namespace
+
+SignatureModel fit_signature_model(
+    const std::vector<std::vector<double>>& series, const PipelineConfig& config,
+    std::vector<Degradation>& degradations) {
+    obs::MetricsRegistry* metrics = config.metrics;
+    // All-signature fallback shared by the search and spatial rungs: with
+    // every series a signature there are no dependents, so neither
+    // clustering nor regression can fail.
+    const auto all_signatures = [&series] {
+        std::vector<int> all(series.size());
+        std::iota(all.begin(), all.end(), 0);
+        return all;
+    };
+    SignatureModel model;
+    {
+        obs::ScopedTimer timer(metrics, "stage.search");
+        exec::checkpoint(config.cancel, "pipeline.search");
+        ATM_FAULT_SITE(config.fault, "pipeline.search");
+        SignatureSearchOptions search = config.search;
+        search.metrics = metrics;
+        search.cancel = config.cancel;
+        if (config.workspace != nullptr) {
+            search.dtw_workspace = &config.workspace->dtw;
+        }
+        try {
+            ATM_FAULT_SITE(config.fault, "search.step1");
+            model.search = find_signatures(series, search);
+            if (model.search.signatures.empty()) {
+                throw PipelineError(PipelineErrorCode::kSearchDegenerate,
+                                    "search", "empty signature set");
+            }
+            if (!std::isfinite(model.search.silhouette)) {
+                throw PipelineError(PipelineErrorCode::kSearchDegenerate,
+                                    "search", "silhouette undefined");
+            }
+        } catch (const std::exception& e) {
+            rethrow_if_cancelled(e);
+            const PipelineErrorCode code =
+                classify_current(e, PipelineErrorCode::kSearchDegenerate);
+            model.search = SignatureSearchResult{};
+            model.search.signatures = all_signatures();
+            model.search.initial_signatures = model.search.signatures;
+            model.search.num_clusters =
+                static_cast<int>(model.search.signatures.size());
+            note_degradation(degradations, metrics, code, "search",
+                             std::string(e.what()) +
+                                 "; fell back to the all-signature set");
+        }
+    }
+    {
+        obs::ScopedTimer timer(metrics, "stage.spatial_fit");
+        exec::checkpoint(config.cancel, "pipeline.spatial");
+        ATM_FAULT_SITE(config.fault, "pipeline.spatial");
+        try {
+            ATM_FAULT_SITE(config.fault, "spatial.ols");
+            model.spatial.fit(series, model.search.signatures);
+            if (model.spatial.ridge_fallbacks() > 0) {
+                note_degradation(degradations, metrics,
+                                 PipelineErrorCode::kSolverSingular, "spatial",
+                                 std::to_string(model.spatial.ridge_fallbacks()) +
+                                     " dependent series refit with ridge");
+            }
+        } catch (const std::exception& e) {
+            rethrow_if_cancelled(e);
+            // Even ridge failed (or a fault fired): collapse to the
+            // all-signature set, which has no regressions left to solve.
+            const PipelineErrorCode code =
+                classify_current(e, PipelineErrorCode::kSolverSingular);
+            model.search.signatures = all_signatures();
+            model.spatial.fit(series, model.search.signatures);
+            note_degradation(degradations, metrics, code, "spatial",
+                             std::string(e.what()) +
+                                 "; fell back to the all-signature set");
+        }
+    }
+    return model;
+}
+
+resize::ResizeInput make_resize_input(
+    const trace::BoxTrace& box, ts::ResourceKind kind,
+    std::vector<std::vector<double>> demands, double alpha, double epsilon_pct,
+    const std::vector<std::span<const double>>& last_day) {
+    resize::ResizeInput input;
+    input.demands = std::move(demands);
+    input.total_capacity = box.capacity(kind);
+    input.alpha = alpha;
+    for (std::size_t i = 0; i < box.vms.size(); ++i) {
+        const double capacity = box.vms[i].capacity(kind);
+        input.current_capacities.push_back(capacity);
+        if (epsilon_pct > 0.0) {
+            input.epsilons.push_back(epsilon_pct / 100.0 * capacity);
+        }
+        if (!last_day.empty()) {
+            input.lower_bounds.push_back(
+                *std::max_element(last_day[i].begin(), last_day[i].end()));
+        }
+    }
+    return input;
+}
+
+std::string PipelineConfig::validate() const {
+    std::string problems;
+    const auto add = [&problems](const std::string& p) {
+        if (!problems.empty()) problems += "; ";
+        problems += p;
+    };
+    // Written as !(in range) so NaN fails too.
+    if (!(alpha > 0.0 && alpha <= 1.0)) {
+        add("alpha must be in (0, 1], got " + std::to_string(alpha));
+    }
+    if (train_days < 1) {
+        add("train_days must be >= 1, got " + std::to_string(train_days));
+    }
+    if (!(epsilon_pct >= 0.0 && epsilon_pct < 100.0)) {
+        add("epsilon_pct must be in [0, 100) (0 disables discretization), got " +
+            std::to_string(epsilon_pct));
+    }
+    if (!(max_bad_sample_fraction >= 0.0 && max_bad_sample_fraction <= 1.0)) {
+        add("max_bad_sample_fraction must be in [0, 1], got " +
+            std::to_string(max_bad_sample_fraction));
+    }
+    return problems;
+}
 
 const std::vector<resize::ResizePolicy>& default_policies() {
     static const std::vector<resize::ResizePolicy> kDefault{
@@ -226,7 +330,7 @@ BoxPipelineResult run_pipeline_on_box(
                 row = ts::repair_gaps(row, gaps, ts::RepairMethod::kSeasonal,
                                       windows_per_day);
                 if (row_bad == row.size()) {
-                    note_degradation(result, metrics,
+                    note_degradation(result.degradations, metrics,
                                      PipelineErrorCode::kRepairFailed,
                                      "sanitize",
                                      "series " + std::to_string(idx) +
@@ -240,7 +344,7 @@ BoxPipelineResult run_pipeline_on_box(
                 metrics->add("robust.sanitize.bad_samples", bad_samples);
             }
             if (repaired_series > 0) {
-                note_degradation(result, metrics,
+                note_degradation(result.degradations, metrics,
                                  PipelineErrorCode::kTraceInvalid, "sanitize",
                                  "repaired " + std::to_string(bad_samples) +
                                      " bad samples across " +
@@ -258,78 +362,11 @@ BoxPipelineResult run_pipeline_on_box(
                                   row.begin() + static_cast<std::ptrdiff_t>(train_len));
     }
 
-    // All-signature fallback shared by the search and spatial rungs: with
-    // every scoped series a signature there are no dependents, so neither
-    // clustering nor regression can fail.
-    const auto all_signatures = [&scoped_train] {
-        std::vector<int> all(scoped_train.size());
-        std::iota(all.begin(), all.end(), 0);
-        return all;
-    };
-
     // --- signature search + spatial model on the training window -----------
-    {
-        obs::ScopedTimer timer(metrics, "stage.search");
-        exec::checkpoint(config.cancel, "pipeline.search");
-        ATM_FAULT_SITE(config.fault, "pipeline.search");
-        SignatureSearchOptions search = config.search;
-        search.metrics = metrics;
-        search.cancel = config.cancel;
-        if (config.workspace != nullptr) {
-            search.dtw_workspace = &config.workspace->dtw;
-        }
-        try {
-            ATM_FAULT_SITE(config.fault, "search.step1");
-            result.search = find_signatures(scoped_train, search);
-            if (result.search.signatures.empty()) {
-                throw PipelineError(PipelineErrorCode::kSearchDegenerate,
-                                    "search", "empty signature set");
-            }
-            if (!std::isfinite(result.search.silhouette)) {
-                throw PipelineError(PipelineErrorCode::kSearchDegenerate,
-                                    "search", "silhouette undefined");
-            }
-        } catch (const std::exception& e) {
-            rethrow_if_cancelled(e);
-            const PipelineErrorCode code =
-                classify_current(e, PipelineErrorCode::kSearchDegenerate);
-            result.search = SignatureSearchResult{};
-            result.search.signatures = all_signatures();
-            result.search.initial_signatures = result.search.signatures;
-            result.search.num_clusters =
-                static_cast<int>(result.search.signatures.size());
-            note_degradation(result, metrics, code, "search",
-                             std::string(e.what()) +
-                                 "; fell back to the all-signature set");
-        }
-    }
-    SpatialModel spatial;
-    {
-        obs::ScopedTimer timer(metrics, "stage.spatial_fit");
-        exec::checkpoint(config.cancel, "pipeline.spatial");
-        ATM_FAULT_SITE(config.fault, "pipeline.spatial");
-        try {
-            ATM_FAULT_SITE(config.fault, "spatial.ols");
-            spatial.fit(scoped_train, result.search.signatures);
-            if (spatial.ridge_fallbacks() > 0) {
-                note_degradation(result, metrics,
-                                 PipelineErrorCode::kSolverSingular, "spatial",
-                                 std::to_string(spatial.ridge_fallbacks()) +
-                                     " dependent series refit with ridge");
-            }
-        } catch (const std::exception& e) {
-            rethrow_if_cancelled(e);
-            // Even ridge failed (or a fault fired): collapse to the
-            // all-signature set, which has no regressions left to solve.
-            const PipelineErrorCode code =
-                classify_current(e, PipelineErrorCode::kSolverSingular);
-            result.search.signatures = all_signatures();
-            spatial.fit(scoped_train, result.search.signatures);
-            note_degradation(result, metrics, code, "spatial",
-                             std::string(e.what()) +
-                                 "; fell back to the all-signature set");
-        }
-    }
+    SignatureModel model =
+        fit_signature_model(scoped_train, config, result.degradations);
+    result.search = std::move(model.search);
+    const SpatialModel& spatial = model.spatial;
 
     // --- temporal forecasts for the signature series -------------------------
     std::vector<std::vector<double>> signature_forecasts;
@@ -385,7 +422,7 @@ BoxPipelineResult run_pipeline_on_box(
                     done = true;
                     if (a > 0) {
                         note_degradation(
-                            result, metrics, first_code, "forecast",
+                            result.degradations, metrics, first_code, "forecast",
                             "signature " + std::to_string(s) + ": " +
                                 first_error + "; fell back to " +
                                 forecast::to_string(ladder[a]));
@@ -486,7 +523,7 @@ BoxPipelineResult run_pipeline_on_box(
 
         std::vector<std::vector<double>> policy_demands(m);
         std::vector<std::vector<double>> actual_eval(m);
-        std::vector<double> lower_bounds;
+        std::vector<std::span<const double>> last_day;
         for (std::size_t i = 0; i < m; ++i) {
             const auto flat = static_cast<std::size_t>(
                 ts::SeriesId{static_cast<int>(i), kind}.flat_index());
@@ -495,22 +532,18 @@ BoxPipelineResult run_pipeline_on_box(
             actual_eval[i].assign(
                 row.begin() + static_cast<std::ptrdiff_t>(train_len),
                 row.begin() + static_cast<std::ptrdiff_t>(train_len + wpd));
-        }
-        if (config.use_lower_bounds) {
-            lower_bounds.resize(m);
-            for (std::size_t i = 0; i < m; ++i) {
-                const auto flat = static_cast<std::size_t>(
-                    ts::SeriesId{static_cast<int>(i), kind}.flat_index());
-                const auto& row = demands[flat];
-                lower_bounds[i] = *std::max_element(
-                    row.begin() + static_cast<std::ptrdiff_t>(train_len - wpd),
-                    row.begin() + static_cast<std::ptrdiff_t>(train_len));
+            if (config.use_lower_bounds) {
+                last_day.emplace_back(row.data() + (train_len - wpd), wpd);
             }
         }
-        run_policies_for_kind(box, kind, policy_demands, actual_eval, lower_bounds,
-                              config.alpha, config.epsilon_pct, policies,
-                              result.policies, metrics, config.fault,
-                              config.cancel, &result.degradations);
+        resize::ResizeInput input =
+            make_resize_input(box, kind, std::move(policy_demands), config.alpha,
+                              config.epsilon_pct, last_day);
+        input.metrics = metrics;
+        input.cancel = config.cancel;
+        run_policies_for_kind(box, kind, input, actual_eval, policies,
+                              result.policies, config.fault,
+                              &result.degradations);
     }
     resize_timer.stop();
     if (metrics != nullptr) result.metrics = metrics->snapshot();
@@ -539,28 +572,22 @@ std::vector<PolicyTickets> evaluate_resize_policies_on_actuals(
     const std::size_t m = box.vms.size();
     for (ts::ResourceKind kind : {ts::ResourceKind::kCpu, ts::ResourceKind::kRam}) {
         std::vector<std::vector<double>> day_demands(m);
-        std::vector<double> lower_bounds;
+        std::vector<std::span<const double>> last_day;
         for (std::size_t i = 0; i < m; ++i) {
             const auto flat = static_cast<std::size_t>(
                 ts::SeriesId{static_cast<int>(i), kind}.flat_index());
             const auto& row = demands[flat];
             day_demands[i].assign(row.begin() + static_cast<std::ptrdiff_t>(first),
                                   row.begin() + static_cast<std::ptrdiff_t>(first + wpd));
-        }
-        if (use_lower_bounds && day > 0) {
-            lower_bounds.resize(m);
-            for (std::size_t i = 0; i < m; ++i) {
-                const auto flat = static_cast<std::size_t>(
-                    ts::SeriesId{static_cast<int>(i), kind}.flat_index());
-                const auto& row = demands[flat];
-                lower_bounds[i] = *std::max_element(
-                    row.begin() + static_cast<std::ptrdiff_t>(first - wpd),
-                    row.begin() + static_cast<std::ptrdiff_t>(first));
+            if (use_lower_bounds && day > 0) {
+                last_day.emplace_back(row.data() + (first - wpd), wpd);
             }
         }
-        run_policies_for_kind(box, kind, day_demands, day_demands, lower_bounds,
-                              alpha, epsilon_pct, policies, results, metrics,
-                              exec::FaultContext{}, nullptr, nullptr);
+        resize::ResizeInput input = make_resize_input(
+            box, kind, day_demands, alpha, epsilon_pct, last_day);
+        input.metrics = metrics;
+        run_policies_for_kind(box, kind, input, day_demands, policies, results,
+                              exec::FaultContext{}, nullptr);
     }
     return results;
 }

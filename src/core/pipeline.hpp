@@ -1,5 +1,7 @@
 #pragma once
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "cluster/dtw.hpp"
@@ -18,18 +20,15 @@
 namespace atm::core {
 
 /// Per-worker reusable scratch for run_pipeline_on_box (DESIGN.md
-/// §7.14): the DTW and MLP workspaces plus the per-box DTW matrix memo.
-/// The sharded fleet scheduler keeps one per worker and reuses it box
-/// after box; the workspaces' buffers only grow, so in the steady state
-/// the box pipeline's inner kernels perform no heap allocation at all.
-/// The caller must clear `dtw_cache` between boxes (it memoizes per
-/// series set); `dtw`/`mlp` are pure scratch and carry nothing across
-/// calls — results are bit-identical with or without a workspace.
+/// §7.14): the DTW and MLP workspaces. The sharded fleet scheduler keeps
+/// one per worker and reuses it box after box; the workspaces' buffers
+/// only grow, so in the steady state the box pipeline's inner kernels
+/// perform no heap allocation at all. Both are pure scratch and carry
+/// nothing across calls — results are bit-identical with or without a
+/// workspace.
 struct PipelineWorkspace {
     cluster::DtwWorkspace dtw;
     forecast::MlpWorkspace mlp;
-    /// Per-box DTW matrix memo.
-    cluster::DtwMatrixCache dtw_cache;
 };
 
 /// Configuration of the full ATM pipeline (Section V-A): train the
@@ -84,6 +83,11 @@ struct PipelineConfig {
     /// the temporal models. Null keeps per-call local scratch. Results
     /// are bit-identical either way.
     PipelineWorkspace* workspace = nullptr;
+
+    /// Range-checks alpha, train_days, epsilon_pct and
+    /// max_bad_sample_fraction (NaN fails); "" when valid, else every
+    /// violation joined with "; ". Fleet and serve validation start here.
+    [[nodiscard]] std::string validate() const;
 };
 
 /// Ticket outcome of one policy on one box for one resource.
@@ -130,6 +134,35 @@ struct BoxPipelineResult {
     /// empty when no registry was attached.
     obs::MetricsSnapshot metrics;
 };
+
+/// The signature model of one series set: the signature search's result
+/// and the spatial model fitted on its final signatures.
+struct SignatureModel {
+    SignatureSearchResult search;
+    SpatialModel spatial;
+};
+
+/// The search and spatial rungs of the degradation ladder (DESIGN.md
+/// §7.11), shared by run_pipeline_on_box and serve::ServeEngine: signature
+/// search on `series`, then the spatial OLS fit. A degenerate search
+/// (throws, empty set, undefined silhouette) or a fit that fails even with
+/// ridge falls back to the all-signature set. Each fired rung lands in
+/// `degradations` and as `robust.fallback.<stage>` in config.metrics, next
+/// to the `stage.search` / `stage.spatial_fit` timers. Cancellation
+/// escapes the ladder.
+SignatureModel fit_signature_model(
+    const std::vector<std::vector<double>>& series, const PipelineConfig& config,
+    std::vector<Degradation>& degradations);
+
+/// The resize input of one resource kind on `box`, shared by the batch
+/// pipeline and serve: per-VM `demands` and current capacities, epsilon
+/// steps of `epsilon_pct` % of each capacity (none when <= 0), and with a
+/// non-empty `last_day` each VM's peak over last_day[i] as its lower bound
+/// (Section IV-A1). `metrics` and `cancel` are left for the caller.
+resize::ResizeInput make_resize_input(
+    const trace::BoxTrace& box, ts::ResourceKind kind,
+    std::vector<std::vector<double>> demands, double alpha, double epsilon_pct,
+    const std::vector<std::span<const double>>& last_day);
 
 /// The policy set evaluated when a caller does not name one: the paper's
 /// ATM greedy alone. Shared by every pipeline entry point so the default

@@ -55,32 +55,19 @@ SignatureSearchResult find_signatures(
         result.initial_signatures = {0};
         result.num_clusters = 1;
     } else if (options.method == ClusteringMethod::kDtw) {
-        // The matrix is the expensive part; compute it on the pool (when
-        // given) and through the per-box memo (when given), so the
-        // cluster sweep and medoid pick below — and any later search on
-        // the same window — never recompute a pairwise distance.
-        la::FlatMatrix local;
-        const la::FlatMatrix* dist;
-        if (options.dtw_cache != nullptr) {
-            dist = &options.dtw_cache->matrix(series, options.dtw_band,
-                                              options.pool, metrics,
-                                              options.cancel,
-                                              options.dtw_workspace);
-        } else {
-            local = cluster::dtw_distance_matrix(series, options.dtw_band,
-                                                 options.pool, metrics,
-                                                 options.cancel,
-                                                 options.dtw_workspace);
-            dist = &local;
-        }
+        // The matrix is the expensive part: computed once (on the pool
+        // when given), it serves the whole cluster sweep and medoid pick.
+        const la::FlatMatrix dist = cluster::dtw_distance_matrix(
+            series, options.dtw_band, options.pool, metrics, options.cancel,
+            options.dtw_workspace);
         // k in [2, n/2] per the paper ("we aim to reduce the original set to
         // at least its half"); n < 4 degenerates to k = 2.
         const int k_max = std::max(2, n / 2);
         const cluster::BestClustering best =
-            cluster::cluster_best_k(*dist, 2, k_max, options.linkage);
+            cluster::cluster_best_k(dist, 2, k_max, options.linkage);
         result.num_clusters = best.num_clusters;
         result.silhouette = best.silhouette;
-        result.initial_signatures = cluster::cluster_medoids(*dist, best.labels);
+        result.initial_signatures = cluster::cluster_medoids(dist, best.labels);
     } else {
         cluster::CbcOptions cbc_options;
         cbc_options.rho_threshold = options.rho_threshold;

@@ -10,7 +10,6 @@ class ThreadPool;
 class CancellationToken;
 }
 namespace atm::cluster {
-class DtwMatrixCache;
 struct DtwWorkspace;
 }
 namespace atm::obs {
@@ -50,11 +49,6 @@ struct SignatureSearchOptions {
     /// identical with or without it; safe to point at the fleet pool (the
     /// work-sharing loop tolerates nesting). Not owned.
     exec::ThreadPool* pool = nullptr;
-    /// Optional per-box memo of DTW matrices, so repeated searches over
-    /// the same training window (two-step vs step-1-only, band sweeps)
-    /// reuse the matrix instead of recomputing it. Not owned; one cache
-    /// per series set.
-    cluster::DtwMatrixCache* dtw_cache = nullptr;
     /// Optional caller-owned DTW scratch (not owned), forwarded to the
     /// distance matrix for the chunks the calling thread computes — the
     /// fleet scheduler's per-worker workspace. Pure scratch:
@@ -63,7 +57,7 @@ struct SignatureSearchOptions {
     /// Optional stage-metrics sink (not owned). Records search counters
     /// (`search.series`, `search.clusters`, `search.initial_signatures`,
     /// `search.final_signatures`), the clustering silhouette gauge, and
-    /// is forwarded to the DTW matrix / cache and the VIF reduction.
+    /// is forwarded to the DTW matrix and the VIF reduction.
     obs::MetricsRegistry* metrics = nullptr;
     /// Optional cooperative-cancellation token (not owned), forwarded to
     /// the DTW distance matrix, which checks it once per series pair —

@@ -67,6 +67,32 @@ std::uint64_t fnv1a64(std::string_view text) {
     return fnv1a64_mix(kFnv1a64Offset, text);
 }
 
+void mix_bytes(std::uint64_t& hash, const void* data, std::size_t size) {
+    hash = fnv1a64_mix(hash,
+                       std::string_view(static_cast<const char*>(data), size));
+}
+
+void mix_u64(std::uint64_t& hash, std::uint64_t value) {
+    mix_bytes(hash, &value, sizeof(value));
+}
+
+void mix_double(std::uint64_t& hash, double value) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    mix_u64(hash, bits);
+}
+
+void mix_string(std::uint64_t& hash, std::string_view text) {
+    mix_u64(hash, text.size());
+    mix_bytes(hash, text.data(), text.size());
+}
+
+std::string hex16(std::uint64_t value) {
+    std::string out;
+    append_hex(out, value, 16);
+    return out;
+}
+
 std::string frame_journal_record(const std::string& payload) {
     if (payload.find('\n') != std::string::npos) {
         throw std::invalid_argument(

@@ -19,6 +19,18 @@ inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ull;
 [[nodiscard]] std::uint64_t fnv1a64_mix(std::uint64_t hash,
                                         std::string_view text);
 
+/// Field mixers on that chain, shared by every digest (trace fingerprint,
+/// fleet and serve config digests, journal headers). Numeric fields are
+/// fed as their exact bit patterns (doubles via memcpy, never via text),
+/// so a digest is stable across locales and formatting.
+void mix_bytes(std::uint64_t& hash, const void* data, std::size_t size);
+void mix_u64(std::uint64_t& hash, std::uint64_t value);
+void mix_double(std::uint64_t& hash, double value);
+/// Length-prefixed, so ("ab", "c") and ("a", "bc") digest differently.
+void mix_string(std::uint64_t& hash, std::string_view text);
+/// `value` as 16 lowercase hex digits, the form digests take in headers.
+[[nodiscard]] std::string hex16(std::uint64_t value);
+
 /// What load_journal recovered from a checkpoint file. The journal is an
 /// append-only sequence of framed records:
 ///

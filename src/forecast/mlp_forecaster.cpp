@@ -16,6 +16,11 @@ MlpForecaster::MlpForecaster(MlpForecasterOptions options)
 }
 
 void MlpForecaster::fit(std::span<const double> history) {
+    fit_with(history, options_.train);
+}
+
+void MlpForecaster::fit_with(std::span<const double> history,
+                             const MlpTrainOptions& train) {
     if (history.empty()) throw std::invalid_argument("MlpForecaster::fit: empty history");
     history_.assign(history.begin(), history.end());
 
@@ -46,9 +51,68 @@ void MlpForecaster::fit(std::span<const double> history) {
     for (int h : options_.hidden) layer_sizes.push_back(h);
     layer_sizes.push_back(1);
 
-    network_ = std::make_unique<MlpNetwork>(layer_sizes, options_.activation,
-                                            options_.train.seed);
-    network_->train(features, targets, options_.train, options_.workspace);
+    network_.emplace(layer_sizes, options_.activation, train.seed);
+    network_->train(features, targets, train, options_.workspace);
+}
+
+bool MlpForecaster::retrain(std::span<const double> window,
+                            const MlpTrainOptions& train) {
+    if (window.empty()) {
+        throw std::invalid_argument("MlpForecaster::retrain: empty window");
+    }
+    const auto [lo, hi] = std::minmax_element(window.begin(), window.end());
+    const double span = scaler_.max() - scaler_.min();
+    if (!network_ || *lo < scaler_.min() - 0.5 * span ||
+        *hi > scaler_.max() + 0.5 * span) {
+        MlpTrainOptions cold = train;
+        cold.epochs = options_.train.epochs;
+        fit_with(window, cold);
+        return true;
+    }
+    la::FlatMatrix features;
+    std::vector<double> targets;
+    ts::make_lag_dataset_flat(scaler_.transform(window), options_.num_lags,
+                              options_.seasonal_period, features, targets);
+    if (features.rows() >= 4) {
+        network_->train(features, targets, train, options_.workspace);
+    }
+    history_.assign(window.begin(), window.end());
+    return false;
+}
+
+double MlpForecaster::predict_after(std::span<const double> scaled,
+                                    std::vector<double>& features) const {
+    const auto lags = static_cast<std::size_t>(options_.num_lags);
+    const auto period = static_cast<std::size_t>(options_.seasonal_period);
+    features.clear();
+    for (std::size_t k = lags; k >= 1; --k) {
+        features.push_back(k <= scaled.size() ? scaled[scaled.size() - k]
+                                              : scaled.front());
+    }
+    if (period > 0) {
+        features.push_back(period <= scaled.size()
+                               ? scaled[scaled.size() - period]
+                               : scaled.front());
+    }
+    // Clamp to the scaler's range: utilization-like series cannot run
+    // away, and iterated feedback must not compound extrapolation.
+    return std::clamp(options_.workspace != nullptr
+                          ? network_->predict(features, *options_.workspace)
+                          : network_->predict(features),
+                      -0.25, 1.25);
+}
+
+double MlpForecaster::forecast_next(std::span<const double> window) const {
+    if (window.empty()) {
+        throw std::invalid_argument("MlpForecaster::forecast_next: empty window");
+    }
+    if (!network_) return window.back();
+    // Scale only the tail the lag and seasonal features read.
+    const auto reach = static_cast<std::size_t>(
+        std::max(options_.num_lags, options_.seasonal_period));
+    const auto tail = window.last(std::min(window.size(), reach));
+    std::vector<double> features;
+    return scaler_.inverse(predict_after(scaler_.transform(tail), features));
 }
 
 std::vector<double> MlpForecaster::forecast(int horizon) const {
@@ -61,37 +125,14 @@ std::vector<double> MlpForecaster::forecast(int horizon) const {
     }
 
     // Scaled extended series: history then forecasts, so lag/seasonal
-    // features for later steps can be looked up uniformly.
+    // features for later steps can be looked up uniformly. One feature
+    // buffer is reused across the horizon.
     std::vector<double> extended = scaler_.transform(history_);
     extended.reserve(extended.size() + static_cast<std::size_t>(std::max(horizon, 0)));
-    const auto lags = static_cast<std::size_t>(options_.num_lags);
-    const auto period = static_cast<std::size_t>(options_.seasonal_period);
-
-    // One workspace and feature buffer reused across the horizon: the
-    // per-step loop below is allocation-free. A caller-provided
-    // workspace (the fleet scheduler's per-worker one) is reused across
-    // boxes too.
-    MlpWorkspace local_workspace;
-    MlpWorkspace& workspace = options_.workspace != nullptr
-                                  ? *options_.workspace
-                                  : local_workspace;
     std::vector<double> features;
-    features.reserve(lags + (period > 0 ? 1 : 0));
+    features.reserve(static_cast<std::size_t>(options_.num_lags) + 1);
     for (int h = 0; h < horizon; ++h) {
-        features.clear();
-        for (std::size_t k = lags; k >= 1; --k) {
-            features.push_back(k <= extended.size() ? extended[extended.size() - k]
-                                                    : extended.front());
-        }
-        if (period > 0) {
-            features.push_back(period <= extended.size()
-                                   ? extended[extended.size() - period]
-                                   : extended.front());
-        }
-        // Clamp to the scaler's range: utilization-like series cannot run
-        // away, and iterated feedback must not compound extrapolation.
-        const double scaled_pred =
-            std::clamp(network_->predict(features, workspace), -0.25, 1.25);
+        const double scaled_pred = predict_after(extended, features);
         extended.push_back(scaled_pred);
         out.push_back(scaler_.inverse(scaled_pred));
     }

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "forecast/forecaster.hpp"
@@ -34,6 +34,9 @@ struct MlpForecasterOptions {
 /// Multi-step forecasts are produced by iterating one-step predictions and
 /// feeding them back into the lag window, while seasonal features read
 /// genuine history where available.
+/// The same model runs online on a sliding window (serve::ServeEngine)
+/// through forecast_next() and retrain(). Copies are deep, so a retrain
+/// can be staged on a copy.
 class MlpForecaster final : public Forecaster {
   public:
     explicit MlpForecaster(MlpForecasterOptions options = {});
@@ -42,11 +45,33 @@ class MlpForecaster final : public Forecaster {
     [[nodiscard]] std::vector<double> forecast(int horizon) const override;
     [[nodiscard]] std::string name() const override { return "mlp"; }
 
+    /// One-step forecast after `window`, a rolling history that may have
+    /// moved on since fit(), with the last cold fit's network and scaler;
+    /// window.back() when that fit was degenerate.
+    [[nodiscard]] double forecast_next(std::span<const double> window) const;
+
+    /// Warm-start retrain on the rolling `window`: `train` (epochs, seed,
+    /// metrics, cancel) continues from the current weights in the scaler
+    /// pinned at the last cold fit; under 4 lag examples it is a no-op.
+    /// An unfitted or degenerate model, or a window reaching more than
+    /// half the pinned span outside it, refits cold instead, with
+    /// options().train.epochs and `train`'s other fields. Returns true on
+    /// a cold refit.
+    bool retrain(std::span<const double> window, const MlpTrainOptions& train);
+
     [[nodiscard]] const MlpForecasterOptions& options() const { return options_; }
 
   private:
+    /// fit() under explicit training options (retrain's cold refit).
+    void fit_with(std::span<const double> history, const MlpTrainOptions& train);
+    /// Scaled prediction for the step after the scaled series `scaled`,
+    /// from its last num_lags samples and the one a season back (positions
+    /// before the start read the first sample); `features` is scratch.
+    double predict_after(std::span<const double> scaled,
+                         std::vector<double>& features) const;
+
     MlpForecasterOptions options_;
-    std::unique_ptr<MlpNetwork> network_;
+    std::optional<MlpNetwork> network_;
     ts::MinMaxScaler scaler_;
     std::vector<double> history_;
     bool degenerate_ = false;  ///< constant history: skip the network

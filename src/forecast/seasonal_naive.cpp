@@ -17,6 +17,16 @@ void SeasonalNaiveForecaster::fit(std::span<const double> history) {
     history_.assign(history.begin(), history.end());
 }
 
+double SeasonalNaiveForecaster::forecast_next(std::span<const double> window) const {
+    if (window.empty()) {
+        throw std::invalid_argument(
+            "SeasonalNaiveForecaster::forecast_next: empty window");
+    }
+    const auto period = static_cast<std::size_t>(period_);
+    return window.size() >= period ? window[window.size() - period]
+                                   : window.back();
+}
+
 std::vector<double> SeasonalNaiveForecaster::forecast(int horizon) const {
     if (history_.empty()) {
         throw std::logic_error("SeasonalNaiveForecaster::forecast before fit");

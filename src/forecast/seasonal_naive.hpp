@@ -22,6 +22,11 @@ class SeasonalNaiveForecaster final : public Forecaster {
     [[nodiscard]] std::vector<double> forecast(int horizon) const override;
     [[nodiscard]] std::string name() const override { return "seasonal-naive"; }
 
+    /// One-step forecast after `window`, a rolling history: the sample one
+    /// season back, or window.back() when the window is shorter than a
+    /// season. Equals fit(window) then forecast(1), without the copy.
+    [[nodiscard]] double forecast_next(std::span<const double> window) const;
+
   private:
     int period_;
     std::vector<double> history_;

@@ -3,77 +3,55 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <thread>
 #include <utility>
+#include <variant>
 
 #include "exec/cancel.hpp"
 #include "exec/seed.hpp"
-#include "linalg/simd/simd.hpp"
-#include "obs/json.hpp"
+#include "forecast/mlp_forecaster.hpp"
+#include "forecast/seasonal_naive.hpp"
 #include "timeseries/resource.hpp"
 
 namespace atm::serve {
 
 namespace {
 
-/// Lag-feature count of the streaming MLP, matching MlpForecasterOptions
-/// so the serve model is the batch pipeline's temporal model.
-constexpr int kNumLags = 6;
-constexpr int kHiddenUnits = 12;
+/// One signature's temporal model: the batch forecaster, run on the
+/// box's rolling window (forecast_next, and MlpForecaster::retrain).
+using SignatureForecaster =
+    std::variant<forecast::SeasonalNaiveForecaster, forecast::MlpForecaster>;
 
-// FNV-1a field mixers, same chain discipline as the fleet digests (the
-// fleet_journal.cpp helpers are file-local by design — digests must not
-// accidentally share a chain).
-void mix_u64(std::uint64_t& hash, std::uint64_t value) {
-    char bytes[8];
-    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(value >> (8 * i));
-    hash = exec::fnv1a64_mix(hash, std::string_view(bytes, 8));
+/// Flat series index of (vm, kind) in the VM-major CPU,RAM layout.
+std::size_t flat_index(std::size_t vm, ts::ResourceKind kind) {
+    return static_cast<std::size_t>(
+        ts::SeriesId{static_cast<int>(vm), kind}.flat_index());
 }
 
-void mix_double(std::uint64_t& hash, double value) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(value));
-    __builtin_memcpy(&bits, &value, sizeof(bits));
-    mix_u64(hash, bits);
+/// MLP options of a retrain: `epochs` of warm SGD (a cold refit keeps
+/// train_epochs from the model's own options), staged into `scratch`.
+forecast::MlpTrainOptions retrain_options(int epochs, std::uint64_t seed,
+                                          obs::MetricsRegistry* scratch,
+                                          const exec::CancellationToken* slo) {
+    forecast::MlpTrainOptions train;
+    train.epochs = epochs;
+    train.seed = static_cast<unsigned>(seed);
+    train.metrics = scratch;
+    train.cancel = slo;
+    return train;
 }
 
-void mix_string(std::uint64_t& hash, const std::string& text) {
-    hash = exec::fnv1a64_mix(hash, text);
-    mix_u64(hash, text.size());
-}
-
-std::string hex16(std::uint64_t value) {
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
-}
+/// ServeEpochRecord::ladder bits.
+constexpr int kShedRefresh = 1;     ///< search or retrain skipped
+constexpr int kShedForecast = 2;    ///< last forecast reused
+constexpr int kShedResize = 4;      ///< max-min fallback resize
+constexpr int kShedIngestOnly = 8;  ///< no model output this window
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Engine-internal state
-
-/// One warm-startable per-signature temporal model. For the MLP the
-/// scaler is pinned at cold-fit time so warm retrains continue in the
-/// same feature space; a history that drifts outside it forces a cold
-/// refit (rescale) instead of training on out-of-range features.
-struct ServeEngine::WarmModel {
-    bool mlp = false;  ///< false = seasonal naive (stateless)
-    std::unique_ptr<forecast::MlpNetwork> net;
-    ts::MinMaxScaler scaler;
-    bool degenerate = true;
-};
-
-struct ServeEngine::BoxMeta {
-    std::string name;
-    double cpu_capacity = 0.0;
-    double ram_capacity = 0.0;
-    std::vector<double> vm_cpu_capacity;
-    std::vector<double> vm_ram_capacity;
-};
 
 struct ServeEngine::BoxState {
     /// Rolling demand history per flat series (VM-major CPU,RAM), capped
@@ -81,67 +59,41 @@ struct ServeEngine::BoxState {
     std::vector<std::vector<double>> history;
     std::uint64_t next_epoch = 0;
 
-    bool has_model = false;
-    std::vector<int> signatures;  ///< flat indices, spatial fit order
+    /// Spatial model of the last committed search; fitted() means the box
+    /// has a model, and its signature_indices() are the signatures.
     core::SpatialModel spatial;
-    std::vector<WarmModel> models;  ///< parallel to `signatures`
+    std::vector<SignatureForecaster> models;  ///< parallel to the signatures
     double corr_at_search = 0.0;
 
     std::vector<double> last_forecast;  ///< per flat series, next window
-    bool has_forecast = false;
     std::vector<double> rec_cpu;  ///< per-VM recommended allocations
     std::vector<double> rec_ram;
-    bool has_rec = false;
 
     /// Journaled windows awaiting replay after a warm restart.
     std::deque<core::ServeEpochRecord> replay;
 };
 
-/// Control decisions of one window: taken live (SLO / faults) or forced
-/// from the journal on replay — the only non-determinism the journal has
-/// to pin down for bit-identical warm restart.
-struct ServeEngine::Decisions {
-    bool forced = false;
-    int ladder = 0;  ///< ServeEpochRecord bitmask
-    bool searched = false;
-    int retrained = 0;
-    int attempts = 1;
-};
-
-namespace {
-constexpr int kShedRefresh = 1;     ///< search or retrain skipped
-constexpr int kShedForecast = 2;    ///< last forecast reused
-constexpr int kShedResize = 4;      ///< max-min fallback resize
-constexpr int kShedIngestOnly = 8;  ///< no model output this window
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Config validation, digest, header
 
 std::string ServeConfig::validate() const {
-    std::vector<std::string> problems;
-    auto add = [&problems](std::string message) {
-        problems.push_back(std::move(message));
+    std::string problems = pipeline.validate();
+    const auto add = [&problems](const std::string& p) {
+        if (!problems.empty()) problems += "; ";
+        problems += p;
     };
-    const core::PipelineConfig& p = pipeline;
-    if (p.train_days < 2) {
+    if (pipeline.train_days < 2) {
         add("train_days must be >= 2 (serve keeps a rolling window and "
             "needs at least warmup + one day), got " +
-            std::to_string(p.train_days));
+            std::to_string(pipeline.train_days));
     }
-    if (!(p.alpha > 0.0) || p.alpha > 1.0 || !std::isfinite(p.alpha)) {
-        add("alpha must be in (0, 1], got " + std::to_string(p.alpha));
-    }
-    if (!std::isfinite(p.epsilon_pct)) {
-        add("epsilon_pct must be finite, got " + std::to_string(p.epsilon_pct));
-    }
-    if (p.temporal != forecast::TemporalModel::kNeuralNetwork &&
-        p.temporal != forecast::TemporalModel::kSeasonalNaive) {
+    if (pipeline.temporal != forecast::TemporalModel::kNeuralNetwork &&
+        pipeline.temporal != forecast::TemporalModel::kSeasonalNaive) {
         add("temporal model must be neural-network or seasonal-naive for "
             "serve (warm restart requires warm-startable models), got " +
-            forecast::to_string(p.temporal));
+            forecast::to_string(pipeline.temporal));
     }
-    if (p.scope != core::ResourceScope::kInter) {
+    if (pipeline.scope != core::ResourceScope::kInter) {
         add("scope must be inter for serve");
     }
     if (queue_depth < 1 || queue_depth > (1 << 20)) {
@@ -179,53 +131,25 @@ std::string ServeConfig::validate() const {
     if (resume && journal_path.empty()) {
         add("resume requires a journal path");
     }
-    std::string joined;
-    for (const std::string& problem : problems) {
-        if (!joined.empty()) joined += "; ";
-        joined += problem;
-    }
-    return joined;
+    return problems;
 }
 
 std::uint64_t serve_config_digest(const ServeConfig& config) {
     std::uint64_t hash = exec::kFnv1a64Offset;
-    mix_u64(hash, core::pipeline_config_digest(config.pipeline));
-    mix_u64(hash, static_cast<std::uint64_t>(config.policy));
-    mix_double(hash, config.drift_threshold);
-    mix_u64(hash, static_cast<std::uint64_t>(config.retrain_every));
-    mix_u64(hash, static_cast<std::uint64_t>(config.retrain_epochs));
-    mix_u64(hash, static_cast<std::uint64_t>(config.train_epochs));
+    exec::mix_u64(hash, core::pipeline_config_digest(config.pipeline));
+    exec::mix_u64(hash, static_cast<std::uint64_t>(config.policy));
+    exec::mix_double(hash, config.drift_threshold);
+    exec::mix_u64(hash, static_cast<std::uint64_t>(config.retrain_every));
+    exec::mix_u64(hash, static_cast<std::uint64_t>(config.retrain_epochs));
+    exec::mix_u64(hash, static_cast<std::uint64_t>(config.train_epochs));
     // Retry/fault knobs are result-affecting through the journaled
     // attempt counts and the per-(epoch, attempt) fault draws.
-    mix_u64(hash, static_cast<std::uint64_t>(config.max_retries));
-    mix_u64(hash, config.faults.seed);
-    mix_u64(hash, config.faults.rules.size());
-    for (const exec::FaultRule& rule : config.faults.rules) {
-        mix_string(hash, rule.site);
-        mix_u64(hash, static_cast<std::uint64_t>(rule.action));
-        mix_double(hash, rule.rate);
-    }
+    exec::mix_u64(hash, static_cast<std::uint64_t>(config.max_retries));
+    core::mix_fault_plan(hash, config.faults);
     // Deliberately excluded: queue_depth, slo_ms, backoff timings — their
     // *effects* (shed masks, attempt counts) are journaled per window, so
     // changing them across a restart only affects windows not yet applied.
     return hash;
-}
-
-std::string serve_journal_header(const trace::Trace& trace,
-                                 const ServeConfig& config) {
-    obs::json::Value header = obs::json::Value::make_object();
-    header.set("schema", obs::json::Value::of(core::kServeJournalSchema));
-    header.set("fingerprint",
-               obs::json::Value::of(hex16(core::trace_fingerprint(trace))));
-    header.set("config",
-               obs::json::Value::of(hex16(serve_config_digest(config))));
-    header.set("seed", obs::json::Value::of(
-                           static_cast<std::uint64_t>(config.pipeline.seed)));
-    // Same rationale as the fleet journal: the dispatched SIMD path is
-    // result-affecting, so a mismatch makes resume start fresh.
-    header.set("simd",
-               obs::json::Value::of(simd::to_string(simd::active_path())));
-    return obs::json::serialize(header, 0);
 }
 
 const char* to_string(ApplyStatus status) {
@@ -261,13 +185,11 @@ ServeEngine::ServeEngine(const trace::Trace& trace, ServeConfig config)
     meta_.reserve(trace.boxes.size());
     boxes_.reserve(trace.boxes.size());
     for (const trace::BoxTrace& box : trace.boxes) {
-        BoxMeta meta;
-        meta.name = box.name;
-        meta.cpu_capacity = box.cpu_capacity_ghz;
-        meta.ram_capacity = box.ram_capacity_gb;
-        for (const trace::VmTrace& vm : box.vms) {
-            meta.vm_cpu_capacity.push_back(vm.cpu_capacity_ghz);
-            meta.vm_ram_capacity.push_back(vm.ram_capacity_gb);
+        // Names and capacities only: the samples arrive through apply().
+        trace::BoxTrace meta = box;
+        for (trace::VmTrace& vm : meta.vms) {
+            vm.cpu_usage_pct = vm.ram_usage_pct = ts::Series{};
+            vm.cpu_demand_ghz = vm.ram_demand_gb = ts::Series{};
         }
         meta_.push_back(std::move(meta));
         auto state = std::make_unique<BoxState>();
@@ -276,7 +198,9 @@ ServeEngine::ServeEngine(const trace::Trace& trace, ServeConfig config)
     }
 
     if (config_.journal_path.empty()) return;
-    const std::string header = serve_journal_header(trace, config_);
+    const std::string header =
+        core::journal_header(core::kServeJournalSchema, trace,
+                             serve_config_digest(config_), config_.pipeline.seed);
     if (config_.resume) {
         const exec::JournalLoad load = exec::load_journal(config_.journal_path);
         if (load.exists && load.header == header) {
@@ -332,6 +256,15 @@ std::uint64_t ServeEngine::next_epoch(int box_index) const {
     return boxes_.at(static_cast<std::size_t>(box_index))->next_epoch;
 }
 
+const std::vector<int>& ServeEngine::signatures(int box_index) const {
+    return boxes_.at(static_cast<std::size_t>(box_index))
+        ->spatial.signature_indices();
+}
+
+const std::vector<double>& ServeEngine::last_forecast(int box_index) const {
+    return boxes_.at(static_cast<std::size_t>(box_index))->last_forecast;
+}
+
 std::uint64_t ServeEngine::replay_remaining() const {
     std::uint64_t remaining = 0;
     for (const auto& box : boxes_) remaining += box->replay.size();
@@ -358,9 +291,9 @@ ApplyOutcome ServeEngine::apply(const WindowUpdate& update) {
         return out;
     }
     const auto bi = static_cast<std::size_t>(update.box_index);
-    const BoxMeta& meta = meta_[bi];
+    const trace::BoxTrace& meta = meta_[bi];
     BoxState& box = *boxes_[bi];
-    const std::size_t num_vms = meta.vm_cpu_capacity.size();
+    const std::size_t num_vms = meta.vms.size();
     if (num_vms == 0 || update.cpu.size() != num_vms ||
         update.ram.size() != num_vms) {
         out.status = ApplyStatus::kBadShape;
@@ -422,21 +355,23 @@ ApplyOutcome ServeEngine::apply_window(int box_index,
         return out;
     }
 
-    Decisions d;
+    // The window's control decisions live in `record`: taken live (SLO,
+    // faults) or forced from the journal on replay — the only
+    // non-determinism the journal has to pin down for bit-identical warm
+    // restart.
     if (forced != nullptr) {
-        d.forced = true;
-        d.ladder = forced->ladder;
-        d.searched = forced->searched;
-        d.retrained = forced->retrained;
-        d.attempts = forced->attempts;
+        record.ladder = forced->ladder;
+        record.searched = forced->searched;
+        record.retrained = forced->retrained;
+        record.attempts = forced->attempts;
         // A ladder of *exactly* the ingest-only bit means retries were
         // exhausted at the fault site and model_work never ran live —
         // replaying it would over-count shed counters. Any other mask
         // (even ones including bit 8, e.g. "search shed, still no
         // model") means model_work did run and must replay so its
         // counters and the drift gauge land identically.
-        if (d.ladder != kShedIngestOnly) {
-            model_work(box_index, update.epoch, d, nullptr);
+        if (record.ladder != kShedIngestOnly) {
+            model_work(box_index, update.epoch, true, record, nullptr);
         }
     } else {
         exec::CancellationToken slo;
@@ -457,13 +392,15 @@ ApplyOutcome ServeEngine::apply_window(int box_index,
             fault.epoch = update.epoch + 1;
             try {
                 ATM_FAULT_SITE(fault, "serve.apply");
-                model_work(box_index, update.epoch, d, token);
+                model_work(box_index, update.epoch, false, record, token);
                 applied = true;
                 break;
             } catch (const exec::InjectedFault&) {
                 if (attempt >= config_.max_retries) break;
+                // backoff_ms * 2^attempt without an integer shift, so any
+                // max_retries stays defined and saturates at the cap.
                 const double delay_ms =
-                    std::min(config_.backoff_ms * static_cast<double>(1 << attempt),
+                    std::min(std::ldexp(config_.backoff_ms, attempt),
                              config_.backoff_max_ms);
                 if (delay_ms > 0.0) {
                     std::this_thread::sleep_for(std::chrono::duration<double,
@@ -472,25 +409,26 @@ ApplyOutcome ServeEngine::apply_window(int box_index,
                 ++attempt;
             }
         }
-        d.attempts = attempt + 1;
-        if (!applied) d.ladder |= kShedIngestOnly;
+        record.attempts = attempt + 1;
+        if (!applied) record.ladder |= kShedIngestOnly;
     }
 
-    if ((d.ladder & kShedIngestOnly) != 0) counter("serve.degraded.ingest_only");
-    record_retry(d.attempts, d.ladder);
+    const bool ingest_only = (record.ladder & kShedIngestOnly) != 0;
+    if (ingest_only) counter("serve.degraded.ingest_only");
+    if (record.attempts > 1) {
+        counter("serve.retry.attempts",
+                static_cast<std::uint64_t>(record.attempts - 1));
+        counter(ingest_only ? "serve.retry.exhausted" : "serve.retry.recovered");
+    }
     counter("serve.windows.applied");
 
-    record.ladder = d.ladder;
-    record.searched = d.searched;
-    record.retrained = d.retrained;
-    record.attempts = d.attempts;
-    if ((d.ladder & kShedIngestOnly) == 0 && box.has_rec) {
+    if (!ingest_only && !box.rec_cpu.empty()) {
         record.cpu = box.rec_cpu;
         record.ram = box.rec_ram;
     }
     out.status = ApplyStatus::kApplied;
-    out.ladder = d.ladder;
-    out.attempts = d.attempts;
+    out.ladder = record.ladder;
+    out.attempts = record.attempts;
     out.cpu = record.cpu;
     out.ram = record.ram;
     return out;
@@ -498,14 +436,15 @@ ApplyOutcome ServeEngine::apply_window(int box_index,
 
 void ServeEngine::ingest_samples(int box_index, const WindowUpdate& update) {
     const auto bi = static_cast<std::size_t>(box_index);
-    const BoxMeta& meta = meta_[bi];
+    const trace::BoxTrace& meta = meta_[bi];
     BoxState& box = *boxes_[bi];
     const double alpha = config_.pipeline.alpha;
     std::uint64_t bad = 0;
-    for (std::size_t vm = 0; vm < meta.vm_cpu_capacity.size(); ++vm) {
-        for (int kind = 0; kind < 2; ++kind) {
-            const bool is_cpu = kind == 0;
-            const std::size_t flat = vm * 2 + static_cast<std::size_t>(kind);
+    for (std::size_t vm = 0; vm < meta.vms.size(); ++vm) {
+        for (const ts::ResourceKind kind :
+             {ts::ResourceKind::kCpu, ts::ResourceKind::kRam}) {
+            const bool is_cpu = kind == ts::ResourceKind::kCpu;
+            const std::size_t flat = flat_index(vm, kind);
             std::vector<double>& history = box.history[flat];
             double actual = is_cpu ? update.cpu[vm] : update.ram[vm];
             if (!std::isfinite(actual) || actual < 0.0) {
@@ -515,7 +454,7 @@ void ServeEngine::ingest_samples(int box_index, const WindowUpdate& update) {
             // Rolling one-step forecast accuracy (vs. last_forecast, which
             // predicted exactly this window) and ticket accounting on the
             // static allocation vs. the engine's recommendation.
-            if (box.has_forecast && std::abs(actual) > 1e-9) {
+            if (!box.last_forecast.empty() && std::abs(actual) > 1e-9) {
                 const double ape =
                     std::abs(actual - box.last_forecast[flat]) /
                     std::abs(actual);
@@ -528,13 +467,11 @@ void ServeEngine::ingest_samples(int box_index, const WindowUpdate& update) {
                     hist.record(ape);
                 }
             }
-            const double static_cap = is_cpu ? meta.vm_cpu_capacity[vm]
-                                             : meta.vm_ram_capacity[vm];
             const char* kind_name = is_cpu ? "cpu" : "ram";
-            if (actual > alpha * static_cap) {
+            if (actual > alpha * meta.vms[vm].capacity(kind)) {
                 counter(std::string("serve.tickets.") + kind_name + ".before");
             }
-            if (box.has_rec) {
+            if (!box.rec_cpu.empty()) {
                 const double rec_cap =
                     is_cpu ? box.rec_cpu[vm] : box.rec_ram[vm];
                 if (actual > alpha * rec_cap) {
@@ -554,52 +491,53 @@ void ServeEngine::ingest_samples(int box_index, const WindowUpdate& update) {
 // ---------------------------------------------------------------------------
 // Per-window model work (live + forced replay)
 
-void ServeEngine::model_work(int box_index, std::uint64_t epoch, Decisions& d,
+void ServeEngine::model_work(int box_index, std::uint64_t epoch, bool forced,
+                             core::ServeEpochRecord& d,
                              const exec::CancellationToken* slo) {
     BoxState& box = *boxes_[static_cast<std::size_t>(box_index)];
 
     // Drift-gated signature search. The drift statistic is deterministic
     // (history only), so live and replay agree on *wanting* a search; the
     // journal pins whether one actually ran (SLO shed is wall-clock).
-    bool want_search = !box.has_model;
-    if (box.has_model) {
+    bool want_search = !box.spatial.fitted();
+    if (box.spatial.fitted()) {
         const double drift =
             std::abs(mean_abs_correlation(box) - box.corr_at_search);
         metrics_.gauges["serve.drift"] = drift;
         if (drift > config_.drift_threshold) want_search = true;
     }
-    if (d.forced ? d.searched : want_search) {
+    if (forced ? d.searched : want_search) {
         const bool committed =
-            run_search(box_index, d.forced ? nullptr : slo);
-        if (!d.forced) d.searched = committed;
+            run_search(box_index, forced ? nullptr : slo);
+        if (!forced) d.searched = committed;
     }
     if (d.searched) {
         counter("serve.search.runs");
     } else if (want_search) {
         counter("serve.degraded.skip_search");
-        if (!d.forced) d.ladder |= kShedRefresh;
+        if (!forced) d.ladder |= kShedRefresh;
     }
 
     // Warm retrain on a fixed cadence (deterministic), skipped the window
     // a search already cold-fit everything.
     const bool retrain_due =
-        box.has_model && !d.searched &&
+        box.spatial.fitted() && !d.searched &&
         config_.pipeline.temporal == forecast::TemporalModel::kNeuralNetwork &&
         epoch % static_cast<std::uint64_t>(config_.retrain_every) == 0;
-    if (d.forced ? d.retrained != 0 : retrain_due) {
+    if (forced ? d.retrained != 0 : retrain_due) {
         bool committed = false;
-        if (d.forced || slo == nullptr || !slo->cancelled()) {
-            committed = run_retrain(box_index, epoch, d.forced ? nullptr : slo);
+        if (forced || slo == nullptr || !slo->cancelled()) {
+            committed = run_retrain(box_index, epoch, forced ? nullptr : slo);
         }
-        if (!d.forced) d.retrained = committed ? 1 : 0;
-        if (committed || d.forced) counter("serve.retrain.warm");
+        if (!forced) d.retrained = committed ? 1 : 0;
+        if (committed || forced) counter("serve.retrain.warm");
     }
     if (retrain_due && d.retrained == 0) {
         counter("serve.degraded.skip_retrain");
-        if (!d.forced) d.ladder |= kShedRefresh;
+        if (!forced) d.ladder |= kShedRefresh;
     }
 
-    if (!box.has_model) {
+    if (!box.spatial.fitted()) {
         // Nothing to shed to: no spatial model yet and this window's
         // search did not land one.
         d.ladder |= kShedIngestOnly;
@@ -608,12 +546,12 @@ void ServeEngine::model_work(int box_index, std::uint64_t epoch, Decisions& d,
 
     // Forecast the next window, or reuse the previous forecast under SLO
     // pressure (rung 2).
-    bool reuse = d.forced && (d.ladder & kShedForecast) != 0;
-    if (!d.forced && slo != nullptr && slo->cancelled()) {
+    bool reuse = forced && (d.ladder & kShedForecast) != 0;
+    if (!forced && slo != nullptr && slo->cancelled()) {
         reuse = true;
         d.ladder |= kShedForecast;
     }
-    if (reuse && !box.has_forecast) {
+    if (reuse && box.last_forecast.empty()) {
         d.ladder |= kShedIngestOnly;
         return;
     }
@@ -625,8 +563,8 @@ void ServeEngine::model_work(int box_index, std::uint64_t epoch, Decisions& d,
 
     // Resize on the forecast; under SLO pressure fall to max-min (rung 3),
     // which needs no MCKP iterations.
-    bool max_min = d.forced && (d.ladder & kShedResize) != 0;
-    if (!d.forced && !max_min) {
+    bool max_min = forced && (d.ladder & kShedResize) != 0;
+    if (!forced && !max_min) {
         try {
             exec::checkpoint(slo, "serve.resize");
             resize_window(box_index, false, slo);
@@ -638,7 +576,7 @@ void ServeEngine::model_work(int box_index, std::uint64_t epoch, Decisions& d,
     if (max_min) {
         resize_window(box_index, true, nullptr);
         counter("serve.degraded.max_min");
-    } else if (d.forced) {
+    } else if (forced) {
         resize_window(box_index, false, nullptr);
     }
 }
@@ -680,67 +618,44 @@ double ServeEngine::mean_abs_correlation(const BoxState& box) const {
 
 bool ServeEngine::run_search(int box_index,
                              const exec::CancellationToken* slo) {
-    const auto bi = static_cast<std::size_t>(box_index);
-    BoxState& box = *boxes_[bi];
+    BoxState& box = *boxes_[static_cast<std::size_t>(box_index)];
     // Staged: everything lands in locals + a scratch registry, committed
     // only when the whole unit finishes — an SLO trip mid-search leaves
     // the previous model (and metrics) untouched, so replay (which skips
     // the shed search entirely) reproduces the same state.
     obs::MetricsRegistry scratch;
+    core::PipelineConfig config = config_.pipeline;
+    config.metrics = &scratch;
+    config.cancel = slo;
     try {
-        std::vector<int> signatures;
-        core::SignatureSearchOptions options = config_.pipeline.search;
-        options.metrics = &scratch;
-        options.cancel = slo;
-        options.pool = nullptr;
-        options.dtw_cache = nullptr;  // history changes every window
-        if (config_.workspace != nullptr) {
-            options.dtw_workspace = &config_.workspace->dtw;
-        }
-        try {
-            core::SignatureSearchResult result =
-                core::find_signatures(box.history, options);
-            signatures = std::move(result.signatures);
-            if (signatures.empty()) throw std::runtime_error("empty set");
-        } catch (const exec::OperationCancelled&) {
-            throw;
-        } catch (const std::exception&) {
-            // Degenerate clustering: fall back to the all-signature set
-            // (every series its own predictor), same as the batch ladder.
-            signatures.clear();
-            for (std::size_t i = 0; i < box.history.size(); ++i) {
-                signatures.push_back(static_cast<int>(i));
-            }
-            scratch.add("serve.search.fallback");
-        }
-        core::SpatialModel spatial;
-        try {
-            spatial.fit(box.history, signatures);
-        } catch (const exec::OperationCancelled&) {
-            throw;
-        } catch (const std::exception&) {
-            signatures.clear();
-            for (std::size_t i = 0; i < box.history.size(); ++i) {
-                signatures.push_back(static_cast<int>(i));
-            }
-            spatial.fit(box.history, signatures);  // no dependents left
-            scratch.add("serve.search.fallback");
-        }
-        std::vector<WarmModel> models(signatures.size());
+        // The batch ladder; its rungs count as robust.fallback.* in scratch.
+        std::vector<core::Degradation> degradations;
+        core::SignatureModel fit =
+            core::fit_signature_model(box.history, config, degradations);
+        forecast::MlpForecasterOptions mlp;
+        mlp.seasonal_period = windows_per_day_;
+        mlp.train.epochs = config_.train_epochs;
+        if (config.workspace != nullptr) mlp.workspace = &config.workspace->mlp;
         const std::uint64_t box_seed =
-            exec::derive_seed(config_.pipeline.seed,
-                              static_cast<std::uint64_t>(box_index));
-        for (std::size_t k = 0; k < signatures.size(); ++k) {
-            const auto series = static_cast<std::size_t>(signatures[k]);
-            const std::uint64_t sig_seed =
-                exec::derive_seed(box_seed, static_cast<std::uint64_t>(series));
-            cold_fit(models[k], box.history[series], sig_seed, &scratch, slo);
+            exec::derive_seed(config.seed, static_cast<std::uint64_t>(box_index));
+        std::vector<SignatureForecaster> models;
+        for (const int series : fit.spatial.signature_indices()) {
+            const auto s = static_cast<std::size_t>(series);
+            if (config.temporal == forecast::TemporalModel::kSeasonalNaive) {
+                models.emplace_back(
+                    forecast::SeasonalNaiveForecaster(windows_per_day_));
+            } else {
+                forecast::MlpForecaster model(mlp);  // its first retrain is cold
+                model.retrain(box.history[s],
+                              retrain_options(config_.retrain_epochs,
+                                              exec::derive_seed(box_seed, s),
+                                              &scratch, slo));
+                models.emplace_back(std::move(model));
+            }
             scratch.add("serve.retrain.cold");
         }
-        box.signatures = std::move(signatures);
-        box.spatial = std::move(spatial);
+        box.spatial = std::move(fit.spatial);
         box.models = std::move(models);
-        box.has_model = true;
         box.corr_at_search = mean_abs_correlation(box);
         metrics_.merge(scratch.snapshot());
         return true;
@@ -751,61 +666,25 @@ bool ServeEngine::run_search(int box_index,
 
 bool ServeEngine::run_retrain(int box_index, std::uint64_t epoch,
                               const exec::CancellationToken* slo) {
-    const auto bi = static_cast<std::size_t>(box_index);
-    BoxState& box = *boxes_[bi];
+    BoxState& box = *boxes_[static_cast<std::size_t>(box_index)];
     obs::MetricsRegistry scratch;
     const std::uint64_t box_seed = exec::derive_seed(
         config_.pipeline.seed, static_cast<std::uint64_t>(box_index));
     try {
         // Staged copies: a cancelled retrain must leave the previous
         // weights exactly as they were (replay skips the whole stage).
-        std::vector<WarmModel> updated;
-        updated.reserve(box.models.size());
-        for (std::size_t k = 0; k < box.models.size(); ++k) {
-            const WarmModel& current = box.models[k];
-            const auto series = static_cast<std::size_t>(box.signatures[k]);
-            const std::vector<double>& history = box.history[series];
-            const std::uint64_t sig_seed =
-                exec::derive_seed(box_seed, static_cast<std::uint64_t>(series));
-            WarmModel next;
-            const auto [lo_it, hi_it] =
-                std::minmax_element(history.begin(), history.end());
-            const double span = current.scaler.max() - current.scaler.min();
-            const bool out_of_scale =
-                current.degenerate || current.net == nullptr ||
-                span < 1e-12 ||
-                *lo_it < current.scaler.min() - 0.5 * span ||
-                *hi_it > current.scaler.max() + 0.5 * span;
-            if (out_of_scale) {
-                // The rolling window left the pinned feature space: cold
-                // refit with a fresh scaler instead of warm-starting.
-                cold_fit(next, history,
-                         exec::derive_seed(sig_seed, epoch + 1), &scratch,
-                         slo);
-                scratch.add("serve.retrain.rescale");
-            } else {
-                next.mlp = true;
-                next.scaler = current.scaler;
-                next.degenerate = false;
-                next.net = std::make_unique<forecast::MlpNetwork>(*current.net);
-                const std::vector<double> scaled =
-                    current.scaler.transform(history);
-                ts::make_lag_dataset_flat(scaled, kNumLags, windows_per_day_,
-                                          features_, targets_);
-                if (features_.rows() >= 4) {
-                    forecast::MlpTrainOptions options;
-                    options.epochs = config_.retrain_epochs;
-                    options.seed = static_cast<unsigned>(
-                        exec::derive_seed(sig_seed, epoch + 1));
-                    options.metrics = &scratch;
-                    options.cancel = slo;
-                    next.net->train(
-                        features_, targets_, options,
-                        config_.workspace != nullptr ? &config_.workspace->mlp
-                                                     : nullptr);
-                }
-            }
-            updated.push_back(std::move(next));
+        std::vector<SignatureForecaster> updated = box.models;
+        const std::vector<int>& signatures = box.spatial.signature_indices();
+        for (std::size_t k = 0; k < updated.size(); ++k) {
+            const auto series = static_cast<std::size_t>(signatures[k]);
+            const std::uint64_t sig_seed = exec::derive_seed(box_seed, series);
+            const bool rescaled =
+                std::get<forecast::MlpForecaster>(updated[k])
+                    .retrain(box.history[series],
+                             retrain_options(config_.retrain_epochs,
+                                             exec::derive_seed(sig_seed, epoch + 1),
+                                             &scratch, slo));
+            if (rescaled) scratch.add("serve.retrain.rescale");
         }
         box.models = std::move(updated);
         metrics_.merge(scratch.snapshot());
@@ -815,73 +694,18 @@ bool ServeEngine::run_retrain(int box_index, std::uint64_t epoch,
     }
 }
 
-void ServeEngine::cold_fit(WarmModel& model,
-                           const std::vector<double>& history,
-                           std::uint64_t sig_seed,
-                           obs::MetricsRegistry* scratch,
-                           const exec::CancellationToken* slo) {
-    if (config_.pipeline.temporal != forecast::TemporalModel::kNeuralNetwork) {
-        model.mlp = false;
-        model.degenerate = false;
-        return;
-    }
-    model.mlp = true;
-    model.scaler.fit(history);
-    const auto [lo_it, hi_it] =
-        std::minmax_element(history.begin(), history.end());
-    const std::vector<double> scaled = model.scaler.transform(history);
-    ts::make_lag_dataset_flat(scaled, kNumLags, windows_per_day_, features_,
-                              targets_);
-    if (features_.rows() < 4 || *hi_it - *lo_it < 1e-12) {
-        model.degenerate = true;
-        model.net.reset();
-        return;
-    }
-    model.degenerate = false;
-    model.net = std::make_unique<forecast::MlpNetwork>(
-        std::vector<int>{static_cast<int>(features_.cols()), kHiddenUnits, 1},
-        forecast::Activation::kTanh, static_cast<unsigned>(sig_seed));
-    forecast::MlpTrainOptions options;
-    options.epochs = config_.train_epochs;
-    options.seed = static_cast<unsigned>(sig_seed);
-    options.metrics = scratch;
-    options.cancel = slo;
-    model.net->train(features_, targets_, options,
-                     config_.workspace != nullptr ? &config_.workspace->mlp
-                                                  : nullptr);
-}
-
-double ServeEngine::predict_one(const WarmModel& model,
-                                const std::vector<double>& history) const {
-    const std::size_t len = history.size();
-    if (!model.mlp) {
-        // Seasonal naive: repeat the sample one period back.
-        const auto period = static_cast<std::size_t>(windows_per_day_);
-        return len >= period ? history[len - period] : history.back();
-    }
-    if (model.degenerate || model.net == nullptr) return history.back();
-    std::vector<double> features;
-    features.reserve(static_cast<std::size_t>(kNumLags) + 1);
-    for (int k = kNumLags; k >= 1; --k) {
-        const auto lag = static_cast<std::size_t>(k);
-        features.push_back(model.scaler.transform(
-            len >= lag ? history[len - lag] : history.front()));
-    }
-    const auto period = static_cast<std::size_t>(windows_per_day_);
-    features.push_back(model.scaler.transform(
-        len >= period ? history[len - period] : history.front()));
-    const double scaled = std::clamp(model.net->predict(features), -0.25, 1.25);
-    return model.scaler.inverse(scaled);
-}
-
 void ServeEngine::forecast_next(int box_index) {
     BoxState& box = *boxes_[static_cast<std::size_t>(box_index)];
-    std::vector<std::vector<double>> signature_values(box.signatures.size());
-    for (std::size_t k = 0; k < box.signatures.size(); ++k) {
-        const auto series = static_cast<std::size_t>(box.signatures[k]);
-        double predicted = predict_one(box.models[k], box.history[series]);
+    const std::vector<int>& signatures = box.spatial.signature_indices();
+    std::vector<std::vector<double>> signature_values(signatures.size());
+    for (std::size_t k = 0; k < signatures.size(); ++k) {
+        const std::vector<double>& window =
+            box.history[static_cast<std::size_t>(signatures[k])];
+        double predicted = std::visit(
+            [&window](const auto& model) { return model.forecast_next(window); },
+            box.models[k]);
         if (!std::isfinite(predicted)) {
-            predicted = box.history[series].back();
+            predicted = window.back();
             counter("serve.forecast.nonfinite");
         }
         signature_values[k] = {predicted};
@@ -897,83 +721,59 @@ void ServeEngine::forecast_next(int box_index) {
         }
         box.last_forecast[i] = value;
     }
-    box.has_forecast = true;
 }
 
 void ServeEngine::resize_window(int box_index, bool max_min_only,
                                 const exec::CancellationToken* slo) {
     const auto bi = static_cast<std::size_t>(box_index);
-    const BoxMeta& meta = meta_[bi];
+    const trace::BoxTrace& meta = meta_[bi];
     BoxState& box = *boxes_[bi];
-    const std::size_t num_vms = meta.vm_cpu_capacity.size();
-    const auto window = static_cast<std::size_t>(windows_per_day_);
-    std::vector<double> rec_cpu(num_vms, 0.0);
-    std::vector<double> rec_ram(num_vms, 0.0);
-    for (int kind = 0; kind < 2; ++kind) {
-        const bool is_cpu = kind == 0;
-        resize::ResizeInput input;
-        input.total_capacity = is_cpu ? meta.cpu_capacity : meta.ram_capacity;
-        input.alpha = config_.pipeline.alpha;
-        input.metrics = nullptr;
-        input.cancel = slo;
-        input.demands.resize(num_vms);
+    const std::size_t num_vms = meta.vms.size();
+    const auto day = static_cast<std::size_t>(windows_per_day_);
+    std::vector<double> rec_cpu;
+    std::vector<double> rec_ram;
+    for (const ts::ResourceKind kind :
+         {ts::ResourceKind::kCpu, ts::ResourceKind::kRam}) {
+        std::vector<std::vector<double>> demands(num_vms);
+        std::vector<std::span<const double>> last_day;
         for (std::size_t vm = 0; vm < num_vms; ++vm) {
-            const std::size_t flat = vm * 2 + static_cast<std::size_t>(kind);
-            input.demands[vm] = {std::max(0.0, box.last_forecast[flat])};
-            const double cap =
-                is_cpu ? meta.vm_cpu_capacity[vm] : meta.vm_ram_capacity[vm];
-            if (config_.pipeline.epsilon_pct > 0.0) {
-                input.epsilons.push_back(config_.pipeline.epsilon_pct / 100.0 *
-                                         cap);
-            }
+            const std::size_t flat = flat_index(vm, kind);
+            demands[vm] = {std::max(0.0, box.last_forecast[flat])};
             if (config_.pipeline.use_lower_bounds) {
                 const std::vector<double>& history = box.history[flat];
-                const std::size_t tail = std::min(window, history.size());
-                double peak = 0.0;
-                for (std::size_t t = history.size() - tail;
-                     t < history.size(); ++t) {
-                    peak = std::max(peak, history[t]);
-                }
-                input.lower_bounds.push_back(peak);
+                const std::size_t tail = std::min(day, history.size());
+                last_day.emplace_back(history.data() + history.size() - tail,
+                                      tail);
             }
-            input.current_capacities.push_back(cap);
         }
+        resize::ResizeInput input = core::make_resize_input(
+            meta, kind, std::move(demands), config_.pipeline.alpha,
+            config_.pipeline.epsilon_pct, last_day);
+        input.cancel = slo;
         resize::ResizeResult result;
-        if (max_min_only) {
-            result = resize::max_min_fairness_resize(input);
-        } else {
-            bool fallback = false;
+        bool max_min = max_min_only;
+        if (!max_min_only) {
             try {
                 result = resize::apply_policy(config_.policy, input);
-                if (!result.feasible) fallback = true;
+                max_min = !result.feasible;
             } catch (const exec::OperationCancelled&) {
                 throw;
             } catch (const std::exception&) {
-                fallback = true;
+                max_min = true;
             }
-            if (fallback) {
-                // Deterministic infeasibility (not an SLO trip): max-min
-                // replays identically, so no journal bit is needed.
-                input.cancel = nullptr;
-                result = resize::max_min_fairness_resize(input);
-                counter("serve.resize.fallback");
-            }
+            // Deterministic infeasibility (not an SLO trip): max-min
+            // replays identically, so no journal bit is needed.
+            if (max_min) counter("serve.resize.fallback");
         }
-        for (std::size_t vm = 0; vm < num_vms; ++vm) {
-            (is_cpu ? rec_cpu : rec_ram)[vm] = result.capacities[vm];
+        if (max_min) {
+            input.cancel = nullptr;
+            result = resize::max_min_fairness_resize(input);
         }
+        (kind == ts::ResourceKind::kCpu ? rec_cpu : rec_ram) =
+            std::move(result.capacities);
     }
     box.rec_cpu = std::move(rec_cpu);
     box.rec_ram = std::move(rec_ram);
-    box.has_rec = true;
-}
-
-void ServeEngine::record_retry(int attempts, int ladder) {
-    const int extra = attempts - 1;
-    if (extra <= 0) return;
-    counter("serve.retry.attempts", static_cast<std::uint64_t>(extra));
-    counter((ladder & kShedIngestOnly) != 0 ? "serve.retry.exhausted"
-                                            : "serve.retry.recovered");
 }
 
 void ServeEngine::counter(const std::string& name, std::uint64_t delta) {

@@ -14,7 +14,6 @@
 #include "forecast/nn.hpp"
 #include "obs/metrics.hpp"
 #include "resize/policies.hpp"
-#include "timeseries/features.hpp"
 #include "tracegen/trace.hpp"
 
 namespace atm::serve {
@@ -23,10 +22,10 @@ namespace atm::serve {
 /// embedded PipelineConfig supplies the modelling knobs the batch
 /// pipeline already defines (search options, temporal model, train_days
 /// as the rolling-window length in days, alpha/epsilon/lower-bound
-/// resizing knobs, seed, sanitization threshold); serve adds streaming
-/// lifecycle knobs on top. Result-affecting knobs are bound into the
-/// journal header; execution-only knobs (queue depth, SLO, backoff) are
-/// not — their *effects* are journaled per window instead.
+/// resizing knobs, seed, sanitization threshold, optional workspace);
+/// serve adds streaming lifecycle knobs on top. Result-affecting knobs
+/// are bound into the journal header; execution-only knobs (queue depth,
+/// SLO, backoff) are not — their *effects* are journaled per window.
 struct ServeConfig {
     core::PipelineConfig pipeline;
     /// Resize policy run per window (the paper's greedy by default).
@@ -60,24 +59,17 @@ struct ServeConfig {
     /// Chaos plan: "serve.apply" throw rules fire per (seed, box, epoch,
     /// attempt) — see exec::FaultContext::epoch.
     exec::FaultPlan faults;
-    /// Optional per-worker scratch (not owned), as in PipelineConfig.
-    core::PipelineWorkspace* workspace = nullptr;
 
-    /// Validates every serve knob (and the pipeline knobs serve
-    /// constrains); returns "" when valid, else every violation joined
-    /// with "; " — same contract as FleetConfig::validate.
+    /// Validates every serve knob: PipelineConfig::validate's range
+    /// checks plus serve's own rules (train_days >= 2, inter scope, MLP or
+    /// seasonal-naive). Returns "" when valid, else every violation
+    /// joined with "; " — same contract as FleetConfig::validate.
     [[nodiscard]] std::string validate() const;
 };
 
 /// Digest of every result-affecting serve knob (includes the embedded
-/// pipeline digest). Bound into the journal header.
+/// pipeline digest), bound into the journal header.
 [[nodiscard]] std::uint64_t serve_config_digest(const ServeConfig& config);
-
-/// Header payload of the serve epoch journal: schema, trace fingerprint,
-/// config digest, seed, SIMD path — one compact JSON line. A resume whose
-/// header mismatches starts fresh.
-[[nodiscard]] std::string serve_journal_header(const trace::Trace& trace,
-                                               const ServeConfig& config);
 
 /// One per-window fleet update: the newest demand sample of every VM on
 /// one box. `epoch` numbers a box's windows from 0; the engine applies
@@ -111,10 +103,11 @@ struct ApplyOutcome {
 
 /// The streaming prediction/resizing engine behind `atm serve`: per-box
 /// rolling demand windows, drift-gated signature search, warm-started MLP
-/// retraining, per-window forecasts + resize recommendations, SLO
-/// shedding, retry with backoff, and a crash-safe epoch journal enabling
-/// bit-identical warm restart (clients resend from epoch 0 and journaled
-/// windows replay with their recorded control decisions forced).
+/// retraining, per-window forecasts + resize recommendations (the batch
+/// pipeline's ladder, forecasters and resize input on a sliding window),
+/// SLO shedding, retry with backoff, and a crash-safe epoch journal
+/// enabling bit-identical warm restart (clients resend from epoch 0 and
+/// journaled windows replay with their recorded control decisions forced).
 ///
 /// apply() is single-threaded by contract — the daemon funnels all
 /// updates through one worker. Metrics in `metrics()` are deterministic
@@ -139,6 +132,12 @@ class ServeEngine {
     [[nodiscard]] std::uint64_t replay_remaining() const;
     /// True when a matching journal was loaded for warm restart.
     [[nodiscard]] bool resumed() const { return resumed_; }
+    /// The box's current signatures (flat series indices, ascending);
+    /// empty before its first search.
+    [[nodiscard]] const std::vector<int>& signatures(int box_index) const;
+    /// The box's latest one-step forecast per flat series (VM-major
+    /// CPU,RAM); empty before its first forecast.
+    [[nodiscard]] const std::vector<double>& last_forecast(int box_index) const;
 
     /// Deterministic engine metrics accumulated so far (counters, the
     /// serve.ape histogram, serve.drift gauge, model-stage counters).
@@ -150,44 +149,37 @@ class ServeEngine {
     void close();
 
   private:
-    struct WarmModel;
-    struct BoxMeta;
     struct BoxState;
-    struct Decisions;
 
     ApplyOutcome apply_window(int box_index, const WindowUpdate& update,
                               const core::ServeEpochRecord* forced,
                               core::ServeEpochRecord& record);
     void ingest_samples(int box_index, const WindowUpdate& update);
-    void model_work(int box_index, std::uint64_t epoch, Decisions& d,
+    /// Search, retrain, forecast and resize for one window, taking the
+    /// decisions in `d` (ladder, searched, retrained) live, or replaying
+    /// them when `forced`.
+    void model_work(int box_index, std::uint64_t epoch, bool forced,
+                    core::ServeEpochRecord& d,
                     const exec::CancellationToken* slo);
     [[nodiscard]] double mean_abs_correlation(const BoxState& box) const;
     bool run_search(int box_index, const exec::CancellationToken* slo);
     bool run_retrain(int box_index, std::uint64_t epoch,
                      const exec::CancellationToken* slo);
-    [[nodiscard]] double predict_one(const WarmModel& model,
-                                     const std::vector<double>& history) const;
     void forecast_next(int box_index);
     void resize_window(int box_index, bool max_min_only,
                        const exec::CancellationToken* slo);
-    void cold_fit(WarmModel& model, const std::vector<double>& history,
-                  std::uint64_t sig_seed, obs::MetricsRegistry* scratch,
-                  const exec::CancellationToken* slo);
-    void record_retry(int attempts, int ladder);
     void counter(const std::string& name, std::uint64_t delta = 1);
 
     ServeConfig config_;
     int windows_per_day_ = 96;
     std::size_t train_len_ = 0;   ///< rolling-window cap in samples
     std::size_t warmup_len_ = 0;  ///< samples required before model work
-    std::vector<BoxMeta> meta_;
+    /// Per-box names and capacities (no samples).
+    std::vector<trace::BoxTrace> meta_;
     std::vector<std::unique_ptr<BoxState>> boxes_;
     obs::MetricsSnapshot metrics_;
     std::optional<exec::JournalWriter> journal_;
     bool resumed_ = false;
-    /// Scratch reused across windows (lag datasets, staging).
-    la::FlatMatrix features_;
-    std::vector<double> targets_;
 };
 
 }  // namespace atm::serve

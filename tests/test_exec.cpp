@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -127,29 +128,6 @@ TEST(DtwParallelTest, NestedPooledMatrixMatchesSerial) {
     for (const la::FlatMatrix& m : nested) EXPECT_EQ(m, serial);
 }
 
-TEST(DtwParallelTest, CacheComputesEachBandOnce) {
-    const auto series = small_series_set();
-    cluster::DtwMatrixCache cache;
-    const auto* first = &cache.matrix(series, -1);
-    const auto* again = &cache.matrix(series, -1);
-    EXPECT_EQ(first, again);  // memoized, not recomputed
-    EXPECT_EQ(cache.size(), 1u);
-    cache.matrix(series, 8);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(*first, cluster::dtw_distance_matrix(series));
-}
-
-TEST(DtwParallelTest, CacheRejectsDifferentSeriesSet) {
-    const auto series = small_series_set();
-    cluster::DtwMatrixCache cache;
-    cache.matrix(series, -1);
-    auto other = series;
-    other.pop_back();
-    EXPECT_THROW(cache.matrix(other, -1), std::invalid_argument);
-    cache.clear();
-    EXPECT_NO_THROW(cache.matrix(other, -1));
-}
-
 // ------------------------------------------------------------- FleetConfig
 
 TEST(FleetConfigTest, DefaultConfigValidates) {
@@ -168,6 +146,18 @@ TEST(FleetConfigTest, ReportsEveryOutOfRangeValue) {
     EXPECT_NE(problems.find("train_days"), std::string::npos);
     EXPECT_NE(problems.find("epsilon_pct"), std::string::npos);
     EXPECT_NE(problems.find("jobs"), std::string::npos);
+
+    // NaN fails every range check (`atm predict --threshold nan`).
+    core::FleetConfig nan_config;
+    nan_config.pipeline.alpha = std::nan("");
+    nan_config.pipeline.epsilon_pct = std::nan("");
+    nan_config.pipeline.max_bad_sample_fraction = std::nan("");
+    nan_config.box_deadline_seconds = std::nan("");
+    const std::string nan_problems = nan_config.validate();
+    EXPECT_NE(nan_problems.find("alpha"), std::string::npos);
+    EXPECT_NE(nan_problems.find("epsilon_pct"), std::string::npos);
+    EXPECT_NE(nan_problems.find("max_bad_sample_fraction"), std::string::npos);
+    EXPECT_NE(nan_problems.find("box_deadline_seconds"), std::string::npos);
 }
 
 TEST(FleetConfigTest, AcceptsBoundaryAlphaAndRejectsRangeEdges) {

@@ -267,6 +267,45 @@ TEST(MlpForecasterTest, ForecastStaysInPlausibleRange) {
     }
 }
 
+TEST(MlpForecasterTest, ForecastNextOnFitHistoryEqualsFirstStep) {
+    // forecast_next on the fit history is forecast(1): the sliding-window
+    // path and the batch path read the same features.
+    const auto series = diurnal_series(3, 48, 1.5, 19);
+    MlpForecasterOptions options;
+    options.seasonal_period = 48;
+    options.train.epochs = 5;
+    MlpForecaster model(options);
+    model.fit(series);
+    EXPECT_EQ(model.forecast_next(series), model.forecast(1)[0]);
+
+    SeasonalNaiveForecaster naive(48);
+    naive.fit(series);
+    EXPECT_EQ(naive.forecast_next(series), naive.forecast(1)[0]);
+}
+
+TEST(MlpForecasterTest, RetrainWarmStartsInScaleAndRefitsColdOutOfIt) {
+    const auto series = diurnal_series(3, 48, 1.5, 23);
+    MlpForecasterOptions options;
+    options.seasonal_period = 48;
+    options.train.epochs = 5;
+    MlpForecaster fresh(options);
+    MlpTrainOptions train;
+    train.epochs = 2;
+    train.seed = 7;
+    EXPECT_TRUE(fresh.retrain(series, train));  // unfitted: a cold fit
+
+    // A copy retrains on its own; the original keeps its weights.
+    MlpForecaster warm = fresh;
+    const double before = fresh.forecast_next(series);
+    EXPECT_FALSE(warm.retrain(series, train));
+    EXPECT_EQ(fresh.forecast_next(series), before);
+
+    // A window far outside the pinned scaler forces a cold refit.
+    std::vector<double> shifted = series;
+    for (double& x : shifted) x += 1000.0;
+    EXPECT_TRUE(warm.retrain(shifted, train));
+}
+
 TEST(MlpForecasterTest, MisuseThrows) {
     MlpForecaster model;
     EXPECT_THROW(model.forecast(1), std::logic_error);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include "exec/fault.hpp"
 #include "exec/journal.hpp"
 #include "exec/socket.hpp"
+#include "linalg/simd/simd.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "serve/serve.hpp"
@@ -137,6 +139,25 @@ TEST(ServeConfigTest, ReportsEveryViolationJoined) {
               std::string::npos);
     // Violations are joined with "; " like FleetConfig::validate.
     EXPECT_NE(message.find("; "), std::string::npos);
+}
+
+TEST(ServeConfigTest, RejectsNanAndOutOfRangePipelineKnobs) {
+    // The pipeline's own range check (shared with FleetConfig): NaN fails
+    // every bound, and epsilon must stay below a full capacity.
+    ServeConfig config = fast_config();
+    config.pipeline.epsilon_pct = 500.0;
+    EXPECT_NE(config.validate().find("epsilon_pct must be in [0, 100)"),
+              std::string::npos);
+    config = fast_config();
+    config.pipeline.alpha = std::nan("");
+    config.pipeline.epsilon_pct = std::nan("");
+    config.pipeline.max_bad_sample_fraction = std::nan("");
+    const std::string message = config.validate();
+    EXPECT_NE(message.find("alpha must be in (0, 1]"), std::string::npos);
+    EXPECT_NE(message.find("epsilon_pct must be in [0, 100)"),
+              std::string::npos);
+    EXPECT_NE(message.find("max_bad_sample_fraction must be in [0, 1]"),
+              std::string::npos);
 }
 
 TEST(ServeConfigTest, EngineCtorThrowsOnInvalidConfig) {
@@ -430,6 +451,47 @@ TEST(ServeEngineTest, DriftThresholdGatesResearch) {
               lazy_runs);
 }
 
+// ------------------------------------------------------ batch == stream
+
+TEST(ServeEngineTest, FirstForecastEqualsBatchPipelineBitForBit) {
+    // Serve is the batch model on a sliding window: after exactly
+    // train_days of windows, its search and first forecast must equal
+    // run_pipeline_on_box on the same trace, bit for bit.
+    struct ScalarPath {
+        simd::Path saved = simd::active_path();
+        ScalarPath() { simd::set_path(simd::Path::kScalar); }
+        ~ScalarPath() { simd::set_path(saved); }
+    } scalar;
+    const trace::Trace trace = tiny_trace();
+    ServeConfig config = fast_config();
+    config.pipeline.search.method = core::ClusteringMethod::kCbc;
+    config.pipeline.train_days = 3;
+    config.drift_threshold = 0.0;  // the last window searches again
+    ServeEngine engine(trace, config);
+    const std::uint64_t train_len = static_cast<std::uint64_t>(
+        config.pipeline.train_days * trace.windows_per_day);
+    std::uint64_t searches_before_last = 0;
+    for (std::uint64_t epoch = 0; epoch < train_len; ++epoch) {
+        if (epoch + 1 == train_len) {
+            searches_before_last =
+                engine.metrics().counters.at("serve.search.runs");
+        }
+        ASSERT_NE(engine.apply(update_at(trace, 0, epoch)).status,
+                  ApplyStatus::kBadShape);
+    }
+    ASSERT_EQ(engine.metrics().counters.at("serve.search.runs"),
+              searches_before_last + 1);
+
+    const core::BoxPipelineResult batch = core::run_pipeline_on_box(
+        trace.boxes[0], trace.windows_per_day, config.pipeline);
+    EXPECT_EQ(engine.signatures(0), batch.search.signatures);
+    const std::vector<double>& forecast = engine.last_forecast(0);
+    ASSERT_EQ(forecast.size(), batch.predicted_demands.size());
+    for (std::size_t i = 0; i < forecast.size(); ++i) {
+        EXPECT_EQ(forecast[i], batch.predicted_demands[i][0]) << "series " << i;
+    }
+}
+
 // -------------------------------------------------------------- retries
 
 TEST(ServeEngineTest, RetriesTransientFaultsWithAccounting) {
@@ -453,6 +515,32 @@ TEST(ServeEngineTest, RetriesTransientFaultsWithAccounting) {
     EXPECT_EQ(counters.at("serve.retry.exhausted"), exhausted);
     EXPECT_GT(counters.at("serve.retry.recovered"), 0u);
     EXPECT_EQ(counters.at("serve.degraded.ingest_only"), exhausted);
+}
+
+TEST(ServeEngineTest, RetryBackoffStaysDefinedPastThirtyOneAttempts) {
+    // backoff_ms * 2^attempt must stay defined for any attempt count (an
+    // int shift goes negative at 31 and undefined from 32). Every attempt
+    // throws here.
+    const trace::Trace trace = tiny_trace();
+    ServeConfig config = fast_config();
+    config.faults = exec::FaultPlan::parse("serve.apply=throw@1", 5);
+    config.max_retries = 40;
+    config.backoff_ms = 0.0;
+    ServeEngine engine(trace, config);
+    // Two days of samples end the warmup: that window models first.
+    const auto first = static_cast<std::uint64_t>(2 * trace.windows_per_day - 1);
+    for (std::uint64_t epoch = 0; epoch < first; ++epoch) {
+        ASSERT_EQ(engine.apply(update_at(trace, 0, epoch)).status,
+                  ApplyStatus::kWarming);
+    }
+    const ApplyOutcome out = engine.apply(update_at(trace, 0, first));
+    EXPECT_EQ(out.status, ApplyStatus::kApplied);
+    EXPECT_EQ(out.attempts, 41);
+    EXPECT_EQ(out.ladder, 8);  // ingest only
+    EXPECT_TRUE(out.cpu.empty());
+    const auto& counters = engine.metrics().counters;
+    EXPECT_EQ(counters.at("serve.retry.attempts"), 40u);
+    EXPECT_EQ(counters.at("serve.retry.exhausted"), 1u);
 }
 
 // ------------------------------------------- journal with a live writer
