@@ -3,10 +3,12 @@
 // each resource class separately. Reports signature-set reduction and
 // spatial-model fit error for DTW and CBC.
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "linalg/flat_matrix.hpp"
 #include "core/signature_search.hpp"
 #include "core/spatial_model.hpp"
 #include "tracegen/generator.hpp"
@@ -37,12 +39,12 @@ int main() {
         const auto all_series = box.demand_matrix();
         for (int s = 0; s < 3; ++s) {
             const auto indices = core::scope_indices(all_series.size(), scopes[s]);
-            std::vector<std::vector<double>> series;
-            series.reserve(indices.size());
-            for (int idx : indices) {
-                series.push_back(all_series[static_cast<std::size_t>(idx)]);
+            if (indices.empty()) continue;
+            la::FlatMatrix series(indices.size(), all_series.cols());
+            for (std::size_t k = 0; k < indices.size(); ++k) {
+                const auto row = all_series[static_cast<std::size_t>(indices[k])];
+                std::copy(row.begin(), row.end(), series[k].begin());
             }
-            if (series.empty()) continue;
             for (int m = 0; m < 2; ++m) {
                 core::SignatureSearchOptions search;
                 search.method = m == 0 ? core::ClusteringMethod::kDtw

@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include <memory>
 #include <random>
 #include <string>
@@ -30,7 +32,7 @@ namespace {
 
 using namespace atm;
 
-std::vector<std::vector<double>> box_series(int days) {
+la::FlatMatrix box_series(int days) {
     trace::TraceGenOptions options;
     options.num_days = days;
     options.gappy_box_fraction = 0.0;
@@ -98,8 +100,8 @@ BENCHMARK(BM_CbcClustering);
 
 void BM_OlsFit(benchmark::State& state) {
     const auto series = box_series(5);
-    const std::vector<std::vector<double>> predictors(series.begin(),
-                                                      series.begin() + 4);
+    const std::vector<std::span<const double>> predictors =
+        series.row_views({0, 1, 2, 3});
     for (auto _ : state) {
         benchmark::DoNotOptimize(la::ols_fit(series[5], predictors).r_squared);
     }
@@ -111,8 +113,8 @@ BENCHMARK(BM_OlsFit);
 /// temporary, no per-trial column copies).
 void BM_VifReduce(benchmark::State& state) {
     const auto series = box_series(5);
-    const std::vector<std::vector<double>> predictors(series.begin(),
-                                                      series.begin() + 5);
+    const std::vector<std::span<const double>> predictors =
+        series.row_views({0, 1, 2, 3, 4});
     for (auto _ : state) {
         benchmark::DoNotOptimize(la::reduce_multicollinearity(predictors).size());
     }
@@ -123,8 +125,8 @@ BENCHMARK(BM_VifReduce)->Unit(benchmark::kMillisecond);
 /// block, Gram matrix accumulated straight from it.
 void BM_RidgeFit(benchmark::State& state) {
     const auto series = box_series(5);
-    const std::vector<std::vector<double>> predictors(series.begin(),
-                                                      series.begin() + 4);
+    const std::vector<std::span<const double>> predictors =
+        series.row_views({0, 1, 2, 3});
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             la::ridge_fit(series[5], predictors, 0.5).r_squared);
@@ -138,7 +140,7 @@ void BM_MckpGreedyResize(benchmark::State& state) {
     input.alpha = 0.6;
     double peak_sum = 0.0;
     for (std::size_t i = 0; i < series.size(); i += 2) {
-        input.demands.push_back(series[i]);
+        input.demands.emplace_back(series[i].begin(), series[i].end());
         for (double d : series[i]) peak_sum = std::max(peak_sum, d);
     }
     input.total_capacity = peak_sum * static_cast<double>(input.demands.size()) * 0.6;
@@ -163,13 +165,13 @@ BENCHMARK(BM_MlpTrainSignature)->Unit(benchmark::kMillisecond);
 /// per-sample SGD loop runs allocation-free.
 void BM_MlpNetworkTrain(benchmark::State& state) {
     const auto series = box_series(5);
-    const auto& s = series[0];
+    const auto s = series[0];
     const std::size_t lags = 8;
-    std::vector<std::vector<double>> inputs;
+    la::FlatMatrix inputs(s.size() - lags, lags);
     std::vector<double> targets;
     for (std::size_t i = lags; i < s.size(); ++i) {
-        inputs.emplace_back(s.begin() + static_cast<std::ptrdiff_t>(i - lags),
-                            s.begin() + static_cast<std::ptrdiff_t>(i));
+        const auto window = s.subspan(i - lags, lags);
+        std::copy(window.begin(), window.end(), inputs[i - lags].begin());
         targets.push_back(s[i]);
     }
     forecast::MlpTrainOptions options;
@@ -237,13 +239,13 @@ void BM_MlpTrain(benchmark::State& state, simd::Path path) {
     const simd::Path ambient = simd::active_path();
     simd::set_path(path);
     const auto series = box_series(5);
-    const auto& s = series[0];
+    const auto s = series[0];
     const std::size_t lags = 8;
-    std::vector<std::vector<double>> inputs;
+    la::FlatMatrix inputs(s.size() - lags, lags);
     std::vector<double> targets;
     for (std::size_t i = lags; i < s.size(); ++i) {
-        inputs.emplace_back(s.begin() + static_cast<std::ptrdiff_t>(i - lags),
-                            s.begin() + static_cast<std::ptrdiff_t>(i));
+        const auto window = s.subspan(i - lags, lags);
+        std::copy(window.begin(), window.end(), inputs[i - lags].begin());
         targets.push_back(s[i]);
     }
     forecast::MlpTrainOptions options;

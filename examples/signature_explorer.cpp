@@ -90,11 +90,8 @@ int main(int argc, char** argv) {
                 result.signatures.size());
 
     if (result.initial_signatures.size() >= 2) {
-        std::vector<std::vector<double>> sig_series;
-        for (int idx : result.initial_signatures) {
-            sig_series.push_back(series[static_cast<std::size_t>(idx)]);
-        }
-        const auto vifs = la::variance_inflation_factors(sig_series);
+        const auto vifs = la::variance_inflation_factors(
+            series.row_views(result.initial_signatures));
         std::printf("VIFs of the initial set (> 4 flags multicollinearity):\n");
         for (std::size_t s = 0; s < vifs.size(); ++s) {
             std::printf("  %-10s %8.2f\n",

@@ -8,32 +8,24 @@
 
 namespace atm::cluster {
 
-std::vector<std::vector<double>> correlation_matrix(
-    const std::vector<std::vector<double>>& series) {
-    const std::size_t n = series.size();
-    for (const auto& s : series) {
-        if (s.size() != series.front().size()) {
-            throw std::invalid_argument("correlation_matrix: unequal series lengths");
-        }
-    }
-    std::vector<std::vector<double>> rho(n, std::vector<double>(n, 1.0));
+la::FlatMatrix correlation_matrix(const la::FlatMatrix& series) {
+    const std::size_t n = series.rows();
+    la::FlatMatrix rho(n, n, 1.0);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
             const double r = ts::pearson(series[i], series[j]);
-            rho[i][j] = r;
-            rho[j][i] = r;
+            rho(i, j) = r;
+            rho(j, i) = r;
         }
     }
     return rho;
 }
 
 std::vector<CbcCluster> cbc_cluster_from_correlation(
-    const std::vector<std::vector<double>>& rho, const CbcOptions& options) {
-    const std::size_t n = rho.size();
-    for (const auto& row : rho) {
-        if (row.size() != n) {
-            throw std::invalid_argument("cbc: non-square correlation matrix");
-        }
+    const la::FlatMatrix& rho, const CbcOptions& options) {
+    const std::size_t n = rho.rows();
+    if (rho.cols() != n) {
+        throw std::invalid_argument("cbc: non-square correlation matrix");
     }
 
     auto effective = [&](double r) { return options.use_absolute ? std::abs(r) : r; };
@@ -49,7 +41,7 @@ std::vector<CbcCluster> cbc_cluster_from_correlation(
         double sum = 0.0;
         for (std::size_t l = 0; l < n; ++l) {
             if (l == i) continue;
-            const double r = effective(rho[i][l]);
+            const double r = effective(rho(i, l));
             if (r >= options.rho_threshold) {
                 ++count;
                 sum += r;
@@ -79,7 +71,7 @@ std::vector<CbcCluster> cbc_cluster_from_correlation(
         clustered[top] = true;
         for (std::size_t l = 0; l < n; ++l) {
             if (clustered[l]) continue;
-            if (effective(rho[top][l]) >= options.rho_threshold) {
+            if (effective(rho(top, l)) >= options.rho_threshold) {
                 cluster.members.push_back(static_cast<int>(l));
                 clustered[l] = true;
             }
@@ -89,8 +81,8 @@ std::vector<CbcCluster> cbc_cluster_from_correlation(
     return clusters;
 }
 
-std::vector<CbcCluster> cbc_cluster(
-    const std::vector<std::vector<double>>& series, const CbcOptions& options) {
+std::vector<CbcCluster> cbc_cluster(const la::FlatMatrix& series,
+                                    const CbcOptions& options) {
     return cbc_cluster_from_correlation(correlation_matrix(series), options);
 }
 

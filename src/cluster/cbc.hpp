@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "linalg/flat_matrix.hpp"
+
 namespace atm::cluster {
 
 /// One correlation-based cluster: `head` is the rank-selected signature
@@ -31,19 +33,18 @@ struct CbcOptions {
 /// still-unclustered series as a new cluster head and absorb every
 /// remaining series correlated with it above ρ_Th; (4) stop when the ranked
 /// list is empty. Series with no strong correlations end as singleton
-/// clusters (their own signature).
-std::vector<CbcCluster> cbc_cluster(
-    const std::vector<std::vector<double>>& series,
-    const CbcOptions& options = {});
+/// clusters (their own signature). `series` holds one series per row.
+std::vector<CbcCluster> cbc_cluster(const la::FlatMatrix& series,
+                                    const CbcOptions& options = {});
 
 /// Same algorithm over a precomputed correlation matrix (symmetric, unit
 /// diagonal). Useful when correlations are reused across analyses.
+/// Throws std::invalid_argument for a non-square matrix.
 std::vector<CbcCluster> cbc_cluster_from_correlation(
-    const std::vector<std::vector<double>>& rho,
-    const CbcOptions& options = {});
+    const la::FlatMatrix& rho, const CbcOptions& options = {});
 
-/// Pairwise Pearson correlation matrix over a set of equal-length series.
-std::vector<std::vector<double>> correlation_matrix(
-    const std::vector<std::vector<double>>& series);
+/// Pairwise Pearson correlation matrix over a series set (one series per
+/// row), as one n x n block with a unit diagonal.
+la::FlatMatrix correlation_matrix(const la::FlatMatrix& series);
 
 }  // namespace atm::cluster

@@ -101,12 +101,13 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band) {
 }
 
 la::FlatMatrix dtw_distance_matrix(
-    const std::vector<std::vector<double>>& series, int band,
+    const la::FlatMatrix& series, int band,
     exec::ThreadPool* pool, obs::MetricsRegistry* metrics,
     const exec::CancellationToken* cancel, DtwWorkspace* caller_workspace) {
-    const std::size_t n = series.size();
+    const std::size_t n = series.rows();
+    const std::size_t len = series.cols();
     la::FlatMatrix dist(n, n, 0.0);
-    if (n < 2) return dist;
+    if (n < 2 || len == 0) return dist;
 
     // Balanced split of the upper triangle: the old one-task-per-row split
     // gave row i exactly n−i−1 pairs, so the first tasks carried most of
@@ -148,19 +149,10 @@ la::FlatMatrix dtw_distance_matrix(
         DtwWorkspace& workspace =
             (worker == 0 && caller_workspace != nullptr) ? *caller_workspace
                                                          : local_workspace;
-        // Cell counting is only observable through the registry, and
-        // dtw_cell_count walks every row — skip it entirely without a
-        // registry and memoize per shape with one (consecutive pairs
-        // nearly always share lengths).
-        std::uint64_t cells = 0;
-        std::size_t cc_n = std::numeric_limits<std::size_t>::max();
-        std::size_t cc_m = std::numeric_limits<std::size_t>::max();
-        std::uint64_t cc = 0;
-
-        // Consecutive pairs with the same lengths flush through the
-        // lane-batched kernel (one pair per SIMD lane, scalar-bitwise
-        // per lane — simd.hpp), so results and counters are identical
-        // to the per-pair loop for any grouping, worker count, or path.
+        // Every pair has the same len x len shape, so pairs flush through
+        // the lane-batched kernel (one pair per SIMD lane, scalar-bitwise
+        // per lane — simd.hpp) in full batches; results are identical to
+        // the per-pair loop for any grouping, worker count, or path.
         const simd::KernelTable& kernels = simd::active_kernels();
         constexpr std::size_t kMaxBatch = 16;
         const std::size_t width = std::min(kernels.dtw_batch_width, kMaxBatch);
@@ -169,13 +161,11 @@ la::FlatMatrix dtw_distance_matrix(
         std::size_t batch_i[kMaxBatch];
         std::size_t batch_j[kMaxBatch];
         std::size_t pending = 0;
-        std::size_t batch_n = 0;
-        std::size_t batch_m = 0;
         const auto flush = [&] {
             if (pending == 0) return;
             double out[kMaxBatch];
-            kernels.dtw_distance_batch(batch_p, batch_q, pending, batch_n,
-                                       batch_m, band, workspace.scratch, out);
+            kernels.dtw_distance_batch(batch_p, batch_q, pending, len, len,
+                                       band, workspace.scratch, out);
             for (std::size_t b = 0; b < pending; ++b) {
                 dist(batch_i[b], batch_j[b]) = out[b];
                 dist(batch_j[b], batch_i[b]) = out[b];
@@ -189,33 +179,12 @@ la::FlatMatrix dtw_distance_matrix(
             // chunks finish their current pair (a pending batch of other
             // pairs is abandoned uncomputed with the rest of the matrix).
             exec::checkpoint(cancel, "search.dtw");
-            const std::size_t pn = series[i].size();
-            const std::size_t qm = series[j].size();
-            if (metrics != nullptr) {
-                if (pn != cc_n || qm != cc_m) {
-                    cc = dtw_cell_count(pn, qm, band);
-                    cc_n = pn;
-                    cc_m = qm;
-                }
-                cells += cc;
-            }
-            if (pn == 0 || qm == 0) {
-                const double d = (pn == 0 && qm == 0) ? 0.0 : kInf;
-                dist(i, j) = d;
-                dist(j, i) = d;
-            } else {
-                if (pending == width ||
-                    (pending > 0 && (pn != batch_n || qm != batch_m))) {
-                    flush();
-                }
-                batch_n = pn;
-                batch_m = qm;
-                batch_p[pending] = series[i].data();
-                batch_q[pending] = series[j].data();
-                batch_i[pending] = i;
-                batch_j[pending] = j;
-                ++pending;
-            }
+            if (pending == width) flush();
+            batch_p[pending] = series[i].data();
+            batch_q[pending] = series[j].data();
+            batch_i[pending] = i;
+            batch_j[pending] = j;
+            ++pending;
             if (++j == n) {
                 ++i;
                 j = i + 1;
@@ -224,7 +193,8 @@ la::FlatMatrix dtw_distance_matrix(
         flush();
         if (metrics != nullptr) {
             metrics->add("cluster.dtw.pairs", end - begin);
-            metrics->add("cluster.dtw.cells", cells);
+            metrics->add("cluster.dtw.cells",
+                         (end - begin) * dtw_cell_count(len, len, band));
         }
     });
     return dist;

@@ -62,10 +62,11 @@ double dtw_distance(std::span<const double> p, std::span<const double> q,
 /// are exact, deterministic, and O(n) to compute (vs O(n·m) to run).
 std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band = -1);
 
-/// Pairwise DTW distance matrix over a set of series, as one contiguous
-/// n x n block. Symmetric with a zero diagonal; only the upper triangle
-/// is computed. O(n² · len²) — the dominant cost of the DTW signature
-/// search. When `pool` is non-null the upper triangle's pairs are split
+/// Pairwise DTW distance matrix over a series set (one series per row of
+/// `series`, so every pair has the same len x len shape), as one
+/// contiguous n x n block. Symmetric with a zero diagonal; only the upper
+/// triangle is computed. O(n² · len²) — the dominant cost of the DTW
+/// signature search. Zero-length rows give the all-zero matrix. When `pool` is non-null the upper triangle's pairs are split
 /// into balanced contiguous chunks computed on the pool (each (i, j) cell
 /// is written by exactly one chunk, so the result is bit-identical for
 /// any worker count); each chunk reuses one DtwWorkspace across its
@@ -80,7 +81,7 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band = -1);
 /// worker's workspace here so box after box reuses the same high-water
 /// scratch (bit-identity is unaffected; the workspace is pure scratch).
 la::FlatMatrix dtw_distance_matrix(
-    const std::vector<std::vector<double>>& series, int band = -1,
+    const la::FlatMatrix& series, int band = -1,
     exec::ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr,
     const exec::CancellationToken* cancel = nullptr,
     DtwWorkspace* workspace = nullptr);

@@ -52,6 +52,26 @@ PipelineErrorCode classify_current(const std::exception& e,
     return fallback_code;
 }
 
+/// Input checks shared by the box entry points: `who` names the entry
+/// point, `need` is the sample count the call reads, and `short_detail`
+/// explains a box shorter than that. Every series must hold
+/// box.length() samples, the shape demand_matrix() copies.
+void check_box_input(const trace::BoxTrace& box, std::size_t need,
+                     const std::string& who, const std::string& short_detail) {
+    if (box.vms.empty()) {
+        throw PipelineError(PipelineErrorCode::kTraceInvalid, "input",
+                            who + ": empty box");
+    }
+    if (!box.equal_lengths()) {
+        throw PipelineError(PipelineErrorCode::kTraceInvalid, "input",
+                            who + ": VM series lengths differ within the box");
+    }
+    if (box.length() < need) {
+        throw PipelineError(PipelineErrorCode::kTraceInvalid, "input",
+                            who + ": " + short_detail);
+    }
+}
+
 /// Resize policies evaluated for one resource kind on `input` (built by
 /// make_resize_input from the demand series the policy *sees*, predicted
 /// or actual), with tickets counted on the actual demands.
@@ -127,7 +147,7 @@ void run_policies_for_kind(
 }  // namespace
 
 SignatureModel fit_signature_model(
-    const std::vector<std::vector<double>>& series, const PipelineConfig& config,
+    const la::FlatMatrix& series, const PipelineConfig& config,
     std::vector<Degradation>& degradations) {
     obs::MetricsRegistry* metrics = config.metrics;
     // All-signature fallback shared by the search and spatial rungs: with
@@ -260,18 +280,12 @@ BoxPipelineResult run_pipeline_on_box(
     const std::vector<resize::ResizePolicy>& policies) {
     exec::checkpoint(config.cancel, "pipeline.start");
     ATM_FAULT_SITE(config.fault, "pipeline.start");
-    if (box.vms.empty()) {
-        throw PipelineError(PipelineErrorCode::kTraceInvalid, "input",
-                            "run_pipeline_on_box: empty box");
-    }
     const auto wpd = static_cast<std::size_t>(windows_per_day);
     const std::size_t train_len = static_cast<std::size_t>(config.train_days) * wpd;
-    if (box.length() < train_len + wpd) {
-        throw PipelineError(PipelineErrorCode::kTraceInvalid, "input",
-                            "run_pipeline_on_box: trace too short for config");
-    }
+    check_box_input(box, train_len + wpd, "run_pipeline_on_box",
+                    "trace too short for config");
 
-    std::vector<std::vector<double>> demands = box.demand_matrix();
+    la::FlatMatrix demands = box.demand_matrix();
     const std::vector<int> scope = scope_indices(demands.size(), config.scope);
 
     BoxPipelineResult result;
@@ -288,7 +302,8 @@ BoxPipelineResult run_pipeline_on_box(
         std::size_t total_samples = 0;
         std::size_t bad_samples = 0;
         for (int idx : scope) {
-            const auto& row = demands[static_cast<std::size_t>(idx)];
+            const std::span<const double> row =
+                demands[static_cast<std::size_t>(idx)];
             total_samples += row.size();
             for (const double x : row) {
                 if (!std::isfinite(x) || x < 0.0) ++bad_samples;
@@ -308,7 +323,8 @@ BoxPipelineResult run_pipeline_on_box(
             }
             std::size_t repaired_series = 0;
             for (int idx : scope) {
-                auto& row = demands[static_cast<std::size_t>(idx)];
+                const std::span<double> row =
+                    demands[static_cast<std::size_t>(idx)];
                 // Explicit bad-sample runs (length >= 1): find_gaps's
                 // default min_run of 2 deliberately ignores isolated
                 // zero-ish samples, but a corrupted sample must be repaired
@@ -327,8 +343,9 @@ BoxPipelineResult run_pipeline_on_box(
                     }
                 }
                 if (gaps.empty()) continue;
-                row = ts::repair_gaps(row, gaps, ts::RepairMethod::kSeasonal,
-                                      windows_per_day);
+                const std::vector<double> repaired = ts::repair_gaps(
+                    row, gaps, ts::RepairMethod::kSeasonal, windows_per_day);
+                std::copy(repaired.begin(), repaired.end(), row.begin());
                 if (row_bad == row.size()) {
                     note_degradation(result.degradations, metrics,
                                      PipelineErrorCode::kRepairFailed,
@@ -354,12 +371,11 @@ BoxPipelineResult run_pipeline_on_box(
         }
     }
 
-    std::vector<std::vector<double>> scoped_train;
-    scoped_train.reserve(scope.size());
-    for (int idx : scope) {
-        const auto& row = demands[static_cast<std::size_t>(idx)];
-        scoped_train.emplace_back(row.begin(),
-                                  row.begin() + static_cast<std::ptrdiff_t>(train_len));
+    la::FlatMatrix scoped_train(scope.size(), train_len);
+    for (std::size_t k = 0; k < scope.size(); ++k) {
+        const std::span<const double> row =
+            demands[static_cast<std::size_t>(scope[k])].first(train_len);
+        std::copy(row.begin(), row.end(), scoped_train[k].begin());
     }
 
     // --- signature search + spatial model on the training window -----------
@@ -369,8 +385,7 @@ BoxPipelineResult run_pipeline_on_box(
     const SpatialModel& spatial = model.spatial;
 
     // --- temporal forecasts for the signature series -------------------------
-    std::vector<std::vector<double>> signature_forecasts;
-    signature_forecasts.reserve(spatial.signature_indices().size());
+    la::FlatMatrix signature_forecasts(spatial.signature_indices().size(), wpd);
     {
         obs::ScopedTimer timer(metrics, "stage.forecast");
         exec::checkpoint(config.cancel, "pipeline.forecast");
@@ -405,7 +420,8 @@ BoxPipelineResult run_pipeline_on_box(
         const forecast::TemporalModel ladder[] = {
             config.temporal, forecast::TemporalModel::kAutoregressive,
             forecast::TemporalModel::kSeasonalNaive};
-        for (int s : spatial.signature_indices()) {
+        for (std::size_t k = 0; k < spatial.signature_indices().size(); ++k) {
+            const int s = spatial.signature_indices()[k];
             std::vector<double> values;
             bool done = false;
             PipelineErrorCode first_code = PipelineErrorCode::kNone;
@@ -442,7 +458,8 @@ BoxPipelineResult run_pipeline_on_box(
                                     "every temporal model failed for signature " +
                                         std::to_string(s) + ": " + first_error);
             }
-            signature_forecasts.push_back(std::move(values));
+            std::copy(values.begin(), values.end(),
+                      signature_forecasts[k].begin());
         }
     }
 
@@ -450,13 +467,13 @@ BoxPipelineResult run_pipeline_on_box(
     exec::checkpoint(config.cancel, "pipeline.reconstruct");
     ATM_FAULT_SITE(config.fault, "pipeline.reconstruct");
     obs::ScopedTimer reconstruct_timer(metrics, "stage.reconstruct");
-    const std::vector<std::vector<double>> scoped_pred =
-        spatial.reconstruct(signature_forecasts);
+    const la::FlatMatrix scoped_pred = spatial.reconstruct(signature_forecasts);
 
     // Predicted demands in the full flattened layout (unscoped rows empty).
     result.predicted_demands.assign(demands.size(), {});
     for (std::size_t k = 0; k < scope.size(); ++k) {
-        result.predicted_demands[static_cast<std::size_t>(scope[k])] = scoped_pred[k];
+        result.predicted_demands[static_cast<std::size_t>(scope[k])].assign(
+            scoped_pred[k].begin(), scoped_pred[k].end());
     }
     reconstruct_timer.stop();
 
@@ -470,10 +487,10 @@ BoxPipelineResult run_pipeline_on_box(
     std::size_t peak_count = 0;
     for (std::size_t k = 0; k < scope.size(); ++k) {
         const auto flat = static_cast<std::size_t>(scope[k]);
-        const auto& actual_row = demands[flat];
+        const std::span<const double> actual_row = demands[flat];
         const double cap = series_capacity(box, flat);
         const double peak_level = config.alpha * cap;
-        const auto& pred = scoped_pred[k];
+        const std::span<const double> pred = scoped_pred[k];
         double series_sum = 0.0;
         std::size_t series_n = 0;
         for (std::size_t t = 0; t < wpd; ++t) {
@@ -528,7 +545,7 @@ BoxPipelineResult run_pipeline_on_box(
             const auto flat = static_cast<std::size_t>(
                 ts::SeriesId{static_cast<int>(i), kind}.flat_index());
             policy_demands[i] = result.predicted_demands[flat];
-            const auto& row = demands[flat];
+            const std::span<const double> row = demands[flat];
             actual_eval[i].assign(
                 row.begin() + static_cast<std::ptrdiff_t>(train_len),
                 row.begin() + static_cast<std::ptrdiff_t>(train_len + wpd));
@@ -554,18 +571,12 @@ std::vector<PolicyTickets> evaluate_resize_policies_on_actuals(
     const trace::BoxTrace& box, int windows_per_day, int day, double alpha,
     double epsilon_pct, const std::vector<resize::ResizePolicy>& policies,
     bool use_lower_bounds, obs::MetricsRegistry* metrics) {
-    if (box.vms.empty()) {
-        throw PipelineError(PipelineErrorCode::kTraceInvalid, "input",
-                            "evaluate_resize_policies_on_actuals: empty box");
-    }
     const auto wpd = static_cast<std::size_t>(windows_per_day);
     const std::size_t first = static_cast<std::size_t>(day) * wpd;
-    if (box.length() < first + wpd) {
-        throw PipelineError(PipelineErrorCode::kTraceInvalid, "input",
-                            "evaluate_resize_policies_on_actuals: day out of range");
-    }
+    check_box_input(box, first + wpd, "evaluate_resize_policies_on_actuals",
+                    "day out of range");
 
-    const std::vector<std::vector<double>> demands = box.demand_matrix();
+    const la::FlatMatrix demands = box.demand_matrix();
     std::vector<PolicyTickets> results(policies.size());
     for (std::size_t p = 0; p < policies.size(); ++p) results[p].policy = policies[p];
 
@@ -576,7 +587,7 @@ std::vector<PolicyTickets> evaluate_resize_policies_on_actuals(
         for (std::size_t i = 0; i < m; ++i) {
             const auto flat = static_cast<std::size_t>(
                 ts::SeriesId{static_cast<int>(i), kind}.flat_index());
-            const auto& row = demands[flat];
+            const std::span<const double> row = demands[flat];
             day_demands[i].assign(row.begin() + static_cast<std::ptrdiff_t>(first),
                                   row.begin() + static_cast<std::ptrdiff_t>(first + wpd));
             if (use_lower_bounds && day > 0) {

@@ -151,7 +151,7 @@ struct SignatureModel {
 /// to the `stage.search` / `stage.spatial_fit` timers. Cancellation
 /// escapes the ladder.
 SignatureModel fit_signature_model(
-    const std::vector<std::vector<double>>& series, const PipelineConfig& config,
+    const la::FlatMatrix& series, const PipelineConfig& config,
     std::vector<Degradation>& degradations);
 
 /// The resize input of one resource kind on `box`, shared by the batch
@@ -176,8 +176,10 @@ const std::vector<resize::ResizePolicy>& default_policies();
 /// from the *predicted* demands; tickets before/after are both counted on
 /// the *actual* evaluation-day demands.
 ///
-/// Failure behavior (DESIGN.md §7.11): malformed input is sanitized or the
-/// box is rejected with PipelineError(kTraceInvalid); recoverable stage
+/// Failure behavior (DESIGN.md §7.11): a box that is empty, too short,
+/// or whose VMs' series differ in length is rejected with
+/// PipelineError(kTraceInvalid, "input"); malformed samples are sanitized
+/// or the box is rejected with PipelineError(kTraceInvalid); recoverable stage
 /// failures (degenerate clustering, singular OLS, diverging temporal
 /// model, infeasible MCKP) engage per-stage fallbacks recorded in
 /// BoxPipelineResult::degradations; anything unrecoverable throws

@@ -11,28 +11,15 @@
 #include "timeseries/resource.hpp"
 
 namespace atm::core {
-namespace {
 
-void validate(const std::vector<std::vector<double>>& series) {
-    if (series.empty()) {
+SignatureSearchResult find_signatures(const la::FlatMatrix& series,
+                                      const SignatureSearchOptions& options) {
+    if (series.rows() == 0) {
         throw std::invalid_argument("find_signatures: no series");
     }
-    for (const auto& s : series) {
-        if (s.size() != series.front().size()) {
-            throw std::invalid_argument("find_signatures: ragged series lengths");
-        }
-        if (s.empty()) {
-            throw std::invalid_argument("find_signatures: empty series");
-        }
+    if (series.cols() == 0) {
+        throw std::invalid_argument("find_signatures: empty series");
     }
-}
-
-}  // namespace
-
-SignatureSearchResult find_signatures(
-    const std::vector<std::vector<double>>& series,
-    const SignatureSearchOptions& options) {
-    validate(series);
     const int n = static_cast<int>(series.size());
 
     SignatureSearchResult result;
@@ -87,13 +74,9 @@ SignatureSearchResult find_signatures(
         record();
         return result;
     }
-    std::vector<std::vector<double>> sig_series;
-    sig_series.reserve(result.initial_signatures.size());
-    for (int idx : result.initial_signatures) {
-        sig_series.push_back(series[static_cast<std::size_t>(idx)]);
-    }
-    const std::vector<std::size_t> kept =
-        la::reduce_multicollinearity(sig_series, options.vif_threshold, metrics);
+    const std::vector<std::size_t> kept = la::reduce_multicollinearity(
+        series.row_views(result.initial_signatures), options.vif_threshold,
+        metrics);
     result.signatures.reserve(kept.size());
     for (std::size_t k : kept) {
         result.signatures.push_back(result.initial_signatures[k]);

@@ -4,6 +4,7 @@
 
 #include "cluster/cbc.hpp"
 #include "cluster/hierarchical.hpp"
+#include "linalg/flat_matrix.hpp"
 
 namespace atm::exec {
 class ThreadPool;
@@ -86,19 +87,18 @@ struct SignatureSearchResult {
     }
 };
 
-/// Runs the two-step signature search on a set of equal-length series
-/// (typically a box's M x N demand series over the training window).
+/// Runs the two-step signature search on a series set, one series per
+/// row (typically a box's M x N demand series over the training window).
 ///
 /// Step 1 clusters the series (DTW+hierarchical with silhouette-optimal k
 /// in [2, n/2], or CBC) and takes per-cluster representatives (DTW medoid /
 /// CBC head). Step 2 computes VIFs over the representative series and,
 /// when any exceeds the threshold, removes the most collinear series one
 /// at a time until all VIFs pass — the paper's stepwise-regression
-/// reduction. Throws std::invalid_argument for fewer than 1 series or
-/// ragged lengths.
+/// reduction, over row views of the representatives (no copies). Throws
+/// std::invalid_argument for no series or zero-length series.
 SignatureSearchResult find_signatures(
-    const std::vector<std::vector<double>>& series,
-    const SignatureSearchOptions& options = {});
+    const la::FlatMatrix& series, const SignatureSearchOptions& options = {});
 
 /// Restricts a flattened VM-major series set (vm0/CPU, vm0/RAM, vm1/CPU,
 /// ...) to a resource scope, returning the selected flat indices.

@@ -24,14 +24,9 @@ constexpr double kFallbackRidgeLambda = 1e-6;
 
 }  // namespace
 
-void SpatialModel::fit(const std::vector<std::vector<double>>& series,
+void SpatialModel::fit(const la::FlatMatrix& series,
                        const std::vector<int>& signature_indices) {
     if (series.empty()) throw std::invalid_argument("SpatialModel::fit: no series");
-    for (const auto& s : series) {
-        if (s.size() != series.front().size()) {
-            throw std::invalid_argument("SpatialModel::fit: ragged series");
-        }
-    }
     if (signature_indices.empty()) {
         throw std::invalid_argument("SpatialModel::fit: empty signature set");
     }
@@ -53,11 +48,8 @@ void SpatialModel::fit(const std::vector<std::vector<double>>& series,
         }
     }
 
-    std::vector<std::vector<double>> predictors;
-    predictors.reserve(signature_indices_.size());
-    for (int idx : signature_indices_) {
-        predictors.push_back(series[static_cast<std::size_t>(idx)]);
-    }
+    const std::vector<std::span<const double>> predictors =
+        series.row_views(signature_indices_);
 
     fits_.clear();
     dependent_fit_ape_.clear();
@@ -65,7 +57,7 @@ void SpatialModel::fit(const std::vector<std::vector<double>>& series,
     dependent_fit_ape_.reserve(dependent_indices_.size());
     ridge_fallbacks_ = 0;
     for (int dep : dependent_indices_) {
-        const auto& y = series[static_cast<std::size_t>(dep)];
+        const std::span<const double> y = series[static_cast<std::size_t>(dep)];
         la::OlsFit fit;
         bool ols_ok = true;
         try {
@@ -100,31 +92,27 @@ void SpatialModel::fit(const std::vector<std::vector<double>>& series,
     }
 }
 
-std::vector<std::vector<double>> SpatialModel::reconstruct(
-    const std::vector<std::vector<double>>& signature_values) const {
+la::FlatMatrix SpatialModel::reconstruct(
+    const la::FlatMatrix& signature_values) const {
     if (!fitted()) throw std::logic_error("SpatialModel::reconstruct before fit");
-    if (signature_values.size() != signature_indices_.size()) {
+    if (signature_values.rows() != signature_indices_.size()) {
         throw std::invalid_argument("SpatialModel::reconstruct: signature count mismatch");
     }
-    const std::size_t horizon =
-        signature_values.empty() ? 0 : signature_values.front().size();
-    for (const auto& s : signature_values) {
-        if (s.size() != horizon) {
-            throw std::invalid_argument("SpatialModel::reconstruct: ragged horizons");
-        }
-    }
+    const std::size_t horizon = signature_values.cols();
 
-    std::vector<std::vector<double>> out(total_series_,
-                                         std::vector<double>(horizon, 0.0));
+    la::FlatMatrix out(total_series_, horizon);
     for (std::size_t s = 0; s < signature_indices_.size(); ++s) {
-        out[static_cast<std::size_t>(signature_indices_[s])] = signature_values[s];
+        const std::span<const double> values = signature_values[s];
+        std::copy(values.begin(), values.end(),
+                  out[static_cast<std::size_t>(signature_indices_[s])].begin());
     }
     std::vector<double> at_t(signature_indices_.size());
     for (std::size_t d = 0; d < dependent_indices_.size(); ++d) {
-        auto& row = out[static_cast<std::size_t>(dependent_indices_[d])];
+        const std::span<double> row =
+            out[static_cast<std::size_t>(dependent_indices_[d])];
         for (std::size_t t = 0; t < horizon; ++t) {
-            for (std::size_t s = 0; s < signature_values.size(); ++s) {
-                at_t[s] = signature_values[s][t];
+            for (std::size_t s = 0; s < signature_values.rows(); ++s) {
+                at_t[s] = signature_values(s, t);
             }
             // Demand cannot be negative; clamp the linear extrapolation.
             row[t] = std::max(0.0, fits_[d].predict(at_t));

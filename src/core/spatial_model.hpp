@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "linalg/flat_matrix.hpp"
 #include "linalg/ols.hpp"
 
 namespace atm::core {
@@ -18,10 +19,11 @@ class SpatialModel {
 
     /// Fits one regression per dependent series.
     ///
-    /// `series` is the full per-box series set over the training window;
-    /// `signature_indices` selects the predictors. Every non-signature
-    /// index becomes a dependent series. Throws std::invalid_argument on
-    /// ragged input or an empty/out-of-range signature set.
+    /// `series` is the full per-box series set over the training window
+    /// (one series per row); `signature_indices` selects the predictors,
+    /// which the regressions read as row views. Every non-signature index
+    /// becomes a dependent series. Throws std::invalid_argument on an
+    /// empty series set or an empty/out-of-range signature set.
     ///
     /// When OLS cannot produce a finite fit for a dependent series (e.g.
     /// fewer training samples than predictors), that series falls back to
@@ -29,7 +31,7 @@ class SpatialModel {
     /// set — and `ridge_fallbacks()` counts how many dependents degraded
     /// this way. A series that defeats ridge too raises
     /// PipelineError(kSolverSingular).
-    void fit(const std::vector<std::vector<double>>& series,
+    void fit(const la::FlatMatrix& series,
              const std::vector<int>& signature_indices);
 
     /// Number of dependent series whose OLS fit was replaced by ridge in
@@ -40,12 +42,13 @@ class SpatialModel {
 
     /// Reconstructs the full series set from signature realizations.
     ///
-    /// `signature_values[s][t]` is the value of the s-th signature (in the
-    /// order passed to fit) at time t. Returns a matrix with the same
-    /// series count and index layout as the fit input: signature rows are
-    /// copied through verbatim, dependent rows come from their regressions.
-    [[nodiscard]] std::vector<std::vector<double>> reconstruct(
-        const std::vector<std::vector<double>>& signature_values) const;
+    /// `signature_values(s, t)` is the value of the s-th signature (in
+    /// ascending signature_indices() order) at time t. Returns a matrix
+    /// with the same series count and index layout as the fit input and
+    /// signature_values.cols() samples per row: signature rows are copied
+    /// through verbatim, dependent rows come from their regressions.
+    [[nodiscard]] la::FlatMatrix reconstruct(
+        const la::FlatMatrix& signature_values) const;
 
     [[nodiscard]] const std::vector<int>& signature_indices() const {
         return signature_indices_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "linalg/flat_matrix.hpp"
 #include "linalg/ols.hpp"
 #include "timeseries/features.hpp"
 
@@ -33,14 +34,13 @@ void ArForecaster::fit(std::span<const double> history) {
     }
 
     const std::size_t width = dataset.front().lags.size();
-    std::vector<std::vector<double>> predictors(width,
-                                                std::vector<double>(dataset.size()));
+    la::FlatMatrix predictors(width, dataset.size());  // one lag per row
     std::vector<double> target(dataset.size());
     for (std::size_t i = 0; i < dataset.size(); ++i) {
-        for (std::size_t j = 0; j < width; ++j) predictors[j][i] = dataset[i].lags[j];
+        for (std::size_t j = 0; j < width; ++j) predictors(j, i) = dataset[i].lags[j];
         target[i] = dataset[i].target;
     }
-    coefficients_ = la::ols_fit(target, predictors).coefficients;
+    coefficients_ = la::ols_fit(target, predictors.row_views()).coefficients;
 }
 
 std::vector<double> ArForecaster::forecast(int horizon) const {

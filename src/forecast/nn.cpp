@@ -133,11 +133,20 @@ std::size_t MlpNetwork::parameter_count() const {
     return count;
 }
 
-template <typename RowFn>
-double MlpNetwork::train_impl(RowFn row, std::size_t count,
-                              std::span<const double> targets,
-                              const MlpTrainOptions& options,
-                              MlpWorkspace* workspace) {
+double MlpNetwork::train(const la::FlatMatrix& inputs,
+                         std::span<const double> targets,
+                         const MlpTrainOptions& options,
+                         MlpWorkspace* workspace) {
+    if (inputs.rows() != targets.size()) {
+        throw std::invalid_argument("MlpNetwork::train: example count mismatch");
+    }
+    if (inputs.rows() == 0) {
+        throw std::invalid_argument("MlpNetwork::train: no examples");
+    }
+    if (inputs.cols() != static_cast<std::size_t>(layer_sizes_.front())) {
+        throw std::invalid_argument("MlpNetwork::train: input size mismatch");
+    }
+    const std::size_t count = inputs.rows();
     // Hold out the chronologically last fraction as validation (time-series
     // aware: never validate on data older than training samples).
     std::size_t val_count = 0;
@@ -165,7 +174,7 @@ double MlpNetwork::train_impl(RowFn row, std::size_t count,
         if (val_count == 0) return 0.0;
         double acc = 0.0;
         for (std::size_t i = train_count; i < count; ++i) {
-            const double err = predict(row(i), ws) - targets[i];
+            const double err = predict(inputs[i], ws) - targets[i];
             acc += err * err;
         }
         return acc / static_cast<double>(val_count);
@@ -181,7 +190,7 @@ double MlpNetwork::train_impl(RowFn row, std::size_t count,
         std::shuffle(order.begin(), order.end(), shuffle_rng);
         double train_loss = 0.0;
         for (std::size_t idx : order) {
-            forward(row(idx), ws);
+            forward(inputs[idx], ws);
             const double out = ws.acts.back();
             const double err = out - targets[idx];
             train_loss += err * err;
@@ -245,42 +254,6 @@ double MlpNetwork::train_impl(RowFn row, std::size_t count,
         options.metrics->add("forecast.mlp.examples", count);
     }
     return val_count > 0 ? best_val : last_train_loss;
-}
-
-double MlpNetwork::train(const std::vector<std::vector<double>>& inputs,
-                         std::span<const double> targets,
-                         const MlpTrainOptions& options,
-                         MlpWorkspace* workspace) {
-    if (inputs.size() != targets.size()) {
-        throw std::invalid_argument("MlpNetwork::train: example count mismatch");
-    }
-    if (inputs.empty()) throw std::invalid_argument("MlpNetwork::train: no examples");
-    for (const auto& x : inputs) {
-        if (x.size() != static_cast<std::size_t>(layer_sizes_.front())) {
-            throw std::invalid_argument("MlpNetwork::train: input size mismatch");
-        }
-    }
-    return train_impl(
-        [&inputs](std::size_t i) { return std::span<const double>(inputs[i]); },
-        inputs.size(), targets, options, workspace);
-}
-
-double MlpNetwork::train(const la::FlatMatrix& inputs,
-                         std::span<const double> targets,
-                         const MlpTrainOptions& options,
-                         MlpWorkspace* workspace) {
-    if (inputs.rows() != targets.size()) {
-        throw std::invalid_argument("MlpNetwork::train: example count mismatch");
-    }
-    if (inputs.rows() == 0) {
-        throw std::invalid_argument("MlpNetwork::train: no examples");
-    }
-    if (inputs.cols() != static_cast<std::size_t>(layer_sizes_.front())) {
-        throw std::invalid_argument("MlpNetwork::train: input size mismatch");
-    }
-    const la::FlatMatrix& rows = inputs;
-    return train_impl([&rows](std::size_t i) { return rows[i]; }, inputs.rows(),
-                      targets, options, workspace);
 }
 
 }  // namespace atm::forecast

@@ -102,22 +102,13 @@ class MlpNetwork {
     [[nodiscard]] double predict(std::span<const double> inputs) const;
     double predict(std::span<const double> inputs, MlpWorkspace& workspace) const;
 
-    /// Trains on (inputs, target) pairs; returns the best (early-stopped)
-    /// validation loss, or the final training loss if validation is off.
-    /// `workspace` (optional, caller-owned) carries the forward/backprop
-    /// scratch; passing one reused across fits makes the per-sample SGD
-    /// loop allocation-free. Results are identical with or without it.
-    double train(const std::vector<std::vector<double>>& inputs,
-                 std::span<const double> targets,
-                 const MlpTrainOptions& options,
-                 MlpWorkspace* workspace = nullptr);
-
-    /// Flat-dataset overload: examples are the rows of one contiguous
-    /// row-major block (ts::make_lag_dataset_flat's output) instead of
-    /// per-example vectors — the fleet hot path, which avoids one heap
-    /// allocation per example per fit. Identical results: the epoch
-    /// loop, RNG draw order, and per-example arithmetic are shared with
-    /// the nested-vector overload.
+    /// Trains on (inputs, target) pairs, one example per row of `inputs`
+    /// (ts::make_lag_dataset_flat's output); returns the best
+    /// (early-stopped) validation loss, or the final training loss if
+    /// validation is off. `workspace` (optional, caller-owned) carries the
+    /// forward/backprop scratch; passing one reused across fits makes the
+    /// per-sample SGD loop allocation-free. Results are identical with or
+    /// without it.
     double train(const la::FlatMatrix& inputs, std::span<const double> targets,
                  const MlpTrainOptions& options,
                  MlpWorkspace* workspace = nullptr);
@@ -141,15 +132,6 @@ class MlpNetwork {
 
     [[nodiscard]] double activate(double x) const;
     [[nodiscard]] double activate_grad(double activated, double pre) const;
-
-    /// Shared training loop over an example accessor `row(i)` →
-    /// span<const double>; both public overloads (nested vectors, flat
-    /// matrix) funnel here, so their arithmetic cannot diverge.
-    /// Instantiated only in nn.cpp.
-    template <typename RowFn>
-    double train_impl(RowFn row, std::size_t count,
-                      std::span<const double> targets,
-                      const MlpTrainOptions& options, MlpWorkspace* workspace);
 
     /// Forward pass into the workspace's activation/pre-activation
     /// buffers (for backprop and prediction).

@@ -8,15 +8,17 @@
 namespace atm::la {
 
 /// Contiguous row-major matrix of doubles with row-span access — the
-/// library's one matrix type.
+/// library's one matrix type, and the one owning type for a set of
+/// equal-length series (one row per series: a box's demand series, a
+/// training window, a forecast horizon).
 ///
-/// One flat buffer, no per-row vectors, so a whole distance matrix, DP
-/// table or design matrix is a single cache-friendly block that can be
-/// reused across calls without re-allocating. `operator[]` returns a row
-/// span, so code written against `vector<vector<double>>` (`m[i][j]`,
-/// `m.size()`) ports with no call-site changes; the converting
-/// constructor keeps nested-vector literals (tests, examples) working as
-/// before.
+/// One flat buffer, no per-row vectors, so a whole series set, distance
+/// matrix, DP table or design matrix is a single cache-friendly block
+/// that can be reused across calls without re-allocating. The shape
+/// itself is the equal-length invariant: every row has cols() samples.
+/// `operator[]` returns a row span; a regression that reads a subset of
+/// rows takes them as `row_views(...)` (spans into this matrix, no
+/// copies).
 class FlatMatrix {
   public:
     FlatMatrix() = default;
@@ -25,10 +27,9 @@ class FlatMatrix {
     FlatMatrix(std::size_t rows, std::size_t cols, double fill = 0.0)
         : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-    /// Converting constructor from nested rows (all rows must be equal
-    /// length). Deliberately implicit: distance-matrix call sites built
-    /// nested vectors for years and the O(n²) copy is test-sized.
-    FlatMatrix(const std::vector<std::vector<double>>& nested) {  // NOLINT
+    /// Copies nested rows (tests and examples build matrices from
+    /// literals this way). Throws std::invalid_argument on ragged rows.
+    explicit FlatMatrix(const std::vector<std::vector<double>>& nested) {
         rows_ = nested.size();
         cols_ = rows_ == 0 ? 0 : nested.front().size();
         data_.reserve(rows_ * cols_);
@@ -42,8 +43,7 @@ class FlatMatrix {
 
     [[nodiscard]] std::size_t rows() const { return rows_; }
     [[nodiscard]] std::size_t cols() const { return cols_; }
-    /// Row count — matches the `dist.size()` idiom of the nested-vector
-    /// distance matrices this type replaces.
+    /// Row count (the `series.size()` idiom of a series set).
     [[nodiscard]] std::size_t size() const { return rows_; }
     [[nodiscard]] bool empty() const { return rows_ == 0; }
 
@@ -59,6 +59,23 @@ class FlatMatrix {
     }
     [[nodiscard]] std::span<double> operator[](std::size_t r) {
         return {data_.data() + r * cols_, cols_};
+    }
+
+    /// Spans over every row, in order.
+    [[nodiscard]] std::vector<std::span<const double>> row_views() const {
+        std::vector<std::span<const double>> views;
+        views.reserve(rows_);
+        for (std::size_t r = 0; r < rows_; ++r) views.push_back((*this)[r]);
+        return views;
+    }
+    /// Spans over the rows `rows` selects, in that order (indices must be
+    /// in range).
+    [[nodiscard]] std::vector<std::span<const double>> row_views(
+        const std::vector<int>& rows) const {
+        std::vector<std::span<const double>> views;
+        views.reserve(rows.size());
+        for (const int r : rows) views.push_back((*this)[static_cast<std::size_t>(r)]);
+        return views;
     }
 
     /// Reshapes to rows x cols and fills every element (capacity is kept,

@@ -15,11 +15,6 @@ double mean_of(std::span<const double> xs) {
     return acc / static_cast<double>(xs.size());
 }
 
-std::vector<std::span<const double>> as_views(
-    const std::vector<std::vector<double>>& columns) {
-    return {columns.begin(), columns.end()};
-}
-
 }  // namespace
 
 double OlsFit::predict(std::span<const double> predictors) const {
@@ -81,11 +76,6 @@ OlsFit ols_fit(std::span<const double> y,
     return fit;
 }
 
-OlsFit ols_fit(std::span<const double> y,
-               const std::vector<std::vector<double>>& predictors) {
-    return ols_fit(y, as_views(predictors));
-}
-
 std::vector<double> variance_inflation_factors(
     std::span<const std::span<const double>> predictors) {
     constexpr double kMaxVif = 1e9;
@@ -106,13 +96,8 @@ std::vector<double> variance_inflation_factors(
     return vifs;
 }
 
-std::vector<double> variance_inflation_factors(
-    const std::vector<std::vector<double>>& predictors) {
-    return variance_inflation_factors(as_views(predictors));
-}
-
 std::vector<std::size_t> reduce_multicollinearity(
-    const std::vector<std::vector<double>>& predictors,
+    std::span<const std::span<const double>> predictors,
     double vif_threshold, obs::MetricsRegistry* metrics) {
     std::vector<std::size_t> kept(predictors.size());
     for (std::size_t i = 0; i < kept.size(); ++i) kept[i] = i;

@@ -33,7 +33,9 @@ struct OlsFit {
 /// least squares (robust to collinear predictor sets, which the VIF
 /// reduction probes deliberately).
 ///
-/// `predictors[j]` is the j-th predictor series; all must be the same
+/// `predictors[j]` is the j-th predictor series, a view into
+/// caller-owned storage (typically `FlatMatrix::row_views` over a
+/// series set), so no predictor column is copied; all must be the same
 /// length as y. Throws std::invalid_argument on shape mismatch.
 ///
 /// This implements the paper's spatial model (Eq. 1): a dependent demand
@@ -41,23 +43,12 @@ struct OlsFit {
 /// series, with coefficients from "ordinary least square estimates"
 /// (Section III-B).
 OlsFit ols_fit(std::span<const double> y,
-               const std::vector<std::vector<double>>& predictors);
-
-/// Core overload over column *views*: fits against caller-owned storage
-/// without copying any predictor column. The VIF driver below assembles
-/// span lists over the original columns instead of materializing
-/// per-trial copies; the nested-vector overload forwards here.
-OlsFit ols_fit(std::span<const double> y,
                std::span<const std::span<const double>> predictors);
 
 /// Variance inflation factor for each series in `predictors`: series j is
 /// regressed on all the others and VIF_j = 1 / (1 - R²_j). A VIF above 4
 /// flags multicollinearity (Section III-A Step 2). A lone predictor has
 /// VIF 1. R² of 1 (exact collinearity) maps to a large finite value.
-std::vector<double> variance_inflation_factors(
-    const std::vector<std::vector<double>>& predictors);
-
-/// View-based core (see ols_fit span overload).
 std::vector<double> variance_inflation_factors(
     std::span<const std::span<const double>> predictors);
 
@@ -71,7 +62,7 @@ std::vector<double> variance_inflation_factors(
 /// `linalg.vif.checks` (individual VIF evaluations) and
 /// `linalg.vif.removed` counters — all deterministic.
 std::vector<std::size_t> reduce_multicollinearity(
-    const std::vector<std::vector<double>>& predictors,
+    std::span<const std::span<const double>> predictors,
     double vif_threshold = 4.0, obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace atm::la

@@ -18,14 +18,6 @@ double mean_of(std::span<const double> xs) {
 }  // namespace
 
 OlsFit ridge_fit(std::span<const double> y,
-                 const std::vector<std::vector<double>>& predictors,
-                 double lambda) {
-    std::vector<std::span<const double>> views(predictors.begin(),
-                                               predictors.end());
-    return ridge_fit(y, views, lambda);
-}
-
-OlsFit ridge_fit(std::span<const double> y,
                  std::span<const std::span<const double>> predictors,
                  double lambda) {
     if (lambda < 0.0) throw std::invalid_argument("ridge_fit: negative lambda");

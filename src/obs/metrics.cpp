@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -226,17 +227,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         }
     }
     return out;
-}
-
-void MetricsRegistry::reset() {
-    std::lock_guard<std::mutex> registry_lock(shards_mutex_);
-    for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> shard_lock(shard->mutex);
-        shard->counters.clear();
-        shard->gauges.clear();
-        shard->timers.clear();
-        shard->histograms.clear();
-    }
 }
 
 // ----------------------------------------------------------- ScopedTimer

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -88,10 +87,9 @@ std::span<const double> default_histogram_bounds();
 /// and merges. This keeps the registry race-free under the exec
 /// ThreadPool without atomics in every metric.
 ///
-/// When disabled (constructor flag or `set_enabled(false)`) every record
-/// operation returns after one relaxed atomic load — near-zero overhead —
-/// and a null `MetricsRegistry*` at an instrumentation site costs a
-/// pointer test only.
+/// When disabled (constructor flag) every record operation returns after
+/// one flag test — near-zero overhead — and a null `MetricsRegistry*` at
+/// an instrumentation site costs a pointer test only.
 ///
 /// Determinism: counter merges are exact integer sums, so deterministic
 /// instrumentation (cell counts, cache hits, iterations) is bit-identical
@@ -107,12 +105,7 @@ public:
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-    void set_enabled(bool enabled) {
-        enabled_.store(enabled, std::memory_order_relaxed);
-    }
-    [[nodiscard]] bool enabled() const {
-        return enabled_.load(std::memory_order_relaxed);
-    }
+    [[nodiscard]] bool enabled() const { return enabled_; }
 
     /// Adds `delta` to the named monotonic counter.
     void add(std::string_view name, std::uint64_t delta = 1);
@@ -132,15 +125,12 @@ public:
     /// for a quiescent-point snapshot, call after joining/fencing writers.
     [[nodiscard]] MetricsSnapshot snapshot() const;
 
-    /// Clears every shard (the shards themselves stay registered).
-    void reset();
-
 private:
     struct Shard;
     Shard* local_shard();
 
     const std::uint64_t id_;  ///< process-unique, keys the TLS shard cache
-    std::atomic<bool> enabled_;
+    const bool enabled_;
     mutable std::mutex shards_mutex_;
     std::vector<std::unique_ptr<Shard>> shards_;
 };
@@ -165,51 +155,6 @@ private:
     std::string name_;
     std::chrono::steady_clock::time_point start_;
     bool armed_;
-};
-
-/// Named-handle sugar over a registry. Handles are cheap to construct,
-/// copyable, and tolerate a null registry (every call becomes a no-op),
-/// so instrumented code reads declaratively without null checks.
-class Counter {
-public:
-    Counter(MetricsRegistry* registry, std::string name)
-        : registry_(registry), name_(std::move(name)) {}
-    void add(std::uint64_t delta = 1) const {
-        if (registry_ != nullptr) registry_->add(name_, delta);
-    }
-
-private:
-    MetricsRegistry* registry_;
-    std::string name_;
-};
-
-class Gauge {
-public:
-    Gauge(MetricsRegistry* registry, std::string name)
-        : registry_(registry), name_(std::move(name)) {}
-    void set(double value) const {
-        if (registry_ != nullptr) registry_->set_gauge(name_, value);
-    }
-
-private:
-    MetricsRegistry* registry_;
-    std::string name_;
-};
-
-class Histogram {
-public:
-    Histogram(MetricsRegistry* registry, std::string name,
-              std::span<const double> bounds = {})
-        : registry_(registry), name_(std::move(name)),
-          bounds_(bounds.begin(), bounds.end()) {}
-    void observe(double value) const {
-        if (registry_ != nullptr) registry_->observe(name_, value, bounds_);
-    }
-
-private:
-    MetricsRegistry* registry_;
-    std::string name_;
-    std::vector<double> bounds_;
 };
 
 }  // namespace atm::obs

@@ -630,8 +630,13 @@ bool ServeEngine::run_search(int box_index,
     try {
         // The batch ladder; its rungs count as robust.fallback.* in scratch.
         std::vector<core::Degradation> degradations;
+        la::FlatMatrix series(box.history.size(), box.history[0].size());
+        for (std::size_t i = 0; i < box.history.size(); ++i) {
+            std::copy(box.history[i].begin(), box.history[i].end(),
+                      series[i].begin());
+        }
         core::SignatureModel fit =
-            core::fit_signature_model(box.history, config, degradations);
+            core::fit_signature_model(series, config, degradations);
         forecast::MlpForecasterOptions mlp;
         mlp.seasonal_period = windows_per_day_;
         mlp.train.epochs = config_.train_epochs;
@@ -697,7 +702,7 @@ bool ServeEngine::run_retrain(int box_index, std::uint64_t epoch,
 void ServeEngine::forecast_next(int box_index) {
     BoxState& box = *boxes_[static_cast<std::size_t>(box_index)];
     const std::vector<int>& signatures = box.spatial.signature_indices();
-    std::vector<std::vector<double>> signature_values(signatures.size());
+    la::FlatMatrix signature_values(signatures.size(), 1);
     for (std::size_t k = 0; k < signatures.size(); ++k) {
         const std::vector<double>& window =
             box.history[static_cast<std::size_t>(signatures[k])];
@@ -708,13 +713,12 @@ void ServeEngine::forecast_next(int box_index) {
             predicted = window.back();
             counter("serve.forecast.nonfinite");
         }
-        signature_values[k] = {predicted};
+        signature_values(k, 0) = predicted;
     }
-    const std::vector<std::vector<double>> full =
-        box.spatial.reconstruct(signature_values);
+    const la::FlatMatrix full = box.spatial.reconstruct(signature_values);
     box.last_forecast.resize(box.history.size());
     for (std::size_t i = 0; i < box.history.size(); ++i) {
-        double value = full[i][0];
+        double value = full(i, 0);
         if (!std::isfinite(value)) {
             value = box.history[i].back();
             counter("serve.forecast.nonfinite");

@@ -1,23 +1,32 @@
 #include "tracegen/trace.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace atm::trace {
 
-std::vector<std::vector<double>> BoxTrace::usage_matrix() const {
-    std::vector<std::vector<double>> out;
-    out.reserve(vms.size() * ts::kNumResources);
+bool BoxTrace::equal_lengths() const {
+    const std::size_t len = length();
     for (const VmTrace& vm : vms) {
-        out.push_back(vm.cpu_usage_pct.values());
-        out.push_back(vm.ram_usage_pct.values());
+        if (vm.cpu_usage_pct.size() != len || vm.ram_usage_pct.size() != len ||
+            vm.cpu_demand_ghz.size() != len || vm.ram_demand_gb.size() != len) {
+            return false;
+        }
     }
-    return out;
+    return true;
 }
 
-std::vector<std::vector<double>> BoxTrace::demand_matrix() const {
-    std::vector<std::vector<double>> out;
-    out.reserve(vms.size() * ts::kNumResources);
+la::FlatMatrix BoxTrace::demand_matrix() const {
+    if (!equal_lengths()) {
+        throw std::invalid_argument("BoxTrace::demand_matrix: ragged series lengths");
+    }
+    la::FlatMatrix out(vms.size() * ts::kNumResources, length());
+    std::size_t row = 0;
     for (const VmTrace& vm : vms) {
-        out.push_back(vm.cpu_demand_ghz.values());
-        out.push_back(vm.ram_demand_gb.values());
+        for (const ts::Series* series : {&vm.cpu_demand_ghz, &vm.ram_demand_gb}) {
+            std::copy(series->values().begin(), series->values().end(),
+                      out[row++].begin());
+        }
     }
     return out;
 }

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "linalg/flat_matrix.hpp"
 #include "timeseries/resource.hpp"
 #include "timeseries/series.hpp"
 
@@ -63,19 +64,21 @@ struct BoxTrace {
         return kind == ts::ResourceKind::kCpu ? cpu_capacity_ghz : ram_capacity_gb;
     }
 
-    /// Number of samples per series (all series in a box are equal length).
+    /// Number of samples per series, read from VM 0 (see equal_lengths).
     [[nodiscard]] std::size_t length() const {
         return vms.empty() ? 0 : vms.front().cpu_usage_pct.size();
     }
 
-    /// All M x N usage series flattened in SeriesId order (VM-major:
-    /// vm0/CPU, vm0/RAM, vm1/CPU, ...), as plain vectors for the
-    /// clustering/regression layers.
-    [[nodiscard]] std::vector<std::vector<double>> usage_matrix() const;
+    /// True when every usage and demand series of every VM has length()
+    /// samples. Loaders do not enforce this; the pipeline entry points
+    /// reject a box that breaks it.
+    [[nodiscard]] bool equal_lengths() const;
 
-    /// Same flattening for demand series (what the prediction pipeline
-    /// models and the resizing algorithm consumes).
-    [[nodiscard]] std::vector<std::vector<double>> demand_matrix() const;
+    /// All M x N demand series (what the prediction pipeline models and
+    /// the resizing algorithm consumes), one row per series in SeriesId
+    /// order (VM-major: vm0/CPU, vm0/RAM, vm1/CPU, ...), length() samples
+    /// each. Throws std::invalid_argument when !equal_lengths().
+    [[nodiscard]] la::FlatMatrix demand_matrix() const;
 };
 
 /// A whole data-center monitoring trace.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -78,8 +79,7 @@ TEST(DtwTest, BandNeverBeatsFullDtw) {
 }
 
 TEST(DtwTest, DistanceMatrixSymmetricZeroDiagonal) {
-    const std::vector<std::vector<double>> series{
-        {1, 2, 3}, {3, 2, 1}, {2, 2, 2}};
+    const la::FlatMatrix series({{1, 2, 3}, {3, 2, 1}, {2, 2, 2}});
     const auto dist = dtw_distance_matrix(series);
     for (std::size_t i = 0; i < 3; ++i) {
         EXPECT_DOUBLE_EQ(dist[i][i], 0.0);
@@ -89,10 +89,10 @@ TEST(DtwTest, DistanceMatrixSymmetricZeroDiagonal) {
     }
 }
 
-std::vector<std::vector<double>> two_blob_distances() {
+la::FlatMatrix two_blob_distances() {
     // Items 0-2 mutually close, 3-5 mutually close, blobs far apart.
     const std::size_t n = 6;
-    std::vector<std::vector<double>> d(n, std::vector<double>(n, 0.0));
+    la::FlatMatrix d(n, n);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
             if (i == j) continue;
@@ -195,7 +195,7 @@ TEST(BestKTest, ClampsRange) {
 
 TEST(MedoidTest, PicksCentralMember) {
     // Cluster 0 = {0,1,2} where item 1 is closest to both others.
-    std::vector<std::vector<double>> dist(3, std::vector<double>(3, 0.0));
+    la::FlatMatrix dist(3, 3);
     dist[0][1] = dist[1][0] = 1.0;
     dist[1][2] = dist[2][1] = 1.0;
     dist[0][2] = dist[2][0] = 3.0;
@@ -215,8 +215,7 @@ TEST(MedoidTest, OnePerCluster) {
 }
 
 TEST(CorrelationMatrixTest, UnitDiagonalSymmetric) {
-    const std::vector<std::vector<double>> series{
-        {1, 2, 3, 4}, {2, 4, 6, 8}, {4, 3, 2, 1}};
+    const la::FlatMatrix series({{1, 2, 3, 4}, {2, 4, 6, 8}, {4, 3, 2, 1}});
     const auto rho = correlation_matrix(series);
     for (std::size_t i = 0; i < 3; ++i) {
         EXPECT_DOUBLE_EQ(rho[i][i], 1.0);
@@ -232,7 +231,7 @@ TEST(CbcTest, GroupsStronglyCorrelatedSeries) {
     std::normal_distribution<double> noise(0.0, 0.05);
     std::vector<double> base(50);
     for (std::size_t i = 0; i < 50; ++i) base[i] = std::sin(0.3 * static_cast<double>(i));
-    std::vector<std::vector<double>> series(4, std::vector<double>(50));
+    la::FlatMatrix series(4, 50);
     for (std::size_t i = 0; i < 50; ++i) {
         series[0][i] = base[i] + noise(rng);
         series[1][i] = 2.0 * base[i] + 1.0 + noise(rng);
@@ -252,10 +251,8 @@ TEST(CbcTest, GroupsStronglyCorrelatedSeries) {
 TEST(CbcTest, NoStrongCorrelationsAllSingletons) {
     std::mt19937 rng(9);
     std::normal_distribution<double> noise(0.0, 1.0);
-    std::vector<std::vector<double>> series(5, std::vector<double>(100));
-    for (auto& s : series) {
-        for (double& v : s) v = noise(rng);
-    }
+    la::FlatMatrix series(5, 100);
+    for (double& v : series.data()) v = noise(rng);
     const auto clusters = cbc_cluster(series);
     EXPECT_EQ(clusters.size(), 5u);
     for (const auto& c : clusters) EXPECT_TRUE(c.members.empty());
@@ -266,7 +263,7 @@ TEST(CbcTest, EverySeriesAssignedExactlyOnce) {
     std::normal_distribution<double> noise(0.0, 0.3);
     std::vector<double> base(60);
     for (std::size_t i = 0; i < 60; ++i) base[i] = std::cos(0.2 * static_cast<double>(i));
-    std::vector<std::vector<double>> series(7, std::vector<double>(60));
+    la::FlatMatrix series(7, 60);
     for (std::size_t s = 0; s < 7; ++s) {
         for (std::size_t i = 0; i < 60; ++i) {
             series[s][i] = (s % 2 == 0 ? base[i] : -base[i]) + noise(rng);
@@ -289,12 +286,12 @@ TEST(CbcTest, AbsoluteModeCapturesAntiCorrelation) {
         down[i] = -up[i];
     }
     CbcOptions plain;
-    const auto separate = cbc_cluster({up, down}, plain);
+    const auto separate = cbc_cluster(la::FlatMatrix({up, down}), plain);
     EXPECT_EQ(separate.size(), 2u);
 
     CbcOptions absolute;
     absolute.use_absolute = true;
-    const auto merged = cbc_cluster({up, down}, absolute);
+    const auto merged = cbc_cluster(la::FlatMatrix({up, down}), absolute);
     EXPECT_EQ(merged.size(), 1u);
 }
 
@@ -305,8 +302,8 @@ TEST(CbcTest, HeadHasMostStrongCorrelations) {
     std::normal_distribution<double> noise(0.0, 0.45);
     std::vector<double> hub(200);
     for (std::size_t i = 0; i < 200; ++i) hub[i] = std::sin(0.1 * static_cast<double>(i));
-    std::vector<std::vector<double>> series(4, std::vector<double>(200));
-    series[0] = hub;
+    la::FlatMatrix series(4, 200);
+    std::copy(hub.begin(), hub.end(), series[0].begin());
     for (std::size_t s = 1; s < 4; ++s) {
         for (std::size_t i = 0; i < 200; ++i) series[s][i] = hub[i] + noise(rng);
     }
@@ -318,7 +315,7 @@ TEST(CbcTest, HeadHasMostStrongCorrelations) {
 }
 
 TEST(CbcTest, NonSquareCorrelationThrows) {
-    const std::vector<std::vector<double>> bad{{1.0, 0.5}, {0.5}};
+    const la::FlatMatrix bad(2, 3, 0.5);
     EXPECT_THROW(cbc_cluster_from_correlation(bad), std::invalid_argument);
 }
 
@@ -331,7 +328,7 @@ TEST_P(CbcPropertyTest, HeadsPairwiseBelowThreshold) {
     std::normal_distribution<double> noise(0.0, 0.5);
     std::vector<double> base(120);
     for (std::size_t i = 0; i < 120; ++i) base[i] = std::sin(0.25 * static_cast<double>(i));
-    std::vector<std::vector<double>> series(8, std::vector<double>(120));
+    la::FlatMatrix series(8, 120);
     for (std::size_t s = 0; s < 8; ++s) {
         const double w = static_cast<double>(s) / 8.0;
         for (std::size_t i = 0; i < 120; ++i) {

@@ -16,8 +16,7 @@ namespace {
 
 /// Builds a series family: two independent base patterns plus linear
 /// combinations of them (the multicollinearity scenario of Section III-A).
-std::vector<std::vector<double>> correlated_family(std::size_t len,
-                                                   unsigned seed) {
+la::FlatMatrix correlated_family(std::size_t len, unsigned seed) {
     std::mt19937 rng(seed);
     std::normal_distribution<double> noise(0.0, 0.3);
     std::vector<double> base_a(len);
@@ -26,7 +25,7 @@ std::vector<std::vector<double>> correlated_family(std::size_t len,
         base_a[t] = 50.0 + 20.0 * std::sin(0.13 * static_cast<double>(t));
         base_b[t] = 30.0 + 15.0 * std::cos(0.07 * static_cast<double>(t));
     }
-    std::vector<std::vector<double>> series(6, std::vector<double>(len));
+    la::FlatMatrix series(6, len);
     for (std::size_t t = 0; t < len; ++t) {
         series[0][t] = base_a[t] + noise(rng);
         series[1][t] = 0.8 * base_a[t] + 5.0 + noise(rng);
@@ -83,16 +82,15 @@ TEST(SignatureSearchTest, SignatureRatioDefinition) {
 }
 
 TEST(SignatureSearchTest, SingleSeriesIsItsOwnSignature) {
-    const std::vector<std::vector<double>> one{{1, 2, 3, 4}};
+    const la::FlatMatrix one({{1, 2, 3, 4}});
     const auto result = find_signatures(one);
     EXPECT_EQ(result.signatures, (std::vector<int>{0}));
     EXPECT_EQ(result.num_clusters, 1);
 }
 
 TEST(SignatureSearchTest, ValidationErrors) {
-    EXPECT_THROW(find_signatures({}), std::invalid_argument);
-    EXPECT_THROW(find_signatures({{1, 2}, {1}}), std::invalid_argument);
-    EXPECT_THROW(find_signatures({{}, {}}), std::invalid_argument);
+    EXPECT_THROW(find_signatures(la::FlatMatrix()), std::invalid_argument);
+    EXPECT_THROW(find_signatures(la::FlatMatrix(2, 0)), std::invalid_argument);
 }
 
 TEST(SignatureSearchTest, SignaturesSortedAndUnique) {
@@ -132,7 +130,11 @@ TEST(SpatialModelTest, ReconstructsDependentsFromSignatures) {
     EXPECT_EQ(model.dependent_indices(), (std::vector<int>{1, 3, 4}));
 
     // Reconstruct on the training signatures: dependents must fit well.
-    std::vector<std::vector<double>> sig_values{series[0], series[2], series[5]};
+    la::FlatMatrix sig_values(3, series.cols());
+    std::size_t row = 0;
+    for (const std::size_t s : {0, 2, 5}) {
+        std::copy(series[s].begin(), series[s].end(), sig_values[row++].begin());
+    }
     const auto rebuilt = model.reconstruct(sig_values);
     ASSERT_EQ(rebuilt.size(), series.size());
     for (int dep : model.dependent_indices()) {
@@ -142,8 +144,8 @@ TEST(SpatialModelTest, ReconstructsDependentsFromSignatures) {
         EXPECT_LT(ape, 0.05) << "series " << dep;
     }
     // Signature rows pass through verbatim.
-    EXPECT_EQ(rebuilt[0], series[0]);
-    EXPECT_EQ(rebuilt[5], series[5]);
+    EXPECT_TRUE(std::ranges::equal(rebuilt[0], series[0]));
+    EXPECT_TRUE(std::ranges::equal(rebuilt[5], series[5]));
 }
 
 TEST(SpatialModelTest, DependentFitApeMatchesManualOls) {
@@ -162,27 +164,26 @@ TEST(SpatialModelTest, DependentFitApeMatchesManualOls) {
 TEST(SpatialModelTest, ReconstructClampsNegativePredictions) {
     // A dependent with a strongly negative relationship extrapolated far
     // beyond training must not produce negative demand.
-    std::vector<std::vector<double>> series(2, std::vector<double>(50));
+    la::FlatMatrix series(2, 50);
     for (std::size_t t = 0; t < 50; ++t) {
         series[0][t] = static_cast<double>(t);
         series[1][t] = 100.0 - 2.0 * static_cast<double>(t);
     }
     SpatialModel model;
     model.fit(series, {0});
-    const std::vector<std::vector<double>> future{{200.0, 300.0}};
+    const la::FlatMatrix future({{200.0, 300.0}});
     const auto rebuilt = model.reconstruct(future);
     for (double v : rebuilt[1]) EXPECT_GE(v, 0.0);
 }
 
 TEST(SpatialModelTest, Validation) {
     SpatialModel model;
-    EXPECT_THROW(model.fit({}, {0}), std::invalid_argument);
-    EXPECT_THROW(model.fit({{1, 2}}, {}), std::invalid_argument);
-    EXPECT_THROW(model.fit({{1, 2}}, {5}), std::invalid_argument);
-    EXPECT_THROW(model.reconstruct({}), std::logic_error);
-    model.fit({{1, 2, 3}, {2, 4, 6}}, {0});
-    EXPECT_THROW(model.reconstruct({{1.0}, {2.0}}), std::invalid_argument);
-    EXPECT_THROW(model.reconstruct({{1.0, 2.0}, {1.0}}), std::invalid_argument);
+    EXPECT_THROW(model.fit(la::FlatMatrix(), {0}), std::invalid_argument);
+    EXPECT_THROW(model.fit(la::FlatMatrix({{1, 2}}), {}), std::invalid_argument);
+    EXPECT_THROW(model.fit(la::FlatMatrix({{1, 2}}), {5}), std::invalid_argument);
+    EXPECT_THROW((void)model.reconstruct(la::FlatMatrix()), std::logic_error);
+    model.fit(la::FlatMatrix({{1, 2, 3}, {2, 4, 6}}), {0});
+    EXPECT_THROW((void)model.reconstruct(la::FlatMatrix(2, 1)), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ pipeline

@@ -90,7 +90,7 @@ TEST(SeedTest, DeriveSeedSeparatesIndicesAndBases) {
 
 // ------------------------------------------------------ parallel DTW matrix
 
-std::vector<std::vector<double>> small_series_set() {
+la::FlatMatrix small_series_set() {
     trace::TraceGenOptions options;
     options.num_days = 1;
     options.gappy_box_fraction = 0.0;

@@ -23,9 +23,9 @@ namespace {
 
 // ------------------------------------------------------------- k-medoids
 
-std::vector<std::vector<double>> two_blob_distances() {
+la::FlatMatrix two_blob_distances() {
     const std::size_t n = 6;
-    std::vector<std::vector<double>> d(n, std::vector<double>(n, 0.0));
+    la::FlatMatrix d(n, n);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
             if (i == j) continue;
@@ -52,7 +52,7 @@ TEST(KMedoidsTest, KEqualsNZeroCost) {
 
 TEST(KMedoidsTest, KOneMinimizesTotalDistance) {
     // Star: item 0 is the center.
-    std::vector<std::vector<double>> d(4, std::vector<double>(4, 2.0));
+    la::FlatMatrix d(4, 4, 2.0);
     for (std::size_t i = 0; i < 4; ++i) d[i][i] = 0.0;
     for (std::size_t i = 1; i < 4; ++i) {
         d[0][i] = 1.0;
@@ -64,7 +64,7 @@ TEST(KMedoidsTest, KOneMinimizesTotalDistance) {
 }
 
 TEST(KMedoidsTest, Validation) {
-    EXPECT_THROW(cluster::k_medoids({}, 1), std::invalid_argument);
+    EXPECT_THROW(cluster::k_medoids(la::FlatMatrix(), 1), std::invalid_argument);
     EXPECT_THROW(cluster::k_medoids(two_blob_distances(), 0),
                  std::invalid_argument);
     EXPECT_THROW(cluster::k_medoids(two_blob_distances(), 7),

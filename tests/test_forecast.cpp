@@ -128,12 +128,13 @@ TEST(MlpNetworkTest, LearnsLinearFunction) {
     MlpNetwork net({2, 1}, Activation::kTanh, 3);
     std::mt19937 rng(6);
     std::uniform_real_distribution<double> dist(0.0, 1.0);
-    std::vector<std::vector<double>> inputs;
+    la::FlatMatrix inputs(300, 2);
     std::vector<double> targets;
-    for (int i = 0; i < 300; ++i) {
+    for (std::size_t i = 0; i < 300; ++i) {
         const double a = dist(rng);
         const double b = dist(rng);
-        inputs.push_back({a, b});
+        inputs(i, 0) = a;
+        inputs(i, 1) = b;
         targets.push_back(0.3 * a + 0.5 * b + 0.1);
     }
     MlpTrainOptions options;
@@ -149,11 +150,11 @@ TEST(MlpNetworkTest, LearnsLinearFunction) {
 
 TEST(MlpNetworkTest, LearnsNonlinearFunction) {
     MlpNetwork net({1, 10, 1}, Activation::kTanh, 7);
-    std::vector<std::vector<double>> inputs;
+    la::FlatMatrix inputs(200, 1);
     std::vector<double> targets;
-    for (int i = 0; i < 200; ++i) {
+    for (std::size_t i = 0; i < 200; ++i) {
         const double x = static_cast<double>(i) / 200.0;
-        inputs.push_back({x});
+        inputs(i, 0) = x;
         targets.push_back(std::sin(2.0 * std::numbers::pi * x) * 0.4 + 0.5);
     }
     MlpTrainOptions options;
@@ -171,7 +172,7 @@ TEST(MlpNetworkTest, LearnsNonlinearFunction) {
 }
 
 TEST(MlpNetworkTest, DeterministicGivenSeed) {
-    const std::vector<std::vector<double>> inputs{{0.1}, {0.5}, {0.9}, {0.3}};
+    const la::FlatMatrix inputs(std::vector<std::vector<double>>{{0.1}, {0.5}, {0.9}, {0.3}});
     const std::vector<double> targets{0.2, 0.6, 1.0, 0.4};
     MlpTrainOptions options;
     options.epochs = 50;
@@ -197,8 +198,7 @@ TEST(MlpNetworkTest, Validation) {
     MlpNetwork net({2, 1}, Activation::kTanh, 1);
     const std::vector<double> short_input{1.0};
     EXPECT_THROW(static_cast<void>(net.predict(short_input)), std::invalid_argument);
-    EXPECT_THROW(net.train(std::vector<std::vector<double>>{},
-                           std::vector<double>{}, {}),
+    EXPECT_THROW(net.train(la::FlatMatrix(), std::vector<double>{}, {}),
                  std::invalid_argument);
 }
 
@@ -206,11 +206,11 @@ class ActivationTest : public ::testing::TestWithParam<Activation> {};
 
 TEST_P(ActivationTest, AllActivationsLearnIdentityScaled) {
     MlpNetwork net({1, 6, 1}, GetParam(), 11);
-    std::vector<std::vector<double>> inputs;
+    la::FlatMatrix inputs(100, 1);
     std::vector<double> targets;
-    for (int i = 0; i < 100; ++i) {
+    for (std::size_t i = 0; i < 100; ++i) {
         const double x = static_cast<double>(i) / 100.0;
-        inputs.push_back({x});
+        inputs(i, 0) = x;
         targets.push_back(0.8 * x + 0.1);
     }
     MlpTrainOptions options;

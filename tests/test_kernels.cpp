@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include <new>
 #include <random>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "cluster/dtw.hpp"
@@ -68,6 +70,19 @@ std::vector<double> wave(std::size_t n, unsigned seed, double phase) {
     for (std::size_t i = 0; i < n; ++i) {
         out[i] = 0.5 + 0.4 * std::sin(0.13 * static_cast<double>(i) + phase) +
                  noise(rng);
+    }
+    return out;
+}
+
+/// `count` waves of `n` samples as a series set: row s is
+/// wave(n, seed + s, phase_step * s).
+la::FlatMatrix waves(std::size_t count, std::size_t n, unsigned seed,
+                     double phase_step) {
+    la::FlatMatrix out(count, n);
+    for (std::size_t s = 0; s < count; ++s) {
+        const std::vector<double> w =
+            wave(n, seed + static_cast<unsigned>(s), phase_step * static_cast<double>(s));
+        std::copy(w.begin(), w.end(), out[s].begin());
     }
     return out;
 }
@@ -198,8 +213,7 @@ TEST(KernelsDtwTest, SteadyStatePairLoopDoesNotAllocate) {
 }
 
 TEST(KernelsDtwTest, DistanceMatrixIsContiguousSymmetricAndPairExact) {
-    std::vector<std::vector<double>> series;
-    for (unsigned s = 0; s < 7; ++s) series.push_back(wave(96, s, 0.3 * s));
+    const la::FlatMatrix series = waves(7, 96, 0, 0.3);
     const la::FlatMatrix dist = cluster::dtw_distance_matrix(series, 8);
     ASSERT_EQ(dist.rows(), series.size());
     ASSERT_EQ(dist.cols(), series.size());
@@ -215,8 +229,7 @@ TEST(KernelsDtwTest, DistanceMatrixIsContiguousSymmetricAndPairExact) {
 }
 
 TEST(KernelsDtwTest, PairChunkedMatrixBitIdenticalAcrossWorkerCounts) {
-    std::vector<std::vector<double>> series;
-    for (unsigned s = 0; s < 9; ++s) series.push_back(wave(80, 40 + s, 0.2 * s));
+    const la::FlatMatrix series = waves(9, 80, 40, 0.2);
     obs::MetricsRegistry serial_metrics;
     const la::FlatMatrix serial =
         cluster::dtw_distance_matrix(series, 6, nullptr, &serial_metrics);
@@ -248,8 +261,11 @@ TEST(KernelsDtwTest, AlignDistanceMatchesDistanceKernel) {
 // ---- FlatMatrix ------------------------------------------------------------
 
 TEST(KernelsFlatMatrixTest, ConvertsFromNestedVectorsAndRejectsRagged) {
+    // The conversion copies, so no call site may do it silently.
+    static_assert(!std::is_convertible_v<std::vector<std::vector<double>>,
+                                         la::FlatMatrix>);
     const std::vector<std::vector<double>> nested{{1.0, 2.0}, {3.0, 4.0}};
-    const la::FlatMatrix m = nested;
+    const la::FlatMatrix m(nested);
     EXPECT_EQ(m.rows(), 2u);
     EXPECT_EQ(m(1, 0), 3.0);
     EXPECT_EQ(m[0][1], 2.0);
@@ -321,11 +337,11 @@ TEST(KernelsMlpTest, FlattenedForwardMatchesNestedReferenceBitExactly) {
 
 TEST(KernelsMlpTest, TrainWithAndWithoutWorkspaceIsBitIdentical) {
     const std::vector<double> s = wave(160, 11, 0.0);
-    std::vector<std::vector<double>> inputs;
+    la::FlatMatrix inputs(s.size() - 6, 6);
     std::vector<double> targets;
     for (std::size_t i = 6; i < s.size(); ++i) {
-        inputs.emplace_back(s.begin() + static_cast<std::ptrdiff_t>(i - 6),
-                            s.begin() + static_cast<std::ptrdiff_t>(i));
+        std::copy(s.begin() + static_cast<std::ptrdiff_t>(i - 6),
+                  s.begin() + static_cast<std::ptrdiff_t>(i), inputs[i - 6].begin());
         targets.push_back(s[i]);
     }
     forecast::MlpTrainOptions options;
@@ -345,11 +361,11 @@ TEST(KernelsMlpTest, TrainWithAndWithoutWorkspaceIsBitIdentical) {
 
 TEST(KernelsMlpTest, TrainAllocationCountIndependentOfEpochs) {
     const std::vector<double> s = wave(140, 13, 0.4);
-    std::vector<std::vector<double>> inputs;
+    la::FlatMatrix inputs(s.size() - 6, 6);
     std::vector<double> targets;
     for (std::size_t i = 6; i < s.size(); ++i) {
-        inputs.emplace_back(s.begin() + static_cast<std::ptrdiff_t>(i - 6),
-                            s.begin() + static_cast<std::ptrdiff_t>(i));
+        std::copy(s.begin() + static_cast<std::ptrdiff_t>(i - 6),
+                  s.begin() + static_cast<std::ptrdiff_t>(i), inputs[i - 6].begin());
         targets.push_back(s[i]);
     }
     // Per-sample SGD must be allocation-free: the only allocations a
@@ -415,25 +431,11 @@ TEST(KernelsOlsTest, ImplicitQMatchesExplicitQrReference) {
     }
 }
 
-TEST(KernelsOlsTest, SpanViewsMatchNestedVectorOverloadBitExactly) {
-    const std::vector<double> y = wave(90, 30, 0.0);
-    std::vector<std::vector<double>> predictors;
-    for (unsigned s = 0; s < 3; ++s) predictors.push_back(wave(90, 31 + s, 0.4 * s));
-    const la::OlsFit nested = la::ols_fit(y, predictors);
-    std::vector<std::span<const double>> views(predictors.begin(),
-                                               predictors.end());
-    const la::OlsFit viewed = la::ols_fit(y, views);
-    EXPECT_EQ(nested.coefficients, viewed.coefficients);
-    EXPECT_EQ(nested.r_squared, viewed.r_squared);
-    EXPECT_EQ(nested.fitted, viewed.fitted);
-}
-
 TEST(KernelsRidgeTest, CenteredColumnFusionIsBitIdenticalToPairwiseReference) {
     const std::vector<double> y = wave(100, 50, 0.2);
-    std::vector<std::vector<double>> predictors;
-    for (unsigned s = 0; s < 3; ++s) predictors.push_back(wave(100, 51 + s, 0.5 * s));
+    const la::FlatMatrix predictors = waves(3, 100, 51, 0.5);
     const double lambda = 0.75;
-    const la::OlsFit fused = la::ridge_fit(y, predictors, lambda);
+    const la::OlsFit fused = la::ridge_fit(y, predictors.row_views(), lambda);
 
     // Pre-refactor accumulation: re-subtract the means inside every
     // (j, k) product. The fused path centers once; the subtracted values

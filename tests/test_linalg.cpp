@@ -4,7 +4,9 @@
 #include <cmath>
 #include <initializer_list>
 #include <random>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "linalg/ols.hpp"
 
@@ -21,6 +23,13 @@ FlatMatrix mat(std::initializer_list<std::initializer_list<double>> rows) {
         ++i;
     }
     return m;
+}
+
+/// Views over caller-owned columns: the regressions read predictors as
+/// spans.
+std::vector<std::span<const double>> views(
+    std::initializer_list<std::span<const double>> columns) {
+    return columns;
 }
 
 FlatMatrix multiply(const FlatMatrix& a, const FlatMatrix& b) {
@@ -156,7 +165,7 @@ TEST(OlsTest, RecoversLinearModel) {
     const std::vector<double> x2{2, 1, 4, 3, 6, 5};
     std::vector<double> y(6);
     for (std::size_t i = 0; i < 6; ++i) y[i] = 3.0 + 2.0 * x1[i] - 1.5 * x2[i];
-    const OlsFit fit = ols_fit(y, {x1, x2});
+    const OlsFit fit = ols_fit(y, views({x1, x2}));
     ASSERT_EQ(fit.coefficients.size(), 3u);
     EXPECT_NEAR(fit.coefficients[0], 3.0, 1e-9);
     EXPECT_NEAR(fit.coefficients[1], 2.0, 1e-9);
@@ -166,7 +175,7 @@ TEST(OlsTest, RecoversLinearModel) {
 
 TEST(OlsTest, InterceptOnlyFitsMean) {
     const std::vector<double> y{1, 2, 3, 4};
-    const OlsFit fit = ols_fit(y, std::vector<std::vector<double>>{});
+    const OlsFit fit = ols_fit(y, views({}));
     EXPECT_NEAR(fit.coefficients[0], 2.5, 1e-12);
     EXPECT_NEAR(fit.r_squared, 0.0, 1e-12);
 }
@@ -174,7 +183,7 @@ TEST(OlsTest, InterceptOnlyFitsMean) {
 TEST(OlsTest, PredictMatchesFitted) {
     const std::vector<double> x{1, 2, 3, 4};
     const std::vector<double> y{2.1, 3.9, 6.2, 7.8};
-    const OlsFit fit = ols_fit(y, {x});
+    const OlsFit fit = ols_fit(y, views({x}));
     for (std::size_t i = 0; i < x.size(); ++i) {
         EXPECT_NEAR(fit.predict(std::vector<double>{x[i]}), fit.fitted[i], 1e-12);
     }
@@ -183,7 +192,7 @@ TEST(OlsTest, PredictMatchesFitted) {
 TEST(OlsTest, ResidualsSumNearZero) {
     const std::vector<double> x{1, 2, 3, 4, 5};
     const std::vector<double> y{1.2, 1.9, 3.3, 3.8, 5.1};
-    const OlsFit fit = ols_fit(y, {x});
+    const OlsFit fit = ols_fit(y, views({x}));
     double sum = 0.0;
     for (double r : fit.residuals) sum += r;
     EXPECT_NEAR(sum, 0.0, 1e-9);  // property of OLS with intercept
@@ -191,8 +200,8 @@ TEST(OlsTest, ResidualsSumNearZero) {
 
 TEST(OlsTest, ShapeMismatchThrows) {
     const std::vector<double> y{1, 2, 3};
-    const std::vector<std::vector<double>> bad{{1, 2}};
-    EXPECT_THROW(ols_fit(y, bad), std::invalid_argument);
+    const std::vector<double> bad{1, 2};
+    EXPECT_THROW(ols_fit(y, views({bad})), std::invalid_argument);
 }
 
 TEST(OlsTest, AdjustedR2PenalizesUselessPredictor) {
@@ -206,8 +215,8 @@ TEST(OlsTest, AdjustedR2PenalizesUselessPredictor) {
         junk[i] = noise(rng);
         y[i] = 2.0 * x[i] + noise(rng);
     }
-    const OlsFit with = ols_fit(y, {x, junk});
-    const OlsFit without = ols_fit(y, {x});
+    const OlsFit with = ols_fit(y, views({x, junk}));
+    const OlsFit without = ols_fit(y, views({x}));
     EXPECT_GE(with.r_squared, without.r_squared);  // R2 can only grow
     EXPECT_LT(with.adjusted_r_squared - without.adjusted_r_squared, 0.01);
 }
@@ -215,11 +224,9 @@ TEST(OlsTest, AdjustedR2PenalizesUselessPredictor) {
 TEST(VifTest, IndependentPredictorsNearOne) {
     std::mt19937 rng(7);
     std::normal_distribution<double> noise(0.0, 1.0);
-    std::vector<std::vector<double>> preds(3, std::vector<double>(200));
-    for (auto& p : preds) {
-        for (double& v : p) v = noise(rng);
-    }
-    const auto vifs = variance_inflation_factors(preds);
+    FlatMatrix preds(3, 200);
+    for (double& v : preds.data()) v = noise(rng);
+    const auto vifs = variance_inflation_factors(preds.row_views());
     for (double v : vifs) EXPECT_LT(v, 1.3);
 }
 
@@ -228,13 +235,13 @@ TEST(VifTest, CollinearPredictorHasHugeVif) {
     std::vector<double> b{6, 5, 4, 3, 2, 1};
     std::vector<double> c(6);
     for (std::size_t i = 0; i < 6; ++i) c[i] = a[i] + b[i];  // exactly dependent
-    const auto vifs = variance_inflation_factors({a, b, c});
+    const auto vifs = variance_inflation_factors(views({a, b, c}));
     EXPECT_GT(*std::max_element(vifs.begin(), vifs.end()), 1e6);
 }
 
 TEST(VifTest, SinglePredictorIsOne) {
-    const std::vector<std::vector<double>> preds{{1, 2, 3}};
-    const auto vifs = variance_inflation_factors(preds);
+    const std::vector<double> only{1, 2, 3};
+    const auto vifs = variance_inflation_factors(views({only}));
     ASSERT_EQ(vifs.size(), 1u);
     EXPECT_DOUBLE_EQ(vifs[0], 1.0);
 }
@@ -250,18 +257,16 @@ TEST(ReduceMulticollinearityTest, DropsLinearCombination) {
         b[i] = noise(rng);
         c[i] = 2.0 * a[i] - b[i] + 0.01 * noise(rng);  // nearly dependent
     }
-    const auto kept = reduce_multicollinearity({a, b, c}, 4.0);
+    const auto kept = reduce_multicollinearity(views({a, b, c}), 4.0);
     EXPECT_EQ(kept.size(), 2u);
 }
 
 TEST(ReduceMulticollinearityTest, KeepsIndependentSet) {
     std::mt19937 rng(13);
     std::normal_distribution<double> noise(0.0, 1.0);
-    std::vector<std::vector<double>> preds(4, std::vector<double>(100));
-    for (auto& p : preds) {
-        for (double& v : p) v = noise(rng);
-    }
-    const auto kept = reduce_multicollinearity(preds, 4.0);
+    FlatMatrix preds(4, 100);
+    for (double& v : preds.data()) v = noise(rng);
+    const auto kept = reduce_multicollinearity(preds.row_views(), 4.0);
     EXPECT_EQ(kept.size(), 4u);
 }
 
@@ -274,14 +279,12 @@ TEST_P(OlsPropertyTest, QrMatchesNormalEquations) {
     std::normal_distribution<double> noise(0.0, 1.0);
     const std::size_t n = 60;
     const std::size_t p = 3;
-    std::vector<std::vector<double>> preds(p, std::vector<double>(n));
+    FlatMatrix preds(p, n);
     std::vector<double> y(n);
-    for (auto& col : preds) {
-        for (double& v : col) v = noise(rng);
-    }
+    for (double& v : preds.data()) v = noise(rng);
     for (std::size_t i = 0; i < n; ++i) y[i] = noise(rng);
 
-    const OlsFit fit = ols_fit(y, preds);
+    const OlsFit fit = ols_fit(y, preds.row_views());
 
     // Normal equations via Cholesky on X'X.
     FlatMatrix x(n, p + 1);

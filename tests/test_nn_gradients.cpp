@@ -34,7 +34,7 @@ MlpNetwork one_step(unsigned seed, const std::vector<int>& layers,
     options.lr_decay = 1.0;
     options.weight_decay = 0.0;
     options.validation_fraction = 0.0;
-    net.train({x}, std::vector<double>{y}, options);
+    net.train(la::FlatMatrix({x}), std::vector<double>{y}, options);
     return net;
 }
 
@@ -67,7 +67,7 @@ TEST_P(GradientCheckTest, ConvergesToSingleTarget) {
     // any systematic gradient error would stall or diverge.
     const Activation act = GetParam();
     MlpNetwork net({2, 4, 1}, act, 29);
-    const std::vector<std::vector<double>> inputs{{0.4, 0.6}};
+    const la::FlatMatrix inputs({{0.4, 0.6}});
     const std::vector<double> targets{0.35};
     MlpTrainOptions options;
     options.epochs = 500;
@@ -101,7 +101,7 @@ TEST(GradientCheckTest, WeightDecayShrinksSolution) {
     // the plain network converges to the target while the decayed one
     // settles at an equilibrium strictly between 0 and the target —
     // validating the decay term's sign (a flipped sign would overshoot).
-    const std::vector<std::vector<double>> inputs{{1.0, 1.0}};
+    const la::FlatMatrix inputs({{1.0, 1.0}});
     const std::vector<double> targets{0.9};
     MlpTrainOptions options;
     options.epochs = 400;

@@ -343,6 +343,76 @@ TEST(ChaosFleetTest, TruncationExcludesFailedBoxesFromAggregatesExactly) {
     }
 }
 
+/// Cuts every series of VM `vm` to `len` samples: the shape of a trace
+/// file in which one VM has fewer rows than the others. box.length()
+/// reads VM 0, so a later VM's cut hides from the length check.
+void cut_vm(trace::BoxTrace& box, std::size_t vm, std::size_t len) {
+    trace::VmTrace& v = box.vms.at(vm);
+    for (ts::Series* series : {&v.cpu_usage_pct, &v.ram_usage_pct,
+                               &v.cpu_demand_ghz, &v.ram_demand_gb}) {
+        series->values().resize(len);
+    }
+}
+
+TEST(RaggedBoxTest, BoxWithUnequalSeriesLengthsIsRejectedAtInput) {
+    trace::Trace t = chaos_trace(1);
+    trace::BoxTrace& box = t.boxes[0];
+    ASSERT_GE(box.vms.size(), 2u);
+    cut_vm(box, box.vms.size() - 1, box.length() - 20);
+    ASSERT_FALSE(box.equal_lengths());
+
+    core::PipelineConfig config;
+    config.temporal = forecast::TemporalModel::kSeasonalNaive;
+    config.train_days = 5;
+    try {
+        core::run_pipeline_on_box(box, t.windows_per_day, config);
+        FAIL() << "expected PipelineError";
+    } catch (const core::PipelineError& e) {
+        EXPECT_EQ(e.code(), PipelineErrorCode::kTraceInvalid);
+        EXPECT_EQ(e.stage(), "input");
+    }
+    try {
+        core::evaluate_resize_policies_on_actuals(box, t.windows_per_day, 5,
+                                                  0.6, 5.0);
+        FAIL() << "expected PipelineError";
+    } catch (const core::PipelineError& e) {
+        EXPECT_EQ(e.code(), PipelineErrorCode::kTraceInvalid);
+        EXPECT_EQ(e.stage(), "input");
+    }
+}
+
+TEST(RaggedBoxTest, RaggedBoxFailsAloneInAFleet) {
+    const trace::Trace clean = chaos_trace(3);
+    trace::Trace ragged = clean;
+    trace::BoxTrace& bad = ragged.boxes[1];
+    ASSERT_GE(bad.vms.size(), 2u);
+    cut_vm(bad, 1, bad.length() / 2);
+
+    const core::FleetConfig config = chaos_config("", 0);
+    const core::FleetResult baseline = core::run_pipeline_on_fleet(clean, config);
+    const core::FleetResult fleet = core::run_pipeline_on_fleet(ragged, config);
+
+    ASSERT_EQ(fleet.boxes.size(), 3u);
+    EXPECT_EQ(fleet.boxes_failed, 1u);
+    EXPECT_EQ(fleet.boxes[1].error_code, PipelineErrorCode::kTraceInvalid);
+    EXPECT_EQ(fleet.boxes[1].error_stage, "input");
+    EXPECT_EQ(fleet.metrics.counter("robust.error.trace-invalid"), 1u);
+    for (const std::size_t i : {0u, 2u}) {
+        const core::BoxPipelineResult& got = fleet.boxes[i].result;
+        const core::BoxPipelineResult& want = baseline.boxes[i].result;
+        EXPECT_TRUE(fleet.boxes[i].error.empty());
+        EXPECT_EQ(got.ape_all, want.ape_all);
+        EXPECT_EQ(got.ape_peak, want.ape_peak);
+        EXPECT_EQ(got.predicted_demands, want.predicted_demands);
+        EXPECT_EQ(got.search.signatures, want.search.signatures);
+        ASSERT_EQ(got.policies.size(), want.policies.size());
+        for (std::size_t p = 0; p < got.policies.size(); ++p) {
+            EXPECT_EQ(got.policies[p].cpu_after, want.policies[p].cpu_after);
+            EXPECT_EQ(got.policies[p].ram_after, want.policies[p].ram_after);
+        }
+    }
+}
+
 TEST(ChaosFleetTest, BoundaryThrowFailsBoxesWithFaultInjected) {
     const trace::Trace t = chaos_trace(8);
     const core::FleetConfig config = chaos_config("pipeline.forecast=throw@0.4", 3);
@@ -775,13 +845,16 @@ TEST(ResilienceConfigTest, ValidateReportsExactMessages) {
 TEST(DegradationLadderTest, SpatialRidgeFallbackOnUnderdeterminedFit) {
     // 3 training samples against 3 signatures + intercept: OLS is
     // underdetermined and must hand the dependent series to ridge.
-    const std::vector<std::vector<double>> series = {
-        {1.0, 2.0, 3.0}, {2.0, 1.0, 4.0}, {0.5, 0.5, 1.0}, {1.5, 2.5, 3.5}};
+    const la::FlatMatrix series({{1.0, 2.0, 3.0},
+                                 {2.0, 1.0, 4.0},
+                                 {0.5, 0.5, 1.0},
+                                 {1.5, 2.5, 3.5}});
     core::SpatialModel model;
     model.fit(series, {0, 1, 2});
     EXPECT_TRUE(model.fitted());
     EXPECT_EQ(model.ridge_fallbacks(), 1u);
-    const auto rebuilt = model.reconstruct({series[0], series[1], series[2]});
+    const auto rebuilt = model.reconstruct(la::FlatMatrix(
+        {{1.0, 2.0, 3.0}, {2.0, 1.0, 4.0}, {0.5, 0.5, 1.0}}));
     ASSERT_EQ(rebuilt.size(), 4u);
     for (const double x : rebuilt[3]) EXPECT_TRUE(std::isfinite(x));
 }

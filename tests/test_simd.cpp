@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cluster/dtw.hpp"
+#include "exec/thread_pool.hpp"
 #include "forecast/nn.hpp"
 #include "linalg/simd/simd.hpp"
 #include "obs/metrics.hpp"
@@ -60,6 +61,18 @@ std::vector<double> random_series(std::mt19937& rng, std::size_t len,
     std::vector<double> xs(len);
     for (double& x : xs) x = dist(rng);
     return xs;
+}
+
+/// `count` random series of `len` samples as a series set, drawn in row
+/// order.
+la::FlatMatrix random_set(std::mt19937& rng, std::size_t count,
+                          std::size_t len) {
+    la::FlatMatrix set(count, len);
+    for (std::size_t s = 0; s < count; ++s) {
+        const std::vector<double> xs = random_series(rng, len);
+        std::copy(xs.begin(), xs.end(), set[s].begin());
+    }
+    return set;
 }
 
 // ---------------------------------------------------------------------
@@ -356,50 +369,12 @@ TEST(SimdDtwTest, BatchKernelMatchesScalarPerPairBitwise) {
     }
 }
 
-TEST(SimdDtwTest, DistanceMatrixMixedLengthsAndEmptiesAcrossPaths) {
-    // Mixed lengths force the matrix loop to flush partial batches on
-    // every shape change, and empty series must bypass the batch kernel
-    // with the historical 0 / +inf results — all bit-identical to the
-    // scalar path, counters included.
-    std::mt19937 rng(777);
-    std::vector<std::vector<double>> series;
-    series.push_back(random_series(rng, 96));
-    series.push_back(random_series(rng, 96));
-    series.push_back(random_series(rng, 40));
-    series.push_back({});
-    series.push_back(random_series(rng, 96));
-    series.push_back(random_series(rng, 40));
-    series.push_back({});
-
-    const PathGuard guard;
-    set_path(Path::kScalar);
-    obs::MetricsRegistry scalar_metrics;
-    const la::FlatMatrix expected =
-        cluster::dtw_distance_matrix(series, 8, nullptr, &scalar_metrics);
-    for (Path path : vector_paths()) {
-        set_path(path);
-        obs::MetricsRegistry metrics;
-        const la::FlatMatrix actual =
-            cluster::dtw_distance_matrix(series, 8, nullptr, &metrics);
-        for (std::size_t i = 0; i < series.size(); ++i) {
-            for (std::size_t j = 0; j < series.size(); ++j) {
-                EXPECT_EQ(expected(i, j), actual(i, j))
-                    << to_string(path) << " (" << i << ", " << j << ")";
-            }
-        }
-        EXPECT_EQ(scalar_metrics.snapshot().counters,
-                  metrics.snapshot().counters)
-            << to_string(path);
-    }
-}
-
 TEST(SimdDtwTest, DistanceMatrixAndCellCountersIdenticalAcrossPaths) {
     // End-to-end through cluster::dtw_distance_matrix: forcing each path
     // must leave every matrix entry and the cluster.dtw.* counters
     // bit-identical (the acceptance criterion for cluster.dtw.cells).
     std::mt19937 rng(2016);
-    std::vector<std::vector<double>> series;
-    for (int s = 0; s < 6; ++s) series.push_back(random_series(rng, 96));
+    const la::FlatMatrix series = random_set(rng, 6, 96);
 
     const PathGuard guard;
     set_path(Path::kScalar);
@@ -429,34 +404,49 @@ TEST(SimdDtwTest, DistanceMatrixAtFleetShapeIdenticalAcrossPaths) {
     // The shape the fleet's DTW search runs: a box of 24 series of five
     // days at 96 samples per day, unconstrained. Full strips, lane
     // groups that share p and partial groups at chunk ends are all
-    // exercised; matrix and counters must match scalar.
+    // exercised. A banded 7-series set (n not a multiple of any lane
+    // width; 21 pairs, so chunks end on partial batches) covers the rest
+    // of the matrix loop's batching, and every path also runs on a pool.
+    // Matrix and counters must match the serial scalar run.
     std::mt19937 rng(480);
-    std::vector<std::vector<double>> series;
-    for (int s = 0; s < 24; ++s) series.push_back(random_series(rng, 480));
+    struct Case {
+        la::FlatMatrix series;
+        int band;
+    };
+    const Case cases[] = {{random_set(rng, 24, 480), -1},
+                          {random_set(rng, 7, 96), 8}};
+    exec::ThreadPool pool(3);
 
     const PathGuard guard;
-    set_path(Path::kScalar);
-    obs::MetricsRegistry scalar_metrics;
-    const la::FlatMatrix expected =
-        cluster::dtw_distance_matrix(series, -1, nullptr, &scalar_metrics);
-    const auto scalar_counters = scalar_metrics.snapshot().counters;
-    EXPECT_EQ(scalar_counters.at("cluster.dtw.pairs"), 24u * 23u / 2u);
-    EXPECT_EQ(scalar_counters.at("cluster.dtw.cells"),
-              24u * 23u / 2u * 480u * 480u);
+    for (const Case& c : cases) {
+        const std::size_t n = c.series.rows();
+        const std::size_t len = c.series.cols();
+        set_path(Path::kScalar);
+        obs::MetricsRegistry scalar_metrics;
+        const la::FlatMatrix expected = cluster::dtw_distance_matrix(
+            c.series, c.band, nullptr, &scalar_metrics);
+        const auto scalar_counters = scalar_metrics.snapshot().counters;
+        const std::uint64_t pairs = n * (n - 1) / 2;
+        EXPECT_EQ(scalar_counters.at("cluster.dtw.pairs"), pairs);
+        EXPECT_EQ(scalar_counters.at("cluster.dtw.cells"),
+                  pairs * cluster::dtw_cell_count(len, len, c.band));
+        if (c.band < 0) {
+            EXPECT_EQ(scalar_counters.at("cluster.dtw.cells"), pairs * len * len);
+        }
 
-    for (Path path : vector_paths()) {
-        set_path(path);
-        obs::MetricsRegistry metrics;
-        const la::FlatMatrix actual =
-            cluster::dtw_distance_matrix(series, -1, nullptr, &metrics);
-        for (std::size_t i = 0; i < series.size(); ++i) {
-            for (std::size_t j = 0; j < series.size(); ++j) {
-                EXPECT_EQ(expected(i, j), actual(i, j))
-                    << to_string(path) << " (" << i << ", " << j << ")";
+        for (Path path : supported_paths()) {
+            set_path(path);
+            for (exec::ThreadPool* runner : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+                if (path == Path::kScalar && runner == nullptr) continue;
+                obs::MetricsRegistry metrics;
+                const la::FlatMatrix actual = cluster::dtw_distance_matrix(
+                    c.series, c.band, runner, &metrics);
+                EXPECT_EQ(expected, actual)
+                    << to_string(path) << (runner ? " pooled" : "") << ", n " << n;
+                EXPECT_EQ(scalar_counters, metrics.snapshot().counters)
+                    << to_string(path) << (runner ? " pooled" : "") << ", n " << n;
             }
         }
-        EXPECT_EQ(scalar_counters, metrics.snapshot().counters)
-            << to_string(path);
     }
 }
 
@@ -602,13 +592,12 @@ TEST(SimdMlpTest, NetworkPredictAndTrainCloseAcrossPaths) {
     std::mt19937 rng(31415);
     std::uniform_real_distribution<double> dist(0.0, 1.0);
     const std::size_t examples = 24;
-    std::vector<std::vector<double>> inputs;
+    la::FlatMatrix inputs(examples, 8);
     std::vector<double> targets;
     for (std::size_t e = 0; e < examples; ++e) {
-        std::vector<double> x(8);
+        const std::span<double> x = inputs[e];
         for (double& v : x) v = dist(rng);
         targets.push_back(0.3 * x[0] + 0.5 * x[7] + 0.05 * dist(rng));
-        inputs.push_back(std::move(x));
     }
     forecast::MlpTrainOptions options;
     options.epochs = 5;
