@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "linalg/ridge.hpp"
 #include "linalg/simd/simd.hpp"
 #include "resize/policies.hpp"
+#include "timeseries/features.hpp"
 #include "tracegen/generator.hpp"
 
 namespace {
@@ -160,30 +162,62 @@ void BM_MlpTrainSignature(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpTrainSignature)->Unit(benchmark::kMillisecond);
 
-/// Raw network training loop (no forecaster wrapper): flattened
-/// per-layer weight arrays and a reused caller-owned workspace, so the
-/// per-sample SGD loop runs allocation-free.
+/// The forecaster's lag dataset of `s`: 6 lags plus one seasonal lag
+/// (7 inputs per example), min-max scaled like MlpForecaster::fit.
+void lag_examples(std::span<const double> s, la::FlatMatrix& inputs,
+                  std::vector<double>& targets) {
+    ts::MinMaxScaler scaler;
+    scaler.fit(s);
+    ts::make_lag_dataset_flat(scaler.transform(s), 6, 96, inputs, targets);
+}
+
+/// Raw network training loop (no forecaster wrapper) at the production
+/// shape, 7→12→1 on a 480-sample series: flattened per-layer weight
+/// arrays and a reused caller-owned workspace, so the per-sample SGD loop
+/// runs allocation-free. One network is a batch of one: on vector paths
+/// every lane but one idles.
 void BM_MlpNetworkTrain(benchmark::State& state) {
     const auto series = box_series(5);
-    const auto s = series[0];
-    const std::size_t lags = 8;
-    la::FlatMatrix inputs(s.size() - lags, lags);
+    la::FlatMatrix inputs;
     std::vector<double> targets;
-    for (std::size_t i = lags; i < s.size(); ++i) {
-        const auto window = s.subspan(i - lags, lags);
-        std::copy(window.begin(), window.end(), inputs[i - lags].begin());
-        targets.push_back(s[i]);
-    }
+    lag_examples(series[0], inputs, targets);
     forecast::MlpTrainOptions options;
     options.epochs = 20;
     forecast::MlpWorkspace workspace;
     for (auto _ : state) {
-        forecast::MlpNetwork net({static_cast<int>(lags), 8, 1},
-                                 forecast::Activation::kTanh, 42);
+        forecast::MlpNetwork net({7, 12, 1}, forecast::Activation::kTanh, 42);
         benchmark::DoNotOptimize(net.train(inputs, targets, options, &workspace));
     }
 }
 BENCHMARK(BM_MlpNetworkTrain)->Unit(benchmark::kMillisecond);
+
+/// One box's forecast fits at the production shape, as the pipeline's
+/// forecast stage runs them: 19 signatures' 480-sample series, default
+/// MlpForecaster options (7→12→1, up to 80 epochs with early stopping)
+/// and per-signature seeds, fitted together by MlpForecaster::fit_batch.
+void BM_MlpTrainBox(benchmark::State& state) {
+    constexpr std::size_t kSignatures = 19;
+    const auto series = box_series(5);
+    std::vector<std::span<const double>> histories;
+    for (std::size_t s = 0; s < kSignatures; ++s) {
+        histories.push_back(series[s % series.rows()]);
+    }
+    forecast::MlpWorkspace workspace;
+    for (auto _ : state) {
+        std::vector<forecast::MlpForecaster> models;
+        for (std::size_t s = 0; s < kSignatures; ++s) {
+            forecast::MlpForecasterOptions options;
+            options.train.seed = 42 + static_cast<unsigned>(s);
+            options.workspace = &workspace;
+            models.emplace_back(options);
+        }
+        std::vector<forecast::MlpForecaster*> batch;
+        for (forecast::MlpForecaster& m : models) batch.push_back(&m);
+        forecast::MlpForecaster::fit_batch(batch, histories);
+        benchmark::DoNotOptimize(models.back().forecast(1).front());
+    }
+}
+BENCHMARK(BM_MlpTrainBox)->Unit(benchmark::kMillisecond);
 
 void BM_SeasonalNaive(benchmark::State& state) {
     const auto series = box_series(5);
@@ -232,28 +266,21 @@ void BM_FleetPipeline(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetPipeline)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 
-/// Raw MLP training epoch loop under a pinned SIMD kernel path — the
-/// differential counterpart to BM_MlpNetworkTrain (which runs on the
-/// ambient dispatch). Registered once per supported path by main().
+/// BM_MlpNetworkTrain (one 7→12→1 network) under a pinned SIMD kernel
+/// path; it runs on the ambient dispatch. Registered once per supported
+/// path by main().
 void BM_MlpTrain(benchmark::State& state, simd::Path path) {
     const simd::Path ambient = simd::active_path();
     simd::set_path(path);
     const auto series = box_series(5);
-    const auto s = series[0];
-    const std::size_t lags = 8;
-    la::FlatMatrix inputs(s.size() - lags, lags);
+    la::FlatMatrix inputs;
     std::vector<double> targets;
-    for (std::size_t i = lags; i < s.size(); ++i) {
-        const auto window = s.subspan(i - lags, lags);
-        std::copy(window.begin(), window.end(), inputs[i - lags].begin());
-        targets.push_back(s[i]);
-    }
+    lag_examples(series[0], inputs, targets);
     forecast::MlpTrainOptions options;
     options.epochs = 20;
     forecast::MlpWorkspace workspace;
     for (auto _ : state) {
-        forecast::MlpNetwork net({static_cast<int>(lags), 8, 1},
-                                 forecast::Activation::kTanh, 42);
+        forecast::MlpNetwork net({7, 12, 1}, forecast::Activation::kTanh, 42);
         benchmark::DoNotOptimize(net.train(inputs, targets, options, &workspace));
     }
     simd::set_path(ambient);

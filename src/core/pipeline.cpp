@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "forecast/mlp_forecaster.hpp"
 #include "timeseries/repair.hpp"
 #include "timeseries/stats.hpp"
 
@@ -390,20 +392,18 @@ BoxPipelineResult run_pipeline_on_box(
         obs::ScopedTimer timer(metrics, "stage.forecast");
         exec::checkpoint(config.cancel, "pipeline.forecast");
         ATM_FAULT_SITE(config.fault, "pipeline.forecast");
-        const auto fit_and_forecast = [&](forecast::TemporalModel model,
-                                          int s) -> std::vector<double> {
-            const std::string model_name = forecast::to_string(model);
-            auto forecaster = forecast::make_forecaster(
+        const auto make = [&](forecast::TemporalModel model, int s) {
+            return forecast::make_forecaster(
                 model, windows_per_day, config.seed + static_cast<unsigned>(s),
                 metrics, config.cancel,
                 config.workspace != nullptr ? &config.workspace->mlp : nullptr);
-            {
-                obs::ScopedTimer fit_timer(metrics, "forecast.fit." + model_name);
-                forecaster->fit(scoped_train[static_cast<std::size_t>(s)]);
-            }
+        };
+        const auto checked_forecast =
+            [&](const forecast::Forecaster& forecaster,
+                const std::string& model_name) -> std::vector<double> {
             obs::ScopedTimer predict_timer(metrics,
                                            "forecast.predict." + model_name);
-            std::vector<double> values = forecaster->forecast(windows_per_day);
+            std::vector<double> values = forecaster.forecast(windows_per_day);
             for (const double v : values) {
                 if (!std::isfinite(v)) {
                     throw PipelineError(PipelineErrorCode::kModelFitFailed,
@@ -413,50 +413,109 @@ BoxPipelineResult run_pipeline_on_box(
             }
             return values;
         };
-        // Per-signature model ladder: the configured model, then AR, then
-        // seasonal-naive (which cannot fail on finite input). Only the
-        // primary attempt carries a fault site — the fallbacks are the
-        // recovery path under test.
+        const auto fit_and_forecast = [&](forecast::TemporalModel model,
+                                          int s) -> std::vector<double> {
+            const std::string model_name = forecast::to_string(model);
+            auto forecaster = make(model, s);
+            {
+                obs::ScopedTimer fit_timer(metrics, "forecast.fit." + model_name);
+                forecaster->fit(scoped_train[static_cast<std::size_t>(s)]);
+            }
+            return checked_forecast(*forecaster, model_name);
+        };
+        const std::vector<int>& signatures = spatial.signature_indices();
+        // A failed primary attempt's first error, for its fallback note.
+        std::vector<PipelineErrorCode> first_code(signatures.size(),
+                                                  PipelineErrorCode::kNone);
+        std::vector<std::string> first_error(signatures.size());
+        std::vector<std::unique_ptr<forecast::Forecaster>> primary(
+            signatures.size());
+        const auto fail_primary = [&](std::size_t k, const std::exception& e) {
+            rethrow_if_cancelled(e);
+            first_code[k] =
+                classify_current(e, PipelineErrorCode::kModelFitFailed);
+            first_error[k] = e.what();
+            primary[k].reset();
+        };
+
+        // Primary attempts: the configured model, with the only fault
+        // site of the ladder (the fallbacks are the recovery path under
+        // test), drawn for every signature in order first. The surviving
+        // MLP networks then train together (MlpForecaster::fit_batch)
+        // under one forecast.fit.mlp timer; other models fit one by one.
+        const std::string primary_name = forecast::to_string(config.temporal);
+        std::vector<forecast::MlpForecaster*> mlps;
+        std::vector<std::span<const double>> mlp_histories;
+        std::vector<std::size_t> mlp_signatures;
+        for (std::size_t k = 0; k < signatures.size(); ++k) {
+            const std::span<const double> history =
+                scoped_train[static_cast<std::size_t>(signatures[k])];
+            try {
+                ATM_FAULT_SITE(config.fault, "forecast.fit");
+                primary[k] = make(config.temporal, signatures[k]);
+                if (auto* mlp = dynamic_cast<forecast::MlpForecaster*>(
+                        primary[k].get())) {
+                    mlps.push_back(mlp);
+                    mlp_histories.push_back(history);
+                    mlp_signatures.push_back(k);
+                    continue;
+                }
+                obs::ScopedTimer fit_timer(metrics,
+                                           "forecast.fit." + primary_name);
+                primary[k]->fit(history);
+            } catch (const std::exception& e) {
+                fail_primary(k, e);
+            }
+        }
+        if (!mlps.empty()) {
+            try {
+                obs::ScopedTimer fit_timer(metrics, "forecast.fit.mlp");
+                forecast::MlpForecaster::fit_batch(mlps, mlp_histories);
+            } catch (const std::exception& e) {
+                for (const std::size_t k : mlp_signatures) fail_primary(k, e);
+            }
+        }
+
+        // Per-signature model ladder: the primary model, then AR, then
+        // seasonal-naive (which cannot fail on finite input).
         const forecast::TemporalModel ladder[] = {
             config.temporal, forecast::TemporalModel::kAutoregressive,
             forecast::TemporalModel::kSeasonalNaive};
-        for (std::size_t k = 0; k < spatial.signature_indices().size(); ++k) {
-            const int s = spatial.signature_indices()[k];
+        for (std::size_t k = 0; k < signatures.size(); ++k) {
+            const int s = signatures[k];
             std::vector<double> values;
             bool done = false;
-            PipelineErrorCode first_code = PipelineErrorCode::kNone;
-            std::string first_error;
-            for (std::size_t a = 0; a < std::size(ladder) && !done; ++a) {
+            if (primary[k] != nullptr) {
+                try {
+                    values = checked_forecast(*primary[k], primary_name);
+                    done = true;
+                } catch (const std::exception& e) {
+                    fail_primary(k, e);
+                }
+            }
+            for (std::size_t a = 1; a < std::size(ladder) && !done; ++a) {
                 bool already_tried = false;
                 for (std::size_t b = 0; b < a; ++b) {
                     if (ladder[b] == ladder[a]) already_tried = true;
                 }
                 if (already_tried) continue;
                 try {
-                    if (a == 0) ATM_FAULT_SITE(config.fault, "forecast.fit");
                     values = fit_and_forecast(ladder[a], s);
                     done = true;
-                    if (a > 0) {
-                        note_degradation(
-                            result.degradations, metrics, first_code, "forecast",
-                            "signature " + std::to_string(s) + ": " +
-                                first_error + "; fell back to " +
-                                forecast::to_string(ladder[a]));
-                    }
+                    note_degradation(
+                        result.degradations, metrics, first_code[k], "forecast",
+                        "signature " + std::to_string(s) + ": " +
+                            first_error[k] + "; fell back to " +
+                            forecast::to_string(ladder[a]));
                 } catch (const std::exception& e) {
                     rethrow_if_cancelled(e);
-                    if (first_code == PipelineErrorCode::kNone) {
-                        first_code = classify_current(
-                            e, PipelineErrorCode::kModelFitFailed);
-                        first_error = e.what();
-                    }
                 }
             }
             if (!done) {
                 throw PipelineError(PipelineErrorCode::kModelFitFailed,
                                     "forecast",
                                     "every temporal model failed for signature " +
-                                        std::to_string(s) + ": " + first_error);
+                                        std::to_string(s) + ": " + first_error[k]);
             }
             std::copy(values.begin(), values.end(),
                       signature_forecasts[k].begin());

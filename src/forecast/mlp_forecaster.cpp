@@ -21,6 +21,35 @@ void MlpForecaster::fit(std::span<const double> history) {
 
 void MlpForecaster::fit_with(std::span<const double> history,
                              const MlpTrainOptions& train) {
+    la::FlatMatrix features;
+    std::vector<double> targets;
+    if (prepare(history, train.seed, features, targets)) {
+        network_->train(features, targets, train, options_.workspace);
+    }
+}
+
+void MlpForecaster::fit_batch(std::span<MlpForecaster* const> models,
+                              std::span<const std::span<const double>> histories) {
+    if (models.size() != histories.size()) {
+        throw std::invalid_argument("MlpForecaster::fit_batch: size mismatch");
+    }
+    std::vector<la::FlatMatrix> features(models.size());
+    std::vector<std::vector<double>> targets(models.size());
+    std::vector<MlpTrainJob> jobs;
+    for (std::size_t k = 0; k < models.size(); ++k) {
+        MlpForecaster& model = *models[k];
+        if (model.prepare(histories[k], model.options_.train.seed, features[k],
+                          targets[k])) {
+            jobs.push_back(MlpTrainJob{&*model.network_, &features[k],
+                                       targets[k], model.options_.train});
+        }
+    }
+    if (!jobs.empty()) train(jobs, models.front()->options_.workspace);
+}
+
+bool MlpForecaster::prepare(std::span<const double> history, unsigned seed,
+                            la::FlatMatrix& features,
+                            std::vector<double>& targets) {
     if (history.empty()) throw std::invalid_argument("MlpForecaster::fit: empty history");
     history_.assign(history.begin(), history.end());
 
@@ -29,8 +58,6 @@ void MlpForecaster::fit_with(std::span<const double> history,
 
     // Flat lag dataset: one contiguous feature block instead of one
     // vector per example (same rows/values as make_lag_dataset).
-    la::FlatMatrix features;
-    std::vector<double> targets;
     ts::make_lag_dataset_flat(scaled, options_.num_lags,
                               options_.seasonal_period, features, targets);
     // Degenerate cases: constant series or not enough history for even one
@@ -41,7 +68,7 @@ void MlpForecaster::fit_with(std::span<const double> history,
         degenerate_ = true;
         constant_value_ = history.back();
         network_.reset();
-        return;
+        return false;
     }
     degenerate_ = false;
 
@@ -51,8 +78,8 @@ void MlpForecaster::fit_with(std::span<const double> history,
     for (int h : options_.hidden) layer_sizes.push_back(h);
     layer_sizes.push_back(1);
 
-    network_.emplace(layer_sizes, options_.activation, train.seed);
-    network_->train(features, targets, train, options_.workspace);
+    network_.emplace(layer_sizes, options_.activation, seed);
+    return true;
 }
 
 bool MlpForecaster::retrain(std::span<const double> window,

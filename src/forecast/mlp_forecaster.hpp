@@ -42,6 +42,13 @@ class MlpForecaster final : public Forecaster {
     explicit MlpForecaster(MlpForecasterOptions options = {});
 
     void fit(std::span<const double> history) override;
+
+    /// fit() for many forecasters at once: models[k] fits histories[k],
+    /// and their networks train together (forecast::train, in the first
+    /// model's workspace), so each model ends exactly as its own fit()
+    /// would leave it.
+    static void fit_batch(std::span<MlpForecaster* const> models,
+                          std::span<const std::span<const double>> histories);
     [[nodiscard]] std::vector<double> forecast(int horizon) const override;
     [[nodiscard]] std::string name() const override { return "mlp"; }
 
@@ -64,6 +71,12 @@ class MlpForecaster final : public Forecaster {
   private:
     /// fit() under explicit training options (retrain's cold refit).
     void fit_with(std::span<const double> history, const MlpTrainOptions& train);
+    /// fit()'s set-up: stores and scales `history` and builds its lag
+    /// examples into `features`/`targets`. Returns false on a degenerate
+    /// history (nothing to train); otherwise the network is freshly
+    /// initialized from `seed`, ready to train.
+    bool prepare(std::span<const double> history, unsigned seed,
+                 la::FlatMatrix& features, std::vector<double>& targets);
     /// Scaled prediction for the step after the scaled series `scaled`,
     /// from its last num_lags samples and the one a season back (positions
     /// before the start read the first sample); `features` is scratch.

@@ -1,13 +1,15 @@
-// Scalar reference kernels. These are the historical row-DP DTW loop and
-// MLP inner loops moved here verbatim from cluster/dtw.cpp and
-// forecast/nn.cpp — the golden suite pins that the move changed nothing,
-// and every vector path is differentially tested against this table.
+// Scalar reference kernels: the historical row-DP DTW loop and MLP
+// forward loop (moved here verbatim from cluster/dtw.cpp and
+// forecast/nn.cpp — the golden suite pins that the move changed nothing),
+// and the lane-training kernel instantiated one lane wide. Every vector
+// path is differentially tested against this table.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 
+#include "linalg/simd/kernels_mlp.hpp"
 #include "linalg/simd/simd.hpp"
 
 namespace atm::simd {
@@ -83,32 +85,10 @@ void mlp_forward_layer_scalar(const double* weights, const double* biases,
     }
 }
 
-void mlp_backprop_delta_scalar(const double* next_weights,
-                               const double* next_delta, std::size_t width,
-                               std::size_t next_fan_out, double* delta) {
-    for (std::size_t j = 0; j < width; ++j) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < next_fan_out; ++k) {
-            acc += next_weights[k * width + j] * next_delta[k];
-        }
-        delta[j] = acc;
-    }
-}
-
-void mlp_sgd_layer_scalar(double* weights, double* velocity, const double* in,
-                          const double* deltas, std::size_t fan_in,
-                          std::size_t fan_out, double lr, double momentum,
-                          double weight_decay) {
-    for (std::size_t j = 0; j < fan_out; ++j) {
-        const double d = deltas[j];
-        double* row = weights + j * fan_in;
-        double* vel = velocity + j * fan_in;
-        for (std::size_t i = 0; i < fan_in; ++i) {
-            const double grad = d * in[i] + weight_decay * row[i];
-            vel[i] = momentum * vel[i] - lr * grad;
-            row[i] += vel[i];
-        }
-    }
+/// One network at a time, dot products summed sequentially from the
+/// bias exactly as mlp_forward_layer_scalar does.
+void mlp_train_epoch_scalar(const MlpLaneEpoch& epoch) {
+    mlp_train_epoch_vec<OneLane<0>>(epoch);
 }
 
 }  // namespace
@@ -119,8 +99,9 @@ const KernelTable& scalar_kernel_table() {
         /*dtw_batch_width=*/1,
         dtw_distance_batch_scalar,
         mlp_forward_layer_scalar,
-        mlp_backprop_delta_scalar,
-        mlp_sgd_layer_scalar,
+        /*mlp_lanes=*/1,
+        mlp_train_epoch_scalar,
+        mlp_train_epoch_scalar,
     };
     return table;
 }

@@ -1,7 +1,7 @@
 #pragma once
 
-// Generic vectorized kernel bodies, parameterized over a vector-traits
-// type V supplying:
+// Generic vectorized DTW kernel bodies, parameterized over a vector-traits
+// type V (shared with the MLP kernels of kernels_mlp.hpp) supplying:
 //   V::kWidth                      lanes per register (doubles)
 //   V::kStripRows                  DTW rows advanced per strip (a power
 //                                  of two sized to the register file)
@@ -9,7 +9,7 @@
 //   V::zero() / V::set1(x)         broadcast constructors
 //   V::loadu(p) / V::storeu(p, r)  unaligned load/store
 //   V::add / V::sub / V::mul / V::min   lane-wise arithmetic
-//   V::hsum(r)                     horizontal sum (forward layer only)
+//   V::hsum(r)                     horizontal sum (MLP prediction only)
 // Each ISA translation unit (kernels_avx2.cpp, …) defines its traits and
 // instantiates these templates under the matching target flags; this
 // header itself must stay ISA-agnostic. All remainder lanes fall back to
@@ -210,80 +210,6 @@ void dtw_distance_batch_vec(const double* const* ps, const double* const* qs,
     dtw_strips<V, V::kStripRows>(0, n, pl, ql, row, scratch.jlo.data(),
                                  scratch.jhi.data());
     for (std::size_t b = 0; b < count; ++b) out[b] = row[m * kW + b];
-}
-
-template <typename V>
-void mlp_forward_layer_vec(const double* weights, const double* biases,
-                           const double* in, std::size_t fan_in,
-                           std::size_t fan_out, double* pre) {
-    for (std::size_t j = 0; j < fan_out; ++j) {
-        const double* row = weights + j * fan_in;
-        auto accv = V::zero();
-        std::size_t i = 0;
-        for (; i + V::kWidth <= fan_in; i += V::kWidth) {
-            accv = V::add(accv, V::mul(V::loadu(row + i), V::loadu(in + i)));
-        }
-        // Lane partials + horizontal sum reassociate the dot product —
-        // the one place the tolerance policy allows ULP drift.
-        double acc = biases[j] + V::hsum(accv);
-        for (; i < fan_in; ++i) acc += row[i] * in[i];
-        pre[j] = acc;
-    }
-}
-
-template <typename V>
-void mlp_backprop_delta_vec(const double* next_weights,
-                            const double* next_delta, std::size_t width,
-                            std::size_t next_fan_out, double* delta) {
-    // Vectorized across j; each lane accumulates its own element in the
-    // same ascending-k order as the scalar loop → bit-identical.
-    std::size_t j = 0;
-    for (; j + V::kWidth <= width; j += V::kWidth) {
-        auto accv = V::zero();
-        for (std::size_t k = 0; k < next_fan_out; ++k) {
-            accv = V::add(accv, V::mul(V::loadu(next_weights + k * width + j),
-                                       V::set1(next_delta[k])));
-        }
-        V::storeu(delta + j, accv);
-    }
-    for (; j < width; ++j) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < next_fan_out; ++k) {
-            acc += next_weights[k * width + j] * next_delta[k];
-        }
-        delta[j] = acc;
-    }
-}
-
-template <typename V>
-void mlp_sgd_layer_vec(double* weights, double* velocity, const double* in,
-                       const double* deltas, std::size_t fan_in,
-                       std::size_t fan_out, double lr, double momentum,
-                       double weight_decay) {
-    const auto lrv = V::set1(lr);
-    const auto mov = V::set1(momentum);
-    const auto wdv = V::set1(weight_decay);
-    for (std::size_t j = 0; j < fan_out; ++j) {
-        const double d = deltas[j];
-        const auto dv = V::set1(d);
-        double* row = weights + j * fan_in;
-        double* vel = velocity + j * fan_in;
-        std::size_t i = 0;
-        for (; i + V::kWidth <= fan_in; i += V::kWidth) {
-            const auto rowv = V::loadu(row + i);
-            const auto gradv =
-                V::add(V::mul(dv, V::loadu(in + i)), V::mul(wdv, rowv));
-            const auto velv =
-                V::sub(V::mul(mov, V::loadu(vel + i)), V::mul(lrv, gradv));
-            V::storeu(vel + i, velv);
-            V::storeu(row + i, V::add(rowv, velv));
-        }
-        for (; i < fan_in; ++i) {
-            const double grad = d * in[i] + weight_decay * row[i];
-            vel[i] = momentum * vel[i] - lr * grad;
-            row[i] += vel[i];
-        }
-    }
 }
 
 }  // namespace atm::simd

@@ -294,6 +294,24 @@ int cmd_characterize(int argc, char** argv) {
     return 0;
 }
 
+/// Exit status of `atm predict` / `atm resize` after their report: 130
+/// for an interrupted (drained) run, 1 when boxes failed and none was
+/// evaluated, 0 otherwise.
+int fleet_exit_status(const core::FleetResult& fleet) {
+    if (fleet.interrupted) {
+        std::printf("interrupted: drained in-flight boxes and stopped; "
+                    "re-run with --checkpoint <path> --resume to continue\n");
+        return 130;  // 128 + SIGINT, the conventional interrupted status
+    }
+    if (fleet.boxes_evaluated() == 0 && fleet.boxes_failed > 0) {
+        std::fflush(stdout);  // the report first, then the verdict
+        std::fprintf(stderr, "atm: every box failed (%zu); nothing evaluated\n",
+                     fleet.boxes_failed);
+        return 1;
+    }
+    return 0;
+}
+
 int cmd_predict(int argc, char** argv) {
     exec::ArgParser parser(
         "atm predict",
@@ -352,12 +370,7 @@ int cmd_predict(int argc, char** argv) {
         std::printf("%zu boxes replayed from checkpoint\n",
                     fleet.boxes_replayed);
     }
-    if (fleet.interrupted) {
-        std::printf("interrupted: drained in-flight boxes and stopped; "
-                    "re-run with --checkpoint <path> --resume to continue\n");
-        return 130;  // 128 + SIGINT, the conventional interrupted status
-    }
-    return 0;
+    return fleet_exit_status(fleet);
 }
 
 int cmd_resize(int argc, char** argv) {
@@ -422,12 +435,7 @@ int cmd_resize(int argc, char** argv) {
         std::printf("%zu boxes replayed from checkpoint\n",
                     fleet.boxes_replayed);
     }
-    if (fleet.interrupted) {
-        std::printf("interrupted: drained in-flight boxes and stopped; "
-                    "re-run with --checkpoint <path> --resume to continue\n");
-        return 130;
-    }
-    return 0;
+    return fleet_exit_status(fleet);
 }
 
 int cmd_backtest(int argc, char** argv) {
