@@ -9,7 +9,11 @@
 namespace atm::cluster {
 
 la::FlatMatrix correlation_matrix(const la::FlatMatrix& series) {
-    const std::size_t n = series.rows();
+    return correlation_matrix(series.row_views());
+}
+
+la::FlatMatrix correlation_matrix(std::span<const std::span<const double>> series) {
+    const std::size_t n = series.size();
     la::FlatMatrix rho(n, n, 1.0);
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "linalg/flat_matrix.hpp"
@@ -44,7 +45,12 @@ std::vector<CbcCluster> cbc_cluster_from_correlation(
     const la::FlatMatrix& rho, const CbcOptions& options = {});
 
 /// Pairwise Pearson correlation matrix over a series set (one series per
-/// row), as one n x n block with a unit diagonal.
+/// row), as one n x n block with a unit diagonal. A zero-variance series
+/// has ρ = 0 against every other (ts::pearson's convention).
 la::FlatMatrix correlation_matrix(const la::FlatMatrix& series);
+
+/// Same over row views of equal-length series (e.g. a subset of a series
+/// set's rows, `FlatMatrix::row_views(rows)`), without copying them.
+la::FlatMatrix correlation_matrix(std::span<const std::span<const double>> series);
 
 }  // namespace atm::cluster

@@ -268,6 +268,16 @@ std::string PipelineConfig::validate() const {
         add("max_bad_sample_fraction must be in [0, 1], got " +
             std::to_string(max_bad_sample_fraction));
     }
+    // A VIF is never below 1, so a threshold under 1 (or NaN) would strip
+    // every box to a single signature.
+    if (!(search.vif_threshold >= 1.0 && std::isfinite(search.vif_threshold))) {
+        add("search.vif_threshold must be finite and >= 1, got " +
+            std::to_string(search.vif_threshold));
+    }
+    if (!(search.rho_threshold >= -1.0 && search.rho_threshold <= 1.0)) {
+        add("search.rho_threshold must be in [-1, 1], got " +
+            std::to_string(search.rho_threshold));
+    }
     return problems;
 }
 

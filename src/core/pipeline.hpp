@@ -72,11 +72,14 @@ struct PipelineConfig {
     /// Optional stage-metrics sink (not owned). When set, the pipeline
     /// records per-stage timers (`stage.search`, `stage.spatial_fit`,
     /// `stage.forecast`, `stage.reconstruct`, `stage.accuracy`,
-    /// `stage.resize`), per-model fit/predict timers, the `predict.ape`
-    /// histogram and all sub-stage counters, and the final snapshot is
-    /// copied into BoxPipelineResult::metrics. Also forwarded into the
-    /// signature search (overriding `search.metrics` for the run). Null
-    /// disables all instrumentation at near-zero cost.
+    /// `stage.resize`), the search's two sub-timers inside `stage.search`
+    /// (`search.cluster`: Step 1 clustering; `search.vif`: Step 2
+    /// multicollinearity removal; no `stage.` prefix, so a sum over
+    /// `stage.*` counts them once), per-model fit/predict timers, the
+    /// `predict.ape` histogram and all sub-stage counters, and the final
+    /// snapshot is copied into BoxPipelineResult::metrics. Also forwarded
+    /// into the signature search (overriding `search.metrics` for the
+    /// run). Null disables all instrumentation at near-zero cost.
     obs::MetricsRegistry* metrics = nullptr;
     /// Optional per-worker scratch (not owned): forwards the DTW
     /// workspace into the signature search and the MLP workspace into
@@ -84,9 +87,11 @@ struct PipelineConfig {
     /// are bit-identical either way.
     PipelineWorkspace* workspace = nullptr;
 
-    /// Range-checks alpha, train_days, epsilon_pct and
-    /// max_bad_sample_fraction (NaN fails); "" when valid, else every
-    /// violation joined with "; ". Fleet and serve validation start here.
+    /// Range-checks alpha, train_days, epsilon_pct,
+    /// max_bad_sample_fraction, search.vif_threshold (finite, >= 1) and
+    /// search.rho_threshold ([-1, 1]); NaN fails. "" when valid, else
+    /// every violation joined with "; ". Fleet and serve validation start
+    /// here.
     [[nodiscard]] std::string validate() const;
 };
 

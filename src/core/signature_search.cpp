@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 
 #include "cluster/dtw.hpp"
@@ -38,6 +39,9 @@ SignatureSearchResult find_signatures(const la::FlatMatrix& series,
     };
 
     // ---- Step 1: time-series clustering -------------------------------------
+    // CBC's ρ over every series; Step 2 reads the heads' submatrix of it.
+    la::FlatMatrix rho;
+    obs::ScopedTimer cluster_timer(metrics, "search.cluster");
     if (n == 1) {
         result.initial_signatures = {0};
         result.num_clusters = 1;
@@ -58,8 +62,9 @@ SignatureSearchResult find_signatures(const la::FlatMatrix& series,
     } else {
         cluster::CbcOptions cbc_options;
         cbc_options.rho_threshold = options.rho_threshold;
+        rho = cluster::correlation_matrix(series);
         const std::vector<cluster::CbcCluster> clusters =
-            cluster::cbc_cluster(series, cbc_options);
+            cluster::cbc_cluster_from_correlation(rho, cbc_options);
         result.num_clusters = static_cast<int>(clusters.size());
         result.initial_signatures.reserve(clusters.size());
         for (const cluster::CbcCluster& c : clusters) {
@@ -67,16 +72,32 @@ SignatureSearchResult find_signatures(const la::FlatMatrix& series,
         }
     }
     std::sort(result.initial_signatures.begin(), result.initial_signatures.end());
+    cluster_timer.stop();
 
     // ---- Step 2: multicollinearity removal ----------------------------------
-    if (!options.apply_stepwise || result.initial_signatures.size() < 2) {
-        result.signatures = result.initial_signatures;
+    const std::vector<int>& initial = result.initial_signatures;
+    if (!options.apply_stepwise || initial.size() < 2) {
+        result.signatures = initial;
         record();
         return result;
     }
+    obs::ScopedTimer vif_timer(metrics, "search.vif");
+    const std::vector<std::span<const double>> views = series.row_views(initial);
+    // The signatures' correlation matrix, the VIF sweep's closed form:
+    // gathered from CBC's ρ, or computed over the DTW medoids.
+    la::FlatMatrix signature_rho(initial.size(), initial.size());
+    if (rho.empty()) {
+        signature_rho = cluster::correlation_matrix(views);
+    } else {
+        for (std::size_t i = 0; i < initial.size(); ++i) {
+            for (std::size_t j = 0; j < initial.size(); ++j) {
+                signature_rho(i, j) = rho(static_cast<std::size_t>(initial[i]),
+                                          static_cast<std::size_t>(initial[j]));
+            }
+        }
+    }
     const std::vector<std::size_t> kept = la::reduce_multicollinearity(
-        series.row_views(result.initial_signatures), options.vif_threshold,
-        metrics);
+        views, signature_rho, options.vif_threshold, metrics);
     result.signatures.reserve(kept.size());
     for (std::size_t k : kept) {
         result.signatures.push_back(result.initial_signatures[k]);

@@ -57,8 +57,9 @@ struct SignatureSearchOptions {
     cluster::DtwWorkspace* dtw_workspace = nullptr;
     /// Optional stage-metrics sink (not owned). Records search counters
     /// (`search.series`, `search.clusters`, `search.initial_signatures`,
-    /// `search.final_signatures`), the clustering silhouette gauge, and
-    /// is forwarded to the DTW matrix and the VIF reduction.
+    /// `search.final_signatures`), the clustering silhouette gauge, the
+    /// `search.cluster` (Step 1) and `search.vif` (Step 2) timers, and is
+    /// forwarded to the DTW matrix and the VIF reduction.
     obs::MetricsRegistry* metrics = nullptr;
     /// Optional cooperative-cancellation token (not owned), forwarded to
     /// the DTW distance matrix, which checks it once per series pair —
@@ -95,8 +96,10 @@ struct SignatureSearchResult {
 /// CBC head). Step 2 computes VIFs over the representative series and,
 /// when any exceeds the threshold, removes the most collinear series one
 /// at a time until all VIFs pass — the paper's stepwise-regression
-/// reduction, over row views of the representatives (no copies). Throws
-/// std::invalid_argument for no series or zero-length series.
+/// reduction, over row views of the representatives (no copies), given
+/// their correlation matrix (the heads' submatrix of CBC's ρ, or computed
+/// over the DTW medoids) for `la::reduce_multicollinearity`'s closed
+/// form. Throws std::invalid_argument for no series or zero-length series.
 SignatureSearchResult find_signatures(
     const la::FlatMatrix& series, const SignatureSearchOptions& options = {});
 

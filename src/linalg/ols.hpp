@@ -54,15 +54,35 @@ std::vector<double> variance_inflation_factors(
 
 /// Iteratively removes multicollinear series: while any VIF exceeds
 /// `vif_threshold`, drop the series with the largest VIF (it is best
-/// explained by the remaining ones). Returns indices into the original
-/// `predictors` that are kept, in ascending order. This is the paper's
-/// Step 2 ("stepwise regression to remove the series that can be
-/// represented as linear combinations of the other signature series").
+/// explained by the remaining ones; ties go to the lowest index). Returns
+/// indices into the original `predictors` that are kept, in ascending
+/// order. This is the paper's Step 2 ("stepwise regression to remove the
+/// series that can be represented as linear combinations of the other
+/// signature series").
+///
+/// `correlation` is the predictors' Pearson correlation matrix (k x k, in
+/// `predictors` order, ρ = 0 against a zero-variance series, as
+/// `cluster::correlation_matrix` computes it); throws
+/// std::invalid_argument when its shape is not k x k. Each sweep first
+/// takes every VIF in closed form, VIF_j = [R⁻¹]_jj, from one Cholesky
+/// factor of R, the kept series' submatrix. The closed form only
+/// confirms the stop: when its largest VIF is at most
+/// vif_threshold·(1 − δ), δ = 1e-6, the sweep ends. Every other sweep
+/// runs `variance_inflation_factors` (QR) and its argmax as before: a
+/// removal is due, the largest VIF lies within δ of the threshold, a kept
+/// series has zero or near-zero variance (mean² > 1e6·variance), or R
+/// is not numerically positive definite. δ exceeds both paths' rounding:
+/// a confirmed stop has every VIF ≤ 4, hence cond₂(R) ≤ 4k², and the
+/// near-constant guard bounds QR's (mean/std)² loss on its uncentered
+/// design. So the kept set is the QR-only sweep's.
+///
 /// When `metrics` is non-null, records `linalg.vif.iterations` (sweeps),
-/// `linalg.vif.checks` (individual VIF evaluations) and
-/// `linalg.vif.removed` counters — all deterministic.
+/// `linalg.vif.checks` (VIFs evaluated, k per sweep on either path) and
+/// `linalg.vif.removed` counters — all deterministic, and equal to the
+/// QR-only sweep's.
 std::vector<std::size_t> reduce_multicollinearity(
     std::span<const std::span<const double>> predictors,
-    double vif_threshold = 4.0, obs::MetricsRegistry* metrics = nullptr);
+    const FlatMatrix& correlation, double vif_threshold = 4.0,
+    obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace atm::la

@@ -142,8 +142,8 @@ std::vector<double> solve_least_squares(const FlatMatrix& a,
     // Fused implicit-Q Householder: each reflector is applied to the
     // working copy of A and to the right-hand side in the same sweep, so
     // the m×m Qᵀ that qr_decompose() accumulates is never materialized.
-    // Same R factor and the same degeneracy guards as qr_decompose;
-    // O(m·n²) work instead of O(m²·(n+m)).
+    // Same upper-triangular R factor and the same degeneracy guards as
+    // qr_decompose; O(m·n²) work instead of O(m²·(n+m)).
     FlatMatrix r = a;
     std::vector<double> qtb(b.begin(), b.end());
     std::vector<double> v(m, 0.0);
@@ -158,8 +158,10 @@ std::vector<double> solve_least_squares(const FlatMatrix& a,
         double vnorm2 = 0.0;
         for (std::size_t i = k; i < m; ++i) vnorm2 += v[i] * v[i];
         if (vnorm2 < 1e-28) continue;
-        // Apply H = I - 2 v vᵀ / (vᵀv) to R ...
-        for (std::size_t j = 0; j < n; ++j) {
+        // Apply H = I - 2 v vᵀ / (vᵀv) to R: only columns j >= k. Columns
+        // left of k are already reduced, H would touch only their
+        // sub-diagonal rows, and nothing reads those again ...
+        for (std::size_t j = k; j < n; ++j) {
             double s = 0.0;
             for (std::size_t i = k; i < m; ++i) s += v[i] * r(i, j);
             s = 2.0 * s / vnorm2;

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -140,11 +141,15 @@ TEST(FleetConfigTest, ReportsEveryOutOfRangeValue) {
     config.pipeline.alpha = 1.5;
     config.pipeline.train_days = 0;
     config.pipeline.epsilon_pct = -1.0;
+    config.pipeline.search.vif_threshold = 0.5;  // every VIF is >= 1
+    config.pipeline.search.rho_threshold = 1.5;
     config.jobs = -2;
     const std::string problems = config.validate();
     EXPECT_NE(problems.find("alpha"), std::string::npos);
     EXPECT_NE(problems.find("train_days"), std::string::npos);
     EXPECT_NE(problems.find("epsilon_pct"), std::string::npos);
+    EXPECT_NE(problems.find("search.vif_threshold"), std::string::npos);
+    EXPECT_NE(problems.find("search.rho_threshold"), std::string::npos);
     EXPECT_NE(problems.find("jobs"), std::string::npos);
 
     // NaN fails every range check (`atm predict --threshold nan`).
@@ -152,12 +157,30 @@ TEST(FleetConfigTest, ReportsEveryOutOfRangeValue) {
     nan_config.pipeline.alpha = std::nan("");
     nan_config.pipeline.epsilon_pct = std::nan("");
     nan_config.pipeline.max_bad_sample_fraction = std::nan("");
+    nan_config.pipeline.search.vif_threshold = std::nan("");
+    nan_config.pipeline.search.rho_threshold = std::nan("");
     nan_config.box_deadline_seconds = std::nan("");
     const std::string nan_problems = nan_config.validate();
     EXPECT_NE(nan_problems.find("alpha"), std::string::npos);
     EXPECT_NE(nan_problems.find("epsilon_pct"), std::string::npos);
     EXPECT_NE(nan_problems.find("max_bad_sample_fraction"), std::string::npos);
+    EXPECT_NE(nan_problems.find("search.vif_threshold"), std::string::npos);
+    EXPECT_NE(nan_problems.find("search.rho_threshold"), std::string::npos);
     EXPECT_NE(nan_problems.find("box_deadline_seconds"), std::string::npos);
+
+    // An infinite VIF threshold disables Step 2 silently; ρ stays in [-1, 1].
+    core::FleetConfig edge_config;
+    edge_config.pipeline.search.vif_threshold =
+        std::numeric_limits<double>::infinity();
+    edge_config.pipeline.search.rho_threshold = -1.0001;
+    const std::string edge_problems = edge_config.validate();
+    EXPECT_NE(edge_problems.find("search.vif_threshold"), std::string::npos);
+    EXPECT_NE(edge_problems.find("search.rho_threshold"), std::string::npos);
+    edge_config.pipeline.search.vif_threshold = 1.0;  // boundaries are valid
+    edge_config.pipeline.search.rho_threshold = -1.0;
+    EXPECT_EQ(edge_config.validate(), "");
+    edge_config.pipeline.search.rho_threshold = 1.0;
+    EXPECT_EQ(edge_config.validate(), "");
 }
 
 TEST(FleetConfigTest, AcceptsBoundaryAlphaAndRejectsRangeEdges) {

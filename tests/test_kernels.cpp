@@ -11,15 +11,21 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <map>
 #include <new>
 #include <random>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
+#include "cluster/cbc.hpp"
 #include "cluster/dtw.hpp"
+#include "core/signature_search.hpp"
 #include "exec/thread_pool.hpp"
 #include "forecast/nn.hpp"
 #include "linalg/flat_matrix.hpp"
@@ -28,6 +34,7 @@
 #include "linalg/simd/simd.hpp"
 #include "linalg/solve.hpp"
 #include "obs/metrics.hpp"
+#include "tracegen/generator.hpp"
 
 // ---- Counting allocator -----------------------------------------------------
 // Global operator new override counting every heap allocation in the
@@ -478,6 +485,177 @@ TEST(KernelsRidgeTest, CenteredColumnFusionIsBitIdenticalToPairwiseReference) {
     }
     reference[0] = intercept;
     EXPECT_EQ(fused.coefficients, reference);
+}
+
+// ---- VIF sweep: closed-form stop vs the QR-only reference ------------------
+
+/// The QR-only multicollinearity sweep: every sweep takes all VIFs through
+/// variance_inflation_factors and drops the first largest one above the
+/// threshold. reduce_multicollinearity must keep the same set and count
+/// the same iterations, checks and removals.
+std::vector<std::size_t> reference_reduce(
+    std::span<const std::span<const double>> predictors, double threshold,
+    obs::MetricsRegistry& metrics) {
+    std::vector<std::size_t> kept(predictors.size());
+    for (std::size_t i = 0; i < kept.size(); ++i) kept[i] = i;
+    while (kept.size() > 1) {
+        std::vector<std::span<const double>> current;
+        for (std::size_t idx : kept) current.push_back(predictors[idx]);
+        const std::vector<double> vifs = la::variance_inflation_factors(current);
+        metrics.add("linalg.vif.iterations");
+        metrics.add("linalg.vif.checks", vifs.size());
+        const auto worst = std::max_element(vifs.begin(), vifs.end()) - vifs.begin();
+        if (vifs[static_cast<std::size_t>(worst)] <= threshold) break;
+        kept.erase(kept.begin() + worst);
+        metrics.add("linalg.vif.removed");
+    }
+    return kept;
+}
+
+/// The `linalg.vif.*` counters a registry holds.
+std::map<std::string, std::uint64_t> vif_counters(const obs::MetricsRegistry& m) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, value] : m.snapshot().counters) {
+        if (name.starts_with("linalg.vif.")) out[name] = value;
+    }
+    return out;
+}
+
+/// Runs both sweeps on `predictors` (R from cluster::correlation_matrix)
+/// and expects the same kept set and counters; returns the removals.
+std::uint64_t expect_same_sweep(const la::FlatMatrix& predictors) {
+    obs::MetricsRegistry reference_metrics;
+    obs::MetricsRegistry metrics;
+    const std::vector<std::size_t> reference =
+        reference_reduce(predictors.row_views(), 4.0, reference_metrics);
+    const std::vector<std::size_t> kept = la::reduce_multicollinearity(
+        predictors.row_views(), cluster::correlation_matrix(predictors), 4.0,
+        &metrics);
+    EXPECT_EQ(kept, reference);
+    EXPECT_EQ(vif_counters(metrics), vif_counters(reference_metrics));
+    return vif_counters(reference_metrics)["linalg.vif.removed"];
+}
+
+/// `count` independent N(0, 1) series of `n` samples.
+la::FlatMatrix noise_series(std::size_t count, std::size_t n, unsigned seed) {
+    std::mt19937 rng(seed);
+    std::normal_distribution<double> noise(0.0, 1.0);
+    la::FlatMatrix out(count, n);
+    for (double& x : out.data()) x = noise(rng);
+    return out;
+}
+
+la::FlatMatrix generator_box(std::uint64_t seed, int index) {
+    trace::TraceGenOptions options;
+    options.seed = seed;
+    options.num_days = 5;  // the pipeline's training window: 480 samples
+    options.gappy_box_fraction = 0.0;
+    options.mean_vms_per_box = 10.0;
+    options.min_vms_per_box = 10;
+    options.max_vms_per_box = 10;
+    return trace::generate_box(options, index).demand_matrix();
+}
+
+TEST(KernelsVifTest, SignatureSearchKeepsTheQrSweepsSetOnGeneratorBoxes) {
+    // find_signatures end to end, under CBC (R gathered from its ρ) and
+    // DTW (R over the medoids): the final signatures and the VIF counters
+    // equal the QR-only sweep over the same initial signatures.
+    std::uint64_t removed = 0;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        for (int index = 0; index < 12; ++index) {
+            const la::FlatMatrix series = generator_box(seed, index);
+            for (const core::ClusteringMethod method :
+                 {core::ClusteringMethod::kCbc, core::ClusteringMethod::kDtw}) {
+                obs::MetricsRegistry metrics;
+                core::SignatureSearchOptions options;
+                options.method = method;
+                options.dtw_band = 8;
+                options.metrics = &metrics;
+                const core::SignatureSearchResult result =
+                    core::find_signatures(series, options);
+
+                obs::MetricsRegistry reference_metrics;
+                const std::vector<std::size_t> kept = reference_reduce(
+                    series.row_views(result.initial_signatures), 4.0,
+                    reference_metrics);
+                std::vector<int> expected;
+                for (const std::size_t k : kept) {
+                    expected.push_back(result.initial_signatures[k]);
+                }
+                EXPECT_EQ(result.signatures, expected)
+                    << "seed " << seed << " box " << index;
+                auto reference_counters = vif_counters(reference_metrics);
+                EXPECT_EQ(vif_counters(metrics), reference_counters)
+                    << "seed " << seed << " box " << index;
+                removed += reference_counters["linalg.vif.removed"];
+            }
+        }
+    }
+    EXPECT_GT(removed, 0u) << "no box exercised a removal sweep";
+}
+
+TEST(KernelsVifTest, ConstantPredictorIsRemovedFirstAsUnderQr) {
+    // QR gives a constant series VIF 1e9; its Pearson ρ is 0, so only the
+    // zero-variance guard keeps the closed form from keeping it.
+    la::FlatMatrix predictors = noise_series(4, 200, 31);
+    std::fill(predictors[2].begin(), predictors[2].end(), 3.5);
+    EXPECT_EQ(expect_same_sweep(predictors), 1u);
+    EXPECT_EQ(la::reduce_multicollinearity(predictors.row_views(),
+                                           cluster::correlation_matrix(predictors)),
+              (std::vector<std::size_t>{0, 1, 3}));
+}
+
+TEST(KernelsVifTest, ExactCollinearTripleRemovesTheLowestIndexTie) {
+    // a, b, a + b: every VIF of the triple hits the 1e9 cap, the first is
+    // dropped, and R is singular (Cholesky fails or reads > 4).
+    la::FlatMatrix predictors = noise_series(4, 200, 41);
+    for (std::size_t i = 0; i < 200; ++i) {
+        predictors(3, i) = predictors(0, i) + predictors(1, i);
+    }
+    const std::vector<double> vifs =
+        la::variance_inflation_factors(predictors.row_views());
+    EXPECT_EQ(vifs[0], 1e9);
+    EXPECT_EQ(expect_same_sweep(predictors), 1u);
+}
+
+TEST(KernelsVifTest, NearConstantHighMeanSeriesTakesTheQrPath) {
+    // Mean 1e4, standard deviation 1e-3: QR's uncentered design loses
+    // (mean/std)² of precision here, so the sweep must not trust R.
+    la::FlatMatrix predictors = noise_series(4, 480, 51);
+    std::mt19937 rng(52);
+    std::normal_distribution<double> noise(0.0, 1e-3);
+    for (double& x : predictors[1]) x = 1e4 + noise(rng);
+    expect_same_sweep(predictors);
+}
+
+TEST(KernelsVifTest, MaxVifWithinRoundingOfTheThresholdTakesTheQrPath) {
+    // x0 = u, x1 = ρu + √(1−ρ²)w with u, w centered, orthogonal and of
+    // equal norm, and ρ² = 3/4: VIF(x0) = VIF(x1) = 1/(1−ρ²) = 4 up to
+    // rounding. The closed form cannot confirm such a stop; QR decides.
+    const std::size_t n = 480;
+    const double pi = std::acos(-1.0);
+    const double rho = std::sqrt(0.75);
+    la::FlatMatrix predictors(3, n);
+    for (std::size_t t = 0; t < n; ++t) {
+        const double phase = 2.0 * pi * static_cast<double>(t) / static_cast<double>(n);
+        const double u = std::cos(3.0 * phase);
+        const double w = std::sin(5.0 * phase);
+        predictors(0, t) = u;
+        predictors(1, t) = rho * u + std::sqrt(1.0 - rho * rho) * w;
+        predictors(2, t) = std::sin(7.0 * phase);
+    }
+    const std::vector<double> vifs =
+        la::variance_inflation_factors(predictors.row_views());
+    const double max_vif = *std::max_element(vifs.begin(), vifs.end());
+    ASSERT_LT(std::abs(max_vif - 4.0), 1e-12) << max_vif;
+    expect_same_sweep(predictors);
+}
+
+TEST(KernelsVifTest, RejectsAMisshapenCorrelationMatrix) {
+    const la::FlatMatrix predictors = noise_series(3, 50, 61);
+    EXPECT_THROW(la::reduce_multicollinearity(predictors.row_views(),
+                                              la::FlatMatrix(2, 2)),
+                 std::invalid_argument);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "cluster/cbc.hpp"
 #include "linalg/ols.hpp"
 
 namespace atm::la {
@@ -257,7 +258,9 @@ TEST(ReduceMulticollinearityTest, DropsLinearCombination) {
         b[i] = noise(rng);
         c[i] = 2.0 * a[i] - b[i] + 0.01 * noise(rng);  // nearly dependent
     }
-    const auto kept = reduce_multicollinearity(views({a, b, c}), 4.0);
+    const auto predictors = views({a, b, c});
+    const auto kept = reduce_multicollinearity(
+        predictors, cluster::correlation_matrix(predictors), 4.0);
     EXPECT_EQ(kept.size(), 2u);
 }
 
@@ -266,7 +269,8 @@ TEST(ReduceMulticollinearityTest, KeepsIndependentSet) {
     std::normal_distribution<double> noise(0.0, 1.0);
     FlatMatrix preds(4, 100);
     for (double& v : preds.data()) v = noise(rng);
-    const auto kept = reduce_multicollinearity(preds.row_views(), 4.0);
+    const auto kept = reduce_multicollinearity(
+        preds.row_views(), cluster::correlation_matrix(preds), 4.0);
     EXPECT_EQ(kept.size(), 4u);
 }
 

@@ -152,11 +152,26 @@ TEST(ServeConfigTest, RejectsNanAndOutOfRangePipelineKnobs) {
     config.pipeline.alpha = std::nan("");
     config.pipeline.epsilon_pct = std::nan("");
     config.pipeline.max_bad_sample_fraction = std::nan("");
+    config.pipeline.search.vif_threshold = std::nan("");
+    config.pipeline.search.rho_threshold = std::nan("");
     const std::string message = config.validate();
     EXPECT_NE(message.find("alpha must be in (0, 1]"), std::string::npos);
     EXPECT_NE(message.find("epsilon_pct must be in [0, 100)"),
               std::string::npos);
     EXPECT_NE(message.find("max_bad_sample_fraction must be in [0, 1]"),
+              std::string::npos);
+    EXPECT_NE(message.find("search.vif_threshold must be finite and >= 1"),
+              std::string::npos);
+    EXPECT_NE(message.find("search.rho_threshold must be in [-1, 1]"),
+              std::string::npos);
+    // Out of range without NaN: serve searches with the same thresholds.
+    config = fast_config();
+    config.pipeline.search.vif_threshold = 0.0;
+    config.pipeline.search.rho_threshold = -2.0;
+    const std::string range_message = config.validate();
+    EXPECT_NE(range_message.find("search.vif_threshold must be finite and >= 1"),
+              std::string::npos);
+    EXPECT_NE(range_message.find("search.rho_threshold must be in [-1, 1]"),
               std::string::npos);
 }
 
