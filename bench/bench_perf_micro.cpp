@@ -9,7 +9,6 @@
 
 #include <algorithm>
 
-#include <memory>
 #include <random>
 #include <span>
 #include <string>
@@ -19,7 +18,6 @@
 #include "cluster/dtw.hpp"
 #include "cluster/hierarchical.hpp"
 #include "core/fleet.hpp"
-#include "exec/thread_pool.hpp"
 #include "forecast/mlp_forecaster.hpp"
 #include "forecast/nn.hpp"
 #include "forecast/seasonal_naive.hpp"
@@ -206,7 +204,7 @@ void BM_MlpNetworkTrain(benchmark::State& state) {
     options.epochs = 20;
     forecast::MlpWorkspace workspace;
     for (auto _ : state) {
-        forecast::MlpNetwork net({7, 12, 1}, forecast::Activation::kTanh, 42);
+        forecast::MlpNetwork net({7, 12, 1}, 42);
         benchmark::DoNotOptimize(net.train(inputs, targets, options, &workspace));
     }
 }
@@ -250,19 +248,6 @@ void BM_SeasonalNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_SeasonalNaive);
 
-/// Parallel DTW matrix fill: arg = pool worker count (0 = serial path).
-void BM_DtwMatrixParallel(benchmark::State& state) {
-    const auto series = box_series(1);
-    const auto workers = static_cast<unsigned>(state.range(0));
-    std::unique_ptr<exec::ThreadPool> pool;
-    if (workers > 0) pool = std::make_unique<exec::ThreadPool>(workers);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            cluster::dtw_distance_matrix(series, -1, pool.get()).size());
-    }
-}
-BENCHMARK(BM_DtwMatrixParallel)->Arg(0)->Arg(2)->Arg(4);
-
 /// Fleet-driver throughput at a given worker count: the full per-box
 /// pipeline (DTW signature search + seasonal-naive temporal model +
 /// greedy resize) over a small fixed fleet. Arg = FleetConfig::jobs;
@@ -301,7 +286,7 @@ void BM_MlpTrain(benchmark::State& state, simd::Path path) {
     options.epochs = 20;
     forecast::MlpWorkspace workspace;
     for (auto _ : state) {
-        forecast::MlpNetwork net({7, 12, 1}, forecast::Activation::kTanh, 42);
+        forecast::MlpNetwork net({7, 12, 1}, 42);
         benchmark::DoNotOptimize(net.train(inputs, targets, options, &workspace));
     }
     simd::set_path(ambient);

@@ -5,8 +5,6 @@
 #include <limits>
 
 #include "exec/cancel.hpp"
-#include "exec/shard.hpp"
-#include "exec/thread_pool.hpp"
 #include "linalg/simd/simd.hpp"
 #include "obs/metrics.hpp"
 
@@ -100,84 +98,48 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band) {
     return total;
 }
 
-la::FlatMatrix dtw_distance_matrix(
-    const la::FlatMatrix& series, int band,
-    exec::ThreadPool* pool, obs::MetricsRegistry* metrics,
-    const exec::CancellationToken* cancel, DtwWorkspace* caller_workspace) {
+la::FlatMatrix dtw_distance_matrix(const la::FlatMatrix& series, int band,
+                                   obs::MetricsRegistry* metrics,
+                                   const exec::CancellationToken* cancel,
+                                   DtwWorkspace* caller_workspace) {
     const std::size_t n = series.rows();
     const std::size_t len = series.cols();
     la::FlatMatrix dist(n, n, 0.0);
     if (n < 2 || len == 0) return dist;
 
-    // Balanced split of the upper triangle: the old one-task-per-row split
-    // gave row i exactly n−i−1 pairs, so the first tasks carried most of
-    // the load. Chunking the linearized pair index instead gives every
-    // task within one pair of the same amount of work. Each pair writes
-    // only its own cells (i, j) / (j, i), which no other chunk touches, so
-    // the parallel and serial fills are bit-identical for any worker count
-    // and chunk size. Metric writes from chunk tasks are integer counters
-    // whose totals are chunking-invariant, so their merge is exact too.
-    // With 4 chunks per participant run_sharded's auto shard size is 1,
-    // so every chunk is claimed on its own.
-    const std::uint64_t pairs =
-        static_cast<std::uint64_t>(n) * (n - 1) / 2;
-    const std::size_t participants = pool != nullptr ? pool->size() + 1 : 1;
-    const auto chunks = static_cast<std::size_t>(
-        std::min<std::uint64_t>(pairs, std::max<std::size_t>(1, 4 * participants)));
-    const std::uint64_t per_chunk = (pairs + chunks - 1) / chunks;
-
-    exec::run_sharded(pool, chunks, {}, [&](unsigned worker, std::size_t c) {
-        const std::uint64_t begin = static_cast<std::uint64_t>(c) * per_chunk;
-        const std::uint64_t end = std::min(pairs, begin + per_chunk);
-        if (begin >= end) return;
-        // Locate (i, j) of linear pair index `begin`: row i owns the
-        // n−i−1 pair indices starting at offset(i).
-        std::size_t i = 0;
-        std::uint64_t offset = 0;
-        while (offset + (n - i - 1) <= begin) {
-            offset += n - i - 1;
-            ++i;
+    // Reused across the matrix's pairs; the fleet scheduler passes each
+    // worker's workspace so box after box stops re-growing DP rows.
+    DtwWorkspace local_workspace;
+    DtwWorkspace& workspace =
+        caller_workspace != nullptr ? *caller_workspace : local_workspace;
+    // Every pair has the same len x len shape, so pairs flush through the
+    // lane-batched kernel (one pair per SIMD lane, scalar-bitwise per lane
+    // — simd.hpp) in full batches; results are identical to the per-pair
+    // loop for any grouping or path.
+    const simd::KernelTable& kernels = simd::active_kernels();
+    constexpr std::size_t kMaxBatch = 16;
+    const std::size_t width = std::min(kernels.dtw_batch_width, kMaxBatch);
+    const double* batch_p[kMaxBatch];
+    const double* batch_q[kMaxBatch];
+    std::size_t batch_i[kMaxBatch];
+    std::size_t batch_j[kMaxBatch];
+    std::size_t pending = 0;
+    const auto flush = [&] {
+        if (pending == 0) return;
+        double out[kMaxBatch];
+        kernels.dtw_distance_batch(batch_p, batch_q, pending, len, len, band,
+                                   workspace.scratch, out);
+        for (std::size_t b = 0; b < pending; ++b) {
+            dist(batch_i[b], batch_j[b]) = out[b];
+            dist(batch_j[b], batch_i[b]) = out[b];
         }
-        std::size_t j = i + 1 + static_cast<std::size_t>(begin - offset);
+        pending = 0;
+    };
 
-        // Reused across the chunk's pairs. Worker 0 is the calling
-        // thread, so its chunks borrow the caller's workspace when
-        // offered — the per-worker scratch of the sharded fleet
-        // scheduler — and repeated matrices stop re-growing DP rows.
-        // Pool helpers run on other threads and keep private workspaces.
-        DtwWorkspace local_workspace;
-        DtwWorkspace& workspace =
-            (worker == 0 && caller_workspace != nullptr) ? *caller_workspace
-                                                         : local_workspace;
-        // Every pair has the same len x len shape, so pairs flush through
-        // the lane-batched kernel (one pair per SIMD lane, scalar-bitwise
-        // per lane — simd.hpp) in full batches; results are identical to
-        // the per-pair loop for any grouping, worker count, or path.
-        const simd::KernelTable& kernels = simd::active_kernels();
-        constexpr std::size_t kMaxBatch = 16;
-        const std::size_t width = std::min(kernels.dtw_batch_width, kMaxBatch);
-        const double* batch_p[kMaxBatch];
-        const double* batch_q[kMaxBatch];
-        std::size_t batch_i[kMaxBatch];
-        std::size_t batch_j[kMaxBatch];
-        std::size_t pending = 0;
-        const auto flush = [&] {
-            if (pending == 0) return;
-            double out[kMaxBatch];
-            kernels.dtw_distance_batch(batch_p, batch_q, pending, len, len,
-                                       band, workspace.scratch, out);
-            for (std::size_t b = 0; b < pending; ++b) {
-                dist(batch_i[b], batch_j[b]) = out[b];
-                dist(batch_j[b], batch_i[b]) = out[b];
-            }
-            pending = 0;
-        };
-
-        for (std::uint64_t k = begin; k < end; ++k) {
-            // Cancellation point: one atomic load per O(len²) pair. The
-            // exception is delivered by run_sharded after in-flight
-            // chunks finish their current pair (a pending batch of other
-            // pairs is abandoned uncomputed with the rest of the matrix).
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+            // Cancellation point: one atomic load per O(len²) pair (a
+            // pending batch is abandoned uncomputed with the matrix).
             exec::checkpoint(cancel, "search.dtw");
             if (pending == width) flush();
             batch_p[pending] = series[i].data();
@@ -185,18 +147,14 @@ la::FlatMatrix dtw_distance_matrix(
             batch_i[pending] = i;
             batch_j[pending] = j;
             ++pending;
-            if (++j == n) {
-                ++i;
-                j = i + 1;
-            }
         }
-        flush();
-        if (metrics != nullptr) {
-            metrics->add("cluster.dtw.pairs", end - begin);
-            metrics->add("cluster.dtw.cells",
-                         (end - begin) * dtw_cell_count(len, len, band));
-        }
-    });
+    }
+    flush();
+    if (metrics != nullptr) {
+        const std::uint64_t pairs = static_cast<std::uint64_t>(n) * (n - 1) / 2;
+        metrics->add("cluster.dtw.pairs", pairs);
+        metrics->add("cluster.dtw.cells", pairs * dtw_cell_count(len, len, band));
+    }
     return dist;
 }
 

@@ -8,7 +8,6 @@
 #include "linalg/simd/simd.hpp"
 
 namespace atm::exec {
-class ThreadPool;
 class CancellationToken;
 }
 namespace atm::obs {
@@ -65,24 +64,20 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band = -1);
 /// Pairwise DTW distance matrix over a series set (one series per row of
 /// `series`, so every pair has the same len x len shape), as one
 /// contiguous n x n block. Symmetric with a zero diagonal; only the upper
-/// triangle is computed. O(n² · len²) — the dominant cost of the DTW
-/// signature search. Zero-length rows give the all-zero matrix. When `pool` is non-null the upper triangle's pairs are split
-/// into balanced contiguous chunks computed on the pool (each (i, j) cell
-/// is written by exactly one chunk, so the result is bit-identical for
-/// any worker count); each chunk reuses one DtwWorkspace across its
-/// pairs, keeping the pair loop allocation-free. When `metrics` is
-/// non-null each chunk records `cluster.dtw.pairs` and
-/// `cluster.dtw.cells` counters (from its worker thread — counters only,
-/// per the obs determinism convention; totals are chunking-invariant).
-/// When `cancel` is non-null it is checked once per pair ("search.dtw")
-/// so a cancelled box abandons the O(n² · len²) loop promptly.
-/// When `workspace` is non-null, the chunks the calling thread runs use
-/// it instead of a fresh one — the sharded fleet scheduler passes each
-/// worker's workspace here so box after box reuses the same high-water
-/// scratch (bit-identity is unaffected; the workspace is pure scratch).
+/// triangle is computed, serially on the calling thread — the fleet's
+/// box loop is the program's one level of parallelism. O(n² · len²), the
+/// dominant cost of the DTW signature search. Zero-length rows give the
+/// all-zero matrix. When `metrics` is non-null the call records the
+/// `cluster.dtw.pairs` (n(n−1)/2) and `cluster.dtw.cells`
+/// (pairs × dtw_cell_count) counters. When `cancel` is non-null it is
+/// checked once per pair ("search.dtw") so a cancelled box abandons the
+/// loop promptly. When `workspace` is non-null the pairs run on it
+/// instead of a local one — the fleet scheduler passes each worker's
+/// workspace so box after box reuses the same high-water scratch
+/// (results are unaffected; the workspace is pure scratch).
 la::FlatMatrix dtw_distance_matrix(
     const la::FlatMatrix& series, int band = -1,
-    exec::ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr,
+    obs::MetricsRegistry* metrics = nullptr,
     const exec::CancellationToken* cancel = nullptr,
     DtwWorkspace* workspace = nullptr);
 

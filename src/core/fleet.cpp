@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "cluster/dtw.hpp"
 #include "core/fleet_journal.hpp"
 #include "exec/journal.hpp"
 #include "exec/seed.hpp"
@@ -184,16 +183,6 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
     fleet.exec_stats.shard_size =
         exec::resolve_shard_size(selected.size(), jobs);
 
-    // Lend the fleet pool to each box's DTW matrix only when there are
-    // fewer boxes than workers — otherwise box-level sharding already
-    // saturates the workers and nested task fan-out would only add queue
-    // contention (each box then computes its DTW serially on its worker's
-    // own workspace).
-    exec::ThreadPool* box_pool =
-        (pool != nullptr && selected.size() < static_cast<std::size_t>(jobs))
-            ? pool
-            : nullptr;
-
     const int max_attempts = 1 + std::max(0, config.max_retries);
     fleet.boxes.resize(selected.size());
     exec::run_sharded(pool, selected.size(), shard_options, [&](unsigned worker,
@@ -241,9 +230,8 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
                     static_cast<std::uint64_t>(box_index),
                     static_cast<std::uint64_t>(attempt)};
                 ATM_FAULT_SITE(fault, "fleet.box");
-                evaluate_box(box_index, box_pool,
-                             static_cast<std::uint64_t>(attempt), &box_cancel,
-                             &workspaces[worker], slot.result);
+                evaluate_box(box_index, static_cast<std::uint64_t>(attempt),
+                             &box_cancel, &workspaces[worker], slot.result);
             } catch (const PipelineError& e) {
                 slot.error = e.what();
                 slot.error_code = e.code();
@@ -331,9 +319,9 @@ std::string FleetConfig::validate() const {
         if (!problems.empty()) problems += "; ";
         problems += p;
     };
-    if (jobs < 0) {
-        add("jobs must be >= 0 (0 = hardware concurrency), got " +
-            std::to_string(jobs));
+    if (jobs < 0 || jobs > kMaxJobs) {
+        add("jobs must be in [0, " + std::to_string(kMaxJobs) +
+            "] (0 = hardware concurrency), got " + std::to_string(jobs));
     }
     if (max_retries < 0) {
         add("max_retries must be >= 0, got " + std::to_string(max_retries));
@@ -382,8 +370,7 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
     }
     return run_fleet(
         trace, config,
-        [&trace, &config](int box_index, exec::ThreadPool* pool,
-                          std::uint64_t attempt,
+        [&trace, &config](int box_index, std::uint64_t attempt,
                           const exec::CancellationToken* cancel,
                           PipelineWorkspace* workspace, BoxPipelineResult& out) {
             PipelineConfig box_config = config.pipeline;
@@ -398,12 +385,9 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
             box_config.seed = static_cast<unsigned>(seed);
             box_config.cancel = cancel;
             // Per-worker scratch: the DTW/MLP workspaces are reused
-            // across boxes. The pool is the fleet's only when boxes are
-            // scarcer than workers.
+            // across boxes.
             box_config.workspace = workspace;
-            box_config.search.pool = pool;
-            // One registry per box: pool workers touching this box's DTW
-            // rows write counters here, never into another box's registry.
+            // One registry per box, written only by the worker running it.
             std::optional<obs::MetricsRegistry> registry;
             if (config.collect_metrics) {
                 registry.emplace();
@@ -450,7 +434,7 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
 FleetResult evaluate_resize_on_fleet(const trace::Trace& trace, int day,
                                      const FleetConfig& config) {
     return run_fleet(trace, config,
-                     [&trace, &config, day](int box_index, exec::ThreadPool*,
+                     [&trace, &config, day](int box_index,
                                             std::uint64_t /*attempt*/,
                                             const exec::CancellationToken*,
                                             PipelineWorkspace* /*workspace*/,

@@ -18,10 +18,14 @@ struct FleetConfig {
     PipelineConfig pipeline;
 
     /// Worker threads for the fleet scheduler: 0 = hardware concurrency,
-    /// 1 = fully serial (no pool). Results are bit-identical for every
-    /// value — per-box seeds are derived from `pipeline.seed` and the box
-    /// index (splitmix64), never from scheduling order.
+    /// 1 = fully serial (no pool), at most kMaxJobs. Results are
+    /// bit-identical for every value — per-box seeds are derived from
+    /// `pipeline.seed` and the box index (splitmix64), never from
+    /// scheduling order.
     int jobs = 0;
+    /// Upper bound on `jobs`: `validate()` rejects more, so a mistyped
+    /// `--jobs` cannot ask the OS for an unbounded number of threads.
+    static constexpr int kMaxJobs = 256;
 
     /// Drop boxes whose monitoring data has gaps (the paper's Section V
     /// evaluation keeps only the gap-free boxes).
@@ -39,7 +43,7 @@ struct FleetConfig {
     std::vector<resize::ResizePolicy> policies = default_policies();
 
     /// Collect stage metrics: each box gets its own MetricsRegistry (so
-    /// attribution is exact under the pool), its snapshot lands in
+    /// attribution is exact per box), its snapshot lands in
     /// BoxPipelineResult::metrics, and the per-box snapshots are merged —
     /// in trace order, so counter sums are identical for every `jobs`
     /// value — into FleetResult::metrics. Off by default: the pipeline
@@ -198,7 +202,7 @@ struct FleetResult {
     /// resolution).
     int jobs = 0;
     /// SIMD kernel path the run dispatched to ("scalar", "avx2",
-    /// "avx512", "neon") — recorded in metrics reports and BENCH JSON so
+    /// "avx512") — recorded in metrics reports and BENCH JSON so
     /// perf numbers are attributable to an ISA. Bound by the checkpoint
     /// journal header: a resume under a different path starts fresh
     /// (vectorized MLP forwards may drift by ULPs from scalar, so mixed
@@ -221,11 +225,11 @@ struct FleetResult {
     }
 };
 
-/// Runs the full ATM pipeline over every selected box of the trace, one
-/// pool task per box. Throws std::invalid_argument when
-/// `config.validate()` reports problems. Deterministic: per-box seeds are
-/// splitmix64-derived from (config.pipeline.seed, box index), per-box DTW
-/// matrices are memoized, and results land in trace order — `jobs = 1`
+/// Runs the full ATM pipeline over every selected box of the trace on
+/// the sharded box loop, each box serially on one worker. Throws
+/// std::invalid_argument when `config.validate()` reports problems.
+/// Deterministic: per-box seeds are splitmix64-derived from
+/// (config.pipeline.seed, box index), and results land in trace order — `jobs = 1`
 /// and `jobs = N` produce bit-identical results. With
 /// `checkpoint_path`/`resume` set the run is additionally crash-safe:
 /// finished boxes are journaled as they complete and a resumed run

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "cluster/dtw.hpp"
-#include "exec/thread_pool.hpp"
 #include "linalg/ols.hpp"
 #include "obs/metrics.hpp"
 #include "timeseries/resource.hpp"
@@ -46,10 +45,10 @@ SignatureSearchResult find_signatures(const la::FlatMatrix& series,
         result.initial_signatures = {0};
         result.num_clusters = 1;
     } else if (options.method == ClusteringMethod::kDtw) {
-        // The matrix is the expensive part: computed once (on the pool
-        // when given), it serves the whole cluster sweep and medoid pick.
+        // The matrix is the expensive part: computed once, it serves the
+        // whole cluster sweep and medoid pick.
         const la::FlatMatrix dist = cluster::dtw_distance_matrix(
-            series, options.dtw_band, options.pool, metrics, options.cancel,
+            series, options.dtw_band, metrics, options.cancel,
             options.dtw_workspace);
         // k in [2, n/2] per the paper ("we aim to reduce the original set to
         // at least its half"); n < 4 degenerates to k = 2.

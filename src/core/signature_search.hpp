@@ -7,7 +7,6 @@
 #include "linalg/flat_matrix.hpp"
 
 namespace atm::exec {
-class ThreadPool;
 class CancellationToken;
 }
 namespace atm::cluster {
@@ -46,14 +45,9 @@ struct SignatureSearchOptions {
     /// Sakoe–Chiba band for DTW; < 0 = unconstrained (paper recurrence).
     int dtw_band = -1;
     cluster::Linkage linkage = cluster::Linkage::kAverage;
-    /// Optional pool for the O(n²·len²) DTW distance matrix. Results are
-    /// identical with or without it; safe to point at the fleet pool (the
-    /// work-sharing loop tolerates nesting). Not owned.
-    exec::ThreadPool* pool = nullptr;
     /// Optional caller-owned DTW scratch (not owned), forwarded to the
-    /// distance matrix for the chunks the calling thread computes — the
-    /// fleet scheduler's per-worker workspace. Pure scratch:
-    /// results are bit-identical with or without it.
+    /// distance matrix — the fleet scheduler's per-worker workspace. Pure
+    /// scratch: results are bit-identical with or without it.
     cluster::DtwWorkspace* dtw_workspace = nullptr;
     /// Optional stage-metrics sink (not owned). Records search counters
     /// (`search.series`, `search.clusters`, `search.initial_signatures`,

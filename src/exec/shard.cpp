@@ -35,9 +35,9 @@ namespace {
 /// Shared state of one run_sharded call: the claim unit is a shard of
 /// contiguous indices, and each drainer carries a dense worker id.
 /// Heap-allocated and owned jointly by caller and helpers so a helper
-/// scheduled after the caller already drained everything (the nested
-/// case: every pool thread busy with outer work) finds the state alive
-/// and exits as a no-op.
+/// scheduled after the caller already drained everything (its pool
+/// thread was still busy, say with a previous run's last box) finds the
+/// state alive and exits as a no-op.
 struct ShardedState {
     std::function<void(unsigned, std::size_t)> fn;
     std::size_t n = 0;

@@ -39,9 +39,12 @@ std::size_t resolve_shard_size(std::size_t n, unsigned workers);
 /// which worker ran an index — determinism comes from the index, the
 /// worker id only selects equivalent scratch space.
 ///
-/// Safe to nest: a call from inside a pool task on the same pool
-/// completes, because its caller drains shards itself instead of
-/// waiting for a free helper.
+/// The program's one parallel loop: the fleet driver runs its boxes
+/// through it and nothing inside a box calls it again. The shared shard
+/// cursor outlives the call, so a helper that starts only after the
+/// caller has drained every shard finds no work and returns. For the
+/// same reason nested calls on the same pool would still complete: the
+/// caller drains shards itself instead of waiting for a free helper.
 ///
 /// Exception safety: the lowest-index exception is rethrown on the
 /// caller after all in-flight work finishes, so the delivered exception

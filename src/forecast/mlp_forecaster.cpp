@@ -78,7 +78,7 @@ bool MlpForecaster::prepare(std::span<const double> history, unsigned seed,
     for (int h : options_.hidden) layer_sizes.push_back(h);
     layer_sizes.push_back(1);
 
-    network_.emplace(layer_sizes, options_.activation, seed);
+    network_.emplace(layer_sizes, seed);
     return true;
 }
 

@@ -18,7 +18,6 @@ struct MlpForecasterOptions {
     int seasonal_period = 96;
     /// Hidden layer widths (empty = linear model trained by SGD).
     std::vector<int> hidden = {12};
-    Activation activation = Activation::kTanh;
     MlpTrainOptions train;
     /// Optional caller-owned scratch (not owned) shared by fit() and
     /// forecast() — the fleet scheduler's per-worker workspace, reused

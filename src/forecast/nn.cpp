@@ -33,9 +33,8 @@ void MlpWorkspace::ensure(const std::vector<int>& layer_sizes) {
     pres.resize(units_total);
 }
 
-MlpNetwork::MlpNetwork(std::vector<int> layer_sizes, Activation activation,
-                       unsigned seed)
-    : layer_sizes_(std::move(layer_sizes)), activation_(activation), rng_(seed) {
+MlpNetwork::MlpNetwork(std::vector<int> layer_sizes, unsigned seed)
+    : layer_sizes_(std::move(layer_sizes)), rng_(seed) {
     if (layer_sizes_.size() < 2) {
         throw std::invalid_argument("MlpNetwork: need at least input and output layer");
     }
@@ -88,7 +87,7 @@ void MlpNetwork::forward(std::span<const double> inputs,
                                   in, fan_in, fan_out, pre);
         for (std::size_t j = 0; j < fan_out; ++j) {
             // Linear output unit.
-            out[j] = is_output ? pre[j] : simd::mlp_activate(activation_, pre[j]);
+            out[j] = is_output ? pre[j] : simd::mlp_activate(pre[j]);
         }
     }
 }
@@ -191,7 +190,6 @@ void train(std::span<MlpTrainJob> jobs, MlpWorkspace* workspace) {
         for (std::size_t k = first; k < jobs.size(); ++k) {
             const MlpNetwork& net = *jobs[k].network;
             if (grouped[k] || net.layer_sizes_ != proto.layer_sizes_ ||
-                net.activation_ != proto.activation_ ||
                 jobs[k].inputs->rows() != count ||
                 validation_count(jobs[k]) != val_count) {
                 continue;
@@ -283,8 +281,8 @@ void train(std::span<MlpTrainJob> jobs, MlpWorkspace* workspace) {
                 lane_args[b].learning_rate = lane.lr;
             }
             const simd::MlpLaneEpoch epoch{
-                proto.layer_sizes_, proto.activation_,    train_count,
-                count,              lane_args.data(),     ws.lane_params.data(),
+                proto.layer_sizes_,      train_count,      count,
+                lane_args.data(),        ws.lane_params.data(),
                 ws.lane_velocity.data(), &ws.lane_scratch};
             (lane_count == 1 ? kernels.mlp_train_one
                              : kernels.mlp_train_epoch)(epoch);

@@ -17,9 +17,6 @@ class MetricsRegistry;
 
 namespace atm::forecast {
 
-/// Activation function for hidden layers of the MLP.
-using Activation = simd::MlpActivation;
-
 /// Training hyper-parameters of one network (MlpNetwork::train, or one
 /// MlpTrainJob of a batch).
 struct MlpTrainOptions {
@@ -88,8 +85,8 @@ class MlpWorkspace {
 ///
 /// This is the from-scratch stand-in for the neural-network temporal model
 /// the paper plugs in for signature series (PRACTISE, reference [7]).
-/// Hidden layers use the configured activation; the output is linear so
-/// the network regresses unbounded targets.
+/// Hidden layers use tanh; the output is linear so the network regresses
+/// unbounded targets.
 ///
 /// Weights, velocities, and scratch are stored as contiguous per-layer
 /// arrays (weights[j*fan_in + i] is the weight from input i to unit j);
@@ -101,7 +98,7 @@ class MlpNetwork {
     /// `layer_sizes` = {inputs, hidden..., 1}. At least {in, 1}. The final
     /// size must be 1 (scalar regression). Weights are initialized with
     /// Xavier/Glorot uniform scaling from `seed`.
-    MlpNetwork(std::vector<int> layer_sizes, Activation activation, unsigned seed);
+    MlpNetwork(std::vector<int> layer_sizes, unsigned seed);
 
     /// Forward pass; `inputs` length must equal the input layer size.
     /// The workspace overload is allocation-free once `workspace` has
@@ -143,7 +140,6 @@ class MlpNetwork {
     void forward(std::span<const double> inputs, MlpWorkspace& workspace) const;
 
     std::vector<int> layer_sizes_;
-    Activation activation_;
     std::vector<Layer> layers_;
     std::mt19937 rng_;
 };
@@ -160,13 +156,13 @@ struct MlpTrainJob {
 
 /// Trains several networks together, one per SIMD lane
 /// (simd::KernelTable::mlp_lanes: 8 on AVX-512, 4 on AVX2, 1 on scalar).
-/// Jobs that share a topology, activation, example count and validation
-/// split form one lane group; when a lane's network stops (patience or
-/// its epoch cap) the next job of the group takes the lane at the epoch
-/// boundary; once none is pending, the group's last networks finish in
-/// their lanes beside idle ones. A group of one (MlpNetwork::train, so
-/// serve's warm retrain) trains in one lane (mlp_train_one), which runs
-/// a lone network faster than the vector kernel with idle lanes
+/// Jobs that share a topology, example count and validation split form
+/// one lane group; when a lane's network stops (patience or its epoch
+/// cap) the next job of the group takes the lane at the epoch boundary;
+/// once none is pending, the group's last networks finish in their
+/// lanes beside idle ones. A group of one (MlpNetwork::train, so serve's
+/// warm retrain) trains in one lane (mlp_train_one), which runs a lone
+/// network faster than the vector kernel with idle lanes
 /// (BENCH_kernels.json). Each network keeps its own shuffle stream
 /// (mt19937(options.seed)), learning-rate decay, early stopping and
 /// `forecast.mlp.*` counters, and every lane runs its path's per-network

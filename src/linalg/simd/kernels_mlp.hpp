@@ -251,33 +251,17 @@ void mlp_train_epoch_vec(const MlpLaneEpoch& epoch) {
             for (std::size_t j = 0; j < fan_out; ++j) {
                 for (std::size_t b = 0; b < kW; ++b) {
                     out[j * kW + b] =
-                        active[b] ? mlp_activate(epoch.activation, pre[j * kW + b])
-                                  : 0.0;
+                        active[b] ? mlp_activate(pre[j * kW + b]) : 0.0;
                 }
             }
         }
         return V::sub(V::loadu(acts + act_off[layers]), V::loadu(targets));
     };
 
-    // The activation's derivative at unit values (activated, pre).
-    const auto activation_grad = [&](const double* activated,
-                                     const double* pre) -> Reg {
-        const Reg one = V::set1(1.0);
-        switch (epoch.activation) {
-            case MlpActivation::kTanh: {
-                const Reg a = V::loadu(activated);
-                return V::sub(one, V::mul(a, a));
-            }
-            case MlpActivation::kSigmoid: {
-                const Reg a = V::loadu(activated);
-                return V::mul(a, V::sub(one, a));
-            }
-            case MlpActivation::kRelu:
-                break;
-        }
-        double grad[kW];
-        for (std::size_t b = 0; b < kW; ++b) grad[b] = pre[b] > 0.0 ? 1.0 : 0.0;
-        return V::loadu(grad);
+    // tanh's derivative at activated unit values: 1 − a².
+    const auto activation_grad = [&](const double* activated) -> Reg {
+        const Reg a = V::loadu(activated);
+        return V::sub(V::set1(1.0), V::mul(a, a));
     };
 
     Reg train_loss = V::zero();
@@ -297,13 +281,12 @@ void mlp_train_epoch_vec(const MlpLaneEpoch& epoch) {
             const double* next_delta = deltas + unit_off[l];
             double* delta = deltas + unit_off[l - 1];
             const double* activated = acts + act_off[l];
-            const double* pre = pres + unit_off[l - 1];
             std::size_t j = 0;
             if constexpr (kW == 1) {
                 j = V::backprop_blocks(next_weights, next_delta, width,
                                        next_fan_out, delta);
                 for (std::size_t q = 0; q < j; ++q) {
-                    delta[q] *= activation_grad(activated + q, pre + q);
+                    delta[q] *= activation_grad(activated + q);
                 }
             }
             for (; j < width; ++j) {
@@ -314,8 +297,7 @@ void mlp_train_epoch_vec(const MlpLaneEpoch& epoch) {
                                         V::loadu(next_delta + k * kW)));
                 }
                 V::storeu(delta + j * kW,
-                          V::mul(acc, activation_grad(activated + j * kW,
-                                                      pre + j * kW)));
+                          V::mul(acc, activation_grad(activated + j * kW)));
             }
         }
 

@@ -35,10 +35,6 @@ bool cpu_supports(Path path) {
 #else
             return false;
 #endif
-        case Path::kNeon:
-            // Kept as a name so `--simd neon` reports "not compiled in";
-            // no NEON kernels are built.
-            return false;
     }
     return false;
 }
@@ -109,8 +105,6 @@ const char* to_string(Path path) {
             return "avx2";
         case Path::kAvx512:
             return "avx512";
-        case Path::kNeon:
-            return "neon";
     }
     return "unknown";
 }
@@ -119,10 +113,9 @@ Path parse_path(const std::string& name) {
     if (name == "scalar") return Path::kScalar;
     if (name == "avx2") return Path::kAvx2;
     if (name == "avx512") return Path::kAvx512;
-    if (name == "neon") return Path::kNeon;
     throw std::invalid_argument(
         "unknown SIMD path '" + name +
-        "' (expected scalar|avx2|avx512|neon)");
+        "' (expected scalar|avx2|avx512)");
 }
 
 std::vector<Path> compiled_paths() {

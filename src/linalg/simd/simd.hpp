@@ -54,14 +54,11 @@ namespace atm::simd {
 
 /// Instruction-set paths a build may carry. kScalar is always compiled
 /// and is the reference every other path is differentially tested
-/// against; the vector paths exist only on their architecture. kNeon is
-/// a name only: no NEON kernels are built, so forcing it fails as "not
-/// compiled into this binary".
+/// against; the vector paths exist only on their architecture.
 enum class Path : int {
     kScalar = 0,
     kAvx2,
     kAvx512,
-    kNeon,
 };
 
 /// Reusable scratch for the DTW kernels, grown on demand and never
@@ -80,23 +77,9 @@ struct DtwScratch {
     std::vector<std::size_t> jhi;
 };
 
-/// Activation of an MLP's hidden units (the output unit is linear).
-enum class MlpActivation {
-    kTanh,
-    kRelu,
-    kSigmoid,
-};
-
 /// The hidden-unit activation, shared by every path's MLP kernels: libm
-/// std::tanh / std::exp, never a vector approximation.
-inline double mlp_activate(MlpActivation activation, double x) {
-    switch (activation) {
-        case MlpActivation::kTanh: return std::tanh(x);
-        case MlpActivation::kRelu: return x > 0.0 ? x : 0.0;
-        case MlpActivation::kSigmoid: return 1.0 / (1.0 + std::exp(-x));
-    }
-    return x;
-}
+/// std::tanh, never a vector approximation (the output unit is linear).
+inline double mlp_activate(double x) { return std::tanh(x); }
 
 /// Weights and biases of an MLP with `layer_sizes` = {in, hidden..., out}.
 /// Lane-interleaved parameter blocks hold them layer by layer — the
@@ -144,7 +127,6 @@ struct MlpLaneScratch {
 /// over its `order`, then its validation loss.
 struct MlpLaneEpoch {
     std::span<const int> layer_sizes;  ///< {in, hidden..., 1}
-    MlpActivation activation = MlpActivation::kTanh;
     std::size_t train_count = 0;  ///< examples visited by the SGD pass
     std::size_t count = 0;        ///< [train_count, count) validate
     MlpLane* lanes = nullptr;     ///< one entry per lane
@@ -230,7 +212,7 @@ std::uint64_t ulp_distance(double a, double b);
 
 const char* to_string(Path path);
 
-/// Parses "scalar" | "avx2" | "avx512" | "neon". Throws
+/// Parses "scalar" | "avx2" | "avx512". Throws
 /// std::invalid_argument on anything else.
 Path parse_path(const std::string& name);
 

@@ -1,10 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
-#include <thread>
-#include <unordered_map>
 
 namespace atm::obs {
 
@@ -119,81 +116,23 @@ std::span<const double> default_histogram_bounds() {
 
 // ------------------------------------------------------- MetricsRegistry
 
-struct MetricsRegistry::Shard {
-    std::thread::id owner;
-    std::mutex mutex;
-    std::unordered_map<std::string, std::uint64_t> counters;
-    std::unordered_map<std::string, double> gauges;
-    std::unordered_map<std::string, TimerStat> timers;
-    std::unordered_map<std::string, HistogramSnapshot> histograms;
-};
-
-namespace {
-
-std::uint64_t next_registry_id() {
-    static std::atomic<std::uint64_t> next{1};
-    return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// One-entry per-thread cache of the shard this thread last used. Keyed
-/// by the registry's process-unique id, never by address, so a registry
-/// destroyed and another allocated at the same address cannot alias — a
-/// stale entry just misses and re-resolves under the registry mutex.
-struct TlsShardCache {
-    std::uint64_t registry_id = 0;
-    void* shard = nullptr;
-};
-thread_local TlsShardCache tls_shard_cache;
-
-}  // namespace
-
-MetricsRegistry::MetricsRegistry(bool enabled)
-    : id_(next_registry_id()), enabled_(enabled) {}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
-MetricsRegistry::Shard* MetricsRegistry::local_shard() {
-    if (tls_shard_cache.registry_id == id_) {
-        return static_cast<Shard*>(tls_shard_cache.shard);
-    }
-    const std::thread::id me = std::this_thread::get_id();
-    std::lock_guard<std::mutex> lock(shards_mutex_);
-    Shard* shard = nullptr;
-    for (const auto& candidate : shards_) {
-        if (candidate->owner == me) {
-            shard = candidate.get();
-            break;
-        }
-    }
-    if (shard == nullptr) {
-        shards_.push_back(std::make_unique<Shard>());
-        shard = shards_.back().get();
-        shard->owner = me;
-    }
-    tls_shard_cache = {id_, shard};
-    return shard;
-}
-
 void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
     if (!enabled()) return;
-    Shard* shard = local_shard();
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->counters[std::string(name)] += delta;
+    std::lock_guard<std::mutex> lock(mutex_);
+    counters_[std::string(name)] += delta;
 }
 
 void MetricsRegistry::set_gauge(std::string_view name, double value) {
     if (!enabled()) return;
-    Shard* shard = local_shard();
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->gauges[std::string(name)] = value;
+    std::lock_guard<std::mutex> lock(mutex_);
+    gauges_[std::string(name)] = value;
 }
 
 void MetricsRegistry::observe(std::string_view name, double value,
                               std::span<const double> bounds) {
     if (!enabled()) return;
-    Shard* shard = local_shard();
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    auto [it, inserted] = shard->histograms.try_emplace(std::string(name));
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto [it, inserted] = histograms_.try_emplace(std::string(name));
     if (inserted) {
         const std::span<const double> chosen =
             bounds.empty() ? default_histogram_bounds() : bounds;
@@ -205,27 +144,17 @@ void MetricsRegistry::observe(std::string_view name, double value,
 
 void MetricsRegistry::record_ns(std::string_view name, std::uint64_t ns) {
     if (!enabled()) return;
-    Shard* shard = local_shard();
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->timers[std::string(name)].record(ns);
+    std::lock_guard<std::mutex> lock(mutex_);
+    timers_[std::string(name)].record(ns);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricsSnapshot out;
-    std::lock_guard<std::mutex> registry_lock(shards_mutex_);
-    for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> shard_lock(shard->mutex);
-        for (const auto& [name, value] : shard->counters) {
-            out.counters[name] += value;
-        }
-        for (const auto& [name, value] : shard->gauges) out.gauges[name] = value;
-        for (const auto& [name, stat] : shard->timers) {
-            out.timers[name].merge(stat);
-        }
-        for (const auto& [name, hist] : shard->histograms) {
-            out.histograms[name].merge(hist);
-        }
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    out.counters.insert(counters_.begin(), counters_.end());
+    out.gauges.insert(gauges_.begin(), gauges_.end());
+    out.timers.insert(timers_.begin(), timers_.end());
+    out.histograms.insert(histograms_.begin(), histograms_.end());
     return out;
 }
 

@@ -3,17 +3,17 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace atm::obs {
 
 /// Aggregate of ScopedTimer durations under one name. All fields are
-/// integers, so merging shards (or per-box snapshots) is exact and
+/// integers, so merging per-box snapshots is exact and
 /// order-independent — but the *values* depend on machine load, which is
 /// why timers are excluded from the determinism contract (DESIGN.md).
 struct TimerStat {
@@ -33,7 +33,7 @@ struct TimerStat {
 /// `counts` has bounds.size() + 1 entries (the last bucket is open to
 /// +infinity). Two histograms under the same name must share bounds, which
 /// makes merging a plain element-wise sum — the property that lets
-/// per-thread shards and per-box snapshots combine into a fleet view.
+/// per-box snapshots combine into a fleet view.
 struct HistogramSnapshot {
     std::vector<double> bounds;
     std::vector<std::uint64_t> counts;
@@ -77,15 +77,14 @@ struct MetricsSnapshot {
 /// suitable for the ratios (APE) and seconds the pipeline observes.
 std::span<const double> default_histogram_bounds();
 
-/// Thread-safe metrics registry with per-thread shards.
+/// Thread-safe metrics registry: one mutex-guarded store.
 ///
-/// Every writing thread gets its own shard (found via a thread-local
-/// cache), so concurrent instrumentation — e.g. DTW rows recording cell
-/// counts from several pool workers — never contends on a shared cell.
-/// Each shard carries its own mutex, taken uncontended on the hot path
-/// and only fought over during `snapshot()`, which locks shard by shard
-/// and merges. This keeps the registry race-free under the exec
-/// ThreadPool without atomics in every metric.
+/// Pipeline registries have a single writer — each fleet box owns one and
+/// only the worker running the box records into it. The mutex is there
+/// for the registries that do see concurrent writers (the `atmd` daemon's
+/// transport registry, fed by every connection's reader thread) and for
+/// `snapshot()` taken while writers are live; uncontended, it costs one
+/// lock/unlock per record.
 ///
 /// When disabled (constructor flag) every record operation returns after
 /// one flag test — near-zero overhead — and a null `MetricsRegistry*` at
@@ -93,14 +92,12 @@ std::span<const double> default_histogram_bounds();
 ///
 /// Determinism: counter merges are exact integer sums, so deterministic
 /// instrumentation (cell counts, cache hits, iterations) is bit-identical
-/// regardless of worker count or shard merge order. Gauges and histogram
-/// `sum` are only deterministic when written from a single thread per
-/// registry — the convention all pipeline instrumentation follows (worker
-/// threads write counters only).
+/// regardless of worker count or merge order. Gauges and histogram `sum`
+/// are only deterministic when written from a single thread per
+/// registry — the convention all pipeline instrumentation follows.
 class MetricsRegistry {
 public:
-    explicit MetricsRegistry(bool enabled = true);
-    ~MetricsRegistry();
+    explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
 
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -112,27 +109,26 @@ public:
     /// Sets the named gauge to `value` (last write wins).
     void set_gauge(std::string_view name, double value);
     /// Records one observation into the named histogram. `bounds` is used
-    /// only when this thread's shard first creates the histogram; empty
-    /// selects `default_histogram_bounds()`. All observers of one name
-    /// must use the same bounds.
+    /// only when the histogram is first created; empty selects
+    /// `default_histogram_bounds()`. All observers of one name must use
+    /// the same bounds.
     void observe(std::string_view name, double value,
                  std::span<const double> bounds = {});
     /// Records one duration into the named timer aggregate.
     void record_ns(std::string_view name, std::uint64_t ns);
 
-    /// Merges every shard into one snapshot. Safe to call while other
-    /// threads are still recording (they hold their shard mutex per op);
-    /// for a quiescent-point snapshot, call after joining/fencing writers.
+    /// Copies the store into one snapshot. Safe to call while other
+    /// threads are still recording (each op holds the mutex); for a
+    /// quiescent-point snapshot, call after joining/fencing writers.
     [[nodiscard]] MetricsSnapshot snapshot() const;
 
 private:
-    struct Shard;
-    Shard* local_shard();
-
-    const std::uint64_t id_;  ///< process-unique, keys the TLS shard cache
     const bool enabled_;
-    mutable std::mutex shards_mutex_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    mutable std::mutex mutex_;
+    std::unordered_map<std::string, std::uint64_t> counters_;
+    std::unordered_map<std::string, double> gauges_;
+    std::unordered_map<std::string, TimerStat> timers_;
+    std::unordered_map<std::string, HistogramSnapshot> histograms_;
 };
 
 /// RAII span timer: records the elapsed wall time into

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/dtw.hpp"
 #include "core/fleet.hpp"
 #include "exec/arg_parser.hpp"
 #include "exec/cancel.hpp"
@@ -89,46 +88,6 @@ TEST(SeedTest, DeriveSeedSeparatesIndicesAndBases) {
     EXPECT_EQ(seeds.size(), 300u);  // no collisions across bases or indices
 }
 
-// ------------------------------------------------------ parallel DTW matrix
-
-la::FlatMatrix small_series_set() {
-    trace::TraceGenOptions options;
-    options.num_days = 1;
-    options.gappy_box_fraction = 0.0;
-    return trace::generate_box(options, 5).demand_matrix();
-}
-
-TEST(DtwParallelTest, PooledMatrixMatchesSerial) {
-    const auto series = small_series_set();
-    const auto serial = cluster::dtw_distance_matrix(series);
-    exec::ThreadPool pool(4);
-    const auto parallel = cluster::dtw_distance_matrix(series, -1, &pool);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        for (std::size_t j = 0; j < serial.size(); ++j) {
-            EXPECT_EQ(parallel[i][j], serial[i][j]) << i << "," << j;
-        }
-    }
-}
-
-TEST(DtwParallelTest, NestedPooledMatrixMatchesSerial) {
-    // The fleet's shape when boxes are scarcer than workers: each box task
-    // lends the same pool to its DTW matrix, and the chunks the calling
-    // thread runs use that worker's own workspace.
-    const auto series = small_series_set();
-    const auto serial = cluster::dtw_distance_matrix(series);
-    exec::ThreadPool pool(3);
-    std::vector<cluster::DtwWorkspace> workspaces(pool.size() + 1);
-    std::vector<la::FlatMatrix> nested(3);
-    exec::run_sharded(&pool, nested.size(), {},
-                      [&](unsigned worker, std::size_t b) {
-                          nested[b] = cluster::dtw_distance_matrix(
-                              series, -1, &pool, nullptr, nullptr,
-                              &workspaces[worker]);
-                      });
-    for (const la::FlatMatrix& m : nested) EXPECT_EQ(m, serial);
-}
-
 // ------------------------------------------------------------- FleetConfig
 
 TEST(FleetConfigTest, DefaultConfigValidates) {
@@ -181,6 +140,21 @@ TEST(FleetConfigTest, ReportsEveryOutOfRangeValue) {
     EXPECT_EQ(edge_config.validate(), "");
     edge_config.pipeline.search.rho_threshold = 1.0;
     EXPECT_EQ(edge_config.validate(), "");
+
+    // jobs is bounded above too, so a huge --jobs fails here instead of
+    // asking for that many threads; 0 (hardware concurrency) and the
+    // bound itself are valid. validate() starts no pool.
+    core::FleetConfig jobs_config;
+    for (const int jobs : {core::FleetConfig::kMaxJobs + 1, 100000,
+                           std::numeric_limits<int>::max()}) {
+        jobs_config.jobs = jobs;
+        EXPECT_NE(jobs_config.validate().find("jobs"), std::string::npos)
+            << jobs;
+    }
+    for (const int jobs : {0, 1, core::FleetConfig::kMaxJobs}) {
+        jobs_config.jobs = jobs;
+        EXPECT_EQ(jobs_config.validate(), "") << jobs;
+    }
 }
 
 TEST(FleetConfigTest, AcceptsBoundaryAlphaAndRejectsRangeEdges) {
@@ -874,8 +848,9 @@ TEST(ShardTest, SharedPoolGrowsAndNeverShrinks) {
 TEST(ShardTest, NestedCallsOnTheSamePoolComplete) {
     // Every pool thread sits inside an outer shard, so the inner calls
     // can only finish because each caller drains its own shards — this
-    // deadlocks with a naive fork/join pool. Production nests this way
-    // when a fleet with fewer boxes than workers lends the pool to DTW.
+    // deadlocks with a naive fork/join pool. The fleet's box loop is the
+    // program's only run_sharded caller and does not nest, but the
+    // contract (shard.hpp) keeps nested calls safe.
     exec::ThreadPool pool(2);
     std::atomic<int> count{0};
     exec::run_sharded(&pool, 4, {}, [&pool, &count](unsigned, std::size_t) {

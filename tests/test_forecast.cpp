@@ -125,7 +125,7 @@ TEST(ArTest, ConstructorValidation) {
 }
 
 TEST(MlpNetworkTest, LearnsLinearFunction) {
-    MlpNetwork net({2, 1}, Activation::kTanh, 3);
+    MlpNetwork net({2, 1}, 3);
     std::mt19937 rng(6);
     std::uniform_real_distribution<double> dist(0.0, 1.0);
     la::FlatMatrix inputs(300, 2);
@@ -149,7 +149,7 @@ TEST(MlpNetworkTest, LearnsLinearFunction) {
 }
 
 TEST(MlpNetworkTest, LearnsNonlinearFunction) {
-    MlpNetwork net({1, 10, 1}, Activation::kTanh, 7);
+    MlpNetwork net({1, 10, 1}, 7);
     la::FlatMatrix inputs(200, 1);
     std::vector<double> targets;
     for (std::size_t i = 0; i < 200; ++i) {
@@ -178,8 +178,8 @@ TEST(MlpNetworkTest, DeterministicGivenSeed) {
     options.epochs = 50;
     options.validation_fraction = 0.0;
 
-    MlpNetwork a({1, 4, 1}, Activation::kTanh, 42);
-    MlpNetwork b({1, 4, 1}, Activation::kTanh, 42);
+    MlpNetwork a({1, 4, 1}, 42);
+    MlpNetwork b({1, 4, 1}, 42);
     a.train(inputs, targets, options);
     b.train(inputs, targets, options);
     const std::vector<double> probe{0.7};
@@ -187,25 +187,23 @@ TEST(MlpNetworkTest, DeterministicGivenSeed) {
 }
 
 TEST(MlpNetworkTest, ParameterCount) {
-    const MlpNetwork net({3, 5, 1}, Activation::kRelu, 1);
+    const MlpNetwork net({3, 5, 1}, 1);
     // (3*5 + 5) + (5*1 + 1) = 26
     EXPECT_EQ(net.parameter_count(), 26u);
 }
 
 TEST(MlpNetworkTest, Validation) {
-    EXPECT_THROW(MlpNetwork({3}, Activation::kTanh, 1), std::invalid_argument);
-    EXPECT_THROW(MlpNetwork({3, 2}, Activation::kTanh, 1), std::invalid_argument);
-    MlpNetwork net({2, 1}, Activation::kTanh, 1);
+    EXPECT_THROW(MlpNetwork({3}, 1), std::invalid_argument);
+    EXPECT_THROW(MlpNetwork({3, 2}, 1), std::invalid_argument);
+    MlpNetwork net({2, 1}, 1);
     const std::vector<double> short_input{1.0};
     EXPECT_THROW(static_cast<void>(net.predict(short_input)), std::invalid_argument);
     EXPECT_THROW(net.train(la::FlatMatrix(), std::vector<double>{}, {}),
                  std::invalid_argument);
 }
 
-class ActivationTest : public ::testing::TestWithParam<Activation> {};
-
-TEST_P(ActivationTest, AllActivationsLearnIdentityScaled) {
-    MlpNetwork net({1, 6, 1}, GetParam(), 11);
+TEST(MlpNetworkTest, LearnsScaledIdentity) {
+    MlpNetwork net({1, 6, 1}, 11);
     la::FlatMatrix inputs(100, 1);
     std::vector<double> targets;
     for (std::size_t i = 0; i < 100; ++i) {
@@ -224,10 +222,6 @@ TEST_P(ActivationTest, AllActivationsLearnIdentityScaled) {
     }
     EXPECT_LT(mse / 100.0, 0.01);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllActivations, ActivationTest,
-                         ::testing::Values(Activation::kTanh, Activation::kRelu,
-                                           Activation::kSigmoid));
 
 TEST(MlpForecasterTest, TracksDiurnalPattern) {
     const auto series = diurnal_series(5, 48, 1.5, 13);

@@ -26,7 +26,6 @@
 #include "cluster/cbc.hpp"
 #include "cluster/dtw.hpp"
 #include "core/signature_search.hpp"
-#include "exec/thread_pool.hpp"
 #include "forecast/nn.hpp"
 #include "linalg/flat_matrix.hpp"
 #include "linalg/ols.hpp"
@@ -235,23 +234,22 @@ TEST(KernelsDtwTest, DistanceMatrixIsContiguousSymmetricAndPairExact) {
     }
 }
 
-TEST(KernelsDtwTest, PairChunkedMatrixBitIdenticalAcrossWorkerCounts) {
+TEST(KernelsDtwTest, MatrixCountsEveryPairOnceWithItsCells) {
     const la::FlatMatrix series = waves(9, 80, 40, 0.2);
-    obs::MetricsRegistry serial_metrics;
-    const la::FlatMatrix serial =
-        cluster::dtw_distance_matrix(series, 6, nullptr, &serial_metrics);
-    for (const unsigned workers : {1u, 2u, 5u}) {
-        exec::ThreadPool pool(workers);
-        obs::MetricsRegistry pool_metrics;
-        const la::FlatMatrix parallel =
-            cluster::dtw_distance_matrix(series, 6, &pool, &pool_metrics);
-        EXPECT_EQ(serial, parallel) << workers << " workers";
-        // Counter totals are chunking-invariant.
-        EXPECT_EQ(serial_metrics.snapshot().counter("cluster.dtw.pairs"),
-                  pool_metrics.snapshot().counter("cluster.dtw.pairs"));
-        EXPECT_EQ(serial_metrics.snapshot().counter("cluster.dtw.cells"),
-                  pool_metrics.snapshot().counter("cluster.dtw.cells"));
-    }
+    const std::size_t n = series.rows();
+    const std::uint64_t pairs = n * (n - 1) / 2;
+    obs::MetricsRegistry metrics;
+    const la::FlatMatrix dist = cluster::dtw_distance_matrix(series, 6, &metrics);
+    const obs::MetricsSnapshot snapshot = metrics.snapshot();
+    EXPECT_EQ(snapshot.counter("cluster.dtw.pairs"), pairs);
+    EXPECT_EQ(snapshot.counter("cluster.dtw.cells"),
+              pairs * cluster::dtw_cell_count(80, 80, 6));
+    // A caller workspace grown at another size is pure scratch.
+    cluster::DtwWorkspace workspace;
+    (void)cluster::dtw_distance_matrix(waves(3, 200, 0, 0.1), -1, nullptr,
+                                       nullptr, &workspace);
+    EXPECT_EQ(dist, cluster::dtw_distance_matrix(series, 6, nullptr, nullptr,
+                                                 &workspace));
 }
 
 TEST(KernelsDtwTest, AlignDistanceMatchesDistanceKernel) {
@@ -333,7 +331,7 @@ TEST(KernelsMlpTest, FlattenedForwardMatchesNestedReferenceBitExactly) {
     const simd::Path ambient = simd::active_path();
     simd::set_path(simd::Path::kScalar);
     const std::vector<int> layer_sizes{8, 6, 4, 1};
-    const forecast::MlpNetwork net(layer_sizes, forecast::Activation::kTanh, 42);
+    const forecast::MlpNetwork net(layer_sizes, 42);
     const ReferenceMlp reference(layer_sizes, 42);
     for (unsigned s = 0; s < 5; ++s) {
         const std::vector<double> x = wave(8, 100 + s, 0.3 * s);
@@ -354,8 +352,8 @@ TEST(KernelsMlpTest, TrainWithAndWithoutWorkspaceIsBitIdentical) {
     forecast::MlpTrainOptions options;
     options.epochs = 12;
 
-    forecast::MlpNetwork plain({6, 5, 1}, forecast::Activation::kTanh, 7);
-    forecast::MlpNetwork with_ws({6, 5, 1}, forecast::Activation::kTanh, 7);
+    forecast::MlpNetwork plain({6, 5, 1}, 7);
+    forecast::MlpNetwork with_ws({6, 5, 1}, 7);
     forecast::MlpWorkspace workspace;
     const double loss_plain = plain.train(inputs, targets, options);
     const double loss_ws = with_ws.train(inputs, targets, options, &workspace);
@@ -379,7 +377,7 @@ TEST(KernelsMlpTest, TrainAllocationCountIndependentOfEpochs) {
     // train() call may make are per-call setup (the shuffle order vector),
     // never per-epoch or per-sample.
     const auto allocations_for = [&](int epochs) {
-        forecast::MlpNetwork net({6, 5, 1}, forecast::Activation::kTanh, 3);
+        forecast::MlpNetwork net({6, 5, 1}, 3);
         forecast::MlpWorkspace workspace;
         forecast::MlpTrainOptions options;
         options.epochs = 1;

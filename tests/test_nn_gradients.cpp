@@ -24,9 +24,8 @@ double loss_of(const MlpNetwork& net, const std::vector<double>& x, double y) {
 
 /// Trains one epoch of one example with plain SGD (lr, no momentum/decay).
 MlpNetwork one_step(unsigned seed, const std::vector<int>& layers,
-                    Activation act, const std::vector<double>& x, double y,
-                    double lr) {
-    MlpNetwork net(layers, act, seed);
+                    const std::vector<double>& x, double y, double lr) {
+    MlpNetwork net(layers, seed);
     MlpTrainOptions options;
     options.epochs = 1;
     options.learning_rate = lr;
@@ -38,35 +37,31 @@ MlpNetwork one_step(unsigned seed, const std::vector<int>& layers,
     return net;
 }
 
-class GradientCheckTest : public ::testing::TestWithParam<Activation> {};
-
-TEST_P(GradientCheckTest, SgdStepDecreasesLossLikeGradientDescent) {
-    const Activation act = GetParam();
+TEST(GradientCheckTest, SgdStepDecreasesLossLikeGradientDescent) {
     const std::vector<int> layers{3, 5, 1};
     const std::vector<double> x{0.3, -0.7, 0.5};
     const double y = 0.8;
     const double lr = 1e-3;
 
-    MlpNetwork before(layers, act, 13);
+    MlpNetwork before(layers, 13);
     const double loss_before = loss_of(before, x, y);
-    const MlpNetwork after = one_step(13, layers, act, x, y, lr);
+    const MlpNetwork after = one_step(13, layers, x, y, lr);
     const double loss_after = loss_of(after, x, y);
 
     // One small gradient step must reduce the loss, and by approximately
     // lr * ||grad||^2. We verify the first-order reduction is positive and
     // proportional to lr: a half-lr step reduces by about half as much.
     ASSERT_LT(loss_after, loss_before);
-    const MlpNetwork after_half = one_step(13, layers, act, x, y, lr / 2.0);
+    const MlpNetwork after_half = one_step(13, layers, x, y, lr / 2.0);
     const double reduction_full = loss_before - loss_after;
     const double reduction_half = loss_before - loss_of(after_half, x, y);
     EXPECT_NEAR(reduction_half / reduction_full, 0.5, 0.08);
 }
 
-TEST_P(GradientCheckTest, ConvergesToSingleTarget) {
+TEST(GradientCheckTest, ConvergesToSingleTarget) {
     // Gradient descent on one example must drive the output to the target;
     // any systematic gradient error would stall or diverge.
-    const Activation act = GetParam();
-    MlpNetwork net({2, 4, 1}, act, 29);
+    MlpNetwork net({2, 4, 1}, 29);
     const la::FlatMatrix inputs({{0.4, 0.6}});
     const std::vector<double> targets{0.35};
     MlpTrainOptions options;
@@ -80,19 +75,14 @@ TEST_P(GradientCheckTest, ConvergesToSingleTarget) {
     EXPECT_NEAR(net.predict(inputs[0]), 0.35, 1e-3);
 }
 
-INSTANTIATE_TEST_SUITE_P(Activations, GradientCheckTest,
-                         ::testing::Values(Activation::kTanh,
-                                           Activation::kSigmoid,
-                                           Activation::kRelu));
-
 TEST(GradientCheckTest, DeepNetworkStepReducesLoss) {
     // Two hidden layers: exercises the backprop recursion across layers.
     const std::vector<int> layers{2, 6, 4, 1};
     const std::vector<double> x{0.9, -0.2};
     const double y = -0.4;
-    MlpNetwork before(layers, Activation::kTanh, 5);
+    MlpNetwork before(layers, 5);
     const double loss_before = loss_of(before, x, y);
-    const MlpNetwork after = one_step(5, layers, Activation::kTanh, x, y, 1e-3);
+    const MlpNetwork after = one_step(5, layers, x, y, 1e-3);
     EXPECT_LT(loss_of(after, x, y), loss_before);
 }
 
@@ -111,12 +101,12 @@ TEST(GradientCheckTest, WeightDecayShrinksSolution) {
     options.validation_fraction = 0.0;
 
     options.weight_decay = 0.0;
-    MlpNetwork plain({2, 3, 1}, Activation::kTanh, 17);
+    MlpNetwork plain({2, 3, 1}, 17);
     plain.train(inputs, targets, options);
     EXPECT_NEAR(plain.predict(inputs[0]), 0.9, 1e-3);
 
     options.weight_decay = 0.05;
-    MlpNetwork decayed({2, 3, 1}, Activation::kTanh, 17);
+    MlpNetwork decayed({2, 3, 1}, 17);
     decayed.train(inputs, targets, options);
     const double pred = decayed.predict(inputs[0]);
     EXPECT_GT(pred, 0.0);

@@ -1,5 +1,5 @@
 // Tests for the obs metrics/tracing subsystem: histogram math, counter
-// monotonicity, the sharded registry's thread safety (run under TSan via
+// monotonicity, the registry's thread safety (run under TSan via
 // `ctest -L obs` with ATM_SANITIZE=thread), JSON round-trips, and the
 // fleet-level determinism contract for deterministic metric categories.
 

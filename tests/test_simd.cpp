@@ -27,7 +27,6 @@
 
 #include "cluster/dtw.hpp"
 #include "exec/journal.hpp"
-#include "exec/thread_pool.hpp"
 #include "forecast/nn.hpp"
 #include "linalg/simd/simd.hpp"
 #include "obs/metrics.hpp"
@@ -86,7 +85,7 @@ la::FlatMatrix random_set(std::mt19937& rng, std::size_t count,
 // Dispatch plumbing
 
 TEST(SimdDispatchTest, PathNamesRoundTrip) {
-    for (Path p : {Path::kScalar, Path::kAvx2, Path::kAvx512, Path::kNeon}) {
+    for (Path p : {Path::kScalar, Path::kAvx2, Path::kAvx512}) {
         EXPECT_EQ(parse_path(to_string(p)), p);
     }
     EXPECT_THROW(parse_path("sse2"), std::invalid_argument);
@@ -127,19 +126,18 @@ TEST(SimdDispatchTest, SetPathForcesEveryCompiledSupportedPath) {
 }
 
 TEST(SimdDispatchTest, UncompiledOrUnsupportedPathThrows) {
-    // No NEON kernels are compiled, so at least that path is rejected.
+    // No NEON kernels exist, so "neon" is not a path name at all.
+    EXPECT_THROW(parse_path("neon"), std::invalid_argument);
+    // A named path this binary cannot run is rejected, never downgraded.
     const std::vector<Path> supported = supported_paths();
-    int rejected = 0;
-    for (Path p : {Path::kAvx2, Path::kAvx512, Path::kNeon}) {
+    for (Path p : {Path::kAvx2, Path::kAvx512}) {
         if (std::find(supported.begin(), supported.end(), p) !=
             supported.end()) {
             continue;
         }
         EXPECT_THROW(kernels_for(p), std::invalid_argument);
         EXPECT_THROW(set_path(p), std::invalid_argument);
-        ++rejected;
     }
-    EXPECT_GE(rejected, 1);
 }
 
 TEST(SimdDispatchTest, UlpDistance) {
@@ -387,7 +385,7 @@ TEST(SimdDtwTest, DistanceMatrixAndCellCountersIdenticalAcrossPaths) {
     set_path(Path::kScalar);
     obs::MetricsRegistry scalar_metrics;
     const la::FlatMatrix expected =
-        cluster::dtw_distance_matrix(series, 8, nullptr, &scalar_metrics);
+        cluster::dtw_distance_matrix(series, 8, &scalar_metrics);
     const auto scalar_counters = scalar_metrics.snapshot().counters;
     ASSERT_NE(scalar_counters.find("cluster.dtw.cells"),
               scalar_counters.end());
@@ -396,7 +394,7 @@ TEST(SimdDtwTest, DistanceMatrixAndCellCountersIdenticalAcrossPaths) {
         set_path(path);
         obs::MetricsRegistry metrics;
         const la::FlatMatrix actual =
-            cluster::dtw_distance_matrix(series, 8, nullptr, &metrics);
+            cluster::dtw_distance_matrix(series, 8, &metrics);
         for (std::size_t i = 0; i < series.size(); ++i) {
             for (std::size_t j = 0; j < series.size(); ++j) {
                 EXPECT_EQ(expected(i, j), actual(i, j)) << to_string(path);
@@ -412,9 +410,9 @@ TEST(SimdDtwTest, DistanceMatrixAtFleetShapeIdenticalAcrossPaths) {
     // days at 96 samples per day, unconstrained. Full strips, lane
     // groups that share p and partial groups at chunk ends are all
     // exercised. A banded 7-series set (n not a multiple of any lane
-    // width; 21 pairs, so chunks end on partial batches) covers the rest
-    // of the matrix loop's batching, and every path also runs on a pool.
-    // Matrix and counters must match the serial scalar run.
+    // width; 21 pairs, so the last batch is partial) covers the rest of
+    // the matrix loop's batching. Matrix and counters must match the
+    // scalar run.
     std::mt19937 rng(480);
     struct Case {
         la::FlatMatrix series;
@@ -422,7 +420,6 @@ TEST(SimdDtwTest, DistanceMatrixAtFleetShapeIdenticalAcrossPaths) {
     };
     const Case cases[] = {{random_set(rng, 24, 480), -1},
                           {random_set(rng, 7, 96), 8}};
-    exec::ThreadPool pool(3);
 
     const PathGuard guard;
     for (const Case& c : cases) {
@@ -430,8 +427,8 @@ TEST(SimdDtwTest, DistanceMatrixAtFleetShapeIdenticalAcrossPaths) {
         const std::size_t len = c.series.cols();
         set_path(Path::kScalar);
         obs::MetricsRegistry scalar_metrics;
-        const la::FlatMatrix expected = cluster::dtw_distance_matrix(
-            c.series, c.band, nullptr, &scalar_metrics);
+        const la::FlatMatrix expected =
+            cluster::dtw_distance_matrix(c.series, c.band, &scalar_metrics);
         const auto scalar_counters = scalar_metrics.snapshot().counters;
         const std::uint64_t pairs = n * (n - 1) / 2;
         EXPECT_EQ(scalar_counters.at("cluster.dtw.pairs"), pairs);
@@ -441,18 +438,14 @@ TEST(SimdDtwTest, DistanceMatrixAtFleetShapeIdenticalAcrossPaths) {
             EXPECT_EQ(scalar_counters.at("cluster.dtw.cells"), pairs * len * len);
         }
 
-        for (Path path : supported_paths()) {
+        for (Path path : vector_paths()) {
             set_path(path);
-            for (exec::ThreadPool* runner : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
-                if (path == Path::kScalar && runner == nullptr) continue;
-                obs::MetricsRegistry metrics;
-                const la::FlatMatrix actual = cluster::dtw_distance_matrix(
-                    c.series, c.band, runner, &metrics);
-                EXPECT_EQ(expected, actual)
-                    << to_string(path) << (runner ? " pooled" : "") << ", n " << n;
-                EXPECT_EQ(scalar_counters, metrics.snapshot().counters)
-                    << to_string(path) << (runner ? " pooled" : "") << ", n " << n;
-            }
+            obs::MetricsRegistry metrics;
+            const la::FlatMatrix actual =
+                cluster::dtw_distance_matrix(c.series, c.band, &metrics);
+            EXPECT_EQ(expected, actual) << to_string(path) << ", n " << n;
+            EXPECT_EQ(scalar_counters, metrics.snapshot().counters)
+                << to_string(path) << ", n " << n;
         }
     }
 }
@@ -589,10 +582,8 @@ std::vector<LaneNet> lane_nets() {
 }
 
 /// Scenario network `n` with `layer_sizes` ({7, hidden..., 1}).
-forecast::MlpNetwork lane_network(std::size_t n, const std::vector<int>& layer_sizes,
-                                  forecast::Activation activation) {
-    return forecast::MlpNetwork(layer_sizes, activation,
-                                static_cast<unsigned>(100 + n));
+forecast::MlpNetwork lane_network(std::size_t n, const std::vector<int>& layer_sizes) {
+    return forecast::MlpNetwork(layer_sizes, static_cast<unsigned>(100 + n));
 }
 
 std::vector<double> predict_all(const forecast::MlpNetwork& net,
@@ -606,14 +597,13 @@ std::vector<double> predict_all(const forecast::MlpNetwork& net,
 
 /// Trains every scenario network on its own, one train() call at a time.
 std::vector<LaneOutcome> train_lane_nets_alone(std::vector<LaneNet> nets,
-                                               const std::vector<int>& layer_sizes,
-                                               forecast::Activation activation) {
+                                               const std::vector<int>& layer_sizes) {
     std::vector<LaneOutcome> outcomes(nets.size());
     for (std::size_t n = 0; n < nets.size(); ++n) {
         obs::MetricsRegistry metrics;
         nets[n].cold.metrics = &metrics;
         nets[n].warm.metrics = &metrics;
-        forecast::MlpNetwork net = lane_network(n, layer_sizes, activation);
+        forecast::MlpNetwork net = lane_network(n, layer_sizes);
         LaneOutcome& o = outcomes[n];
         o.cold_loss = net.train(nets[n].inputs, nets[n].targets, nets[n].cold);
         o.cold_epochs = metrics.snapshot().counter("forecast.mlp.epochs");
@@ -641,12 +631,11 @@ std::string lane_digest(const std::vector<LaneOutcome>& outcomes) {
 /// Trains the scenario networks together: one batch train() call for
 /// the cold round and one for the warm round.
 std::vector<LaneOutcome> train_lane_nets_batched(std::vector<LaneNet> nets,
-                                                 const std::vector<int>& layer_sizes,
-                                                 forecast::Activation activation) {
+                                                 const std::vector<int>& layer_sizes) {
     std::vector<obs::MetricsRegistry> metrics(nets.size());
     std::vector<forecast::MlpNetwork> networks;
     for (std::size_t n = 0; n < nets.size(); ++n) {
-        networks.push_back(lane_network(n, layer_sizes, activation));
+        networks.push_back(lane_network(n, layer_sizes));
         nets[n].cold.metrics = &metrics[n];
         nets[n].warm.metrics = &metrics[n];
     }
@@ -675,10 +664,9 @@ TEST(SimdMlpTest, LaneBatchedTrainingMatchesOneAtATime) {
     // Digests of the 7→12→1 tanh scenario trained one network at a time
     // by the per-network SGD loop that lane-batched training replaced,
     // per path: the batched kernel must reproduce that loop's arithmetic
-    // exactly. ReLU and sigmoid networks run the same kernels' other
-    // activation branches, and the two-hidden-layer 7→11→6→1 networks
-    // backpropagate through a hidden layer with unit counts off every
-    // vector width; batched must equal alone for them too.
+    // exactly. The two-hidden-layer 7→11→6→1 networks backpropagate
+    // through a hidden layer with unit counts off every vector width;
+    // batched must equal alone for them too.
     const std::map<Path, std::string> pinned{
         {Path::kScalar, "e587f9563359fe4d"},
         {Path::kAvx2, "aa2ace014f8a390f"},
@@ -691,40 +679,33 @@ TEST(SimdMlpTest, LaneBatchedTrainingMatchesOneAtATime) {
     for (Path path : supported_paths()) {
         set_path(path);
         for (const std::vector<int>& sizes : {shallow, deep}) {
-            for (const forecast::Activation activation :
-                 {forecast::Activation::kTanh, forecast::Activation::kRelu,
-                  forecast::Activation::kSigmoid}) {
-                const auto where = [&](std::size_t n) {
-                    return std::string(to_string(path)) + " layers " +
-                           std::to_string(sizes.size()) + " activation " +
-                           std::to_string(static_cast<int>(activation)) + " net " +
-                           std::to_string(n);
-                };
-                const std::vector<LaneOutcome> alone =
-                    train_lane_nets_alone(nets, sizes, activation);
-                const std::vector<LaneOutcome> batched =
-                    train_lane_nets_batched(nets, sizes, activation);
-                ASSERT_EQ(alone.size(), batched.size());
-                std::set<std::uint64_t> stop_epochs;
-                for (std::size_t n = 0; n < alone.size(); ++n) {
-                    const LaneOutcome& a = alone[n];
-                    const LaneOutcome& b = batched[n];
-                    EXPECT_EQ(ulp_distance(a.cold_loss, b.cold_loss), 0u) << where(n);
-                    EXPECT_EQ(ulp_distance(a.warm_loss, b.warm_loss), 0u) << where(n);
-                    EXPECT_EQ(a.cold_epochs, b.cold_epochs) << where(n);
-                    EXPECT_EQ(a.warm_epochs, b.warm_epochs) << where(n);
-                    EXPECT_EQ(a.cold_predictions, b.cold_predictions) << where(n);
-                    EXPECT_EQ(a.warm_predictions, b.warm_predictions) << where(n);
-                    stop_epochs.insert(a.cold_epochs);
-                }
-                // The scenario exercises refills: networks stop at many
-                // different epochs, and the patient one runs to the cap.
-                EXPECT_GT(stop_epochs.size(), 4u) << where(0);
-                EXPECT_EQ(alone[18].cold_epochs, 80u) << where(18);
-                if (sizes == shallow && activation == forecast::Activation::kTanh) {
-                    EXPECT_EQ(lane_digest(alone), pinned.at(path)) << to_string(path);
-                    EXPECT_EQ(lane_digest(batched), pinned.at(path)) << to_string(path);
-                }
+            const auto where = [&](std::size_t n) {
+                return std::string(to_string(path)) + " layers " +
+                       std::to_string(sizes.size()) + " net " + std::to_string(n);
+            };
+            const std::vector<LaneOutcome> alone = train_lane_nets_alone(nets, sizes);
+            const std::vector<LaneOutcome> batched =
+                train_lane_nets_batched(nets, sizes);
+            ASSERT_EQ(alone.size(), batched.size());
+            std::set<std::uint64_t> stop_epochs;
+            for (std::size_t n = 0; n < alone.size(); ++n) {
+                const LaneOutcome& a = alone[n];
+                const LaneOutcome& b = batched[n];
+                EXPECT_EQ(ulp_distance(a.cold_loss, b.cold_loss), 0u) << where(n);
+                EXPECT_EQ(ulp_distance(a.warm_loss, b.warm_loss), 0u) << where(n);
+                EXPECT_EQ(a.cold_epochs, b.cold_epochs) << where(n);
+                EXPECT_EQ(a.warm_epochs, b.warm_epochs) << where(n);
+                EXPECT_EQ(a.cold_predictions, b.cold_predictions) << where(n);
+                EXPECT_EQ(a.warm_predictions, b.warm_predictions) << where(n);
+                stop_epochs.insert(a.cold_epochs);
+            }
+            // The scenario exercises refills: networks stop at many
+            // different epochs, and the patient one runs to the cap.
+            EXPECT_GT(stop_epochs.size(), 4u) << where(0);
+            EXPECT_EQ(alone[18].cold_epochs, 80u) << where(18);
+            if (sizes == shallow) {
+                EXPECT_EQ(lane_digest(alone), pinned.at(path)) << to_string(path);
+                EXPECT_EQ(lane_digest(batched), pinned.at(path)) << to_string(path);
             }
         }
     }
@@ -752,14 +733,13 @@ TEST(SimdMlpTest, NetworkPredictAndTrainCloseAcrossPaths) {
 
     const PathGuard guard;
     set_path(Path::kScalar);
-    forecast::MlpNetwork scalar_net({8, 12, 1},
-                                    forecast::Activation::kTanh, 7);
+    forecast::MlpNetwork scalar_net({8, 12, 1}, 7);
     scalar_net.train(inputs, targets, options);
     const double scalar_pred = scalar_net.predict(inputs[0]);
 
     for (Path path : vector_paths()) {
         set_path(path);
-        forecast::MlpNetwork net({8, 12, 1}, forecast::Activation::kTanh, 7);
+        forecast::MlpNetwork net({8, 12, 1}, 7);
         net.train(inputs, targets, options);
         const double pred = net.predict(inputs[0]);
         EXPECT_NEAR(scalar_pred, pred,

@@ -82,9 +82,12 @@ void add_pipeline_flags(exec::ArgParser& parser) {
         .option("threshold", "60", "ticket threshold in percent")
         .option("epsilon", "5", "discretization factor, % of VM capacity")
         .option("train-days", "5", "days of training history")
-        .option("jobs", "0", "worker threads; 0 = hardware concurrency")
+        .option("jobs", "0",
+                "worker threads, at most " +
+                    std::to_string(core::FleetConfig::kMaxJobs) +
+                    "; 0 = hardware concurrency")
         .option("simd", "",
-                "force the SIMD kernel path: scalar|avx2|avx512|neon "
+                "force the SIMD kernel path: scalar|avx2|avx512 "
                 "(default: best supported; env ATM_SIMD)")
         .option("box", "", "evaluate only the box with this name")
         .option("max-boxes", "-1",
