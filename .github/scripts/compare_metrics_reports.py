@@ -7,8 +7,6 @@ never interrupted. Wall-clock fields can never match between two runs, so
 they are stripped before comparing:
 
   * top-level `jobs` and `wall_seconds`
-  * the top-level `scheduler` section (worker count and shard size —
-    execution shape, which legitimately differs across jobs)
   * every `timers` object inside a metrics snapshot (fleet and per-box)
   * the top-level `transport` section of atm.serve-metrics.v1 reports
     (connection/rejection counts and queue high-water marks depend on
@@ -30,8 +28,7 @@ def strip_volatile(doc):
         return {
             key: strip_volatile(value)
             for key, value in doc.items()
-            if key not in ("jobs", "wall_seconds", "timers", "scheduler",
-                           "transport")
+            if key not in ("jobs", "wall_seconds", "timers", "transport")
         }
     if isinstance(doc, list):
         return [strip_volatile(item) for item in doc]

@@ -1,6 +1,6 @@
 // Fleet-executor scaling study: wall-clock of the full ATM pipeline over
 // a box population at increasing worker counts, against the legacy
-// serial loop (run_pipeline_on_box per box, one thread, no pool).
+// serial loop (run_pipeline_on_box per box, one thread, no helper threads).
 //
 // Prints per-jobs wall time, throughput (boxes/sec), speedup over
 // serial, and verifies that the fleet aggregates are bit-identical at
@@ -19,8 +19,8 @@
 //
 // ATM_PAPER_SCALE=1 appends the paper-scale section: a 6000-box /
 // ~80K-VM / 7-day fleet (the population of the DSN'16 datacenter) timed
-// at jobs=1 and jobs=8, with peak RSS and the scheduler's geometry,
-// written under "paper" in the JSON artifact.
+// at jobs=1 and jobs=8, with peak RSS, written under "paper" in the JSON
+// artifact.
 //
 // Knobs: ATM_BOXES (default 24), ATM_MAX_JOBS (default
 // max(8, hardware concurrency) so the sweep exercises oversubscription
@@ -113,17 +113,8 @@ double min_speedup_floor(unsigned hw) {
     if (hw >= 4) return 1.6;
     if (hw >= 2) return 1.1;
     // Single hardware thread: no speedup is possible; require only that
-    // the sharded scheduler's overhead stays bounded.
+    // the parallel box loop's overhead stays bounded.
     return 0.75;
-}
-
-atm::obs::json::Value exec_stats_json(const atm::core::FleetExecStats& stats) {
-    namespace json = atm::obs::json;
-    json::Value v = json::Value::make_object();
-    v.set("workers", json::Value::of(static_cast<std::int64_t>(stats.workers)));
-    v.set("shard_size",
-          json::Value::of(static_cast<std::uint64_t>(stats.shard_size)));
-    return v;
 }
 
 }  // namespace
@@ -216,7 +207,6 @@ int main() {
         run.set("boxes_per_sec", obs::json::Value::of(boxes_per_sec));
         run.set("speedup", obs::json::Value::of(speedup));
         run.set("identical", obs::json::Value::of(identical));
-        run.set("exec_stats", exec_stats_json(fleet.exec_stats));
         runs.array.push_back(std::move(run));
     }
 
@@ -300,7 +290,6 @@ int main() {
             run.set("wall_seconds", obs::json::Value::of(fleet.wall_seconds));
             run.set("boxes_per_sec", obs::json::Value::of(boxes_per_sec));
             run.set("peak_rss_bytes", obs::json::Value::of(rss));
-            run.set("exec_stats", exec_stats_json(fleet.exec_stats));
             paper_runs.array.push_back(std::move(run));
         }
         obs::json::Value paper = obs::json::Value::make_object();

@@ -2,8 +2,7 @@
 // computational overhead" claim: per-operation cost of the building
 // blocks — DTW distance, hierarchical clustering, CBC, OLS fit, the MCKP
 // greedy, and MLP training — at per-box problem sizes, plus the fleet
-// executor (per-worker-count pipeline throughput and the parallel DTW
-// matrix).
+// executor (pipeline throughput per worker count).
 
 #include <benchmark/benchmark.h>
 
@@ -192,7 +191,7 @@ void lag_examples(std::span<const double> s, la::FlatMatrix& inputs,
 
 /// Raw network training loop (no forecaster wrapper) at the production
 /// shape, 7→12→1 on a 480-sample series: flattened per-layer weight
-/// arrays and a reused caller-owned workspace, so the per-sample SGD loop
+/// arrays and one workspace per train() call, so the per-sample SGD loop
 /// runs allocation-free. One network is a batch of one: on vector paths
 /// every lane but one idles.
 void BM_MlpNetworkTrain(benchmark::State& state) {
@@ -202,10 +201,9 @@ void BM_MlpNetworkTrain(benchmark::State& state) {
     lag_examples(series[0], inputs, targets);
     forecast::MlpTrainOptions options;
     options.epochs = 20;
-    forecast::MlpWorkspace workspace;
     for (auto _ : state) {
         forecast::MlpNetwork net({7, 12, 1}, 42);
-        benchmark::DoNotOptimize(net.train(inputs, targets, options, &workspace));
+        benchmark::DoNotOptimize(net.train(inputs, targets, options));
     }
 }
 BENCHMARK(BM_MlpNetworkTrain)->Unit(benchmark::kMillisecond);
@@ -221,13 +219,11 @@ void BM_MlpTrainBox(benchmark::State& state) {
     for (std::size_t s = 0; s < kSignatures; ++s) {
         histories.push_back(series[s % series.rows()]);
     }
-    forecast::MlpWorkspace workspace;
     for (auto _ : state) {
         std::vector<forecast::MlpForecaster> models;
         for (std::size_t s = 0; s < kSignatures; ++s) {
             forecast::MlpForecasterOptions options;
             options.train.seed = 42 + static_cast<unsigned>(s);
-            options.workspace = &workspace;
             models.emplace_back(options);
         }
         std::vector<forecast::MlpForecaster*> batch;
@@ -251,8 +247,9 @@ BENCHMARK(BM_SeasonalNaive);
 /// Fleet-driver throughput at a given worker count: the full per-box
 /// pipeline (DTW signature search + seasonal-naive temporal model +
 /// greedy resize) over a small fixed fleet. Arg = FleetConfig::jobs;
-/// comparing Arg(1) with Arg(4+) is the multi-core speedup of the fleet
-/// scheduler (bench_fleet_scaling prints the same as a speedup table).
+/// comparing Arg(1) with Arg(4+) is the multi-core speedup of the fleet's
+/// parallel box loop, which starts its threads inside every timed
+/// iteration (bench_fleet_scaling prints the same as a speedup table).
 void BM_FleetPipeline(benchmark::State& state) {
     static const trace::Trace t = [] {
         trace::TraceGenOptions options;
@@ -284,10 +281,9 @@ void BM_MlpTrain(benchmark::State& state, simd::Path path) {
     lag_examples(series[0], inputs, targets);
     forecast::MlpTrainOptions options;
     options.epochs = 20;
-    forecast::MlpWorkspace workspace;
     for (auto _ : state) {
         forecast::MlpNetwork net({7, 12, 1}, 42);
-        benchmark::DoNotOptimize(net.train(inputs, targets, options, &workspace));
+        benchmark::DoNotOptimize(net.train(inputs, targets, options));
     }
     simd::set_path(ambient);
 }

@@ -100,18 +100,15 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band) {
 
 la::FlatMatrix dtw_distance_matrix(const la::FlatMatrix& series, int band,
                                    obs::MetricsRegistry* metrics,
-                                   const exec::CancellationToken* cancel,
-                                   DtwWorkspace* caller_workspace) {
+                                   const exec::CancellationToken* cancel) {
     const std::size_t n = series.rows();
     const std::size_t len = series.cols();
     la::FlatMatrix dist(n, n, 0.0);
     if (n < 2 || len == 0) return dist;
 
-    // Reused across the matrix's pairs; the fleet scheduler passes each
-    // worker's workspace so box after box stops re-growing DP rows.
-    DtwWorkspace local_workspace;
-    DtwWorkspace& workspace =
-        caller_workspace != nullptr ? *caller_workspace : local_workspace;
+    // Reused across the matrix's pairs: after the first batch sizes its
+    // rows, the pair loop allocates nothing.
+    DtwWorkspace workspace;
     // Every pair has the same len x len shape, so pairs flush through the
     // lane-batched kernel (one pair per SIMD lane, scalar-bitwise per lane
     // — simd.hpp) in full batches; results are identical to the per-pair

@@ -18,15 +18,14 @@ namespace atm::cluster {
 
 /// Reusable scratch for the DTW kernels: the rolling DP rows of
 /// `dtw_distance` (owned by the SIMD kernel layer — the scalar path uses
-/// two rolling rows, the vector paths one lane-interleaved row) and the
-/// full table of `dtw_align`, grown on demand and never shrunk. One
-/// workspace serves any sequence of calls of any sizes (each call
-/// re-initializes the cells it uses), so the steady state of a pair loop
-/// — same-length series, one workspace — performs zero heap allocations
-/// per call. Not thread-safe: one workspace per thread/task.
+/// two rolling rows, the vector paths one lane-interleaved row), grown on
+/// demand and never shrunk. One workspace serves any sequence of calls of
+/// any sizes (each call re-initializes the cells it uses), so the steady
+/// state of a pair loop — same-length series, one workspace — performs
+/// zero heap allocations per call. Not thread-safe: one workspace per
+/// thread/task.
 struct DtwWorkspace {
     simd::DtwScratch scratch;
-    la::FlatMatrix table;  ///< dtw_align's (n+1) x (m+1) DP table
 };
 
 /// Dynamic-time-warping dissimilarity between two series (Section III-A).
@@ -71,15 +70,12 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band = -1);
 /// `cluster.dtw.pairs` (n(n−1)/2) and `cluster.dtw.cells`
 /// (pairs × dtw_cell_count) counters. When `cancel` is non-null it is
 /// checked once per pair ("search.dtw") so a cancelled box abandons the
-/// loop promptly. When `workspace` is non-null the pairs run on it
-/// instead of a local one — the fleet scheduler passes each worker's
-/// workspace so box after box reuses the same high-water scratch
-/// (results are unaffected; the workspace is pure scratch).
+/// loop promptly. The pairs share one DtwWorkspace owned by the call, so
+/// its allocations do not grow with the number of series.
 la::FlatMatrix dtw_distance_matrix(
     const la::FlatMatrix& series, int band = -1,
     obs::MetricsRegistry* metrics = nullptr,
-    const exec::CancellationToken* cancel = nullptr,
-    DtwWorkspace* workspace = nullptr);
+    const exec::CancellationToken* cancel = nullptr);
 
 /// Full DTW alignment: the optimal warping path as (i, j) index pairs
 /// (0-based, monotone, from (0, 0) to (n-1, m-1)) plus the cumulative

@@ -9,9 +9,8 @@
 
 #include "core/fleet_journal.hpp"
 #include "exec/journal.hpp"
+#include "exec/parallel_for.hpp"
 #include "exec/seed.hpp"
-#include "exec/shard.hpp"
-#include "exec/thread_pool.hpp"
 #include "linalg/simd/simd.hpp"
 
 namespace atm::core {
@@ -101,7 +100,7 @@ bool is_transient(PipelineErrorCode code) {
 }
 
 /// Shared scheduling skeleton of both fleet drivers: validate, select,
-/// fan one task per box out on the pool, fill result slots by index
+/// run every box on the parallel loop, fill result slots by index
 /// (retrying transient failures, enforcing per-box deadlines, journaling
 /// and replaying when a checkpoint is configured), and aggregate.
 /// `evaluate_box` must be thread-compatible (it only receives the box
@@ -164,29 +163,12 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
 
     const unsigned jobs = resolve_jobs(config.jobs);
     fleet.jobs = static_cast<int>(jobs);
-    // jobs == 1 runs strictly on the calling thread; the determinism tests
-    // compare this path against the pooled one. jobs > 1 borrows the
-    // process-wide pool (grown to jobs - 1 helpers, the caller is worker
-    // 0) instead of spawning a pool per run — repeated fleet runs reuse
-    // warm threads.
-    exec::ThreadPool* pool =
-        jobs > 1 ? &exec::shared_pool(jobs - 1) : nullptr;
-
-    // One reusable workspace per worker: the DTW and MLP scratch. Workers
-    // evaluate box after box on the same workspace, so steady-state inner
-    // kernels allocate nothing; scratch contents never affect results.
-    std::vector<PipelineWorkspace> workspaces(jobs);
-
-    exec::ShardOptions shard_options;
-    shard_options.workers = jobs;
-    fleet.exec_stats.workers = static_cast<int>(jobs);
-    fleet.exec_stats.shard_size =
-        exec::resolve_shard_size(selected.size(), jobs);
 
     const int max_attempts = 1 + std::max(0, config.max_retries);
     fleet.boxes.resize(selected.size());
-    exec::run_sharded(pool, selected.size(), shard_options, [&](unsigned worker,
-                                                                std::size_t task) {
+    // jobs == 1 runs strictly on the calling thread; the determinism tests
+    // compare this path against the parallel one.
+    exec::parallel_for(selected.size(), jobs, [&](std::size_t task) {
         const int box_index = selected[task];
         FleetBoxResult& slot = fleet.boxes[task];
         slot.box_index = box_index;
@@ -231,7 +213,7 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
                     static_cast<std::uint64_t>(attempt)};
                 ATM_FAULT_SITE(fault, "fleet.box");
                 evaluate_box(box_index, static_cast<std::uint64_t>(attempt),
-                             &box_cancel, &workspaces[worker], slot.result);
+                             &box_cancel, slot.result);
             } catch (const PipelineError& e) {
                 slot.error = e.what();
                 slot.error_code = e.code();
@@ -372,7 +354,7 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
         trace, config,
         [&trace, &config](int box_index, std::uint64_t attempt,
                           const exec::CancellationToken* cancel,
-                          PipelineWorkspace* workspace, BoxPipelineResult& out) {
+                          BoxPipelineResult& out) {
             PipelineConfig box_config = config.pipeline;
             // Per-box seed from (fleet seed, box index): independent of
             // worker count and scheduling order, distinct per box. Retry
@@ -384,9 +366,6 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
             if (attempt != 0) seed = exec::derive_seed(seed, attempt);
             box_config.seed = static_cast<unsigned>(seed);
             box_config.cancel = cancel;
-            // Per-worker scratch: the DTW/MLP workspaces are reused
-            // across boxes.
-            box_config.workspace = workspace;
             // One registry per box, written only by the worker running it.
             std::optional<obs::MetricsRegistry> registry;
             if (config.collect_metrics) {
@@ -437,7 +416,6 @@ FleetResult evaluate_resize_on_fleet(const trace::Trace& trace, int day,
                      [&trace, &config, day](int box_index,
                                             std::uint64_t /*attempt*/,
                                             const exec::CancellationToken*,
-                                            PipelineWorkspace* /*workspace*/,
                                             BoxPipelineResult& out) {
                          std::optional<obs::MetricsRegistry> registry;
                          if (config.collect_metrics) registry.emplace();

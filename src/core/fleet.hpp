@@ -17,11 +17,11 @@ namespace atm::core {
 struct FleetConfig {
     PipelineConfig pipeline;
 
-    /// Worker threads for the fleet scheduler: 0 = hardware concurrency,
-    /// 1 = fully serial (no pool), at most kMaxJobs. Results are
-    /// bit-identical for every value — per-box seeds are derived from
-    /// `pipeline.seed` and the box index (splitmix64), never from
-    /// scheduling order.
+    /// Workers of the fleet's box loop (exec::parallel_for): 0 = hardware
+    /// concurrency, 1 = fully serial (no threads), at most kMaxJobs.
+    /// Results are bit-identical for every value — per-box seeds are
+    /// derived from `pipeline.seed` and the box index (splitmix64), never
+    /// from scheduling order.
     int jobs = 0;
     /// Upper bound on `jobs`: `validate()` rejects more, so a mistyped
     /// `--jobs` cannot ask the OS for an unbounded number of threads.
@@ -152,17 +152,6 @@ struct FleetPolicyTotals {
     }
 };
 
-/// How the sharded scheduler executed a fleet run: worker/shard
-/// geometry. Purely observational (never part of the resume-equivalence
-/// contract or the golden metrics) — reported in the metrics report's
-/// "scheduler" section and the fleet benchmarks.
-struct FleetExecStats {
-    /// Workers the scheduler ran with (== FleetResult::jobs).
-    int workers = 0;
-    /// Boxes per shard the run used (exec::resolve_shard_size).
-    std::size_t shard_size = 0;
-};
-
 /// Fleet-level outcome: per-box results plus cross-box aggregates.
 struct FleetResult {
     /// One entry per *evaluated* box (selected, gap-filtered, capped), in
@@ -216,9 +205,6 @@ struct FleetResult {
     /// True when FleetConfig::stop drained this run: some boxes were
     /// recorded as kCancelled without being evaluated (or journaled).
     bool interrupted = false;
-    /// Scheduler execution statistics (like wall_seconds and jobs,
-    /// excluded from the determinism and resume-equivalence contracts).
-    FleetExecStats exec_stats;
 
     [[nodiscard]] std::size_t boxes_evaluated() const {
         return boxes.size() - boxes_failed;
@@ -226,7 +212,8 @@ struct FleetResult {
 };
 
 /// Runs the full ATM pipeline over every selected box of the trace on
-/// the sharded box loop, each box serially on one worker. Throws
+/// the parallel box loop (exec::parallel_for), each box serially on one
+/// thread with scratch of its own. Throws
 /// std::invalid_argument when `config.validate()` reports problems.
 /// Deterministic: per-box seeds are splitmix64-derived from
 /// (config.pipeline.seed, box index), and results land in trace order — `jobs = 1`

@@ -24,15 +24,6 @@ obs::json::Value build_metrics_report(const FleetResult& fleet,
                json::Value::of(static_cast<std::uint64_t>(fleet.boxes_skipped)));
     report.set("boxes_failed",
                json::Value::of(static_cast<std::uint64_t>(fleet.boxes_failed)));
-    // Scheduler execution stats. Like "jobs" and "wall_seconds"
-    // this section describes how the run executed, not what it computed,
-    // so report-equivalence checks strip it.
-    json::Value scheduler = json::Value::make_object();
-    scheduler.set("workers", json::Value::of(static_cast<std::int64_t>(
-                                 fleet.exec_stats.workers)));
-    scheduler.set("shard_size", json::Value::of(static_cast<std::uint64_t>(
-                                    fleet.exec_stats.shard_size)));
-    report.set("scheduler", std::move(scheduler));
     report.set("fleet", json::to_json(merged));
 
     json::Value boxes = json::Value::make_array();

@@ -168,9 +168,6 @@ SignatureModel fit_signature_model(
         SignatureSearchOptions search = config.search;
         search.metrics = metrics;
         search.cancel = config.cancel;
-        if (config.workspace != nullptr) {
-            search.dtw_workspace = &config.workspace->dtw;
-        }
         try {
             ATM_FAULT_SITE(config.fault, "search.step1");
             model.search = find_signatures(series, search);
@@ -405,8 +402,7 @@ BoxPipelineResult run_pipeline_on_box(
         const auto make = [&](forecast::TemporalModel model, int s) {
             return forecast::make_forecaster(
                 model, windows_per_day, config.seed + static_cast<unsigned>(s),
-                metrics, config.cancel,
-                config.workspace != nullptr ? &config.workspace->mlp : nullptr);
+                metrics, config.cancel);
         };
         const auto checked_forecast =
             [&](const forecast::Forecaster& forecaster,

@@ -4,32 +4,18 @@
 #include <string>
 #include <vector>
 
-#include "cluster/dtw.hpp"
 #include "core/errors.hpp"
 #include "core/signature_search.hpp"
 #include "core/spatial_model.hpp"
 #include "exec/cancel.hpp"
 #include "exec/fault.hpp"
 #include "forecast/forecaster.hpp"
-#include "forecast/nn.hpp"
 #include "obs/metrics.hpp"
 #include "resize/policies.hpp"
 #include "ticketing/tickets.hpp"
 #include "tracegen/trace.hpp"
 
 namespace atm::core {
-
-/// Per-worker reusable scratch for run_pipeline_on_box (DESIGN.md
-/// §7.14): the DTW and MLP workspaces. The sharded fleet scheduler keeps
-/// one per worker and reuses it box after box; the workspaces' buffers
-/// only grow, so in the steady state the box pipeline's inner kernels
-/// perform no heap allocation at all. Both are pure scratch and carry
-/// nothing across calls — results are bit-identical with or without a
-/// workspace.
-struct PipelineWorkspace {
-    cluster::DtwWorkspace dtw;
-    forecast::MlpWorkspace mlp;
-};
 
 /// Configuration of the full ATM pipeline (Section V-A): train the
 /// spatial + temporal models on `train_days` of history, predict the next
@@ -81,11 +67,6 @@ struct PipelineConfig {
     /// into the signature search (overriding `search.metrics` for the
     /// run). Null disables all instrumentation at near-zero cost.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Optional per-worker scratch (not owned): forwards the DTW
-    /// workspace into the signature search and the MLP workspace into
-    /// the temporal models. Null keeps per-call local scratch. Results
-    /// are bit-identical either way.
-    PipelineWorkspace* workspace = nullptr;
 
     /// Range-checks alpha, train_days, epsilon_pct,
     /// max_bad_sample_fraction, search.vif_threshold (finite, >= 1) and
@@ -191,7 +172,9 @@ const std::vector<resize::ResizePolicy>& default_policies();
 /// PipelineError carrying the taxonomy code and stage.
 ///
 /// Fleet-scale callers should prefer `run_pipeline_on_fleet` (core/fleet.hpp),
-/// which schedules this per box on a thread pool with per-box seeds.
+/// which runs this for every box on its parallel loop with per-box seeds.
+/// Each call allocates its own DTW and MLP scratch, so concurrent calls
+/// share nothing but their read-only inputs.
 BoxPipelineResult run_pipeline_on_box(
     const trace::BoxTrace& box, int windows_per_day, const PipelineConfig& config,
     const std::vector<resize::ResizePolicy>& policies = default_policies());

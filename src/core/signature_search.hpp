@@ -9,9 +9,6 @@
 namespace atm::exec {
 class CancellationToken;
 }
-namespace atm::cluster {
-struct DtwWorkspace;
-}
 namespace atm::obs {
 class MetricsRegistry;
 }
@@ -45,10 +42,6 @@ struct SignatureSearchOptions {
     /// Sakoe–Chiba band for DTW; < 0 = unconstrained (paper recurrence).
     int dtw_band = -1;
     cluster::Linkage linkage = cluster::Linkage::kAverage;
-    /// Optional caller-owned DTW scratch (not owned), forwarded to the
-    /// distance matrix — the fleet scheduler's per-worker workspace. Pure
-    /// scratch: results are bit-identical with or without it.
-    cluster::DtwWorkspace* dtw_workspace = nullptr;
     /// Optional stage-metrics sink (not owned). Records search counters
     /// (`search.series`, `search.clusters`, `search.initial_signatures`,
     /// `search.final_signatures`), the clustering silhouette gauge, the

@@ -12,8 +12,7 @@ namespace atm::forecast {
 std::unique_ptr<Forecaster> make_forecaster(TemporalModel model,
                                             int seasonal_period, unsigned seed,
                                             obs::MetricsRegistry* metrics,
-                                            const exec::CancellationToken* cancel,
-                                            MlpWorkspace* mlp_workspace) {
+                                            const exec::CancellationToken* cancel) {
     switch (model) {
         case TemporalModel::kSeasonalNaive:
             return std::make_unique<SeasonalNaiveForecaster>(
@@ -26,7 +25,6 @@ std::unique_ptr<Forecaster> make_forecaster(TemporalModel model,
             options.train.seed = seed;
             options.train.metrics = metrics;
             options.train.cancel = cancel;
-            options.workspace = mlp_workspace;
             return std::make_unique<MlpForecaster>(options);
         }
         case TemporalModel::kHoltWinters:
@@ -36,13 +34,13 @@ std::unique_ptr<Forecaster> make_forecaster(TemporalModel model,
             std::vector<std::unique_ptr<Forecaster>> members;
             members.push_back(make_forecaster(TemporalModel::kAutoregressive,
                                               seasonal_period, seed, metrics,
-                                              cancel, mlp_workspace));
+                                              cancel));
             members.push_back(make_forecaster(TemporalModel::kHoltWinters,
                                               seasonal_period, seed, metrics,
-                                              cancel, mlp_workspace));
+                                              cancel));
             members.push_back(make_forecaster(TemporalModel::kNeuralNetwork,
                                               seasonal_period, seed, metrics,
-                                              cancel, mlp_workspace));
+                                              cancel));
             return std::make_unique<EnsembleForecaster>(std::move(members));
         }
     }

@@ -14,8 +14,6 @@ class MetricsRegistry;
 
 namespace atm::forecast {
 
-class MlpWorkspace;
-
 /// Interface for temporal prediction models of a single demand series.
 ///
 /// ATM predicts only *signature* series with a (potentially expensive)
@@ -60,14 +58,12 @@ enum class TemporalModel {
 /// not owned) is a cooperative-cancellation token checked once per
 /// training epoch by the iterative trainers (the MLP — directly and as an
 /// ensemble member); the closed-form models finish too fast to need it.
-/// `mlp_workspace` (optional, not owned) is caller-owned scratch for the
-/// MLP's forward/backprop buffers — the fleet scheduler's per-worker
-/// workspace, reused across boxes; results are identical without it.
+/// Every model owns its scratch, so distinct forecasters may run on
+/// distinct threads.
 std::unique_ptr<Forecaster> make_forecaster(
     TemporalModel model, int seasonal_period, unsigned seed = 42,
     obs::MetricsRegistry* metrics = nullptr,
-    const exec::CancellationToken* cancel = nullptr,
-    MlpWorkspace* mlp_workspace = nullptr);
+    const exec::CancellationToken* cancel = nullptr);
 
 std::string to_string(TemporalModel model);
 

@@ -24,7 +24,7 @@ void MlpForecaster::fit_with(std::span<const double> history,
     la::FlatMatrix features;
     std::vector<double> targets;
     if (prepare(history, train.seed, features, targets)) {
-        network_->train(features, targets, train, options_.workspace);
+        network_->train(features, targets, train);
     }
 }
 
@@ -44,7 +44,7 @@ void MlpForecaster::fit_batch(std::span<MlpForecaster* const> models,
                                        targets[k], model.options_.train});
         }
     }
-    if (!jobs.empty()) train(jobs, models.front()->options_.workspace);
+    if (!jobs.empty()) train(jobs);
 }
 
 bool MlpForecaster::prepare(std::span<const double> history, unsigned seed,
@@ -101,14 +101,15 @@ bool MlpForecaster::retrain(std::span<const double> window,
     ts::make_lag_dataset_flat(scaler_.transform(window), options_.num_lags,
                               options_.seasonal_period, features, targets);
     if (features.rows() >= 4) {
-        network_->train(features, targets, train, options_.workspace);
+        network_->train(features, targets, train);
     }
     history_.assign(window.begin(), window.end());
     return false;
 }
 
 double MlpForecaster::predict_after(std::span<const double> scaled,
-                                    std::vector<double>& features) const {
+                                    std::vector<double>& features,
+                                    MlpWorkspace& workspace) const {
     const auto lags = static_cast<std::size_t>(options_.num_lags);
     const auto period = static_cast<std::size_t>(options_.seasonal_period);
     features.clear();
@@ -123,10 +124,7 @@ double MlpForecaster::predict_after(std::span<const double> scaled,
     }
     // Clamp to the scaler's range: utilization-like series cannot run
     // away, and iterated feedback must not compound extrapolation.
-    return std::clamp(options_.workspace != nullptr
-                          ? network_->predict(features, *options_.workspace)
-                          : network_->predict(features),
-                      -0.25, 1.25);
+    return std::clamp(network_->predict(features, workspace), -0.25, 1.25);
 }
 
 double MlpForecaster::forecast_next(std::span<const double> window) const {
@@ -139,7 +137,9 @@ double MlpForecaster::forecast_next(std::span<const double> window) const {
         std::max(options_.num_lags, options_.seasonal_period));
     const auto tail = window.last(std::min(window.size(), reach));
     std::vector<double> features;
-    return scaler_.inverse(predict_after(scaler_.transform(tail), features));
+    MlpWorkspace workspace;
+    return scaler_.inverse(
+        predict_after(scaler_.transform(tail), features, workspace));
 }
 
 std::vector<double> MlpForecaster::forecast(int horizon) const {
@@ -153,13 +153,14 @@ std::vector<double> MlpForecaster::forecast(int horizon) const {
 
     // Scaled extended series: history then forecasts, so lag/seasonal
     // features for later steps can be looked up uniformly. One feature
-    // buffer is reused across the horizon.
+    // buffer and one forward workspace serve every step of the horizon.
     std::vector<double> extended = scaler_.transform(history_);
     extended.reserve(extended.size() + static_cast<std::size_t>(std::max(horizon, 0)));
     std::vector<double> features;
     features.reserve(static_cast<std::size_t>(options_.num_lags) + 1);
+    MlpWorkspace workspace;
     for (int h = 0; h < horizon; ++h) {
-        const double scaled_pred = predict_after(extended, features);
+        const double scaled_pred = predict_after(extended, features, workspace);
         extended.push_back(scaled_pred);
         out.push_back(scaler_.inverse(scaled_pred));
     }

@@ -19,11 +19,6 @@ struct MlpForecasterOptions {
     /// Hidden layer widths (empty = linear model trained by SGD).
     std::vector<int> hidden = {12};
     MlpTrainOptions train;
-    /// Optional caller-owned scratch (not owned) shared by fit() and
-    /// forecast() — the fleet scheduler's per-worker workspace, reused
-    /// across boxes. Results are identical with or
-    /// without it; null keeps per-call local scratch.
-    MlpWorkspace* workspace = nullptr;
 };
 
 /// Neural-network forecaster: the paper's temporal model for signature
@@ -43,9 +38,8 @@ class MlpForecaster final : public Forecaster {
     void fit(std::span<const double> history) override;
 
     /// fit() for many forecasters at once: models[k] fits histories[k],
-    /// and their networks train together (forecast::train, in the first
-    /// model's workspace), so each model ends exactly as its own fit()
-    /// would leave it.
+    /// and their networks train together (forecast::train), so each model
+    /// ends exactly as its own fit() would leave it.
     static void fit_batch(std::span<MlpForecaster* const> models,
                           std::span<const std::span<const double>> histories);
     [[nodiscard]] std::vector<double> forecast(int horizon) const override;
@@ -78,9 +72,11 @@ class MlpForecaster final : public Forecaster {
                  la::FlatMatrix& features, std::vector<double>& targets);
     /// Scaled prediction for the step after the scaled series `scaled`,
     /// from its last num_lags samples and the one a season back (positions
-    /// before the start read the first sample); `features` is scratch.
+    /// before the start read the first sample); `features` and
+    /// `workspace` are scratch, reused across a forecast's steps.
     double predict_after(std::span<const double> scaled,
-                         std::vector<double>& features) const;
+                         std::vector<double>& features,
+                         MlpWorkspace& workspace) const;
 
     MlpForecasterOptions options_;
     std::optional<MlpNetwork> network_;

@@ -116,10 +116,9 @@ std::size_t MlpNetwork::parameter_count() const {
 
 double MlpNetwork::train(const la::FlatMatrix& inputs,
                          std::span<const double> targets,
-                         const MlpTrainOptions& options,
-                         MlpWorkspace* workspace) {
+                         const MlpTrainOptions& options) {
     MlpTrainJob job{this, &inputs, targets, options};
-    forecast::train(std::span(&job, 1), workspace);
+    forecast::train(std::span(&job, 1));
     return job.loss;
 }
 
@@ -158,7 +157,7 @@ void record_fit(const MlpTrainJob& job, int epochs_run) {
 
 }  // namespace
 
-void train(std::span<MlpTrainJob> jobs, MlpWorkspace* workspace) {
+void train(std::span<MlpTrainJob> jobs) {
     for (const MlpTrainJob& job : jobs) {
         const MlpNetwork& net = *job.network;
         if (job.inputs->rows() != job.targets.size()) {
@@ -171,8 +170,7 @@ void train(std::span<MlpTrainJob> jobs, MlpWorkspace* workspace) {
             throw std::invalid_argument("MlpNetwork::train: input size mismatch");
         }
     }
-    MlpWorkspace local_ws;
-    MlpWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
+    MlpWorkspace ws;
     const simd::KernelTable& kernels = simd::active_kernels();
     std::vector<LaneState> lanes(kernels.mlp_lanes);
     std::vector<simd::MlpLane> lane_args(kernels.mlp_lanes);

@@ -65,7 +65,7 @@ class MlpWorkspace {
 
   private:
     friend class MlpNetwork;
-    friend void train(std::span<MlpTrainJob> jobs, MlpWorkspace* workspace);
+    friend void train(std::span<MlpTrainJob> jobs);
 
     std::vector<double> acts;    ///< activations, all layers incl. input
     std::vector<double> pres;    ///< pre-activations, layers 1..L
@@ -111,10 +111,9 @@ class MlpNetwork {
     /// (ts::make_lag_dataset_flat's output), continuing from the current
     /// weights and velocities; returns the best (early-stopped) validation
     /// loss, or the final training loss if validation is off. A batch of
-    /// one of the free train() below, which documents `workspace`.
+    /// one of the free train() below.
     double train(const la::FlatMatrix& inputs, std::span<const double> targets,
-                 const MlpTrainOptions& options,
-                 MlpWorkspace* workspace = nullptr);
+                 const MlpTrainOptions& options);
 
     [[nodiscard]] int input_size() const { return layer_sizes_.front(); }
 
@@ -133,7 +132,7 @@ class MlpNetwork {
         std::vector<double> bias_velocity;
     };
 
-    friend void train(std::span<MlpTrainJob> jobs, MlpWorkspace* workspace);
+    friend void train(std::span<MlpTrainJob> jobs);
 
     /// Forward pass into the workspace's activation/pre-activation
     /// buffers (for backprop and prediction).
@@ -169,9 +168,9 @@ struct MlpTrainJob {
 /// arithmetic, so each job ends exactly as if trained alone. Throws
 /// std::invalid_argument (before training anything) on a job whose
 /// examples do not fit its network; cancellation aborts the whole batch.
-/// `workspace` (optional, caller-owned) carries the lane buffers; one
-/// reused across calls keeps the per-sample loop allocation-free, and
-/// results are identical with or without it.
-void train(std::span<MlpTrainJob> jobs, MlpWorkspace* workspace = nullptr);
+/// The call owns one set of lane buffers (an MlpWorkspace), sized once
+/// per lane group, so the per-sample and per-epoch loops allocate
+/// nothing.
+void train(std::span<MlpTrainJob> jobs);
 
 }  // namespace atm::forecast

@@ -640,7 +640,6 @@ bool ServeEngine::run_search(int box_index,
         forecast::MlpForecasterOptions mlp;
         mlp.seasonal_period = windows_per_day_;
         mlp.train.epochs = config_.train_epochs;
-        if (config.workspace != nullptr) mlp.workspace = &config.workspace->mlp;
         const std::uint64_t box_seed =
             exec::derive_seed(config.seed, static_cast<std::uint64_t>(box_index));
         std::vector<SignatureForecaster> models;

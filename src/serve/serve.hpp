@@ -22,7 +22,7 @@ namespace atm::serve {
 /// embedded PipelineConfig supplies the modelling knobs the batch
 /// pipeline already defines (search options, temporal model, train_days
 /// as the rolling-window length in days, alpha/epsilon/lower-bound
-/// resizing knobs, seed, sanitization threshold, optional workspace);
+/// resizing knobs, seed, sanitization threshold);
 /// serve adds streaming lifecycle knobs on top. Result-affecting knobs
 /// are bound into the journal header; execution-only knobs (queue depth,
 /// SLO, backoff) are not — their *effects* are journaled per window.

@@ -1,6 +1,6 @@
-// Tests for the exec subsystem (thread pool, sharded scheduler, seed
-// derivation, ArgParser) and the fleet driver's determinism contract:
-// identical results at every worker count.
+// Tests for the exec subsystem (the parallel loop, seed derivation,
+// ArgParser) and the fleet driver's determinism contract: identical
+// results at every worker count.
 
 #include <gtest/gtest.h>
 
@@ -10,67 +10,27 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "cluster/dtw.hpp"
 #include "core/fleet.hpp"
 #include "exec/arg_parser.hpp"
 #include "exec/cancel.hpp"
 #include "exec/io.hpp"
 #include "exec/journal.hpp"
+#include "exec/parallel_for.hpp"
 #include "exec/seed.hpp"
-#include "exec/shard.hpp"
-#include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "tracegen/generator.hpp"
 
 namespace atm {
 namespace {
-
-// ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-    std::atomic<int> count{0};
-    {
-        exec::ThreadPool pool(4);
-        for (int i = 0; i < 200; ++i) {
-            pool.submit([&count] { count.fetch_add(1); });
-        }
-    }  // ~ThreadPool runs every queued task before joining
-    EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPoolTest, SingleWorkerExecutesInSubmissionOrder) {
-    std::vector<int> order;
-    {
-        exec::ThreadPool pool(1);
-        for (int i = 0; i < 50; ++i) {
-            pool.submit([&order, i] { order.push_back(i); });
-        }
-    }
-    std::vector<int> expected(50);
-    std::iota(expected.begin(), expected.end(), 0);
-    EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-    std::atomic<int> count{0};
-    {
-        exec::ThreadPool pool(2);
-        for (int i = 0; i < 100; ++i) {
-            pool.submit([&count] { count.fetch_add(1); });
-        }
-    }  // ~ThreadPool joins after the queue is drained
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, ZeroRequestsHardwareConcurrency) {
-    const exec::ThreadPool pool(0);
-    EXPECT_GE(pool.size(), 1u);
-}
 
 // ------------------------------------------------------------------- seeding
 
@@ -616,8 +576,7 @@ TEST(JournalTest, AppendIsThreadSafe) {
     std::remove(path.c_str());
     {
         exec::JournalWriter writer = exec::JournalWriter::create(path, "h");
-        exec::ThreadPool pool(4);
-        exec::run_sharded(&pool, 64, {}, [&writer](unsigned, std::size_t i) {
+        exec::parallel_for(64, 4, [&writer](std::size_t i) {
             writer.append("record-" + std::to_string(i));
         });
     }
@@ -712,38 +671,33 @@ TEST(CancellationTokenTest, CheckpointToleratesNullToken) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded scheduler (exec/shard.hpp).
+// The parallel loop (exec/parallel_for.hpp), which shards the fleet's boxes
+// over its workers one index at a time.
 
-TEST(ShardTest, ResolveShardSizeRules) {
-    // ~8 shards per worker, floor 1, cap 64.
-    EXPECT_EQ(exec::resolve_shard_size(8, 8), 1u);
-    EXPECT_EQ(exec::resolve_shard_size(71, 4), 2u);
-    EXPECT_EQ(exec::resolve_shard_size(6400, 4), 64u);
-    EXPECT_EQ(exec::resolve_shard_size(1000, 2), 62u);
-    // Degenerate n and workers.
-    EXPECT_EQ(exec::resolve_shard_size(0, 4), 1u);
-    EXPECT_EQ(exec::resolve_shard_size(100, 0), 12u);
+/// Runs parallel_for(n, workers), checks every index ran exactly once and
+/// returns how many distinct threads ran an index.
+std::size_t expect_each_index_once(std::size_t n, unsigned workers) {
+    std::vector<std::atomic<int>> hits(n);
+    std::mutex threads_mutex;
+    std::set<std::thread::id> threads;
+    exec::parallel_for(n, workers, [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        const std::lock_guard<std::mutex> lock(threads_mutex);
+        threads.insert(std::this_thread::get_id());
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << " of " << n << ", workers " << workers;
+    }
+    return threads.size();
 }
 
 TEST(ShardTest, SerialPathCoversEveryIndexInOrder) {
+    // One worker runs every index inline, in order, on the calling thread.
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<std::size_t> seen;
-    exec::run_sharded(nullptr, 10, {}, [&](unsigned worker, std::size_t i) {
-        EXPECT_EQ(worker, 0u);
-        seen.push_back(i);
-    });
-    std::vector<std::size_t> want(10);
-    std::iota(want.begin(), want.end(), 0u);
-    EXPECT_EQ(seen, want);
-}
-
-TEST(ShardTest, NullPoolIgnoresWorkersOption) {
-    // Without a pool there are no helpers to hand ids to, whatever the
-    // options ask for: the caller runs everything, in order, as worker 0.
-    exec::ShardOptions options;
-    options.workers = 4;
-    std::vector<std::size_t> seen;
-    exec::run_sharded(nullptr, 10, options, [&](unsigned worker, std::size_t i) {
-        EXPECT_EQ(worker, 0u);
+    exec::parallel_for(10, 1, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
         seen.push_back(i);
     });
     std::vector<std::size_t> want(10);
@@ -752,29 +706,43 @@ TEST(ShardTest, NullPoolIgnoresWorkersOption) {
 }
 
 TEST(ShardTest, DefaultWorkersCoverEveryIndexExactlyOnce) {
-    // Default options: pool size + 1 workers, auto shard size of 6, and a
-    // short last shard.
-    exec::ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(257);
-    ASSERT_EQ(exec::resolve_shard_size(hits.size(), pool.size() + 1), 6u);
-    exec::run_sharded(&pool, hits.size(), {},
-                      [&hits](unsigned, std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+    // Many indices per worker, with a remainder: 257 = 5 * 51 + 2.
+    EXPECT_LE(expect_each_index_once(257, 5), 5u);
+}
+
+TEST(ShardTest, PooledRunCoversEveryIndexExactlyOnceWithDenseWorkerIds) {
+    // No more threads than min(workers, n) ever run an index: fewer
+    // indices than workers, one index per worker, and several per worker.
+    EXPECT_LE(expect_each_index_once(3, 8), 3u);
+    EXPECT_LE(expect_each_index_once(4, 4), 4u);
+    EXPECT_LE(expect_each_index_once(71, 4), 4u);
+}
+
+TEST(ShardTest, LowestIndexExceptionWins) {
+    // Throwers far apart, so they race on different workers.
+    constexpr std::size_t kN = 63;
+    for (int repeat = 0; repeat < 20; ++repeat) {
+        try {
+            exec::parallel_for(kN, 4, [](std::size_t i) {
+                if (i == 7 || i == 31 || i == 50) {
+                    throw std::runtime_error("fail@" + std::to_string(i));
+                }
+            });
+            FAIL() << "expected an exception";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "fail@7") << "repeat " << repeat;
+        }
     }
 }
 
 TEST(ShardTest, LowestIndexExceptionWinsAcrossMultiIndexShards) {
-    // Several indices throw concurrently, some inside the same shard and
-    // one at the very last index; the caller always sees the lowest one,
-    // independent of scheduling — chaos tests rely on this to assert
-    // exact failures.
-    exec::ThreadPool pool(7);
+    // Several indices throw concurrently, one at the very last index; the
+    // caller always sees the lowest one, independent of scheduling —
+    // chaos tests rely on this to assert exact failures.
     constexpr std::size_t kN = 128;
-    ASSERT_EQ(exec::resolve_shard_size(kN, pool.size() + 1), 2u);
     for (int repeat = 0; repeat < 25; ++repeat) {
         try {
-            exec::run_sharded(&pool, kN, {}, [](unsigned, std::size_t i) {
+            exec::parallel_for(kN, 8, [](std::size_t i) {
                 if (i == 5 || i == 23 || i == 77 || i == 127) {
                     throw std::runtime_error("boom " + std::to_string(i));
                 }
@@ -786,100 +754,21 @@ TEST(ShardTest, LowestIndexExceptionWinsAcrossMultiIndexShards) {
     }
 }
 
-TEST(ShardTest, PooledRunCoversEveryIndexExactlyOnceWithDenseWorkerIds) {
-    exec::ThreadPool pool(3);
-    exec::ShardOptions options;
-    options.workers = 4;
-    // Shards of 2 with a short last shard.
-    constexpr std::size_t kN = 71;
-    ASSERT_EQ(exec::resolve_shard_size(kN, options.workers), 2u);
-    std::vector<std::atomic<int>> hits(kN);
-    std::vector<std::atomic<int>> worker_used(4);
-    exec::run_sharded(&pool, kN, options, [&](unsigned worker, std::size_t i) {
-        ASSERT_LT(worker, 4u);
-        worker_used[worker].fetch_add(1);
-        hits[i].fetch_add(1);
-    });
-    for (std::size_t i = 0; i < kN; ++i) {
-        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    }
-    // The caller is always worker 0 and participates.
-    EXPECT_GT(worker_used[0].load(), 0);
-}
-
-TEST(ShardTest, LowestIndexExceptionWins) {
-    exec::ThreadPool pool(3);
-    exec::ShardOptions options;
-    options.workers = 4;
-    // One index per shard, so the throwers race on different workers.
-    constexpr std::size_t kN = 63;
-    ASSERT_EQ(exec::resolve_shard_size(kN, options.workers), 1u);
-    for (int repeat = 0; repeat < 20; ++repeat) {
-        try {
-            exec::run_sharded(&pool, kN, options,
-                              [&](unsigned, std::size_t i) {
-                                  if (i == 7 || i == 31 || i == 50) {
-                                      throw std::runtime_error(
-                                          "fail@" + std::to_string(i));
-                                  }
-                              });
-            FAIL() << "expected an exception";
-        } catch (const std::runtime_error& e) {
-            EXPECT_STREQ(e.what(), "fail@7");
-        }
-    }
-}
-
-TEST(ShardTest, SharedPoolGrowsAndNeverShrinks) {
-    exec::ThreadPool& a = exec::shared_pool(2);
-    EXPECT_GE(a.size(), 2u);
-    exec::ThreadPool& b = exec::shared_pool(5);
-    EXPECT_EQ(&a, &b);  // one process-wide pool
-    EXPECT_GE(b.size(), 5u);
-    const unsigned grown = b.size();
-    exec::ThreadPool& c = exec::shared_pool(1);  // smaller request: no shrink
-    EXPECT_EQ(c.size(), grown);
-    // The grown pool still runs work.
-    std::atomic<int> ran{0};
-    exec::run_sharded(&c, 32, {}, [&](unsigned, std::size_t) { ran++; });
-    EXPECT_EQ(ran.load(), 32);
-}
-
 TEST(ShardTest, NestedCallsOnTheSamePoolComplete) {
-    // Every pool thread sits inside an outer shard, so the inner calls
-    // can only finish because each caller drains its own shards — this
-    // deadlocks with a naive fork/join pool. The fleet's box loop is the
-    // program's only run_sharded caller and does not nest, but the
-    // contract (shard.hpp) keeps nested calls safe.
-    exec::ThreadPool pool(2);
+    // The fleet's box loop is the program's only caller and does not
+    // nest, but each call starts and joins its own helpers, so nesting
+    // stays safe.
     std::atomic<int> count{0};
-    exec::run_sharded(&pool, 4, {}, [&pool, &count](unsigned, std::size_t) {
-        exec::run_sharded(&pool, 8, {}, [&count](unsigned, std::size_t) {
-            count.fetch_add(1);
-        });
+    exec::parallel_for(4, 3, [&count](std::size_t) {
+        exec::parallel_for(8, 3,
+                           [&count](std::size_t) { count.fetch_add(1); });
     });
-    EXPECT_EQ(count.load(), 32);
-}
-
-TEST(ShardTest, PropagatesFirstExceptionAndKeepsPoolUsable) {
-    exec::ThreadPool pool(3);
-    EXPECT_THROW(exec::run_sharded(&pool, 64, {},
-                                   [](unsigned, std::size_t i) {
-                                       if (i == 7) {
-                                           throw std::runtime_error("boom at 7");
-                                       }
-                                   }),
-                 std::runtime_error);
-    // The pool must survive a failed run and take later work.
-    std::atomic<int> count{0};
-    exec::run_sharded(&pool, 32, {},
-                      [&count](unsigned, std::size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 32);
 }
 
 TEST(ShardTest, ZeroItemsIsANoOp) {
-    exec::ThreadPool pool(2);
-    exec::run_sharded(&pool, 0, {}, [](unsigned, std::size_t) { FAIL(); });
+    exec::parallel_for(0, 4, [](std::size_t) { FAIL(); });
+    exec::parallel_for(0, 1, [](std::size_t) { FAIL(); });
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Kernel regression suite for the contiguous, allocation-free numeric
 // kernels (ctest label `kernels`): every rewritten hot loop — banded DTW
-// with workspace reuse, the pair-chunked distance matrix, the flattened
+// with workspace reuse, the lane-batched distance matrix, the flattened
 // MLP, the fused OLS/ridge solvers — is pinned against a straightforward
 // reference implementation, bit-identical where the refactor reorders no
 // arithmetic, and the zero-allocation steady-state contract is enforced
@@ -26,6 +26,7 @@
 #include "cluster/cbc.hpp"
 #include "cluster/dtw.hpp"
 #include "core/signature_search.hpp"
+#include "forecast/mlp_forecaster.hpp"
 #include "forecast/nn.hpp"
 #include "linalg/flat_matrix.hpp"
 #include "linalg/ols.hpp"
@@ -39,8 +40,8 @@
 // Global operator new override counting every heap allocation in the
 // binary. Tests measure the count across a region that must be
 // allocation-free in the steady state (see DESIGN.md "Verifying the
-// allocation-free claim"). The counter is atomic so pool threads in the
-// matrix tests stay well-defined.
+// allocation-free claim"). The counter is atomic, so it stays
+// well-defined whatever thread allocates.
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -244,12 +245,23 @@ TEST(KernelsDtwTest, MatrixCountsEveryPairOnceWithItsCells) {
     EXPECT_EQ(snapshot.counter("cluster.dtw.pairs"), pairs);
     EXPECT_EQ(snapshot.counter("cluster.dtw.cells"),
               pairs * cluster::dtw_cell_count(80, 80, 6));
-    // A caller workspace grown at another size is pure scratch.
-    cluster::DtwWorkspace workspace;
-    (void)cluster::dtw_distance_matrix(waves(3, 200, 0, 0.1), -1, nullptr,
-                                       nullptr, &workspace);
-    EXPECT_EQ(dist, cluster::dtw_distance_matrix(series, 6, nullptr, nullptr,
-                                                 &workspace));
+    EXPECT_EQ(dist, cluster::dtw_distance_matrix(series, 6));
+}
+
+TEST(KernelsDtwTest, MatrixAllocationsDoNotGrowWithSeriesCount) {
+    // The matrix's pairs share one workspace owned by the call: 66 pairs
+    // allocate no more than 6 (the result block plus the DP rows, once).
+    const la::FlatMatrix few = waves(4, 96, 50, 0.3);
+    const la::FlatMatrix many = waves(12, 96, 50, 0.3);
+    const auto allocations_for = [](const la::FlatMatrix& series) {
+        const std::uint64_t before = allocation_count();
+        const la::FlatMatrix dist = cluster::dtw_distance_matrix(series, 8);
+        const std::uint64_t used = allocation_count() - before;
+        EXPECT_GT(dist(0, 1), 0.0);
+        return used;
+    };
+    (void)allocations_for(few);  // resolves the SIMD dispatch
+    EXPECT_EQ(allocations_for(few), allocations_for(many));
 }
 
 TEST(KernelsDtwTest, AlignDistanceMatchesDistanceKernel) {
@@ -340,30 +352,6 @@ TEST(KernelsMlpTest, FlattenedForwardMatchesNestedReferenceBitExactly) {
     simd::set_path(ambient);
 }
 
-TEST(KernelsMlpTest, TrainWithAndWithoutWorkspaceIsBitIdentical) {
-    const std::vector<double> s = wave(160, 11, 0.0);
-    la::FlatMatrix inputs(s.size() - 6, 6);
-    std::vector<double> targets;
-    for (std::size_t i = 6; i < s.size(); ++i) {
-        std::copy(s.begin() + static_cast<std::ptrdiff_t>(i - 6),
-                  s.begin() + static_cast<std::ptrdiff_t>(i), inputs[i - 6].begin());
-        targets.push_back(s[i]);
-    }
-    forecast::MlpTrainOptions options;
-    options.epochs = 12;
-
-    forecast::MlpNetwork plain({6, 5, 1}, 7);
-    forecast::MlpNetwork with_ws({6, 5, 1}, 7);
-    forecast::MlpWorkspace workspace;
-    const double loss_plain = plain.train(inputs, targets, options);
-    const double loss_ws = with_ws.train(inputs, targets, options, &workspace);
-    EXPECT_EQ(loss_plain, loss_ws);
-    for (unsigned q = 0; q < 4; ++q) {
-        const std::vector<double> x = wave(6, 200 + q, 0.1 * q);
-        EXPECT_EQ(plain.predict(x), with_ws.predict(x, workspace));
-    }
-}
-
 TEST(KernelsMlpTest, TrainAllocationCountIndependentOfEpochs) {
     const std::vector<double> s = wave(140, 13, 0.4);
     la::FlatMatrix inputs(s.size() - 6, 6);
@@ -374,22 +362,38 @@ TEST(KernelsMlpTest, TrainAllocationCountIndependentOfEpochs) {
         targets.push_back(s[i]);
     }
     // Per-sample SGD must be allocation-free: the only allocations a
-    // train() call may make are per-call setup (the shuffle order vector),
-    // never per-epoch or per-sample.
+    // train() call may make are per-call setup (its lane buffers, the
+    // shuffle order vector), never per-epoch or per-sample.
     const auto allocations_for = [&](int epochs) {
         forecast::MlpNetwork net({6, 5, 1}, 3);
-        forecast::MlpWorkspace workspace;
         forecast::MlpTrainOptions options;
         options.epochs = 1;
-        net.train(inputs, targets, options, &workspace);  // warm workspace
+        net.train(inputs, targets, options);  // resolves the SIMD dispatch
         options.epochs = epochs;
         const std::uint64_t before = allocation_count();
-        net.train(inputs, targets, options, &workspace);
+        net.train(inputs, targets, options);
         return allocation_count() - before;
     };
     const std::uint64_t few = allocations_for(3);
     const std::uint64_t many = allocations_for(24);
     EXPECT_EQ(few, many) << "per-epoch allocations detected";
+}
+
+TEST(KernelsMlpTest, ForecastAllocationsDoNotGrowWithHorizon) {
+    // forecast() reuses one feature buffer and one forward workspace over
+    // its horizon: 96 steps allocate no more than 4.
+    forecast::MlpForecasterOptions options;
+    options.train.epochs = 3;
+    forecast::MlpForecaster model(options);
+    model.fit(wave(480, 17, 0.2));
+    const auto allocations_for = [&model](int horizon) {
+        const std::uint64_t before = allocation_count();
+        const std::vector<double> out = model.forecast(horizon);
+        const std::uint64_t used = allocation_count() - before;
+        EXPECT_EQ(out.size(), static_cast<std::size_t>(horizon));
+        return used;
+    };
+    EXPECT_EQ(allocations_for(4), allocations_for(96));
 }
 
 // ---- OLS / ridge -----------------------------------------------------------

@@ -149,15 +149,17 @@ core::FleetConfig fleet_config_from_flags(const exec::ArgParser& parser) {
     config.pipeline.train_days = parser.get_int("train-days");
     config.jobs = parser.get_int("jobs");
 
-    // The flag wins over a conflicting ATM_SIMD environment variable —
-    // both go through simd::set_path, so an unsupported choice is a
-    // usage error before any work starts.
-    if (const std::string& simd = parser.get("simd"); !simd.empty()) {
-        try {
+    // The flag wins over a conflicting ATM_SIMD environment variable.
+    // Either spelling is resolved here, so an unknown or unsupported
+    // path is a usage error before any work starts.
+    try {
+        if (const std::string& simd = parser.get("simd"); !simd.empty()) {
             simd::set_path(simd::parse_path(simd));
-        } catch (const std::invalid_argument& e) {
-            throw exec::ArgParseError(e.what());
+        } else {
+            (void)simd::active_path();  // resolves ATM_SIMD
         }
+    } catch (const std::invalid_argument& e) {
+        throw exec::ArgParseError(e.what());
     }
     config.skip_gappy_boxes = !parser.get_flag("include-gappy");
     if (!parser.get("box").empty()) config.box_names = {parser.get("box")};
