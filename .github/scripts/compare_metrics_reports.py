@@ -13,7 +13,7 @@ they are stripped before comparing:
     client scheduling; the serve-chaos job compares the `engine` section,
     which is deterministic by contract)
 
-Everything else — counters (including robust.retry.*), gauges, the
+Everything else — counters (including robust.error.*), gauges, the
 predict.ape histogram, per-box errors, and box ordering — must be equal.
 
 Usage: compare_metrics_reports.py baseline.json candidate.json

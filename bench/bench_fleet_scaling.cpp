@@ -4,7 +4,13 @@
 //
 // Prints per-jobs wall time, throughput (boxes/sec), speedup over
 // serial, and verifies that the fleet aggregates are bit-identical at
-// every worker count — the executor's determinism contract. The same
+// every worker count — the executor's determinism contract. Untimed
+// warm-up passes at the largest worker count run first, for at least
+// kWarmupSeconds (a process that starts after the host sat idle gets
+// about one CPU for its first second or so). Then the sweep runs
+// kRepetitions times, each repetition timing every row once, and a
+// row's wall time is the median of its timings; every run is checked
+// against the jobs=1 reference. The same
 // rows are written as a JSON perf-trajectory artifact (schema
 // atm.bench.v1) to ATM_BENCH_JSON (default BENCH_fleet.json) so CI and
 // before/after comparisons can diff machine-readable numbers.
@@ -30,6 +36,7 @@
 // ATM_PAPER_SCALE, ATM_PAPER_BOXES, ATM_BENCH_MIN_SPEEDUP.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -103,6 +110,29 @@ std::uint64_t peak_rss_bytes() {
 #endif
 }
 
+/// Timed runs per jobs row; the row reports their median wall time.
+constexpr int kRepetitions = 3;
+/// Minimum wall time of the untimed warm-up passes.
+constexpr double kWarmupSeconds = 1.0;
+
+/// True when `fleet` reproduces the `reference` per-box results.
+bool same_results(const atm::core::FleetResult& fleet,
+                  const atm::core::FleetResult& reference) {
+    bool identical = fleet.boxes.size() == reference.boxes.size();
+    for (std::size_t b = 0; identical && b < fleet.boxes.size(); ++b) {
+        const auto& got = fleet.boxes[b].result;
+        const auto& want = reference.boxes[b].result;
+        identical = got.ape_all == want.ape_all &&
+                    got.ape_peak == want.ape_peak &&
+                    got.policies.size() == want.policies.size();
+        for (std::size_t p = 0; identical && p < got.policies.size(); ++p) {
+            identical = got.policies[p].cpu_after == want.policies[p].cpu_after &&
+                        got.policies[p].ram_after == want.policies[p].ram_after;
+        }
+    }
+    return identical;
+}
+
 /// Minimum acceptable speedup of the largest machine-fitting parallel
 /// row over jobs=1, scaled to what the hardware can deliver.
 double min_speedup_floor(unsigned hw) {
@@ -158,42 +188,50 @@ int main() {
     double asserted_speedup = -1.0;
     int asserted_jobs = 0;
 
-    obs::json::Value runs = obs::json::Value::make_array();
-    for (const int jobs : job_counts) {
-        config.jobs = jobs;
-        const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
-        bool identical = true;
-        if (jobs == 1) {
-            serial_wall = fleet.wall_seconds;
-            reference = fleet;
-        } else {
-            for (std::size_t b = 0; identical && b < fleet.boxes.size(); ++b) {
-                const auto& got = fleet.boxes[b].result;
-                const auto& want = reference.boxes[b].result;
-                identical = got.ape_all == want.ape_all &&
-                            got.ape_peak == want.ape_peak &&
-                            got.policies.size() == want.policies.size();
-                for (std::size_t p = 0; identical && p < got.policies.size(); ++p) {
-                    identical = got.policies[p].cpu_after == want.policies[p].cpu_after &&
-                                got.policies[p].ram_after == want.policies[p].ram_after;
-                }
+    // Untimed warm-up, so no timed row pays for waking the host's idle
+    // CPUs.
+    config.jobs = job_counts.back();
+    const auto warm_start = std::chrono::steady_clock::now();
+    do {
+        (void)core::run_pipeline_on_fleet(t, config);
+    } while (std::chrono::steady_clock::now() - warm_start <
+             std::chrono::duration<double>(kWarmupSeconds));
+
+    // Repetition-major, so a slow stretch of the host lands on one timing
+    // of every row instead of on all timings of one row.
+    std::vector<std::vector<double>> walls(job_counts.size());
+    std::vector<bool> identical(job_counts.size(), true);
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+        for (std::size_t row = 0; row < job_counts.size(); ++row) {
+            config.jobs = job_counts[row];
+            const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
+            walls[row].push_back(fleet.wall_seconds);
+            if (rep == 0 && row == 0) {
+                reference = fleet;
+            } else if (!same_results(fleet, reference)) {
+                identical[row] = false;
             }
         }
-        const double speedup =
-            serial_wall > 0.0 ? serial_wall / fleet.wall_seconds : 1.0;
+    }
+
+    obs::json::Value runs = obs::json::Value::make_array();
+    for (std::size_t row = 0; row < job_counts.size(); ++row) {
+        const int jobs = job_counts[row];
+        std::sort(walls[row].begin(), walls[row].end());
+        const double wall = walls[row][walls[row].size() / 2];
+        if (jobs == 1) serial_wall = wall;
+        const double speedup = serial_wall > 0.0 ? serial_wall / wall : 1.0;
         const double boxes_per_sec =
-            fleet.wall_seconds > 0.0
-                ? static_cast<double>(t.boxes.size()) / fleet.wall_seconds
-                : 0.0;
+            wall > 0.0 ? static_cast<double>(t.boxes.size()) / wall : 0.0;
         if (jobs > 1 &&
             (hw < 2 || jobs <= static_cast<int>(hw)) && jobs >= asserted_jobs) {
             asserted_jobs = jobs;
             asserted_speedup = speedup;
         }
-        std::printf("%6d %10.2f %11.2f %8.2fx %s\n", jobs, fleet.wall_seconds,
+        std::printf("%6d %10.2f %11.2f %8.2fx %s\n", jobs, wall,
                     boxes_per_sec, speedup,
-                    jobs == 1 ? "(reference)" : (identical ? "yes" : "NO"));
-        if (!identical) {
+                    jobs == 1 ? "(reference)" : (identical[row] ? "yes" : "NO"));
+        if (!identical[row]) {
             std::fprintf(stderr,
                          "FAIL: jobs=%d results differ from the jobs=1 "
                          "reference\n",
@@ -203,10 +241,10 @@ int main() {
 
         obs::json::Value run = obs::json::Value::make_object();
         run.set("jobs", obs::json::Value::of(static_cast<std::int64_t>(jobs)));
-        run.set("wall_seconds", obs::json::Value::of(fleet.wall_seconds));
+        run.set("wall_seconds", obs::json::Value::of(wall));
         run.set("boxes_per_sec", obs::json::Value::of(boxes_per_sec));
         run.set("speedup", obs::json::Value::of(speedup));
-        run.set("identical", obs::json::Value::of(identical));
+        run.set("identical", obs::json::Value::of(static_cast<bool>(identical[row])));
         runs.array.push_back(std::move(run));
     }
 

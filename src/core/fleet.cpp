@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -89,22 +90,14 @@ void aggregate(const FleetConfig& config, FleetResult& fleet) {
     }
 }
 
-/// Transient codes re-run under FleetConfig::max_retries: injected faults
-/// re-roll their Bernoulli draws per attempt, and kInternal covers
-/// environmental flakes (the catch-all). Structural failures (bad input,
-/// infeasible solve) would fail identically again, and cancellation codes
-/// must end the box immediately.
-bool is_transient(PipelineErrorCode code) {
-    return code == PipelineErrorCode::kFaultInjected ||
-           code == PipelineErrorCode::kInternal;
-}
-
 /// Shared scheduling skeleton of both fleet drivers: validate, select,
 /// run every box on the parallel loop, fill result slots by index
-/// (retrying transient failures, enforcing per-box deadlines, journaling
-/// and replaying when a checkpoint is configured), and aggregate.
-/// `evaluate_box` must be thread-compatible (it only receives the box
-/// index, attempt, and cancellation token, and writes the slot it owns).
+/// (enforcing per-box deadlines, journaling and replaying when a
+/// checkpoint is configured), and aggregate. Every box is evaluated at
+/// most once: the pipeline is a deterministic in-memory computation, so
+/// a failure would repeat. `evaluate_box` must be thread-compatible (it
+/// only receives the box index and cancellation token, and writes the
+/// slot it owns).
 template <typename EvaluateBox>
 FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
                       const EvaluateBox& evaluate_box) {
@@ -164,7 +157,6 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
     const unsigned jobs = resolve_jobs(config.jobs);
     fleet.jobs = static_cast<int>(jobs);
 
-    const int max_attempts = 1 + std::max(0, config.max_retries);
     fleet.boxes.resize(selected.size());
     // jobs == 1 runs strictly on the calling thread; the determinism tests
     // compare this path against the parallel one.
@@ -190,58 +182,46 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
             slot.error = "cancelled before start (operator stop)";
             slot.error_code = PipelineErrorCode::kCancelled;
             slot.error_stage = "fleet";
-            slot.attempts = 0;
             return;
         }
-        for (int attempt = 0; attempt < max_attempts; ++attempt) {
-            slot.error.clear();
-            slot.error_code = PipelineErrorCode::kNone;
-            slot.error_stage.clear();
-            slot.result = BoxPipelineResult{};
-            slot.attempts = attempt + 1;
-            // Fresh token — and fresh deadline budget — per attempt. Every
-            // cancellation point reads it through reason(), which latches
-            // an expired deadline itself, so no watchdog thread is needed.
-            exec::CancellationToken box_cancel;
-            if (config.box_deadline_seconds > 0.0) {
-                box_cancel.arm_deadline_after(config.box_deadline_seconds);
-            }
-            try {
-                const exec::FaultContext fault{
-                    config.faults.empty() ? nullptr : &config.faults,
-                    static_cast<std::uint64_t>(box_index),
-                    static_cast<std::uint64_t>(attempt)};
-                ATM_FAULT_SITE(fault, "fleet.box");
-                evaluate_box(box_index, static_cast<std::uint64_t>(attempt),
-                             &box_cancel, slot.result);
-            } catch (const PipelineError& e) {
-                slot.error = e.what();
-                slot.error_code = e.code();
-                slot.error_stage = e.stage();
-            } catch (const exec::OperationCancelled& e) {
-                slot.error = e.what();
-                slot.error_code =
-                    e.reason() == exec::CancelReason::kDeadline
-                        ? PipelineErrorCode::kDeadlineExceeded
-                        : PipelineErrorCode::kCancelled;
-                slot.error_stage = e.where();
-            } catch (const exec::InjectedFault& e) {
-                slot.error = e.what();
-                slot.error_code = PipelineErrorCode::kFaultInjected;
-                slot.error_stage = e.site();
-            } catch (const std::invalid_argument& e) {
-                // Precondition violations from lower layers (shape
-                // mismatches, out-of-range days) mean the box's input was
-                // unusable.
-                slot.error = e.what();
-                slot.error_code = PipelineErrorCode::kTraceInvalid;
-                slot.error_stage = "input";
-            } catch (const std::exception& e) {
-                slot.error = e.what();
-                slot.error_code = PipelineErrorCode::kInternal;
-                slot.error_stage = "unknown";
-            }
-            if (slot.error.empty() || !is_transient(slot.error_code)) break;
+        // The box's deadline budget. Every cancellation point reads the
+        // token through reason(), which latches an expired deadline
+        // itself, so no watchdog thread is needed.
+        exec::CancellationToken box_cancel;
+        if (config.box_deadline_seconds > 0.0) {
+            box_cancel.arm_deadline_after(config.box_deadline_seconds);
+        }
+        try {
+            const exec::FaultContext fault{
+                config.faults.empty() ? nullptr : &config.faults,
+                static_cast<std::uint64_t>(box_index)};
+            ATM_FAULT_SITE(fault, "fleet.box");
+            evaluate_box(box_index, &box_cancel, slot.result);
+        } catch (const PipelineError& e) {
+            slot.error = e.what();
+            slot.error_code = e.code();
+            slot.error_stage = e.stage();
+        } catch (const exec::OperationCancelled& e) {
+            slot.error = e.what();
+            slot.error_code = e.reason() == exec::CancelReason::kDeadline
+                                  ? PipelineErrorCode::kDeadlineExceeded
+                                  : PipelineErrorCode::kCancelled;
+            slot.error_stage = e.where();
+        } catch (const exec::InjectedFault& e) {
+            slot.error = e.what();
+            slot.error_code = PipelineErrorCode::kFaultInjected;
+            slot.error_stage = e.site();
+        } catch (const std::invalid_argument& e) {
+            // Precondition violations from lower layers (shape
+            // mismatches, out-of-range days) mean the box's input was
+            // unusable.
+            slot.error = e.what();
+            slot.error_code = PipelineErrorCode::kTraceInvalid;
+            slot.error_stage = "input";
+        } catch (const std::exception& e) {
+            slot.error = e.what();
+            slot.error_code = PipelineErrorCode::kInternal;
+            slot.error_stage = "unknown";
         }
         // Journal the outcome — success or *settled* failure. Deadline and
         // cancellation outcomes are excluded on purpose: they describe
@@ -272,20 +252,6 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
                 fleet.metrics.counters[error_counter_name(b.error_code)] += 1;
             }
         }
-        // Retry counters, synthesized from the slots in trace order (not
-        // incremented inside workers), so they are schedule-independent
-        // and identical between a fresh run and a resumed one that
-        // replayed the retried boxes.
-        for (const FleetBoxResult& b : fleet.boxes) {
-            if (b.attempts <= 1) continue;
-            fleet.metrics.counters["robust.retry.attempts"] +=
-                static_cast<std::uint64_t>(b.attempts - 1);
-            if (b.error.empty()) {
-                fleet.metrics.counters["robust.retry.recovered"] += 1;
-            } else {
-                fleet.metrics.counters["robust.retry.exhausted"] += 1;
-            }
-        }
     }
     fleet.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -305,11 +271,9 @@ std::string FleetConfig::validate() const {
         add("jobs must be in [0, " + std::to_string(kMaxJobs) +
             "] (0 = hardware concurrency), got " + std::to_string(jobs));
     }
-    if (max_retries < 0) {
-        add("max_retries must be >= 0, got " + std::to_string(max_retries));
-    }
-    if (!(box_deadline_seconds >= 0.0)) {
-        add("box_deadline_seconds must be > 0 (or 0 to disable), got " +
+    if (!(box_deadline_seconds >= 0.0) || !std::isfinite(box_deadline_seconds)) {
+        add("box_deadline_seconds must be finite and > 0 (or 0 to disable), "
+            "got " +
             std::to_string(box_deadline_seconds));
     }
     if (resume && checkpoint_path.empty()) {
@@ -352,19 +316,13 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
     }
     return run_fleet(
         trace, config,
-        [&trace, &config](int box_index, std::uint64_t attempt,
-                          const exec::CancellationToken* cancel,
+        [&trace, &config](int box_index, const exec::CancellationToken* cancel,
                           BoxPipelineResult& out) {
             PipelineConfig box_config = config.pipeline;
             // Per-box seed from (fleet seed, box index): independent of
-            // worker count and scheduling order, distinct per box. Retry
-            // attempts extend the chain with the attempt number — attempt
-            // 0 keeps the historical derivation, so clean runs (and the
-            // golden suite) are unchanged.
-            std::uint64_t seed = exec::derive_seed(
-                config.pipeline.seed, static_cast<std::uint64_t>(box_index));
-            if (attempt != 0) seed = exec::derive_seed(seed, attempt);
-            box_config.seed = static_cast<unsigned>(seed);
+            // worker count and scheduling order, distinct per box.
+            box_config.seed = static_cast<unsigned>(exec::derive_seed(
+                config.pipeline.seed, static_cast<std::uint64_t>(box_index)));
             box_config.cancel = cancel;
             // One registry per box, written only by the worker running it.
             std::optional<obs::MetricsRegistry> registry;
@@ -376,7 +334,7 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
                 &trace.boxes[static_cast<std::size_t>(box_index)];
             const exec::FaultContext fault{
                 config.faults.empty() ? nullptr : &config.faults,
-                static_cast<std::uint64_t>(box_index), attempt};
+                static_cast<std::uint64_t>(box_index)};
             box_config.fault = fault;
             // Data faults mutate the trace, so the box is copied first —
             // only when a corruption/truncation rule is actually armed.
@@ -414,7 +372,6 @@ FleetResult evaluate_resize_on_fleet(const trace::Trace& trace, int day,
                                      const FleetConfig& config) {
     return run_fleet(trace, config,
                      [&trace, &config, day](int box_index,
-                                            std::uint64_t /*attempt*/,
                                             const exec::CancellationToken*,
                                             BoxPipelineResult& out) {
                          std::optional<obs::MetricsRegistry> registry;

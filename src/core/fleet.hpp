@@ -71,20 +71,13 @@ struct FleetConfig {
     /// the run starts fresh. Requires a non-empty `checkpoint_path`.
     bool resume = false;
 
-    /// Extra attempts for boxes that fail with a *transient* code
-    /// (kFaultInjected, kInternal). Attempt k > 0 re-derives the box seed
-    /// and all fault draws from (seed, box, k) via splitmix64, so retry
-    /// outcomes are schedule-independent and bit-identical across `jobs`.
-    /// 0 (the default) disables retries.
-    int max_retries = 0;
-
-    /// Per-box wall-clock deadline in seconds; a box exceeding it is
-    /// cooperatively cancelled at its next cancellation point and
-    /// recorded as kDeadlineExceeded (each retry attempt gets a fresh
-    /// budget). Deadline-exceeded boxes are not journaled, so a resume
-    /// retries them. 0 (the default) disables the deadline. Note this
-    /// knob is inherently wall-clock: results of *timed-out* boxes can
-    /// vary across machines; boxes that finish are unaffected.
+    /// Per-box wall-clock deadline in seconds (finite); a box exceeding
+    /// it is cooperatively cancelled at its next cancellation point and
+    /// recorded as kDeadlineExceeded. Deadline-exceeded boxes are not
+    /// journaled, so a resume evaluates them again. 0 (the default)
+    /// disables the deadline. Note this knob is inherently wall-clock:
+    /// results of *timed-out* boxes can vary across machines; boxes that
+    /// finish are unaffected.
     double box_deadline_seconds = 0.0;
 
     /// Optional operator stop token (not owned). Once cancelled, boxes
@@ -120,10 +113,6 @@ struct FleetBoxResult {
     PipelineErrorCode error_code = PipelineErrorCode::kNone;
     /// Stage (or fault site) the failure came from; empty on success.
     std::string error_stage;
-    /// Attempts consumed: 1 on the clean path, 1 + retries when the
-    /// transient-failure retry loop engaged, 0 for a box cancelled by an
-    /// operator stop before it ever started.
-    int attempts = 1;
 };
 
 /// Fleet-wide ticket sums for one policy. Deliberately wider than the

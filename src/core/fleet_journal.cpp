@@ -1,5 +1,6 @@
 #include "core/fleet_journal.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "exec/journal.hpp"
@@ -24,12 +25,21 @@ Value int_array(const std::vector<int>& values) {
     return array;
 }
 
+/// A record's int field. Out of int range throws rather than wraps: a
+/// wrapped box index would replay one box's record as another box's.
+int int_from(const Value& value) {
+    const std::int64_t v = value.as_int();
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+        throw std::runtime_error("journal: integer out of int range");
+    }
+    return static_cast<int>(v);
+}
+
 std::vector<int> int_array_from(const Value& value) {
     std::vector<int> values;
     values.reserve(value.array.size());
-    for (const Value& v : value.array) {
-        values.push_back(static_cast<int>(v.as_int()));
-    }
+    for (const Value& v : value.array) values.push_back(int_from(v));
     return values;
 }
 
@@ -96,7 +106,6 @@ std::uint64_t fleet_config_digest(const FleetConfig& config) {
         mix_u64(hash, static_cast<std::uint64_t>(policy));
     }
     mix_u64(hash, config.collect_metrics ? 1 : 0);
-    mix_u64(hash, static_cast<std::uint64_t>(config.max_retries));
     mix_fault_plan(hash, config.faults);
     return hash;
 }
@@ -132,8 +141,6 @@ std::string encode_box_record(const FleetBoxResult& box) {
     Value record = Value::make_object();
     record.set("box", Value::of(static_cast<std::int64_t>(box.box_index)));
     record.set("name", Value::of(box.box_name));
-    record.set("attempts",
-               Value::of(static_cast<std::int64_t>(box.attempts)));
     if (!box.error.empty()) {
         record.set("error", Value::of(box.error));
         record.set("code", Value::of(to_string(box.error_code)));
@@ -191,9 +198,8 @@ std::string encode_box_record(const FleetBoxResult& box) {
 FleetBoxResult decode_box_record(const std::string& payload) {
     const Value record = obs::json::parse(payload);
     FleetBoxResult box;
-    box.box_index = static_cast<int>(record.at("box").as_int());
+    box.box_index = int_from(record.at("box"));
     box.box_name = record.at("name").as_string();
-    box.attempts = static_cast<int>(record.at("attempts").as_int());
     if (record.has("error")) {
         box.error = record.at("error").as_string();
         box.error_code = error_code_from_string(record.at("code").as_string());
@@ -205,7 +211,7 @@ FleetBoxResult decode_box_record(const std::string& payload) {
     const Value& search = result.at("search");
     r.search.signatures = int_array_from(search.at("signatures"));
     r.search.initial_signatures = int_array_from(search.at("initial"));
-    r.search.num_clusters = static_cast<int>(search.at("clusters").as_int());
+    r.search.num_clusters = int_from(search.at("clusters"));
     r.search.silhouette = search.at("silhouette").as_double();
     r.ape_all = result.at("ape_all").as_double();
     r.ape_peak = result.at("ape_peak").as_double();
@@ -223,10 +229,10 @@ FleetBoxResult decode_box_record(const std::string& payload) {
             throw std::runtime_error("fleet journal: policy id out of range");
         }
         tickets.policy = static_cast<resize::ResizePolicy>(policy);
-        tickets.cpu_before = static_cast<int>(entry.at("cpu_before").as_int());
-        tickets.cpu_after = static_cast<int>(entry.at("cpu_after").as_int());
-        tickets.ram_before = static_cast<int>(entry.at("ram_before").as_int());
-        tickets.ram_after = static_cast<int>(entry.at("ram_after").as_int());
+        tickets.cpu_before = int_from(entry.at("cpu_before"));
+        tickets.cpu_after = int_from(entry.at("cpu_after"));
+        tickets.ram_before = int_from(entry.at("ram_before"));
+        tickets.ram_after = int_from(entry.at("ram_after"));
         r.policies.push_back(tickets);
     }
     for (const Value& entry : result.at("degradations").array) {
@@ -265,7 +271,6 @@ std::string encode_epoch_record(const ServeEpochRecord& record) {
     out.set("searched", Value::of(record.searched));
     out.set("retrained",
             Value::of(static_cast<std::int64_t>(record.retrained)));
-    out.set("attempts", Value::of(static_cast<std::int64_t>(record.attempts)));
     out.set("cpu", double_array(record.cpu));
     out.set("ram", double_array(record.ram));
     return obs::json::serialize(out, 0);
@@ -274,15 +279,14 @@ std::string encode_epoch_record(const ServeEpochRecord& record) {
 ServeEpochRecord decode_epoch_record(const std::string& payload) {
     const Value in = obs::json::parse(payload);
     ServeEpochRecord record;
-    record.box_index = static_cast<int>(in.at("box").as_int());
-    record.epoch = static_cast<std::uint64_t>(in.at("epoch").as_int());
-    record.ladder = static_cast<int>(in.at("ladder").as_int());
+    record.box_index = int_from(in.at("box"));
+    record.epoch = in.at("epoch").as_u64();
+    record.ladder = int_from(in.at("ladder"));
     if (record.ladder < 0 || record.ladder > 15) {
         throw std::runtime_error("serve journal: ladder mask out of range");
     }
     record.searched = in.at("searched").as_bool();
-    record.retrained = static_cast<int>(in.at("retrained").as_int());
-    record.attempts = static_cast<int>(in.at("attempts").as_int());
+    record.retrained = int_from(in.at("retrained"));
     record.cpu = double_array_from(in.at("cpu"));
     record.ram = double_array_from(in.at("ram"));
     return record;

@@ -10,12 +10,12 @@ namespace atm::core {
 /// Schema tag of the fleet checkpoint journal's header record. Bump when
 /// the record encoding changes incompatibly: a resume against an older
 /// journal then starts fresh instead of mis-decoding.
-inline constexpr const char* kFleetJournalSchema = "atm.fleet-journal.v1";
+inline constexpr const char* kFleetJournalSchema = "atm.fleet-journal.v2";
 
 /// Schema tag of the serve daemon's epoch journal. Same framing as the
 /// fleet journal (exec::JournalWriter), but each record is one applied
 /// streaming window rather than one finished box.
-inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v1";
+inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v2";
 
 /// Digest of everything about the *input data* that affects per-box
 /// results: windows_per_day, per-box names/gap flags/VM counts and the
@@ -33,7 +33,7 @@ inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v1";
 /// valid across them: `jobs` (results are schedule-independent by
 /// contract), `checkpoint_path`/`resume` (the journal itself),
 /// `box_deadline_seconds` and the stop token (interrupted boxes are never
-/// journaled, so resuming with a longer deadline just retries them).
+/// journaled, so resuming with a longer deadline evaluates them again).
 [[nodiscard]] std::uint64_t fleet_config_digest(const FleetConfig& config);
 
 /// Mixes a chaos plan (its seed and every rule) into a config digest;
@@ -53,8 +53,7 @@ void mix_fault_plan(std::uint64_t& hash, const exec::FaultPlan& plan);
 /// payload for exec::JournalWriter. Everything that feeds the fleet
 /// aggregates and the resume-equivalence contract is included: the error
 /// triple or the full BoxPipelineResult (search, APEs, predicted demands,
-/// policy tickets, degradations, metrics snapshot) plus the attempt
-/// count. Doubles are serialized at full precision, so a decoded record
+/// policy tickets, degradations, metrics snapshot). Doubles are serialized at full precision, so a decoded record
 /// is bit-identical to the in-memory original.
 [[nodiscard]] std::string encode_box_record(const FleetBoxResult& box);
 
@@ -66,7 +65,7 @@ void mix_fault_plan(std::uint64_t& hash, const exec::FaultPlan& plan);
 
 /// One applied streaming window in the serve journal. The record captures
 /// the *control decisions* the daemon took (shed-load rung, whether search
-/// or a retrain ran, how many apply attempts it cost) plus the emitted
+/// or a retrain ran) plus the emitted
 /// recommendation. Warm restart replays incoming windows below a box's
 /// recorded next epoch with these decisions *forced*, so the rebuilt
 /// state, counters, and recommendations are bit-identical to the
@@ -79,12 +78,11 @@ struct ServeEpochRecord {
     /// strictly nested (a window can compute a fresh forecast and still
     /// shed the resize step): 0 full work, bit 1 = model refresh skipped
     /// (search or retrain), bit 2 = last forecast reused, bit 4 = max-min
-    /// fallback resize, bit 8 = ingest only (retries exhausted, or no
-    /// model and nothing to shed to).
+    /// fallback resize, bit 8 = ingest only (an injected apply fault
+    /// fired, or no model and nothing to shed to).
     int ladder = 0;
     bool searched = false;  ///< signature search (re-)ran this window
     int retrained = 0;      ///< 0 none, 1 warm retrain, 2 cold refit
-    int attempts = 1;       ///< apply attempts (retries = attempts - 1)
     std::vector<double> cpu;  ///< per-VM recommended CPU allocation (GHz)
     std::vector<double> ram;  ///< per-VM recommended RAM allocation (GB)
 };

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -69,13 +70,23 @@ class CancellationToken {
                                        std::memory_order_acquire);
     }
 
-    /// Arms (or re-arms) a deadline `seconds` from now; <= 0 disarms.
+    /// Arms (or re-arms) a deadline `seconds` from now; <= 0 (or NaN)
+    /// disarms. The budget saturates at 2^62 ns (about 146 years), so a
+    /// huge or infinite budget arms a deadline that never trips in
+    /// practice instead of overflowing into one that trips at once.
     void arm_deadline_after(double seconds) noexcept {
-        if (seconds <= 0.0) {
+        if (!(seconds > 0.0)) {
             deadline_ns_.store(0, std::memory_order_release);
             return;
         }
-        deadline_ns_.store(now_ns() + static_cast<std::int64_t>(seconds * 1e9),
+        constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
+        // Capped below 2^62 before the cast, so the cast stays defined and
+        // `kNever - budget` cannot overflow.
+        const double ns = seconds * 1e9;
+        const std::int64_t budget = ns < 0x1p62 ? static_cast<std::int64_t>(ns)
+                                                : std::int64_t{1} << 62;
+        const std::int64_t now = now_ns();
+        deadline_ns_.store(now > kNever - budget ? kNever : now + budget,
                            std::memory_order_release);
     }
 

@@ -142,7 +142,7 @@ void FaultContext::check_site(const char* site) const {
             derive_seed(derive_seed(plan->seed, entity), hash_site(name));
         // Epoch 0 / attempt 0 keep the historical key chain so existing
         // plans (and the golden chaos runs) are unchanged; each streaming
-        // window and each retry re-rolls independently.
+        // window and each re-delivery of it re-rolls independently.
         if (epoch != 0) key = derive_seed(key, epoch);
         if (attempt != 0) key = derive_seed(key, attempt);
         if (uniform01(key) < rule.rate) throw InjectedFault(name);
@@ -164,7 +164,6 @@ std::uint64_t FaultContext::corrupt_samples(std::span<double> xs,
             derive_seed(plan->seed, entity),
             derive_seed(stream, rule_index + hash_site(rule.site)));
         if (epoch != 0) base = derive_seed(base, epoch);
-        if (attempt != 0) base = derive_seed(base, attempt);
         for (std::size_t t = 0; t < xs.size(); ++t) {
             if (uniform01(derive_seed(base, t)) >= rule.rate) continue;
             switch (rule.action) {
@@ -205,7 +204,6 @@ std::size_t FaultContext::truncated_length(std::size_t length) const {
         std::uint64_t key =
             derive_seed(derive_seed(plan->seed, entity), kTruncateStream);
         if (epoch != 0) key = derive_seed(key, epoch);
-        if (attempt != 0) key = derive_seed(key, attempt);
         if (uniform01(key) < rule.rate) return length - length / 4;
     }
     return length;

@@ -79,11 +79,12 @@ struct FaultPlan {
 struct FaultContext {
     const FaultPlan* plan = nullptr;
     std::uint64_t entity = 0;  ///< box index within the trace
-    /// Retry attempt (0 = first try). Mixed into every draw key *only*
-    /// when non-zero, so attempt-0 draws are bit-identical to a context
-    /// without the field — and a retried box re-rolls all of its fault
-    /// draws, letting `max_retries` recover boxes whose per-attempt
-    /// Bernoullis clear. Deterministic in (seed, entity, attempt, site).
+    /// Delivery attempt (0 = first). Mixed into the throw-site draw key
+    /// *only* when non-zero, so attempt-0 draws are bit-identical to a
+    /// context without the field. Only the daemon's "serve.ingest" site
+    /// sets it, to the delivery count of a window, so a client re-send
+    /// after "busy" gets a fresh draw. Deterministic in (seed, entity,
+    /// attempt, site).
     std::uint64_t attempt = 0;
     /// Streaming window number for daemon sites ("serve.ingest",
     /// "serve.apply"). Mixed into draw keys only when non-zero — batch

@@ -84,13 +84,22 @@ double Value::as_double() const {
     return number;
 }
 
+// The integer casts range-check first: converting a double outside the
+// target's range (or NaN, or an infinity from an overflowing literal such
+// as 1e400) is undefined behaviour, and these values come from files and
+// sockets.
 std::int64_t Value::as_int() const {
-    return static_cast<std::int64_t>(as_double());
+    const double d = as_double();
+    if (!(d >= -0x1p63 && d < 0x1p63)) {
+        throw std::runtime_error("json: number out of int64 range");
+    }
+    return static_cast<std::int64_t>(d);
 }
 
 std::uint64_t Value::as_u64() const {
     const double d = as_double();
     if (d < 0.0) throw std::runtime_error("json: negative value for u64");
+    if (!(d < 0x1p64)) throw std::runtime_error("json: number out of u64 range");
     return static_cast<std::uint64_t>(d);
 }
 

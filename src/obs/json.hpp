@@ -42,6 +42,8 @@ struct Value {
     [[nodiscard]] const Value& at(const std::string& key) const;
 
     [[nodiscard]] double as_double() const;
+    /// Truncating integer reads; throw std::runtime_error when the number
+    /// is not finite or lies outside the target type's range.
     [[nodiscard]] std::int64_t as_int() const;
     [[nodiscard]] std::uint64_t as_u64() const;
     [[nodiscard]] const std::string& as_string() const;

@@ -1,10 +1,8 @@
 #include "serve/serve.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 #include <variant>
 
@@ -117,17 +115,6 @@ std::string ServeConfig::validate() const {
     if (train_epochs < 1) {
         add("train_epochs must be >= 1, got " + std::to_string(train_epochs));
     }
-    if (max_retries < 0) {
-        add("max_retries must be >= 0, got " + std::to_string(max_retries));
-    }
-    if (!(backoff_ms >= 0.0) || !std::isfinite(backoff_ms)) {
-        add("backoff_ms must be >= 0 and finite, got " +
-            std::to_string(backoff_ms));
-    }
-    if (!(backoff_max_ms >= backoff_ms) || !std::isfinite(backoff_max_ms)) {
-        add("backoff_max_ms must be >= backoff_ms and finite, got " +
-            std::to_string(backoff_max_ms));
-    }
     if (resume && journal_path.empty()) {
         add("resume requires a journal path");
     }
@@ -142,13 +129,11 @@ std::uint64_t serve_config_digest(const ServeConfig& config) {
     exec::mix_u64(hash, static_cast<std::uint64_t>(config.retrain_every));
     exec::mix_u64(hash, static_cast<std::uint64_t>(config.retrain_epochs));
     exec::mix_u64(hash, static_cast<std::uint64_t>(config.train_epochs));
-    // Retry/fault knobs are result-affecting through the journaled
-    // attempt counts and the per-(epoch, attempt) fault draws.
-    exec::mix_u64(hash, static_cast<std::uint64_t>(config.max_retries));
+    // The fault plan is result-affecting through the per-epoch draws.
     core::mix_fault_plan(hash, config.faults);
-    // Deliberately excluded: queue_depth, slo_ms, backoff timings — their
-    // *effects* (shed masks, attempt counts) are journaled per window, so
-    // changing them across a restart only affects windows not yet applied.
+    // Deliberately excluded: queue_depth and slo_ms — their *effects*
+    // (shed masks) are journaled per window, so changing them across a
+    // restart only affects windows not yet applied.
     return hash;
 }
 
@@ -363,13 +348,12 @@ ApplyOutcome ServeEngine::apply_window(int box_index,
         record.ladder = forced->ladder;
         record.searched = forced->searched;
         record.retrained = forced->retrained;
-        record.attempts = forced->attempts;
-        // A ladder of *exactly* the ingest-only bit means retries were
-        // exhausted at the fault site and model_work never ran live —
-        // replaying it would over-count shed counters. Any other mask
-        // (even ones including bit 8, e.g. "search shed, still no
-        // model") means model_work did run and must replay so its
-        // counters and the drift gauge land identically.
+        // A ladder of *exactly* the ingest-only bit means an apply fault
+        // fired and model_work never ran live — replaying it would
+        // over-count shed counters. Any other mask (even ones including
+        // bit 8, e.g. "search shed, still no model") means model_work did
+        // run and must replay so its counters and the drift gauge land
+        // identically.
         if (record.ladder != kShedIngestOnly) {
             model_work(box_index, update.epoch, true, record, nullptr);
         }
@@ -380,46 +364,24 @@ ApplyOutcome ServeEngine::apply_window(int box_index,
             slo.arm_deadline_after(config_.slo_ms / 1000.0);
             token = &slo;
         }
-        int attempt = 0;
-        bool applied = false;
-        while (true) {
-            exec::FaultContext fault;
-            fault.plan = config_.faults.empty() ? nullptr : &config_.faults;
-            fault.entity = static_cast<std::uint64_t>(box_index);
-            fault.attempt = static_cast<std::uint64_t>(attempt);
-            // +1 so epoch 0 still re-rolls per window (0 means "unset" in
-            // the fault-key chain).
-            fault.epoch = update.epoch + 1;
-            try {
-                ATM_FAULT_SITE(fault, "serve.apply");
-                model_work(box_index, update.epoch, false, record, token);
-                applied = true;
-                break;
-            } catch (const exec::InjectedFault&) {
-                if (attempt >= config_.max_retries) break;
-                // backoff_ms * 2^attempt without an integer shift, so any
-                // max_retries stays defined and saturates at the cap.
-                const double delay_ms =
-                    std::min(std::ldexp(config_.backoff_ms, attempt),
-                             config_.backoff_max_ms);
-                if (delay_ms > 0.0) {
-                    std::this_thread::sleep_for(std::chrono::duration<double,
-                                                std::milli>(delay_ms));
-                }
-                ++attempt;
-            }
+        exec::FaultContext fault;
+        fault.plan = config_.faults.empty() ? nullptr : &config_.faults;
+        fault.entity = static_cast<std::uint64_t>(box_index);
+        // +1 so epoch 0 still re-rolls per window (0 means "unset" in the
+        // fault-key chain).
+        fault.epoch = update.epoch + 1;
+        // The model work is deterministic, so a fired fault would fire
+        // again: the window settles as ingest-only on its first attempt.
+        try {
+            ATM_FAULT_SITE(fault, "serve.apply");
+            model_work(box_index, update.epoch, false, record, token);
+        } catch (const exec::InjectedFault&) {
+            record.ladder |= kShedIngestOnly;
         }
-        record.attempts = attempt + 1;
-        if (!applied) record.ladder |= kShedIngestOnly;
     }
 
     const bool ingest_only = (record.ladder & kShedIngestOnly) != 0;
     if (ingest_only) counter("serve.degraded.ingest_only");
-    if (record.attempts > 1) {
-        counter("serve.retry.attempts",
-                static_cast<std::uint64_t>(record.attempts - 1));
-        counter(ingest_only ? "serve.retry.exhausted" : "serve.retry.recovered");
-    }
     counter("serve.windows.applied");
 
     if (!ingest_only && !box.rec_cpu.empty()) {
@@ -428,7 +390,6 @@ ApplyOutcome ServeEngine::apply_window(int box_index,
     }
     out.status = ApplyStatus::kApplied;
     out.ladder = record.ladder;
-    out.attempts = record.attempts;
     out.cpu = record.cpu;
     out.ram = record.ram;
     return out;

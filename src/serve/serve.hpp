@@ -25,7 +25,7 @@ namespace atm::serve {
 /// resizing knobs, seed, sanitization threshold);
 /// serve adds streaming lifecycle knobs on top. Result-affecting knobs
 /// are bound into the journal header; execution-only knobs (queue depth,
-/// SLO, backoff) are not — their *effects* are journaled per window.
+/// SLO) are not — their *effects* are journaled per window.
 struct ServeConfig {
     core::PipelineConfig pipeline;
     /// Resize policy run per window (the paper's greedy by default).
@@ -47,17 +47,14 @@ struct ServeConfig {
     int retrain_epochs = 8;
     /// SGD epochs for a cold fit (after search or a rescale refit).
     int train_epochs = 40;
-    /// Transient-failure retries per window (exponential backoff).
-    int max_retries = 2;
-    double backoff_ms = 1.0;
-    double backoff_max_ms = 100.0;
     /// Epoch journal path; empty disables journaling (and warm restart).
     std::string journal_path;
     /// Resume from an existing journal whose header matches; on mismatch
     /// (or no file) the daemon starts fresh.
     bool resume = false;
-    /// Chaos plan: "serve.apply" throw rules fire per (seed, box, epoch,
-    /// attempt) — see exec::FaultContext::epoch.
+    /// Chaos plan: "serve.apply" throw rules fire per (seed, box, epoch)
+    /// — see exec::FaultContext::epoch. A fired apply fault sends its
+    /// window to ingest-only; it is not retried.
     exec::FaultPlan faults;
 
     /// Validates every serve knob: PipelineConfig::validate's range
@@ -95,7 +92,6 @@ struct ApplyOutcome {
     ApplyStatus status = ApplyStatus::kApplied;
     std::uint64_t epoch = 0;   ///< epoch this outcome refers to
     int ladder = 0;            ///< shed mask taken (ServeEpochRecord)
-    int attempts = 1;          ///< apply attempts (retries + 1)
     std::vector<double> cpu;   ///< per-VM recommended CPU allocation
     std::vector<double> ram;   ///< per-VM recommended RAM allocation
     std::string error;         ///< reason for kGap / kBadShape
@@ -105,7 +101,7 @@ struct ApplyOutcome {
 /// rolling demand windows, drift-gated signature search, warm-started MLP
 /// retraining, per-window forecasts + resize recommendations (the batch
 /// pipeline's ladder, forecasters and resize input on a sliding window),
-/// SLO shedding, retry with backoff, and a crash-safe epoch journal
+/// SLO shedding, and a crash-safe epoch journal
 /// enabling bit-identical warm restart (clients resend from epoch 0 and
 /// journaled windows replay with their recorded control decisions forced).
 ///

@@ -655,11 +655,16 @@ TEST(CancellationTokenTest, ExpiredDeadlineSelfTrips) {
     EXPECT_TRUE(token.cancelled());
     EXPECT_EQ(token.reason(), exec::CancelReason::kDeadline);
 
-    exec::CancellationToken patient;
-    patient.arm_deadline_after(3600.0);
-    EXPECT_FALSE(patient.cancelled());
-    patient.arm_deadline_after(0.0);  // disarm
-    EXPECT_FALSE(patient.cancelled());
+    // From ~9.2e9 s the budget in nanoseconds overflows int64; it must
+    // saturate, not wrap into a deadline that has already passed.
+    for (const double seconds :
+         {3600.0, 1e10, 1e300, std::numeric_limits<double>::infinity()}) {
+        exec::CancellationToken patient;
+        patient.arm_deadline_after(seconds);
+        EXPECT_FALSE(patient.cancelled()) << seconds;
+        patient.arm_deadline_after(0.0);  // disarm
+        EXPECT_FALSE(patient.cancelled());
+    }
 }
 
 TEST(CancellationTokenTest, CheckpointToleratesNullToken) {

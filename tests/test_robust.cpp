@@ -19,11 +19,13 @@
 #include <vector>
 
 #include "core/fleet.hpp"
+#include "core/fleet_journal.hpp"
 #include "core/pipeline.hpp"
 #include "core/spatial_model.hpp"
 #include "exec/cancel.hpp"
 #include "exec/fault.hpp"
 #include "exec/journal.hpp"
+#include "exec/seed.hpp"
 #include "linalg/simd/simd.hpp"
 #include "tracegen/generator.hpp"
 
@@ -487,7 +489,6 @@ void expect_fleet_equal(const core::FleetResult& a, const core::FleetResult& b) 
         EXPECT_EQ(ra.error, rb.error) << "box " << i;
         EXPECT_EQ(ra.error_code, rb.error_code) << "box " << i;
         EXPECT_EQ(ra.error_stage, rb.error_stage) << "box " << i;
-        EXPECT_EQ(ra.attempts, rb.attempts) << "box " << i;
         EXPECT_EQ(ra.result.ape_all, rb.result.ape_all) << "box " << i;
         EXPECT_EQ(ra.result.ape_peak, rb.result.ape_peak) << "box " << i;
         EXPECT_EQ(ra.result.search.signatures, rb.result.search.signatures);
@@ -785,76 +786,121 @@ TEST(CheckpointResumeTest, HeaderMismatchStartsFreshInsteadOfReplayingLies) {
     std::remove(path.c_str());
 }
 
-// ----------------------------------------------------------------- retries
+// ------------------------------------------------------ journal codecs
 
-TEST(RetryTest, TransientFaultsAreRetriedWithFreshDraws) {
-    const trace::Trace t = chaos_trace(8);
-    core::FleetConfig config = chaos_config("pipeline.forecast=throw@0.4", 3);
-    config.max_retries = 2;
-    const int max_attempts = 1 + config.max_retries;
-
-    // Ground truth from the plan itself: per-attempt draws are keyed on
-    // (box, attempt), so the test can predict every box's attempt count.
-    std::size_t expect_recovered = 0;
-    std::vector<int> expect_attempts(8, 0);
-    std::vector<bool> expect_failed(8, false);
-    for (int b = 0; b < 8; ++b) {
-        int attempts = 0;
-        bool failed = true;
-        for (int a = 0; a < max_attempts; ++a) {
-            ++attempts;
-            const exec::FaultContext ctx{&config.faults,
-                                         static_cast<std::uint64_t>(b),
-                                         static_cast<std::uint64_t>(a)};
-            try {
-                ctx.check_site("pipeline.forecast");
-                failed = false;
-                break;
-            } catch (const exec::InjectedFault&) {
-            }
-        }
-        expect_attempts[static_cast<std::size_t>(b)] = attempts;
-        expect_failed[static_cast<std::size_t>(b)] = failed;
-        if (!failed && attempts > 1) ++expect_recovered;
-    }
-    ASSERT_GT(expect_recovered, 0u);  // seed chosen so retries matter
-
-    const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
-    ASSERT_EQ(fleet.boxes.size(), 8u);
-    std::uint64_t extra_attempts = 0;
-    for (const core::FleetBoxResult& b : fleet.boxes) {
-        const auto i = static_cast<std::size_t>(b.box_index);
-        EXPECT_EQ(b.attempts, expect_attempts[i]) << "box " << i;
-        EXPECT_EQ(!b.error.empty(), expect_failed[i]) << "box " << i;
-        if (expect_failed[i]) {
-            EXPECT_EQ(b.error_code, PipelineErrorCode::kFaultInjected);
-            EXPECT_EQ(b.attempts, max_attempts);  // exhausted, not abandoned
-        }
-        extra_attempts += static_cast<std::uint64_t>(
-            b.attempts > 1 ? b.attempts - 1 : 0);
-    }
-    EXPECT_EQ(fleet.metrics.counter("robust.retry.attempts"), extra_attempts);
-    EXPECT_EQ(fleet.metrics.counter("robust.retry.recovered"), expect_recovered);
-
-    // The retry schedule is part of the determinism contract.
-    core::FleetConfig pooled = config;
-    pooled.jobs = 8;
-    expect_fleet_equal(fleet, core::run_pipeline_on_fleet(t, pooled));
+/// Replaces the first `from` in `text` with `to` (the key must be there).
+std::string replace_first(std::string text, const std::string& from,
+                          const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
 }
 
-TEST(RetryTest, NonTransientFailuresAreNotRetried) {
-    const trace::Trace t = chaos_trace(4);
-    // Heavy data corruption rejects boxes with kTraceInvalid — a verdict
-    // about the input, which retrying cannot change.
-    core::FleetConfig config = chaos_config("samples=nan@0.9", 2);
-    config.max_retries = 3;
-    const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
-    EXPECT_EQ(fleet.boxes_failed, 4u);
-    for (const core::FleetBoxResult& b : fleet.boxes) {
-        EXPECT_EQ(b.error_code, PipelineErrorCode::kTraceInvalid);
-        EXPECT_EQ(b.attempts, 1);
+TEST(JournalCodecTest, OutOfRangeIntegersAreRejected) {
+    core::FleetBoxResult box;
+    box.box_index = 0;
+    box.box_name = "b0";
+    box.error = "boom";
+    box.error_code = PipelineErrorCode::kFaultInjected;
+    box.error_stage = "fleet.box";
+    const std::string record = core::encode_box_record(box);
+    EXPECT_NO_THROW(core::decode_box_record(record));
+    // A double-to-integer cast out of range is undefined behaviour, and an
+    // index past int would wrap onto another box: the decoder must reject
+    // such numbers instead.
+    for (const char* bad : {"\"box\":1e300", "\"box\":1e400", "\"box\":-1e19",
+                            "\"box\":4294967296"}) {
+        EXPECT_THROW(core::decode_box_record(
+                         replace_first(record, "\"box\":0", bad)),
+                     std::runtime_error)
+            << bad;
     }
-    EXPECT_EQ(fleet.metrics.counter("robust.retry.attempts"), 0u);
+
+    core::ServeEpochRecord window;
+    window.epoch = 7;
+    const std::string epoch_record = core::encode_epoch_record(window);
+    for (const char* bad : {"\"epoch\":1e30", "\"epoch\":-1"}) {
+        EXPECT_THROW(core::decode_epoch_record(
+                         replace_first(epoch_record, "\"epoch\":7", bad)),
+                     std::runtime_error)
+            << bad;
+    }
+}
+
+TEST(JournalCodecTest, SeededMutationsDecodeOrThrowNeverCrash) {
+    // Real payloads of every record shape: a full box result (search,
+    // predictions, tickets, degradations, metrics), a settled failure, and
+    // serve windows with and without a recommendation.
+    const trace::Trace t = chaos_trace(2);
+    const core::FleetResult fleet = core::run_pipeline_on_fleet(
+        t, chaos_config("samples=nan@0.05,pipeline.forecast=throw@0.5", 4));
+    std::vector<std::string> payloads;
+    for (const core::FleetBoxResult& box : fleet.boxes) {
+        payloads.push_back(core::encode_box_record(box));
+    }
+    core::FleetBoxResult failed;
+    failed.box_index = 1;
+    failed.box_name = "b1";
+    failed.error = "injected";
+    failed.error_code = PipelineErrorCode::kFaultInjected;
+    failed.error_stage = "fleet.box";
+    payloads.push_back(core::encode_box_record(failed));
+    const std::size_t box_payloads = payloads.size();
+    core::ServeEpochRecord window;
+    window.box_index = 2;
+    window.epoch = 300;
+    window.ladder = 1 | 4;
+    window.searched = true;
+    window.retrained = 1;
+    window.cpu = {0.5, 1.0 / 3.0};
+    window.ram = {8.0, 1e-12};
+    payloads.push_back(core::encode_epoch_record(window));
+    window.ladder = 8;
+    window.cpu.clear();
+    window.ram.clear();
+    payloads.push_back(core::encode_epoch_record(window));
+
+    // Bytes that steer a JSON parser into its number, string and nesting
+    // paths, plus arbitrary bytes.
+    const std::string alphabet = "0123456789-+.eE\"\\{}[]:, tfnu";
+    std::uint64_t state = 0x5eed;
+    const auto next = [&state](std::uint64_t bound) {
+        state = exec::derive_seed(state, bound);
+        return state % bound;
+    };
+    std::size_t decoded = 0;
+    std::size_t rejected = 0;
+    for (std::size_t p = 0; p < payloads.size(); ++p) {
+        for (int trial = 0; trial < 400; ++trial) {
+            std::string text = payloads[p];
+            const std::uint64_t edits = 1 + next(3);
+            for (std::uint64_t e = 0; e < edits && !text.empty(); ++e) {
+                const std::size_t at = next(text.size());
+                switch (next(5)) {
+                    case 0: text[at] = alphabet[next(alphabet.size())]; break;
+                    case 1: text[at] = static_cast<char>(next(256)); break;
+                    case 2: text.resize(at); break;  // truncation
+                    case 3: text.erase(at, 1); break;
+                    default: text.insert(at, "e400"); break;  // overflow
+                }
+            }
+            // Either outcome is fine; anything but a std::exception (or a
+            // sanitizer report) fails the test.
+            try {
+                if (p < box_payloads) {
+                    (void)core::decode_box_record(text);
+                } else {
+                    (void)core::decode_epoch_record(text);
+                }
+                ++decoded;
+            } catch (const std::exception&) {
+                ++rejected;
+            }
+        }
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(decoded, 0u);  // some edits hit only string contents
 }
 
 // ---------------------------------------------------------------- deadlines
@@ -872,7 +918,6 @@ TEST(DeadlineTest, ImpossibleDeadlineFailsEveryBoxWithoutStalling) {
     for (const core::FleetBoxResult& b : fleet.boxes) {
         EXPECT_EQ(b.error_code, PipelineErrorCode::kDeadlineExceeded);
         EXPECT_FALSE(b.error_stage.empty());  // names the cancellation point
-        EXPECT_EQ(b.attempts, 1);             // deadline is not transient
     }
     EXPECT_EQ(fleet.failures_by_code.at(PipelineErrorCode::kDeadlineExceeded),
               4u);
@@ -897,9 +942,15 @@ TEST(DeadlineTest, GenerousDeadlineChangesNothing) {
     const trace::Trace t = chaos_trace(4);
     const core::FleetResult plain =
         core::run_pipeline_on_fleet(t, chaos_config("", 1));
-    core::FleetConfig config = chaos_config("", 1);
-    config.box_deadline_seconds = 3600.0;
-    expect_fleet_equal(plain, core::run_pipeline_on_fleet(t, config));
+    // 1e10 s and up overflow int64 nanoseconds: the deadline must saturate
+    // instead of wrapping into one that has already passed.
+    for (const double seconds : {3600.0, 1e10, 1e300}) {
+        core::FleetConfig config = chaos_config("", 1);
+        config.box_deadline_seconds = seconds;
+        const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
+        EXPECT_EQ(fleet.boxes_failed, 0u) << seconds << " s";
+        expect_fleet_equal(plain, fleet);
+    }
 }
 
 // -------------------------------------------------------------- stop token
@@ -918,7 +969,7 @@ TEST(StopTokenTest, PreCancelledStopDrainsEveryBoxAndResumeFinishesTheJob) {
     ASSERT_EQ(drained.boxes.size(), 4u);
     for (const core::FleetBoxResult& b : drained.boxes) {
         EXPECT_EQ(b.error_code, PipelineErrorCode::kCancelled);
-        EXPECT_EQ(b.attempts, 0);  // never started
+        EXPECT_EQ(b.error_stage, "fleet");  // drained, never started
     }
     // Drained boxes are not journaled: nothing false to replay.
     EXPECT_TRUE(exec::load_journal(path).records.empty());
@@ -937,17 +988,14 @@ TEST(StopTokenTest, PreCancelledStopDrainsEveryBoxAndResumeFinishesTheJob) {
 // ------------------------------------------------------------ config checks
 
 TEST(ResilienceConfigTest, ValidateReportsExactMessages) {
-    {
+    for (const double seconds :
+         {-1.0, std::numeric_limits<double>::infinity()}) {
         core::FleetConfig config;
-        config.max_retries = -1;
-        EXPECT_EQ(config.validate(), "max_retries must be >= 0, got -1");
-    }
-    {
-        core::FleetConfig config;
-        config.box_deadline_seconds = -1.0;
+        config.box_deadline_seconds = seconds;
         EXPECT_EQ(config.validate(),
-                  "box_deadline_seconds must be > 0 (or 0 to disable), got " +
-                      std::to_string(-1.0));
+                  "box_deadline_seconds must be finite and > 0 (or 0 to "
+                  "disable), got " +
+                      std::to_string(seconds));
     }
     {
         core::FleetConfig config;

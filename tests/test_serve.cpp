@@ -4,7 +4,7 @@
 // mid-append) and warm-restarted with --resume replays to bit-identical
 // recommendations and deterministic metrics versus an uninterrupted run —
 // including runs where the original decisions were driven by SLO deadline
-// sheds or injected transient faults that would never reproduce live.
+// sheds (which would never reproduce live) or by injected apply faults.
 
 #include <gtest/gtest.h>
 
@@ -121,9 +121,6 @@ TEST(ServeConfigTest, ReportsEveryViolationJoined) {
     config.slo_ms = -1.0;
     config.drift_threshold = -0.5;
     config.retrain_every = 0;
-    config.max_retries = -1;
-    config.backoff_ms = 10.0;
-    config.backoff_max_ms = 5.0;
     config.resume = true;  // without a journal path
     const std::string message = config.validate();
     EXPECT_NE(message.find("train_days must be >= 2"), std::string::npos);
@@ -132,9 +129,6 @@ TEST(ServeConfigTest, ReportsEveryViolationJoined) {
     EXPECT_NE(message.find("slo_ms must be >= 0"), std::string::npos);
     EXPECT_NE(message.find("drift_threshold must be >= 0"), std::string::npos);
     EXPECT_NE(message.find("retrain_every must be >= 1"), std::string::npos);
-    EXPECT_NE(message.find("max_retries must be >= 0"), std::string::npos);
-    EXPECT_NE(message.find("backoff_max_ms must be >= backoff_ms"),
-              std::string::npos);
     EXPECT_NE(message.find("resume requires a journal path"),
               std::string::npos);
     // Violations are joined with "; " like FleetConfig::validate.
@@ -191,7 +185,6 @@ TEST(ServeJournalTest, EpochRecordRoundTripsBitExact) {
     record.ladder = 1 | 4;
     record.searched = true;
     record.retrained = 2;
-    record.attempts = 3;
     record.cpu = {0.1, 1.0 / 3.0, 2.7182818284590452};
     record.ram = {12.5, 1e-17};
     const core::ServeEpochRecord decoded =
@@ -201,7 +194,6 @@ TEST(ServeJournalTest, EpochRecordRoundTripsBitExact) {
     EXPECT_EQ(decoded.ladder, record.ladder);
     EXPECT_EQ(decoded.searched, record.searched);
     EXPECT_EQ(decoded.retrained, record.retrained);
-    EXPECT_EQ(decoded.attempts, record.attempts);
     EXPECT_EQ(decoded.cpu, record.cpu);  // bit-exact doubles
     EXPECT_EQ(decoded.ram, record.ram);
 }
@@ -368,13 +360,10 @@ TEST(ServeRestartTest, KillAndResumeIsBitIdenticalUnderSloSheds) {
 }
 
 TEST(ServeRestartTest, KillAndResumeIsBitIdenticalUnderFaults) {
-    // Transient apply faults consume retries live; replay forces the
-    // recorded attempt counts instead of re-rolling the draws.
+    // Apply faults send windows to ingest-only live; replay forces the
+    // recorded ladders instead of re-rolling the draws.
     ServeConfig config = fast_config();
     config.faults = exec::FaultPlan::parse("serve.apply=throw@0.3", 77);
-    config.max_retries = 3;
-    config.backoff_ms = 0.0;  // no real sleeping in tests
-    config.backoff_max_ms = 0.0;
     expect_kill_restart_equivalence(config, "serve_restart_fault", 34);
 }
 
@@ -507,55 +496,46 @@ TEST(ServeEngineTest, FirstForecastEqualsBatchPipelineBitForBit) {
     }
 }
 
-// -------------------------------------------------------------- retries
+// ------------------------------------------------------- apply faults
 
-TEST(ServeEngineTest, RetriesTransientFaultsWithAccounting) {
+TEST(ServeEngineTest, InjectedApplyFaultGoesIngestOnlyOnFirstAttempt) {
+    // The model work is deterministic, so a fired "serve.apply" fault is
+    // not retried: exactly the windows whose (seed, box, epoch) draw fires
+    // shed to ingest-only (ladder 8) and emit no recommendation.
     const trace::Trace trace = tiny_trace();
     ServeConfig config = fast_config();
     config.faults = exec::FaultPlan::parse("serve.apply=throw@0.5", 9);
-    config.max_retries = 2;
-    config.backoff_ms = 0.0;
-    config.backoff_max_ms = 0.0;
     ServeEngine engine(trace, config);
-    std::uint64_t exhausted = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t clean = 0;
     const auto outcomes = feed_all(engine, trace);
     for (const auto& [key, out] : outcomes) {
         if (out.status != ApplyStatus::kApplied) continue;
-        EXPECT_GE(out.attempts, 1);
-        EXPECT_LE(out.attempts, config.max_retries + 1);
-        if ((out.ladder & 8) != 0) ++exhausted;
+        exec::FaultContext fault;
+        fault.plan = &config.faults;
+        fault.entity = static_cast<std::uint64_t>(key.first);
+        fault.epoch = key.second + 1;
+        bool fires = false;
+        try {
+            fault.check_site("serve.apply");
+        } catch (const exec::InjectedFault&) {
+            fires = true;
+        }
+        if (fires) {
+            ++fired;
+            EXPECT_EQ(out.ladder, 8) << "box " << key.first << " epoch "
+                                     << key.second;
+            EXPECT_TRUE(out.cpu.empty());
+        } else {
+            ++clean;
+            EXPECT_EQ(out.ladder & 8, 0) << "box " << key.first << " epoch "
+                                         << key.second;
+        }
     }
+    ASSERT_GT(fired, 0u);  // rate 0.5 fires
+    ASSERT_GT(clean, 0u);
     const auto& counters = engine.metrics().counters;
-    ASSERT_GT(counters.at("serve.retry.attempts"), 0u);  // rate 0.5 fires
-    EXPECT_EQ(counters.at("serve.retry.exhausted"), exhausted);
-    EXPECT_GT(counters.at("serve.retry.recovered"), 0u);
-    EXPECT_EQ(counters.at("serve.degraded.ingest_only"), exhausted);
-}
-
-TEST(ServeEngineTest, RetryBackoffStaysDefinedPastThirtyOneAttempts) {
-    // backoff_ms * 2^attempt must stay defined for any attempt count (an
-    // int shift goes negative at 31 and undefined from 32). Every attempt
-    // throws here.
-    const trace::Trace trace = tiny_trace();
-    ServeConfig config = fast_config();
-    config.faults = exec::FaultPlan::parse("serve.apply=throw@1", 5);
-    config.max_retries = 40;
-    config.backoff_ms = 0.0;
-    ServeEngine engine(trace, config);
-    // Two days of samples end the warmup: that window models first.
-    const auto first = static_cast<std::uint64_t>(2 * trace.windows_per_day - 1);
-    for (std::uint64_t epoch = 0; epoch < first; ++epoch) {
-        ASSERT_EQ(engine.apply(update_at(trace, 0, epoch)).status,
-                  ApplyStatus::kWarming);
-    }
-    const ApplyOutcome out = engine.apply(update_at(trace, 0, first));
-    EXPECT_EQ(out.status, ApplyStatus::kApplied);
-    EXPECT_EQ(out.attempts, 41);
-    EXPECT_EQ(out.ladder, 8);  // ingest only
-    EXPECT_TRUE(out.cpu.empty());
-    const auto& counters = engine.metrics().counters;
-    EXPECT_EQ(counters.at("serve.retry.attempts"), 40u);
-    EXPECT_EQ(counters.at("serve.retry.exhausted"), 1u);
+    EXPECT_EQ(counters.at("serve.degraded.ingest_only"), fired);
 }
 
 // ------------------------------------------- journal with a live writer
@@ -619,6 +599,16 @@ TEST(ServeProtocolTest, RequestRoundTrips) {
     EXPECT_THROW(serve::parse_request("not json"), std::runtime_error);
     EXPECT_THROW(serve::parse_request("{\"type\":\"mystery\"}"),
                  std::runtime_error);
+    // An epoch outside u64 (or overflowing to infinity) is rejected, not
+    // cast: a double-to-integer conversion out of range is undefined.
+    for (const char* epoch : {"1e30", "1e400"}) {
+        EXPECT_THROW(serve::parse_request(
+                         std::string("{\"type\":\"window\",\"box\":\"b0\","
+                                     "\"epoch\":") +
+                         epoch + ",\"cpu\":[1],\"ram\":[1]}"),
+                     std::runtime_error)
+            << epoch;
+    }
 }
 
 TEST(ServeProtocolTest, ResponseRoundTrips) {

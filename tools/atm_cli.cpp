@@ -102,8 +102,6 @@ void add_pipeline_flags(exec::ArgParser& parser) {
         .option("checkpoint", "",
                 "append-only journal of completed boxes; enables --resume "
                 "after a crash or kill")
-        .option("max-retries", "0",
-                "extra attempts per box on transient failures")
         .option("box-deadline", "0",
                 "per-box wall-clock deadline in seconds; 0 = none")
         .flag("resume",
@@ -181,7 +179,6 @@ core::FleetConfig fleet_config_from_flags(const exec::ArgParser& parser) {
         config.checkpoint_path = checkpoint;
     }
     config.resume = parser.get_flag("resume");
-    config.max_retries = parser.get_int("max-retries");
     config.box_deadline_seconds = parser.get_double("box-deadline");
 
     // Reproducible chaos runs (see DESIGN.md §7.11); a malformed spec is a
@@ -520,10 +517,6 @@ int cmd_serve(int argc, char** argv) {
         .option("retrain-every", "4", "warm-retrain cadence in windows")
         .option("retrain-epochs", "8", "SGD epochs per warm retrain")
         .option("train-epochs", "40", "SGD epochs per cold fit")
-        .option("max-retries", "2",
-                "apply retries on transient (injected) failures")
-        .option("backoff-ms", "1", "initial retry backoff")
-        .option("backoff-max-ms", "100", "retry backoff cap")
         .option("journal", "",
                 "epoch journal path; enables crash-safe warm restart")
         .option("metrics-out", "",
@@ -535,8 +528,8 @@ int cmd_serve(int argc, char** argv) {
         .option("apply-delay-ms", "0",
                 "test seam: sleep before each apply (backpressure tests)")
         .option("fault-spec", "",
-                "chaos testing, e.g. serve.ingest=throw@0.1 or "
-                "serve.apply=throw@0.05")
+                "chaos testing, e.g. serve.ingest=throw@0.1 (answered "
+                "busy) or serve.apply=throw@0.05 (window ingest-only)")
         .option("fault-seed", "42", "seed for the deterministic fault plan")
         .flag("resume", "warm-restart from --journal when its header matches");
     if (!parser.parse(argc, argv, 2)) return 0;
@@ -570,9 +563,6 @@ int cmd_serve(int argc, char** argv) {
     config.retrain_every = parser.get_int("retrain-every");
     config.retrain_epochs = parser.get_int("retrain-epochs");
     config.train_epochs = parser.get_int("train-epochs");
-    config.max_retries = parser.get_int("max-retries");
-    config.backoff_ms = parser.get_double("backoff-ms");
-    config.backoff_max_ms = parser.get_double("backoff-max-ms");
     config.journal_path = parser.get("journal");
     config.resume = parser.get_flag("resume");
     if (const std::string& fault_spec = parser.get("fault-spec");
