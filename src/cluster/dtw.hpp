@@ -68,10 +68,11 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band = -1);
 /// dominant cost of the DTW signature search. Zero-length rows give the
 /// all-zero matrix. When `metrics` is non-null the call records the
 /// `cluster.dtw.pairs` (n(n−1)/2) and `cluster.dtw.cells`
-/// (pairs × dtw_cell_count) counters. When `cancel` is non-null it is
-/// checked once per pair ("search.dtw") so a cancelled box abandons the
-/// loop promptly. The pairs share one DtwWorkspace owned by the call, so
-/// its allocations do not grow with the number of series.
+/// (pairs × dtw_cell_count) counters. When `cancel` (serve's SLO token)
+/// is non-null it is checked once per pair ("search.dtw") so a window
+/// past its budget abandons the loop promptly. The pairs share one
+/// DtwWorkspace owned by the call, so its allocations do not grow with
+/// the number of series.
 la::FlatMatrix dtw_distance_matrix(
     const la::FlatMatrix& series, int band = -1,
     obs::MetricsRegistry* metrics = nullptr,

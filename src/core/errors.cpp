@@ -11,7 +11,6 @@ const char* to_string(PipelineErrorCode code) {
         case PipelineErrorCode::kModelFitFailed: return "model-fit-failed";
         case PipelineErrorCode::kSolverSingular: return "solver-singular";
         case PipelineErrorCode::kResizeInfeasible: return "resize-infeasible";
-        case PipelineErrorCode::kDeadlineExceeded: return "deadline-exceeded";
         case PipelineErrorCode::kCancelled: return "cancelled";
         case PipelineErrorCode::kFaultInjected: return "fault-injected";
         case PipelineErrorCode::kInternal: return "internal";
@@ -24,8 +23,7 @@ PipelineErrorCode error_code_from_string(const std::string& name) {
          {PipelineErrorCode::kNone, PipelineErrorCode::kTraceInvalid,
           PipelineErrorCode::kRepairFailed, PipelineErrorCode::kSearchDegenerate,
           PipelineErrorCode::kModelFitFailed, PipelineErrorCode::kSolverSingular,
-          PipelineErrorCode::kResizeInfeasible,
-          PipelineErrorCode::kDeadlineExceeded, PipelineErrorCode::kCancelled,
+          PipelineErrorCode::kResizeInfeasible, PipelineErrorCode::kCancelled,
           PipelineErrorCode::kFaultInjected, PipelineErrorCode::kInternal}) {
         if (name == to_string(code)) return code;
     }

@@ -21,8 +21,9 @@ enum class PipelineErrorCode {
     kModelFitFailed,    ///< temporal model non-finite or failed to fit
     kSolverSingular,    ///< OLS solve failed; ridge fallback engaged
     kResizeInfeasible,  ///< MCKP infeasible even at minimal candidates
-    kDeadlineExceeded,  ///< box exceeded FleetConfig::box_deadline_seconds
-    kCancelled,         ///< operator stop drained the run before this box
+    // Ordinals are fixed (7 is unused) because digests of fleet results
+    // mix them.
+    kCancelled = 8,     ///< operator stop drained the run before this box
     kFaultInjected,     ///< thrown by an exec::FaultPlan site
     kInternal,          ///< anything not classified above (catch-all)
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -92,12 +91,11 @@ void aggregate(const FleetConfig& config, FleetResult& fleet) {
 
 /// Shared scheduling skeleton of both fleet drivers: validate, select,
 /// run every box on the parallel loop, fill result slots by index
-/// (enforcing per-box deadlines, journaling and replaying when a
-/// checkpoint is configured), and aggregate. Every box is evaluated at
-/// most once: the pipeline is a deterministic in-memory computation, so
+/// (journaling and replaying when a checkpoint is configured), and
+/// aggregate. Every box is evaluated at most once and runs to
+/// completion: the pipeline is a deterministic in-memory computation, so
 /// a failure would repeat. `evaluate_box` must be thread-compatible (it
-/// only receives the box index and cancellation token, and writes the
-/// slot it owns).
+/// only receives the box index, and writes the slot it owns).
 template <typename EvaluateBox>
 FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
                       const EvaluateBox& evaluate_box) {
@@ -184,29 +182,16 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
             slot.error_stage = "fleet";
             return;
         }
-        // The box's deadline budget. Every cancellation point reads the
-        // token through reason(), which latches an expired deadline
-        // itself, so no watchdog thread is needed.
-        exec::CancellationToken box_cancel;
-        if (config.box_deadline_seconds > 0.0) {
-            box_cancel.arm_deadline_after(config.box_deadline_seconds);
-        }
         try {
             const exec::FaultContext fault{
                 config.faults.empty() ? nullptr : &config.faults,
                 static_cast<std::uint64_t>(box_index)};
             ATM_FAULT_SITE(fault, "fleet.box");
-            evaluate_box(box_index, &box_cancel, slot.result);
+            evaluate_box(box_index, slot.result);
         } catch (const PipelineError& e) {
             slot.error = e.what();
             slot.error_code = e.code();
             slot.error_stage = e.stage();
-        } catch (const exec::OperationCancelled& e) {
-            slot.error = e.what();
-            slot.error_code = e.reason() == exec::CancelReason::kDeadline
-                                  ? PipelineErrorCode::kDeadlineExceeded
-                                  : PipelineErrorCode::kCancelled;
-            slot.error_stage = e.where();
         } catch (const exec::InjectedFault& e) {
             slot.error = e.what();
             slot.error_code = PipelineErrorCode::kFaultInjected;
@@ -223,15 +208,10 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
             slot.error_code = PipelineErrorCode::kInternal;
             slot.error_stage = "unknown";
         }
-        // Journal the outcome — success or *settled* failure. Deadline and
-        // cancellation outcomes are excluded on purpose: they describe
-        // this run's interruption, not the box, and a resume should
-        // evaluate such boxes for real.
-        if (journal &&
-            slot.error_code != PipelineErrorCode::kDeadlineExceeded &&
-            slot.error_code != PipelineErrorCode::kCancelled) {
-            journal->append(encode_box_record(slot));
-        }
+        // Journal the outcome — success or settled failure. (The drained
+        // boxes returned above are not journaled: they describe this
+        // run's interruption, not the box, and a resume evaluates them.)
+        if (journal) journal->append(encode_box_record(slot));
     });
 
     aggregate(config, fleet);
@@ -270,11 +250,6 @@ std::string FleetConfig::validate() const {
     if (jobs < 0 || jobs > kMaxJobs) {
         add("jobs must be in [0, " + std::to_string(kMaxJobs) +
             "] (0 = hardware concurrency), got " + std::to_string(jobs));
-    }
-    if (!(box_deadline_seconds >= 0.0) || !std::isfinite(box_deadline_seconds)) {
-        add("box_deadline_seconds must be finite and > 0 (or 0 to disable), "
-            "got " +
-            std::to_string(box_deadline_seconds));
     }
     if (resume && checkpoint_path.empty()) {
         add("resume requires a non-empty checkpoint_path");
@@ -316,14 +291,12 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
     }
     return run_fleet(
         trace, config,
-        [&trace, &config](int box_index, const exec::CancellationToken* cancel,
-                          BoxPipelineResult& out) {
+        [&trace, &config](int box_index, BoxPipelineResult& out) {
             PipelineConfig box_config = config.pipeline;
             // Per-box seed from (fleet seed, box index): independent of
             // worker count and scheduling order, distinct per box.
             box_config.seed = static_cast<unsigned>(exec::derive_seed(
                 config.pipeline.seed, static_cast<std::uint64_t>(box_index)));
-            box_config.cancel = cancel;
             // One registry per box, written only by the worker running it.
             std::optional<obs::MetricsRegistry> registry;
             if (config.collect_metrics) {
@@ -372,7 +345,6 @@ FleetResult evaluate_resize_on_fleet(const trace::Trace& trace, int day,
                                      const FleetConfig& config) {
     return run_fleet(trace, config,
                      [&trace, &config, day](int box_index,
-                                            const exec::CancellationToken*,
                                             BoxPipelineResult& out) {
                          std::optional<obs::MetricsRegistry> registry;
                          if (config.collect_metrics) registry.emplace();

@@ -71,15 +71,6 @@ struct FleetConfig {
     /// the run starts fresh. Requires a non-empty `checkpoint_path`.
     bool resume = false;
 
-    /// Per-box wall-clock deadline in seconds (finite); a box exceeding
-    /// it is cooperatively cancelled at its next cancellation point and
-    /// recorded as kDeadlineExceeded. Deadline-exceeded boxes are not
-    /// journaled, so a resume evaluates them again. 0 (the default)
-    /// disables the deadline. Note this knob is inherently wall-clock:
-    /// results of *timed-out* boxes can vary across machines; boxes that
-    /// finish are unaffected.
-    double box_deadline_seconds = 0.0;
-
     /// Optional operator stop token (not owned). Once cancelled, boxes
     /// not yet started are recorded as kCancelled (and not journaled)
     /// while in-flight boxes run to completion and are journaled — the

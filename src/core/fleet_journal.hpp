@@ -31,9 +31,9 @@ inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v2";
 /// Digest of every FleetConfig field that affects per-box *results*.
 /// Execution-only knobs are deliberately excluded so a journal stays
 /// valid across them: `jobs` (results are schedule-independent by
-/// contract), `checkpoint_path`/`resume` (the journal itself),
-/// `box_deadline_seconds` and the stop token (interrupted boxes are never
-/// journaled, so resuming with a longer deadline evaluates them again).
+/// contract), `checkpoint_path`/`resume` (the journal itself) and the
+/// stop token (drained boxes are never journaled, so a resume evaluates
+/// them).
 [[nodiscard]] std::uint64_t fleet_config_digest(const FleetConfig& config);
 
 /// Mixes a chaos plan (its seed and every rule) into a config digest;

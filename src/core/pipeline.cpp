@@ -32,10 +32,11 @@ void note_degradation(std::vector<Degradation>& degradations,
         Degradation{code, std::move(stage), std::move(detail)});
 }
 
-/// Cancellation must escape the degradation ladder: every rung's catch
-/// block calls this first, so a box cancelled mid-stage (deadline or
-/// operator stop) aborts instead of "recovering" onto a fallback and
-/// burning the rest of its budget. Only valid inside a catch block.
+/// Cancellation must escape the degradation ladder: the search and
+/// spatial rungs' catch blocks call this first, so a serve window whose
+/// SLO tripped mid-search sheds the search instead of "recovering" onto a
+/// fallback and burning the rest of its budget. Only valid inside a catch
+/// block.
 void rethrow_if_cancelled(const std::exception& e) {
     if (dynamic_cast<const exec::OperationCancelled*>(&e) != nullptr) throw;
 }
@@ -118,7 +119,6 @@ void run_policies_for_kind(
                                  " infeasible under capacity budget";
             }
         } catch (const std::exception& e) {
-            rethrow_if_cancelled(e);
             degrade_code =
                 classify_current(e, PipelineErrorCode::kResizeInfeasible);
             degrade_detail =
@@ -150,7 +150,8 @@ void run_policies_for_kind(
 
 SignatureModel fit_signature_model(
     const la::FlatMatrix& series, const PipelineConfig& config,
-    std::vector<Degradation>& degradations) {
+    std::vector<Degradation>& degradations,
+    const exec::CancellationToken* cancel) {
     obs::MetricsRegistry* metrics = config.metrics;
     // All-signature fallback shared by the search and spatial rungs: with
     // every series a signature there are no dependents, so neither
@@ -163,11 +164,11 @@ SignatureModel fit_signature_model(
     SignatureModel model;
     {
         obs::ScopedTimer timer(metrics, "stage.search");
-        exec::checkpoint(config.cancel, "pipeline.search");
+        exec::checkpoint(cancel, "pipeline.search");
         ATM_FAULT_SITE(config.fault, "pipeline.search");
         SignatureSearchOptions search = config.search;
         search.metrics = metrics;
-        search.cancel = config.cancel;
+        search.cancel = cancel;
         try {
             ATM_FAULT_SITE(config.fault, "search.step1");
             model.search = find_signatures(series, search);
@@ -195,7 +196,7 @@ SignatureModel fit_signature_model(
     }
     {
         obs::ScopedTimer timer(metrics, "stage.spatial_fit");
-        exec::checkpoint(config.cancel, "pipeline.spatial");
+        exec::checkpoint(cancel, "pipeline.spatial");
         ATM_FAULT_SITE(config.fault, "pipeline.spatial");
         try {
             ATM_FAULT_SITE(config.fault, "spatial.ols");
@@ -287,7 +288,6 @@ const std::vector<resize::ResizePolicy>& default_policies() {
 BoxPipelineResult run_pipeline_on_box(
     const trace::BoxTrace& box, int windows_per_day, const PipelineConfig& config,
     const std::vector<resize::ResizePolicy>& policies) {
-    exec::checkpoint(config.cancel, "pipeline.start");
     ATM_FAULT_SITE(config.fault, "pipeline.start");
     const auto wpd = static_cast<std::size_t>(windows_per_day);
     const std::size_t train_len = static_cast<std::size_t>(config.train_days) * wpd;
@@ -306,7 +306,6 @@ BoxPipelineResult run_pipeline_on_box(
     // is not trustworthy and is rejected, otherwise bad samples are zeroed
     // and gap-repaired so every later stage sees finite, non-negative data.
     {
-        exec::checkpoint(config.cancel, "pipeline.sanitize");
         ATM_FAULT_SITE(config.fault, "pipeline.sanitize");
         std::size_t total_samples = 0;
         std::size_t bad_samples = 0;
@@ -389,7 +388,7 @@ BoxPipelineResult run_pipeline_on_box(
 
     // --- signature search + spatial model on the training window -----------
     SignatureModel model =
-        fit_signature_model(scoped_train, config, result.degradations);
+        fit_signature_model(scoped_train, config, result.degradations, nullptr);
     result.search = std::move(model.search);
     const SpatialModel& spatial = model.spatial;
 
@@ -397,12 +396,11 @@ BoxPipelineResult run_pipeline_on_box(
     la::FlatMatrix signature_forecasts(spatial.signature_indices().size(), wpd);
     {
         obs::ScopedTimer timer(metrics, "stage.forecast");
-        exec::checkpoint(config.cancel, "pipeline.forecast");
         ATM_FAULT_SITE(config.fault, "pipeline.forecast");
         const auto make = [&](forecast::TemporalModel model, int s) {
             return forecast::make_forecaster(
                 model, windows_per_day, config.seed + static_cast<unsigned>(s),
-                metrics, config.cancel);
+                metrics);
         };
         const auto checked_forecast =
             [&](const forecast::Forecaster& forecaster,
@@ -437,7 +435,6 @@ BoxPipelineResult run_pipeline_on_box(
         std::vector<std::unique_ptr<forecast::Forecaster>> primary(
             signatures.size());
         const auto fail_primary = [&](std::size_t k, const std::exception& e) {
-            rethrow_if_cancelled(e);
             first_code[k] =
                 classify_current(e, PipelineErrorCode::kModelFitFailed);
             first_error[k] = e.what();
@@ -513,8 +510,8 @@ BoxPipelineResult run_pipeline_on_box(
                         "signature " + std::to_string(s) + ": " +
                             first_error[k] + "; fell back to " +
                             forecast::to_string(ladder[a]));
-                } catch (const std::exception& e) {
-                    rethrow_if_cancelled(e);
+                } catch (const std::exception&) {
+                    // This rung failed too; try the next one.
                 }
             }
             if (!done) {
@@ -529,7 +526,6 @@ BoxPipelineResult run_pipeline_on_box(
     }
 
     // --- spatial reconstruction of every scoped series -----------------------
-    exec::checkpoint(config.cancel, "pipeline.reconstruct");
     ATM_FAULT_SITE(config.fault, "pipeline.reconstruct");
     obs::ScopedTimer reconstruct_timer(metrics, "stage.reconstruct");
     const la::FlatMatrix scoped_pred = spatial.reconstruct(signature_forecasts);
@@ -543,7 +539,6 @@ BoxPipelineResult run_pipeline_on_box(
     reconstruct_timer.stop();
 
     // --- prediction accuracy on the evaluation day ---------------------------
-    exec::checkpoint(config.cancel, "pipeline.accuracy");
     ATM_FAULT_SITE(config.fault, "pipeline.accuracy");
     obs::ScopedTimer accuracy_timer(metrics, "stage.accuracy");
     double ape_sum = 0.0;
@@ -591,7 +586,6 @@ BoxPipelineResult run_pipeline_on_box(
         result.policies[p].policy = policies[p];
     }
 
-    exec::checkpoint(config.cancel, "pipeline.resize");
     ATM_FAULT_SITE(config.fault, "pipeline.resize");
     obs::ScopedTimer resize_timer(metrics, "stage.resize");
     const std::size_t m = box.vms.size();
@@ -622,7 +616,6 @@ BoxPipelineResult run_pipeline_on_box(
             make_resize_input(box, kind, std::move(policy_demands), config.alpha,
                               config.epsilon_pct, last_day);
         input.metrics = metrics;
-        input.cancel = config.cancel;
         run_policies_for_kind(box, kind, input, actual_eval, policies,
                               result.policies, config.fault,
                               &result.degradations);

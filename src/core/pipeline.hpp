@@ -48,13 +48,6 @@ struct PipelineConfig {
     /// Chaos-testing context (see exec/fault.hpp). Default (null plan) is
     /// inert: every ATM_FAULT_SITE reduces to one pointer test.
     exec::FaultContext fault;
-    /// Optional cooperative-cancellation token (not owned). Checked at
-    /// every stage boundary and inside the long loops (DTW pairs, MLP
-    /// epochs, MCKP iterations); a tripped token aborts the box with
-    /// exec::OperationCancelled, which the degradation ladder re-throws
-    /// instead of treating as a recoverable stage failure. Null (the
-    /// default) makes every check a single pointer test.
-    const exec::CancellationToken* cancel = nullptr;
     /// Optional stage-metrics sink (not owned). When set, the pipeline
     /// records per-stage timers (`stage.search`, `stage.spatial_fit`,
     /// `stage.forecast`, `stage.reconstruct`, `stage.accuracy`,
@@ -134,11 +127,14 @@ struct SignatureModel {
 /// (throws, empty set, undefined silhouette) or a fit that fails even with
 /// ridge falls back to the all-signature set. Each fired rung lands in
 /// `degradations` and as `robust.fallback.<stage>` in config.metrics, next
-/// to the `stage.search` / `stage.spatial_fit` timers. Cancellation
-/// escapes the ladder.
+/// to the `stage.search` / `stage.spatial_fit` timers. `cancel` (optional,
+/// not owned) is serve's SLO token: it is checked before each rung and per
+/// DTW pair, and the exec::OperationCancelled it raises escapes the ladder
+/// instead of engaging a fallback. The batch pipeline passes null.
 SignatureModel fit_signature_model(
     const la::FlatMatrix& series, const PipelineConfig& config,
-    std::vector<Degradation>& degradations);
+    std::vector<Degradation>& degradations,
+    const exec::CancellationToken* cancel);
 
 /// The resize input of one resource kind on `box`, shared by the batch
 /// pipeline and serve: per-VM `demands` and current capacities, epsilon

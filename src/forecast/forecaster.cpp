@@ -11,8 +11,7 @@ namespace atm::forecast {
 
 std::unique_ptr<Forecaster> make_forecaster(TemporalModel model,
                                             int seasonal_period, unsigned seed,
-                                            obs::MetricsRegistry* metrics,
-                                            const exec::CancellationToken* cancel) {
+                                            obs::MetricsRegistry* metrics) {
     switch (model) {
         case TemporalModel::kSeasonalNaive:
             return std::make_unique<SeasonalNaiveForecaster>(
@@ -24,7 +23,6 @@ std::unique_ptr<Forecaster> make_forecaster(TemporalModel model,
             options.seasonal_period = seasonal_period;
             options.train.seed = seed;
             options.train.metrics = metrics;
-            options.train.cancel = cancel;
             return std::make_unique<MlpForecaster>(options);
         }
         case TemporalModel::kHoltWinters:
@@ -33,14 +31,11 @@ std::unique_ptr<Forecaster> make_forecaster(TemporalModel model,
         case TemporalModel::kEnsemble: {
             std::vector<std::unique_ptr<Forecaster>> members;
             members.push_back(make_forecaster(TemporalModel::kAutoregressive,
-                                              seasonal_period, seed, metrics,
-                                              cancel));
+                                              seasonal_period, seed, metrics));
             members.push_back(make_forecaster(TemporalModel::kHoltWinters,
-                                              seasonal_period, seed, metrics,
-                                              cancel));
+                                              seasonal_period, seed, metrics));
             members.push_back(make_forecaster(TemporalModel::kNeuralNetwork,
-                                              seasonal_period, seed, metrics,
-                                              cancel));
+                                              seasonal_period, seed, metrics));
             return std::make_unique<EnsembleForecaster>(std::move(members));
         }
     }

@@ -5,9 +5,6 @@
 #include <string>
 #include <vector>
 
-namespace atm::exec {
-class CancellationToken;
-}
 namespace atm::obs {
 class MetricsRegistry;
 }
@@ -54,16 +51,11 @@ enum class TemporalModel {
 /// `seasonal_period` is the dominant seasonality in samples (96 for
 /// 15-minute windows over a day); `seed` feeds stochastic trainers (MLP).
 /// `metrics` (optional, not owned) receives trainer counters from models
-/// that expose them (the MLP's epoch/example counts). `cancel` (optional,
-/// not owned) is a cooperative-cancellation token checked once per
-/// training epoch by the iterative trainers (the MLP — directly and as an
-/// ensemble member); the closed-form models finish too fast to need it.
-/// Every model owns its scratch, so distinct forecasters may run on
-/// distinct threads.
+/// that expose them (the MLP's epoch/example counts). Every model owns its
+/// scratch, so distinct forecasters may run on distinct threads.
 std::unique_ptr<Forecaster> make_forecaster(
     TemporalModel model, int seasonal_period, unsigned seed = 42,
-    obs::MetricsRegistry* metrics = nullptr,
-    const exec::CancellationToken* cancel = nullptr);
+    obs::MetricsRegistry* metrics = nullptr);
 
 std::string to_string(TemporalModel model);
 

@@ -271,7 +271,7 @@ void train(std::span<MlpTrainJob> jobs) {
                 LaneState& lane = lanes[b];
                 if (lane.job == nullptr) continue;
                 // Cancellation point: one atomic load per lane and group
-                // epoch, so a box past its deadline stops mid-training.
+                // epoch, so a window past its SLO stops mid-training.
                 exec::checkpoint(lane.job->options.cancel, "forecast.mlp.epoch");
                 ++lane.epochs_run;
                 std::shuffle(lane.order.begin(), lane.order.end(),

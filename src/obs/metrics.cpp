@@ -117,20 +117,17 @@ std::span<const double> default_histogram_bounds() {
 // ------------------------------------------------------- MetricsRegistry
 
 void MetricsRegistry::add(std::string_view name, std::uint64_t delta) {
-    if (!enabled()) return;
     std::lock_guard<std::mutex> lock(mutex_);
     counters_[std::string(name)] += delta;
 }
 
 void MetricsRegistry::set_gauge(std::string_view name, double value) {
-    if (!enabled()) return;
     std::lock_guard<std::mutex> lock(mutex_);
     gauges_[std::string(name)] = value;
 }
 
 void MetricsRegistry::observe(std::string_view name, double value,
                               std::span<const double> bounds) {
-    if (!enabled()) return;
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] = histograms_.try_emplace(std::string(name));
     if (inserted) {
@@ -143,7 +140,6 @@ void MetricsRegistry::observe(std::string_view name, double value,
 }
 
 void MetricsRegistry::record_ns(std::string_view name, std::uint64_t ns) {
-    if (!enabled()) return;
     std::lock_guard<std::mutex> lock(mutex_);
     timers_[std::string(name)].record(ns);
 }
@@ -162,7 +158,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 
 ScopedTimer::ScopedTimer(MetricsRegistry* registry, std::string name)
     : registry_(registry), name_(std::move(name)),
-      armed_(registry != nullptr && registry->enabled()) {
+      armed_(registry != nullptr) {
     if (armed_) start_ = std::chrono::steady_clock::now();
 }
 

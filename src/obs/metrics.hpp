@@ -86,9 +86,8 @@ std::span<const double> default_histogram_bounds();
 /// `snapshot()` taken while writers are live; uncontended, it costs one
 /// lock/unlock per record.
 ///
-/// When disabled (constructor flag) every record operation returns after
-/// one flag test — near-zero overhead — and a null `MetricsRegistry*` at
-/// an instrumentation site costs a pointer test only.
+/// Instrumentation is off when an instrumentation site gets a null
+/// `MetricsRegistry*`, which costs a pointer test only.
 ///
 /// Determinism: counter merges are exact integer sums, so deterministic
 /// instrumentation (cell counts, cache hits, iterations) is bit-identical
@@ -97,12 +96,10 @@ std::span<const double> default_histogram_bounds();
 /// registry — the convention all pipeline instrumentation follows.
 class MetricsRegistry {
 public:
-    explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
+    MetricsRegistry() = default;
 
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-    [[nodiscard]] bool enabled() const { return enabled_; }
 
     /// Adds `delta` to the named monotonic counter.
     void add(std::string_view name, std::uint64_t delta = 1);
@@ -123,7 +120,6 @@ public:
     [[nodiscard]] MetricsSnapshot snapshot() const;
 
 private:
-    const bool enabled_;
     mutable std::mutex mutex_;
     std::unordered_map<std::string, std::uint64_t> counters_;
     std::unordered_map<std::string, double> gauges_;
@@ -133,8 +129,8 @@ private:
 
 /// RAII span timer: records the elapsed wall time into
 /// `registry->record_ns(name)` on destruction (or an explicit `stop()`).
-/// A null or disabled registry makes construction and destruction no-ops
-/// (no clock reads).
+/// A null registry makes construction and destruction no-ops (no clock
+/// reads).
 class ScopedTimer {
 public:
     ScopedTimer(MetricsRegistry* registry, std::string name);

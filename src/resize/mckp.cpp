@@ -63,7 +63,7 @@ MckpSolution solve_mckp_greedy(const MckpInstance& instance,
     std::uint64_t iterations = 0;
     while (used > instance.total_capacity + 1e-9) {
         // Cancellation point every 64 downgrades: cheap relative to the
-        // O(n) scan below, frequent enough for deadline responsiveness.
+        // O(n) scan below, frequent enough for SLO responsiveness.
         if ((iterations & 63u) == 0) exec::checkpoint(cancel, "resize.mckp");
         double best_mtrv = std::numeric_limits<double>::infinity();
         std::size_t best_i = n;

@@ -48,9 +48,10 @@ struct MckpSolution {
 /// `resize.mckp.groups`, `resize.mckp.greedy_iterations` (downgrade
 /// steps taken) and `resize.mckp.infeasible`.
 ///
-/// `cancel` (optional, not owned) is a cooperative-cancellation token
-/// checked every 64 downgrade iterations ("resize.mckp") so a box past
-/// its deadline aborts mid-solve. Null disables the check.
+/// `cancel` (optional, not owned; serve's SLO token) is a cooperative-
+/// cancellation token checked every 64 downgrade iterations
+/// ("resize.mckp") so a window past its SLO aborts mid-solve. Null
+/// disables the check.
 MckpSolution solve_mckp_greedy(const MckpInstance& instance,
                                obs::MetricsRegistry* metrics = nullptr,
                                const exec::CancellationToken* cancel = nullptr);

@@ -587,7 +587,6 @@ bool ServeEngine::run_search(int box_index,
     obs::MetricsRegistry scratch;
     core::PipelineConfig config = config_.pipeline;
     config.metrics = &scratch;
-    config.cancel = slo;
     try {
         // The batch ladder; its rungs count as robust.fallback.* in scratch.
         std::vector<core::Degradation> degradations;
@@ -597,7 +596,7 @@ bool ServeEngine::run_search(int box_index,
                       series[i].begin());
         }
         core::SignatureModel fit =
-            core::fit_signature_model(series, config, degradations);
+            core::fit_signature_model(series, config, degradations, slo);
         forecast::MlpForecasterOptions mlp;
         mlp.seasonal_period = windows_per_day_;
         mlp.train.epochs = config_.train_epochs;

@@ -360,6 +360,18 @@ BoxTrace generate_box(const TraceGenOptions& options, int index) {
 }
 
 Trace generate_trace(const TraceGenOptions& options) {
+    // Checked before anything is allocated: a negative count would turn
+    // into a huge reserve().
+    const auto check = [](const char* field, int value, int min) {
+        if (value < min) {
+            throw std::invalid_argument(std::string("generate_trace: ") + field +
+                                        " must be >= " + std::to_string(min) +
+                                        ", got " + std::to_string(value));
+        }
+    };
+    check("num_boxes", options.num_boxes, 0);
+    check("num_days", options.num_days, 1);
+    check("windows_per_day", options.windows_per_day, 1);
     Trace trace;
     trace.windows_per_day = options.windows_per_day;
     trace.num_days = options.num_days;

@@ -58,7 +58,9 @@ struct TraceGenOptions {
     double capacity_headroom_max = 1.05;
 };
 
-/// Generates a synthetic data-center monitoring trace.
+/// Generates a synthetic data-center monitoring trace. Throws
+/// std::invalid_argument naming the field when num_boxes < 0, num_days < 1
+/// or windows_per_day < 1.
 Trace generate_trace(const TraceGenOptions& options);
 
 /// Generates a single box (box `index` of the trace with the given

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/errors.hpp"
-#include "exec/fault.hpp"
 #include "exec/io.hpp"
 #include "obs/metrics.hpp"
 #include "tracegen/trace_io.hpp"
@@ -257,8 +256,7 @@ void write_trace_binary_file(const std::string& path, const Trace& trace) {
 }
 
 Trace read_trace_binary_file(const std::string& path,
-                             obs::MetricsRegistry* metrics,
-                             const exec::FaultPlan* faults) {
+                             obs::MetricsRegistry* metrics) {
     obs::ScopedTimer load_timer(metrics, "trace.load");
     const MappedFile file(path);
     if (file.size < kHeaderBytes) fail("truncated header in " + path);
@@ -315,8 +313,6 @@ Trace read_trace_binary_file(const std::string& path,
     std::uint64_t vms_seen = 0;
 
     for (std::uint64_t b = 0; b < box_count; ++b) {
-        const exec::FaultContext fault{faults, trace.boxes.size()};
-        ATM_FAULT_SITE(fault, "trace.box");
         trace.boxes.emplace_back();
         BoxTrace& box = trace.boxes.back();
         box.name = index.read_name("box name");
@@ -373,12 +369,11 @@ Trace read_trace_binary_file(const std::string& path,
 }
 
 Trace read_trace_any_file(const std::string& path, int windows_per_day,
-                          obs::MetricsRegistry* metrics,
-                          const exec::FaultPlan* faults) {
+                          obs::MetricsRegistry* metrics) {
     if (is_trace_binary_file(path)) {
-        return read_trace_binary_file(path, metrics, faults);
+        return read_trace_binary_file(path, metrics);
     }
-    return read_trace_csv_file(path, windows_per_day, metrics, faults);
+    return read_trace_csv_file(path, windows_per_day, metrics);
 }
 
 }  // namespace atm::trace

@@ -8,10 +8,6 @@ namespace atm::obs {
 class MetricsRegistry;
 }
 
-namespace atm::exec {
-struct FaultPlan;
-}
-
 namespace atm::trace {
 
 /// Compact binary columnar trace format `atm.trace.bin.v1`
@@ -68,13 +64,11 @@ void write_trace_binary_file(const std::string& path, const Trace& trace);
 
 /// Loads a binary trace. The file is mmap'd read-only when possible
 /// (falling back to a buffered read), fully validated (see layout
-/// comment), and decoded with one bulk copy per series. Counters and
-/// the fault site match the CSV reader: `trace.rows` / `trace.boxes` /
-/// `trace.vms`, timer `trace.load`, and site "trace.box" keyed by box
-/// ordinal — a fault plan produces the same injection on either format.
+/// comment), and decoded with one bulk copy per series. Counters match
+/// the CSV reader: `trace.rows` / `trace.boxes` / `trace.vms` and timer
+/// `trace.load`.
 [[nodiscard]] Trace read_trace_binary_file(
-    const std::string& path, obs::MetricsRegistry* metrics = nullptr,
-    const exec::FaultPlan* faults = nullptr);
+    const std::string& path, obs::MetricsRegistry* metrics = nullptr);
 
 /// Format-sniffing loader: binary when the magic matches (header
 /// metadata wins over `windows_per_day`), CSV otherwise. Every CLI
@@ -82,7 +76,6 @@ void write_trace_binary_file(const std::string& path, const Trace& trace);
 /// interchangeable everywhere.
 [[nodiscard]] Trace read_trace_any_file(const std::string& path,
                                         int windows_per_day = 96,
-                                        obs::MetricsRegistry* metrics = nullptr,
-                                        const exec::FaultPlan* faults = nullptr);
+                                        obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace atm::trace

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "exec/fault.hpp"
 #include "exec/io.hpp"
 #include "obs/metrics.hpp"
 
@@ -101,8 +100,7 @@ void write_trace_csv_file(const std::string& path, const Trace& trace) {
 }
 
 Trace read_trace_csv(std::istream& in, int windows_per_day,
-                     obs::MetricsRegistry* metrics,
-                     const exec::FaultPlan* faults) {
+                     obs::MetricsRegistry* metrics) {
     obs::ScopedTimer load_timer(metrics, "trace.load");
     Trace trace;
     trace.windows_per_day = windows_per_day;
@@ -123,8 +121,6 @@ Trace read_trace_csv(std::istream& in, int windows_per_day,
                 throw std::runtime_error("trace csv line " + std::to_string(line_no) +
                                          ": #box needs 5 fields");
             }
-            const exec::FaultContext fault{faults, trace.boxes.size()};
-            ATM_FAULT_SITE(fault, "trace.box");
             trace.boxes.emplace_back();
             box = &trace.boxes.back();
             box->name = f[1];
@@ -183,11 +179,10 @@ Trace read_trace_csv(std::istream& in, int windows_per_day,
 }
 
 Trace read_trace_csv_file(const std::string& path, int windows_per_day,
-                          obs::MetricsRegistry* metrics,
-                          const exec::FaultPlan* faults) {
+                          obs::MetricsRegistry* metrics) {
     std::ifstream in(path);
     if (!in) throw std::runtime_error("read_trace_csv_file: cannot open " + path);
-    return read_trace_csv(in, windows_per_day, metrics, faults);
+    return read_trace_csv(in, windows_per_day, metrics);
 }
 
 }  // namespace atm::trace

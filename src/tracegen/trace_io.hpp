@@ -9,10 +9,6 @@ namespace atm::obs {
 class MetricsRegistry;
 }
 
-namespace atm::exec {
-struct FaultPlan;
-}
-
 namespace atm::trace {
 
 /// CSV schema for monitoring traces, one row per (box, VM, window):
@@ -48,17 +44,11 @@ void write_trace_csv_file(const std::string& path, const Trace& trace);
 ///
 /// When `metrics` is non-null, records `trace.rows`, `trace.boxes` and
 /// `trace.vms` counters plus a `trace.load` timer span.
-///
-/// `faults` arms the chaos-testing site "trace.box" (entity = box
-/// ordinal): a firing rule makes the read throw exec::InjectedFault at
-/// that box's directive line. Null means no injection.
 Trace read_trace_csv(std::istream& in, int windows_per_day = 96,
-                     obs::MetricsRegistry* metrics = nullptr,
-                     const exec::FaultPlan* faults = nullptr);
+                     obs::MetricsRegistry* metrics = nullptr);
 
 /// Convenience: reads from a file path.
 Trace read_trace_csv_file(const std::string& path, int windows_per_day = 96,
-                          obs::MetricsRegistry* metrics = nullptr,
-                          const exec::FaultPlan* faults = nullptr);
+                          obs::MetricsRegistry* metrics = nullptr);
 
 }  // namespace atm::trace

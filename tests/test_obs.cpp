@@ -107,18 +107,6 @@ TEST(MetricsRegistryTest, GaugesLastWriteWins) {
     EXPECT_DOUBLE_EQ(registry.snapshot().gauges.at("level"), 2.5);
 }
 
-TEST(MetricsRegistryTest, DisabledRegistryRecordsNothing) {
-    obs::MetricsRegistry registry(/*enabled=*/false);
-    registry.add("events");
-    registry.set_gauge("level", 1.0);
-    registry.observe("dist", 0.5);
-    registry.record_ns("span", 100);
-    {
-        obs::ScopedTimer timer(&registry, "scoped");
-    }
-    EXPECT_TRUE(registry.snapshot().empty());
-}
-
 TEST(MetricsRegistryTest, NullRegistryScopedTimerIsANoop) {
     obs::ScopedTimer timer(nullptr, "whatever");
     timer.stop();  // must not crash

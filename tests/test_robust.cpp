@@ -15,9 +15,11 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "cluster/dtw.hpp"
 #include "core/fleet.hpp"
 #include "core/fleet_journal.hpp"
 #include "core/pipeline.hpp"
@@ -26,7 +28,10 @@
 #include "exec/fault.hpp"
 #include "exec/journal.hpp"
 #include "exec/seed.hpp"
+#include "forecast/nn.hpp"
 #include "linalg/simd/simd.hpp"
+#include "resize/mckp.hpp"
+#include "timeseries/features.hpp"
 #include "tracegen/generator.hpp"
 
 namespace atm {
@@ -903,54 +908,98 @@ TEST(JournalCodecTest, SeededMutationsDecodeOrThrowNeverCrash) {
     EXPECT_GT(decoded, 0u);  // some edits hit only string contents
 }
 
-// ---------------------------------------------------------------- deadlines
+// ------------------------------------------------------ cancellation points
 
-TEST(DeadlineTest, ImpossibleDeadlineFailsEveryBoxWithoutStalling) {
-    const trace::Trace t = chaos_trace(4);
-    core::FleetConfig config = chaos_config("", 1);
-    config.box_deadline_seconds = 1e-9;
-    const std::string path = journal_path("atm_deadline.jsonl");
-    config.checkpoint_path = path;
+// serve's SLO token is the only in-flight token, and below the pipeline's
+// stage boundaries it reaches three loop checkpoints. A pre-cancelled
+// token trips each at its first check, naming the point; a null token
+// leaves the result exactly as a call without one.
+TEST(CancellationPointTest, SloLoopPointsThrowNamingThemselvesAndNullIsInert) {
+    exec::CancellationToken tripped;
+    tripped.cancel();
+    const auto expect_trip = [](const std::string& where, const auto& call) {
+        try {
+            call();
+            ADD_FAILURE() << where << ": expected OperationCancelled";
+        } catch (const exec::OperationCancelled& e) {
+            EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+                << e.what();
+        }
+    };
 
-    const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
-    ASSERT_EQ(fleet.boxes.size(), 4u);
-    EXPECT_EQ(fleet.boxes_failed, 4u);
-    for (const core::FleetBoxResult& b : fleet.boxes) {
-        EXPECT_EQ(b.error_code, PipelineErrorCode::kDeadlineExceeded);
-        EXPECT_FALSE(b.error_stage.empty());  // names the cancellation point
+    // search.dtw: checked once per series pair.
+    la::FlatMatrix series(3, 24);
+    for (std::size_t i = 0; i < 3; ++i) {
+        for (std::size_t t = 0; t < 24; ++t) {
+            series(i, t) = std::sin(0.3 * static_cast<double>(t + 2 * i)) +
+                           static_cast<double>(i);
+        }
     }
-    EXPECT_EQ(fleet.failures_by_code.at(PipelineErrorCode::kDeadlineExceeded),
-              4u);
-    EXPECT_EQ(fleet.metrics.counter("robust.error.deadline-exceeded"), 4u);
-
-    // Deadline outcomes describe THIS run's interruption, not the box:
-    // they are never journaled, so a resume without the deadline gets to
-    // evaluate every box for real.
-    EXPECT_TRUE(exec::load_journal(path).records.empty());
-    core::FleetConfig resume = chaos_config("", 1);
-    resume.checkpoint_path = path;
-    resume.resume = true;
-    const core::FleetResult resumed = core::run_pipeline_on_fleet(t, resume);
-    EXPECT_EQ(resumed.boxes_replayed, 0u);
-    EXPECT_EQ(resumed.boxes_failed, 0u);
-    expect_fleet_equal(core::run_pipeline_on_fleet(t, chaos_config("", 1)),
-                       resumed);
-    std::remove(path.c_str());
-}
-
-TEST(DeadlineTest, GenerousDeadlineChangesNothing) {
-    const trace::Trace t = chaos_trace(4);
-    const core::FleetResult plain =
-        core::run_pipeline_on_fleet(t, chaos_config("", 1));
-    // 1e10 s and up overflow int64 nanoseconds: the deadline must saturate
-    // instead of wrapping into one that has already passed.
-    for (const double seconds : {3600.0, 1e10, 1e300}) {
-        core::FleetConfig config = chaos_config("", 1);
-        config.box_deadline_seconds = seconds;
-        const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
-        EXPECT_EQ(fleet.boxes_failed, 0u) << seconds << " s";
-        expect_fleet_equal(plain, fleet);
+    expect_trip("search.dtw", [&] {
+        (void)cluster::dtw_distance_matrix(series, 4, nullptr, &tripped);
+    });
+    const la::FlatMatrix dtw = cluster::dtw_distance_matrix(series, 4);
+    const la::FlatMatrix dtw_null =
+        cluster::dtw_distance_matrix(series, 4, nullptr, nullptr);
+    ASSERT_EQ(dtw.size(), dtw_null.size());
+    for (std::size_t i = 0; i < dtw.size(); ++i) {
+        for (std::size_t j = 0; j < dtw.size(); ++j) {
+            EXPECT_EQ(dtw(i, j), dtw_null(i, j));
+        }
     }
+
+    // forecast.mlp.epoch: checked at the top of every epoch.
+    std::vector<double> history(60);
+    for (std::size_t t = 0; t < history.size(); ++t) {
+        history[t] = 1.0 + std::sin(0.5 * static_cast<double>(t));
+    }
+    la::FlatMatrix inputs;
+    std::vector<double> targets;
+    ts::make_lag_dataset_flat(history, 4, 12, inputs, targets);
+    forecast::MlpTrainOptions plain;
+    plain.epochs = 5;
+    const auto train_one = [&](forecast::MlpNetwork& network,
+                               const forecast::MlpTrainOptions& options) {
+        forecast::MlpTrainJob job{&network, &inputs, targets, options};
+        forecast::train(std::span<forecast::MlpTrainJob>(&job, 1));
+        return job.loss;
+    };
+    forecast::MlpTrainOptions cancelled = plain;
+    cancelled.cancel = &tripped;
+    forecast::MlpNetwork aborted({5, 6, 1}, 7);
+    expect_trip("forecast.mlp.epoch",
+                [&] { (void)train_one(aborted, cancelled); });
+    forecast::MlpTrainOptions null_token = plain;
+    null_token.cancel = nullptr;
+    forecast::MlpNetwork without({5, 6, 1}, 7);
+    forecast::MlpNetwork with_null({5, 6, 1}, 7);
+    EXPECT_EQ(train_one(without, plain), train_one(with_null, null_token));
+    EXPECT_EQ(without.predict(inputs[0]), with_null.predict(inputs[0]));
+
+    // resize.mckp: checked every 64 downgrades, starting with the first.
+    resize::MckpInstance instance;
+    double max_sum = 0.0;
+    for (int i = 0; i < 4; ++i) {
+        std::vector<double> demand(16);
+        for (std::size_t t = 0; t < demand.size(); ++t) {
+            demand[t] = 5.0 + 4.0 * std::sin(0.4 * static_cast<double>(t) + i);
+        }
+        instance.groups.push_back(
+            resize::build_reduced_demand_set(demand, 0.6, 0.0));
+        max_sum += instance.groups.back().candidates.front().capacity;
+    }
+    instance.total_capacity = max_sum * 0.6;  // forces downgrades
+    expect_trip("resize.mckp", [&] {
+        (void)resize::solve_mckp_greedy(instance, nullptr, &tripped);
+    });
+    const resize::MckpSolution greedy = resize::solve_mckp_greedy(instance);
+    const resize::MckpSolution greedy_null =
+        resize::solve_mckp_greedy(instance, nullptr, nullptr);
+    EXPECT_EQ(greedy.choice, greedy_null.choice);
+    EXPECT_EQ(greedy.capacities, greedy_null.capacities);
+    EXPECT_EQ(greedy.total_tickets, greedy_null.total_tickets);
+    EXPECT_EQ(greedy.used_capacity, greedy_null.used_capacity);
+    EXPECT_EQ(greedy.feasible, greedy_null.feasible);
 }
 
 // -------------------------------------------------------------- stop token
@@ -959,7 +1008,7 @@ TEST(StopTokenTest, PreCancelledStopDrainsEveryBoxAndResumeFinishesTheJob) {
     const trace::Trace t = chaos_trace(4);
     const std::string path = journal_path("atm_drain.jsonl");
     exec::CancellationToken stop;
-    stop.cancel(exec::CancelReason::kStop);
+    stop.cancel();
 
     core::FleetConfig config = chaos_config("", 1);
     config.checkpoint_path = path;
@@ -988,22 +1037,11 @@ TEST(StopTokenTest, PreCancelledStopDrainsEveryBoxAndResumeFinishesTheJob) {
 // ------------------------------------------------------------ config checks
 
 TEST(ResilienceConfigTest, ValidateReportsExactMessages) {
-    for (const double seconds :
-         {-1.0, std::numeric_limits<double>::infinity()}) {
-        core::FleetConfig config;
-        config.box_deadline_seconds = seconds;
-        EXPECT_EQ(config.validate(),
-                  "box_deadline_seconds must be finite and > 0 (or 0 to "
-                  "disable), got " +
-                      std::to_string(seconds));
-    }
-    {
-        core::FleetConfig config;
-        config.resume = true;
-        EXPECT_EQ(config.validate(), "resume requires a non-empty checkpoint_path");
-        config.checkpoint_path = "journal.jsonl";
-        EXPECT_TRUE(config.validate().empty());
-    }
+    core::FleetConfig config;
+    config.resume = true;
+    EXPECT_EQ(config.validate(), "resume requires a non-empty checkpoint_path");
+    config.checkpoint_path = "journal.jsonl";
+    EXPECT_TRUE(config.validate().empty());
 }
 
 // -------------------------------------------------- degradation ladder units

@@ -14,7 +14,6 @@
 #include <string>
 
 #include "core/errors.hpp"
-#include "exec/fault.hpp"
 #include "obs/metrics.hpp"
 #include "tracegen/generator.hpp"
 #include "tracegen/trace_binary.hpp"
@@ -237,21 +236,6 @@ TEST(TraceBinaryTest, RejectsNonFiniteSamples) {
 
 TEST(TraceBinaryTest, MissingFileThrowsPipelineError) {
     expect_invalid(temp_path("atm_trace_does_not_exist.bin"), "open");
-}
-
-TEST(TraceBinaryTest, FaultInjectionArmsPerBoxSite) {
-    // The loader exposes the same "trace.box" chaos site as the CSV
-    // reader, keyed by box position, so fault plans behave identically
-    // on both formats.
-    const Trace original = small_trace();
-    const std::string path = temp_path("atm_trace_fault.bin");
-    write_trace_binary_file(path, original);
-    const exec::FaultPlan plan = exec::FaultPlan::parse("trace.box=throw@1", 3);
-    EXPECT_THROW(
-        { (void)read_trace_binary_file(path, nullptr, &plan); },
-        exec::InjectedFault);
-    // A null plan is inert.
-    EXPECT_NO_THROW({ (void)read_trace_binary_file(path, nullptr, nullptr); });
 }
 
 TEST(TraceBinaryTest, HeaderMetadataWinsOverCallerWindowsPerDay) {

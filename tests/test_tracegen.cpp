@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "ticketing/characterization.hpp"
 #include "timeseries/stats.hpp"
@@ -180,6 +182,33 @@ TEST(GeneratorTest, InvalidTimeGridThrows) {
     TraceGenOptions options = small_options();
     options.windows_per_day = 0;
     EXPECT_THROW(generate_box(options, 0), std::invalid_argument);
+}
+
+TEST(GeneratorTest, OutOfRangeSizesAreRejectedNamingTheField) {
+    // Each case would otherwise reach an allocation (a negative count is a
+    // huge reserve()) or the per-box grid check; the message names the
+    // offending field.
+    const std::pair<const char*, void (*)(TraceGenOptions&)> cases[] = {
+        {"num_boxes", [](TraceGenOptions& o) { o.num_boxes = -1; }},
+        {"num_days", [](TraceGenOptions& o) { o.num_days = 0; }},
+        {"num_days", [](TraceGenOptions& o) { o.num_days = -3; }},
+        {"windows_per_day", [](TraceGenOptions& o) { o.windows_per_day = 0; }},
+    };
+    for (const auto& [field, mutate] : cases) {
+        TraceGenOptions options = small_options();
+        mutate(options);
+        try {
+            (void)generate_trace(options);
+            ADD_FAILURE() << field << ": expected std::invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    }
+    // Zero boxes is a valid (empty) trace.
+    TraceGenOptions empty = small_options();
+    empty.num_boxes = 0;
+    EXPECT_TRUE(generate_trace(empty).boxes.empty());
 }
 
 // --- statistical targets from Section II (coarse tolerance bands) --------

@@ -49,8 +49,8 @@ namespace {
 using namespace atm;
 
 /// Operator stop token for the fleet subcommands. `cancel()` is
-/// async-signal-safe (a relaxed atomic CAS), so the SIGINT handler may
-/// trip it directly.
+/// async-signal-safe (one lock-free atomic store), so the SIGINT handler
+/// may trip it directly.
 exec::CancellationToken g_stop;  // NOLINT(cert-err58-cpp)
 
 extern "C" void handle_stop_signal(int sig) {
@@ -62,7 +62,7 @@ extern "C" void handle_stop_signal(int sig) {
         std::raise(sig);
         return;
     }
-    g_stop.cancel(exec::CancelReason::kStop);
+    g_stop.cancel();
 }
 
 /// First SIGINT/SIGTERM drains (finish in-flight work, journal it, write
@@ -102,8 +102,6 @@ void add_pipeline_flags(exec::ArgParser& parser) {
         .option("checkpoint", "",
                 "append-only journal of completed boxes; enables --resume "
                 "after a crash or kill")
-        .option("box-deadline", "0",
-                "per-box wall-clock deadline in seconds; 0 = none")
         .flag("resume",
               "replay boxes already recorded in --checkpoint instead of "
               "recomputing them")
@@ -179,7 +177,6 @@ core::FleetConfig fleet_config_from_flags(const exec::ArgParser& parser) {
         config.checkpoint_path = checkpoint;
     }
     config.resume = parser.get_flag("resume");
-    config.box_deadline_seconds = parser.get_double("box-deadline");
 
     // Reproducible chaos runs (see DESIGN.md §7.11); a malformed spec is a
     // usage error reported before any work starts.
@@ -219,7 +216,12 @@ int cmd_generate(int argc, char** argv) {
     options.num_boxes = parser.get_int("boxes");
     options.num_days = parser.get_int("days");
     options.seed = parser.get_u64("seed");
-    const trace::Trace t = trace::generate_trace(options);
+    trace::Trace t;
+    try {
+        t = trace::generate_trace(options);
+    } catch (const std::invalid_argument& e) {
+        throw exec::ArgParseError(e.what());
+    }
     const std::string out = parser.get("out");
     if (wants_binary_trace(out)) {
         trace::write_trace_binary_file(out, t);
@@ -328,7 +330,7 @@ int cmd_predict(int argc, char** argv) {
     config.stop = &g_stop;
     // Trace loading happens outside any box pipeline, so its metrics live
     // in a CLI-owned registry merged into the report as `extra`.
-    obs::MetricsRegistry cli_metrics(config.collect_metrics);
+    obs::MetricsRegistry cli_metrics;
     const trace::Trace t = trace::read_trace_any_file(
         parser.get("trace.csv"), 96,
         config.collect_metrics ? &cli_metrics : nullptr);
@@ -398,7 +400,7 @@ int cmd_resize(int argc, char** argv) {
     }
     install_sigint_drain();
     config.stop = &g_stop;
-    obs::MetricsRegistry cli_metrics(config.collect_metrics);
+    obs::MetricsRegistry cli_metrics;
     const trace::Trace t = trace::read_trace_any_file(
         parser.get("trace.csv"), 96,
         config.collect_metrics ? &cli_metrics : nullptr);
