@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "exec/cancel.hpp"
 #include "linalg/simd/simd.hpp"
 #include "obs/metrics.hpp"
 
@@ -99,8 +98,7 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band) {
 }
 
 la::FlatMatrix dtw_distance_matrix(const la::FlatMatrix& series, int band,
-                                   obs::MetricsRegistry* metrics,
-                                   const exec::CancellationToken* cancel) {
+                                   obs::MetricsRegistry* metrics) {
     const std::size_t n = series.rows();
     const std::size_t len = series.cols();
     la::FlatMatrix dist(n, n, 0.0);
@@ -135,9 +133,6 @@ la::FlatMatrix dtw_distance_matrix(const la::FlatMatrix& series, int band,
 
     for (std::size_t i = 0; i + 1 < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
-            // Cancellation point: one atomic load per O(len²) pair (a
-            // pending batch is abandoned uncomputed with the matrix).
-            exec::checkpoint(cancel, "search.dtw");
             if (pending == width) flush();
             batch_p[pending] = series[i].data();
             batch_q[pending] = series[j].data();

@@ -7,9 +7,6 @@
 #include "linalg/flat_matrix.hpp"
 #include "linalg/simd/simd.hpp"
 
-namespace atm::exec {
-class CancellationToken;
-}
 namespace atm::obs {
 class MetricsRegistry;
 }
@@ -68,15 +65,12 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band = -1);
 /// dominant cost of the DTW signature search. Zero-length rows give the
 /// all-zero matrix. When `metrics` is non-null the call records the
 /// `cluster.dtw.pairs` (n(n−1)/2) and `cluster.dtw.cells`
-/// (pairs × dtw_cell_count) counters. When `cancel` (serve's SLO token)
-/// is non-null it is checked once per pair ("search.dtw") so a window
-/// past its budget abandons the loop promptly. The pairs share one
-/// DtwWorkspace owned by the call, so its allocations do not grow with
-/// the number of series.
-la::FlatMatrix dtw_distance_matrix(
-    const la::FlatMatrix& series, int band = -1,
-    obs::MetricsRegistry* metrics = nullptr,
-    const exec::CancellationToken* cancel = nullptr);
+/// (pairs × dtw_cell_count) counters. The pairs share one DtwWorkspace
+/// owned by the call, so its allocations do not grow with the number of
+/// series.
+la::FlatMatrix dtw_distance_matrix(const la::FlatMatrix& series,
+                                   int band = -1,
+                                   obs::MetricsRegistry* metrics = nullptr);
 
 /// Full DTW alignment: the optimal warping path as (i, j) index pairs
 /// (0-based, monotone, from (0, 0) to (n-1, m-1)) plus the cumulative

@@ -173,10 +173,10 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
             slot.box_name = name;
             return;
         }
-        // Operator drain: boxes not yet started when the stop token trips
+        // Operator drain: boxes not yet started when the stop flag is set
         // are recorded as kCancelled — and NOT journaled, so a resume
         // evaluates them. In-flight boxes run to completion below.
-        if (config.stop != nullptr && config.stop->cancelled()) {
+        if (config.stop != nullptr && config.stop->load()) {
             slot.error = "cancelled before start (operator stop)";
             slot.error_code = PipelineErrorCode::kCancelled;
             slot.error_stage = "fleet";
@@ -218,7 +218,7 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
     for (const FleetBoxResult& b : fleet.boxes) {
         if (replayed.count(b.box_index) != 0) ++fleet.boxes_replayed;
     }
-    fleet.interrupted = config.stop != nullptr && config.stop->cancelled();
+    fleet.interrupted = config.stop != nullptr && config.stop->load();
     if (config.collect_metrics) {
         // Trace order, so the fleet merge is independent of scheduling.
         for (const FleetBoxResult& b : fleet.boxes) {

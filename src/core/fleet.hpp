@@ -1,12 +1,12 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "exec/cancel.hpp"
 
 namespace atm::core {
 
@@ -71,11 +71,11 @@ struct FleetConfig {
     /// the run starts fresh. Requires a non-empty `checkpoint_path`.
     bool resume = false;
 
-    /// Optional operator stop token (not owned). Once cancelled, boxes
-    /// not yet started are recorded as kCancelled (and not journaled)
-    /// while in-flight boxes run to completion and are journaled — the
-    /// graceful-drain half of the CLI's SIGINT handling.
-    const exec::CancellationToken* stop = nullptr;
+    /// Optional operator stop flag (not owned), checked between boxes.
+    /// Once set, boxes not yet started are recorded as kCancelled (and
+    /// not journaled) while in-flight boxes run to completion and are
+    /// journaled — the graceful-drain half of the CLI's SIGINT handling.
+    const std::atomic<bool>* stop = nullptr;
 
     /// Empty string when the configuration is usable; otherwise a
     /// human-readable description of every out-of-range value.

@@ -268,9 +268,6 @@ std::string encode_epoch_record(const ServeEpochRecord& record) {
     out.set("box", Value::of(static_cast<std::int64_t>(record.box_index)));
     out.set("epoch", Value::of(static_cast<std::uint64_t>(record.epoch)));
     out.set("ladder", Value::of(static_cast<std::int64_t>(record.ladder)));
-    out.set("searched", Value::of(record.searched));
-    out.set("retrained",
-            Value::of(static_cast<std::int64_t>(record.retrained)));
     out.set("cpu", double_array(record.cpu));
     out.set("ram", double_array(record.ram));
     return obs::json::serialize(out, 0);
@@ -282,11 +279,9 @@ ServeEpochRecord decode_epoch_record(const std::string& payload) {
     record.box_index = int_from(in.at("box"));
     record.epoch = in.at("epoch").as_u64();
     record.ladder = int_from(in.at("ladder"));
-    if (record.ladder < 0 || record.ladder > 15) {
-        throw std::runtime_error("serve journal: ladder mask out of range");
+    if (record.ladder != 0 && record.ladder != ServeEpochRecord::kIngestOnly) {
+        throw std::runtime_error("serve journal: ladder must be 0 or 8");
     }
-    record.searched = in.at("searched").as_bool();
-    record.retrained = int_from(in.at("retrained"));
     record.cpu = double_array_from(in.at("cpu"));
     record.ram = double_array_from(in.at("ram"));
     return record;

@@ -15,7 +15,7 @@ inline constexpr const char* kFleetJournalSchema = "atm.fleet-journal.v2";
 /// Schema tag of the serve daemon's epoch journal. Same framing as the
 /// fleet journal (exec::JournalWriter), but each record is one applied
 /// streaming window rather than one finished box.
-inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v2";
+inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v3";
 
 /// Digest of everything about the *input data* that affects per-box
 /// results: windows_per_day, per-box names/gap flags/VM counts and the
@@ -63,26 +63,19 @@ void mix_fault_plan(std::uint64_t& hash, const exec::FaultPlan& plan);
 /// truncated to the records before it.
 [[nodiscard]] FleetBoxResult decode_box_record(const std::string& payload);
 
-/// One applied streaming window in the serve journal. The record captures
-/// the *control decisions* the daemon took (shed-load rung, whether search
-/// or a retrain ran) plus the emitted
-/// recommendation. Warm restart replays incoming windows below a box's
-/// recorded next epoch with these decisions *forced*, so the rebuilt
-/// state, counters, and recommendations are bit-identical to the
-/// uninterrupted run even when the original decisions were driven by
-/// wall-clock SLO deadlines that would not reproduce.
+/// One applied streaming window in the serve journal: the outcome the
+/// daemon emitted. Every input of a window is deterministic, so warm
+/// restart re-applies each re-sent window below a box's recorded next
+/// epoch with the same live code and checks the result against this
+/// record; a mismatch is a broken determinism contract.
 struct ServeEpochRecord {
+    /// `ladder` of a window whose injected apply fault fired: no model
+    /// output, no recommendation.
+    static constexpr int kIngestOnly = 8;
+
     int box_index = 0;
     std::uint64_t epoch = 0;
-    /// Shed-load ladder, encoded as a bitmask because the rungs are not
-    /// strictly nested (a window can compute a fresh forecast and still
-    /// shed the resize step): 0 full work, bit 1 = model refresh skipped
-    /// (search or retrain), bit 2 = last forecast reused, bit 4 = max-min
-    /// fallback resize, bit 8 = ingest only (an injected apply fault
-    /// fired, or no model and nothing to shed to).
-    int ladder = 0;
-    bool searched = false;  ///< signature search (re-)ran this window
-    int retrained = 0;      ///< 0 none, 1 warm retrain, 2 cold refit
+    int ladder = 0;  ///< 0 full work, or kIngestOnly
     std::vector<double> cpu;  ///< per-VM recommended CPU allocation (GHz)
     std::vector<double> ram;  ///< per-VM recommended RAM allocation (GB)
 };

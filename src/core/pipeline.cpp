@@ -32,15 +32,6 @@ void note_degradation(std::vector<Degradation>& degradations,
         Degradation{code, std::move(stage), std::move(detail)});
 }
 
-/// Cancellation must escape the degradation ladder: the search and
-/// spatial rungs' catch blocks call this first, so a serve window whose
-/// SLO tripped mid-search sheds the search instead of "recovering" onto a
-/// fallback and burning the rest of its budget. Only valid inside a catch
-/// block.
-void rethrow_if_cancelled(const std::exception& e) {
-    if (dynamic_cast<const exec::OperationCancelled*>(&e) != nullptr) throw;
-}
-
 /// Classifies an in-flight exception for degradation bookkeeping:
 /// injected faults and PipelineErrors keep their own code; anything else
 /// gets the rung's default code.
@@ -148,10 +139,9 @@ void run_policies_for_kind(
 
 }  // namespace
 
-SignatureModel fit_signature_model(
-    const la::FlatMatrix& series, const PipelineConfig& config,
-    std::vector<Degradation>& degradations,
-    const exec::CancellationToken* cancel) {
+SignatureModel fit_signature_model(const la::FlatMatrix& series,
+                                   const PipelineConfig& config,
+                                   std::vector<Degradation>& degradations) {
     obs::MetricsRegistry* metrics = config.metrics;
     // All-signature fallback shared by the search and spatial rungs: with
     // every series a signature there are no dependents, so neither
@@ -164,11 +154,9 @@ SignatureModel fit_signature_model(
     SignatureModel model;
     {
         obs::ScopedTimer timer(metrics, "stage.search");
-        exec::checkpoint(cancel, "pipeline.search");
         ATM_FAULT_SITE(config.fault, "pipeline.search");
         SignatureSearchOptions search = config.search;
         search.metrics = metrics;
-        search.cancel = cancel;
         try {
             ATM_FAULT_SITE(config.fault, "search.step1");
             model.search = find_signatures(series, search);
@@ -181,7 +169,6 @@ SignatureModel fit_signature_model(
                                     "search", "silhouette undefined");
             }
         } catch (const std::exception& e) {
-            rethrow_if_cancelled(e);
             const PipelineErrorCode code =
                 classify_current(e, PipelineErrorCode::kSearchDegenerate);
             model.search = SignatureSearchResult{};
@@ -196,7 +183,6 @@ SignatureModel fit_signature_model(
     }
     {
         obs::ScopedTimer timer(metrics, "stage.spatial_fit");
-        exec::checkpoint(cancel, "pipeline.spatial");
         ATM_FAULT_SITE(config.fault, "pipeline.spatial");
         try {
             ATM_FAULT_SITE(config.fault, "spatial.ols");
@@ -208,7 +194,6 @@ SignatureModel fit_signature_model(
                                      " dependent series refit with ridge");
             }
         } catch (const std::exception& e) {
-            rethrow_if_cancelled(e);
             // Even ridge failed (or a fault fired): collapse to the
             // all-signature set, which has no regressions left to solve.
             const PipelineErrorCode code =
@@ -388,7 +373,7 @@ BoxPipelineResult run_pipeline_on_box(
 
     // --- signature search + spatial model on the training window -----------
     SignatureModel model =
-        fit_signature_model(scoped_train, config, result.degradations, nullptr);
+        fit_signature_model(scoped_train, config, result.degradations);
     result.search = std::move(model.search);
     const SpatialModel& spatial = model.spatial;
 

@@ -7,7 +7,6 @@
 #include "core/errors.hpp"
 #include "core/signature_search.hpp"
 #include "core/spatial_model.hpp"
-#include "exec/cancel.hpp"
 #include "exec/fault.hpp"
 #include "forecast/forecaster.hpp"
 #include "obs/metrics.hpp"
@@ -127,20 +126,16 @@ struct SignatureModel {
 /// (throws, empty set, undefined silhouette) or a fit that fails even with
 /// ridge falls back to the all-signature set. Each fired rung lands in
 /// `degradations` and as `robust.fallback.<stage>` in config.metrics, next
-/// to the `stage.search` / `stage.spatial_fit` timers. `cancel` (optional,
-/// not owned) is serve's SLO token: it is checked before each rung and per
-/// DTW pair, and the exec::OperationCancelled it raises escapes the ladder
-/// instead of engaging a fallback. The batch pipeline passes null.
-SignatureModel fit_signature_model(
-    const la::FlatMatrix& series, const PipelineConfig& config,
-    std::vector<Degradation>& degradations,
-    const exec::CancellationToken* cancel);
+/// to the `stage.search` / `stage.spatial_fit` timers.
+SignatureModel fit_signature_model(const la::FlatMatrix& series,
+                                   const PipelineConfig& config,
+                                   std::vector<Degradation>& degradations);
 
 /// The resize input of one resource kind on `box`, shared by the batch
 /// pipeline and serve: per-VM `demands` and current capacities, epsilon
 /// steps of `epsilon_pct` % of each capacity (none when <= 0), and with a
 /// non-empty `last_day` each VM's peak over last_day[i] as its lower bound
-/// (Section IV-A1). `metrics` and `cancel` are left for the caller.
+/// (Section IV-A1). `metrics` is left for the caller.
 resize::ResizeInput make_resize_input(
     const trace::BoxTrace& box, ts::ResourceKind kind,
     std::vector<std::vector<double>> demands, double alpha, double epsilon_pct,

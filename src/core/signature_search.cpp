@@ -47,8 +47,8 @@ SignatureSearchResult find_signatures(const la::FlatMatrix& series,
     } else if (options.method == ClusteringMethod::kDtw) {
         // The matrix is the expensive part: computed once, it serves the
         // whole cluster sweep and medoid pick.
-        const la::FlatMatrix dist = cluster::dtw_distance_matrix(
-            series, options.dtw_band, metrics, options.cancel);
+        const la::FlatMatrix dist =
+            cluster::dtw_distance_matrix(series, options.dtw_band, metrics);
         // k in [2, n/2] per the paper ("we aim to reduce the original set to
         // at least its half"); n < 4 degenerates to k = 2.
         const int k_max = std::max(2, n / 2);

@@ -6,9 +6,6 @@
 #include "cluster/hierarchical.hpp"
 #include "linalg/flat_matrix.hpp"
 
-namespace atm::exec {
-class CancellationToken;
-}
 namespace atm::obs {
 class MetricsRegistry;
 }
@@ -48,10 +45,6 @@ struct SignatureSearchOptions {
     /// `search.cluster` (Step 1) and `search.vif` (Step 2) timers, and is
     /// forwarded to the DTW matrix and the VIF reduction.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Optional cooperative-cancellation token (not owned), forwarded to
-    /// the DTW distance matrix, which checks it once per series pair —
-    /// the search's only super-linear loop. Null disables the checks.
-    const exec::CancellationToken* cancel = nullptr;
 };
 
 /// Result of the signature search over a box's series set.

@@ -51,8 +51,8 @@ class MlpForecaster final : public Forecaster {
     [[nodiscard]] double forecast_next(std::span<const double> window) const;
 
     /// Warm-start retrain on the rolling `window`: `train` (epochs, seed,
-    /// metrics, cancel) continues from the current weights in the scaler
-    /// pinned at the last cold fit; under 4 lag examples it is a no-op.
+    /// metrics) continues from the current weights in the scaler pinned
+    /// at the last cold fit; under 4 lag examples it is a no-op.
     /// An unfitted or degenerate model, or a window reaching more than
     /// half the pinned span outside it, refits cold instead, with
     /// options().train.epochs and `train`'s other fields. Returns true on

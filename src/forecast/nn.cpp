@@ -6,7 +6,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "exec/cancel.hpp"
 #include "linalg/simd/simd.hpp"
 #include "obs/metrics.hpp"
 
@@ -270,9 +269,6 @@ void train(std::span<MlpTrainJob> jobs) {
             for (std::size_t b = 0; b < lane_count; ++b) {
                 LaneState& lane = lanes[b];
                 if (lane.job == nullptr) continue;
-                // Cancellation point: one atomic load per lane and group
-                // epoch, so a window past its SLO stops mid-training.
-                exec::checkpoint(lane.job->options.cancel, "forecast.mlp.epoch");
                 ++lane.epochs_run;
                 std::shuffle(lane.order.begin(), lane.order.end(),
                              lane.shuffle_rng);

@@ -8,9 +8,6 @@
 #include "linalg/flat_matrix.hpp"
 #include "linalg/simd/simd.hpp"
 
-namespace atm::exec {
-class CancellationToken;
-}
 namespace atm::obs {
 class MetricsRegistry;
 }
@@ -37,12 +34,6 @@ struct MlpTrainOptions {
     /// `forecast.mlp.epochs` / `forecast.mlp.examples` counters. Early
     /// stopping is seed-deterministic, so both counters are too.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Optional cooperative-cancellation token (not owned; serve's SLO
-    /// token): train() checks it ("forecast.mlp.epoch") at the top of
-    /// every epoch of its lane group, while this job holds a lane, and
-    /// aborts the whole batch with exec::OperationCancelled when tripped.
-    /// Null disables the check.
-    const exec::CancellationToken* cancel = nullptr;
 };
 
 struct MlpTrainJob;

@@ -6,7 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "exec/cancel.hpp"
 #include "obs/metrics.hpp"
 
 namespace atm::resize {
@@ -49,8 +48,7 @@ MckpSolution assemble(const MckpInstance& instance, std::vector<int> choice,
 }  // namespace
 
 MckpSolution solve_mckp_greedy(const MckpInstance& instance,
-                               obs::MetricsRegistry* metrics,
-                               const exec::CancellationToken* cancel) {
+                               obs::MetricsRegistry* metrics) {
     validate(instance);
     const std::size_t n = instance.groups.size();
     std::vector<int> choice(n, 0);  // start: max capacity = fewest tickets
@@ -62,9 +60,6 @@ MckpSolution solve_mckp_greedy(const MckpInstance& instance,
 
     std::uint64_t iterations = 0;
     while (used > instance.total_capacity + 1e-9) {
-        // Cancellation point every 64 downgrades: cheap relative to the
-        // O(n) scan below, frequent enough for SLO responsiveness.
-        if ((iterations & 63u) == 0) exec::checkpoint(cancel, "resize.mckp");
         double best_mtrv = std::numeric_limits<double>::infinity();
         std::size_t best_i = n;
         double best_current_cap = -1.0;

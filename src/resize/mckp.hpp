@@ -4,9 +4,6 @@
 
 #include "resize/reduced_demand.hpp"
 
-namespace atm::exec {
-class CancellationToken;
-}
 namespace atm::obs {
 class MetricsRegistry;
 }
@@ -47,14 +44,8 @@ struct MckpSolution {
 /// When `metrics` is non-null, records deterministic counters:
 /// `resize.mckp.groups`, `resize.mckp.greedy_iterations` (downgrade
 /// steps taken) and `resize.mckp.infeasible`.
-///
-/// `cancel` (optional, not owned; serve's SLO token) is a cooperative-
-/// cancellation token checked every 64 downgrade iterations
-/// ("resize.mckp") so a window past its SLO aborts mid-solve. Null
-/// disables the check.
 MckpSolution solve_mckp_greedy(const MckpInstance& instance,
-                               obs::MetricsRegistry* metrics = nullptr,
-                               const exec::CancellationToken* cancel = nullptr);
+                               obs::MetricsRegistry* metrics = nullptr);
 
 /// Exact MCKP solver via dynamic programming over a discretized capacity
 /// grid of `grid_steps` cells (capacities are scaled down — conservatively

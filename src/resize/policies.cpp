@@ -107,7 +107,7 @@ ResizeResult atm_resize(const ResizeInput& input) {
     validate(input);
     return from_solution(
         input, solve_mckp_greedy(build_instance(input, /*discretize=*/true),
-                                 input.metrics, input.cancel));
+                                 input.metrics));
 }
 
 ResizeResult atm_resize_exact(const ResizeInput& input, int grid_steps) {

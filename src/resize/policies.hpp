@@ -5,9 +5,6 @@
 
 #include "resize/mckp.hpp"
 
-namespace atm::exec {
-class CancellationToken;
-}
 namespace atm::obs {
 class MetricsRegistry;
 }
@@ -43,10 +40,6 @@ struct ResizeInput {
     /// `resize.mckp.candidates` and the greedy solver's iteration
     /// counters into it. Null disables instrumentation.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Optional cooperative-cancellation token (not owned), forwarded to
-    /// the greedy MCKP solver which checks it every 64 downgrade
-    /// iterations. Null disables the checks.
-    const exec::CancellationToken* cancel = nullptr;
 };
 
 /// Per-VM capacity allocations chosen by a policy.

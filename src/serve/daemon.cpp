@@ -82,14 +82,18 @@ const std::string& ServeDaemon::socket_path() const {
     return listener_.path();
 }
 
+bool ServeDaemon::stopping() const {
+    return (options_.stop != nullptr && options_.stop->load()) ||
+           shutdown_requested_.load(std::memory_order_acquire);
+}
+
 int ServeDaemon::run() {
     std::thread worker([this] { worker_loop(); });
     std::vector<std::thread> readers;
     std::atomic<bool> draining{false};
 
     while (!draining.load(std::memory_order_acquire)) {
-        if ((options_.stop != nullptr && options_.stop->cancelled()) ||
-            shutdown_requested_.load(std::memory_order_acquire)) {
+        if (stopping()) {
             draining.store(true, std::memory_order_release);
             break;
         }
@@ -126,8 +130,7 @@ int ServeDaemon::run() {
 
 void ServeDaemon::reader_loop(std::shared_ptr<Connection> conn) {
     while (true) {
-        if ((options_.stop != nullptr && options_.stop->cancelled()) ||
-            shutdown_requested_.load(std::memory_order_acquire)) {
+        if (stopping()) {
             return;
         }
         bool eof = false;
@@ -243,9 +246,7 @@ void ServeDaemon::worker_loop() {
         std::optional<IngestJob> job = queue_.pop(kPollMs);
         if (!job.has_value()) {
             // Either an idle poll round or a closed-and-drained queue.
-            if (queue_.depth() == 0 &&
-                ((options_.stop != nullptr && options_.stop->cancelled()) ||
-                 shutdown_requested_.load(std::memory_order_acquire))) {
+            if (queue_.depth() == 0 && stopping()) {
                 return;
             }
             continue;

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/cancel.hpp"
 #include "exec/socket.hpp"
 #include "serve/protocol.hpp"
 #include "serve/serve.hpp"
@@ -85,10 +84,10 @@ struct DaemonOptions {
     /// Test seam: the worker sleeps this long before each apply, so a
     /// backpressure test can fill the queue deterministically.
     double apply_delay_ms = 0.0;
-    /// Drain trigger (SIGTERM/SIGINT in the CLI): stop accepting, finish
-    /// queued windows, flush, exit. Not owned; null = shutdown request
-    /// over the socket is the only way out.
-    const exec::CancellationToken* stop = nullptr;
+    /// Drain trigger (SIGTERM/SIGINT in the CLI): once set, stop
+    /// accepting, finish queued windows, flush, exit. Not owned; null =
+    /// shutdown request over the socket is the only way out.
+    const std::atomic<bool>* stop = nullptr;
 };
 
 /// The atmd daemon: a Unix-socket listener feeding one ServeEngine
@@ -104,7 +103,7 @@ class ServeDaemon {
                 DaemonOptions options);
     ~ServeDaemon();
 
-    /// Serves until the stop token trips or a client sends "shutdown",
+    /// Serves until the stop flag is set or a client sends "shutdown",
     /// then drains queued windows, writes the final metrics report, and
     /// closes the journal. Returns 0 on a clean drain, 2 when the final
     /// metrics report could not be written.
@@ -114,6 +113,8 @@ class ServeDaemon {
     [[nodiscard]] const std::string& socket_path() const;
 
   private:
+    /// True once the stop flag is set or a client asked for shutdown.
+    [[nodiscard]] bool stopping() const;
     void reader_loop(std::shared_ptr<Connection> conn);
     void worker_loop();
     void handle_window(const std::shared_ptr<Connection>& conn,

@@ -6,7 +6,6 @@
 #include <utility>
 #include <variant>
 
-#include "exec/cancel.hpp"
 #include "exec/seed.hpp"
 #include "forecast/mlp_forecaster.hpp"
 #include "forecast/seasonal_naive.hpp"
@@ -28,23 +27,15 @@ std::size_t flat_index(std::size_t vm, ts::ResourceKind kind) {
 }
 
 /// MLP options of a retrain: `epochs` of warm SGD (a cold refit keeps
-/// train_epochs from the model's own options), staged into `scratch`.
+/// train_epochs from the model's own options), counted into `scratch`.
 forecast::MlpTrainOptions retrain_options(int epochs, std::uint64_t seed,
-                                          obs::MetricsRegistry* scratch,
-                                          const exec::CancellationToken* slo) {
+                                          obs::MetricsRegistry* scratch) {
     forecast::MlpTrainOptions train;
     train.epochs = epochs;
     train.seed = static_cast<unsigned>(seed);
     train.metrics = scratch;
-    train.cancel = slo;
     return train;
 }
-
-/// ServeEpochRecord::ladder bits.
-constexpr int kShedRefresh = 1;     ///< search or retrain skipped
-constexpr int kShedForecast = 2;    ///< last forecast reused
-constexpr int kShedResize = 4;      ///< max-min fallback resize
-constexpr int kShedIngestOnly = 8;  ///< no model output this window
 
 }  // namespace
 
@@ -98,9 +89,6 @@ std::string ServeConfig::validate() const {
         add("queue_depth must be in [1, 1048576], got " +
             std::to_string(queue_depth));
     }
-    if (!(slo_ms >= 0.0) || !std::isfinite(slo_ms)) {
-        add("slo_ms must be >= 0 and finite, got " + std::to_string(slo_ms));
-    }
     if (!(drift_threshold >= 0.0) || !std::isfinite(drift_threshold)) {
         add("drift_threshold must be >= 0 and finite, got " +
             std::to_string(drift_threshold));
@@ -131,9 +119,8 @@ std::uint64_t serve_config_digest(const ServeConfig& config) {
     exec::mix_u64(hash, static_cast<std::uint64_t>(config.train_epochs));
     // The fault plan is result-affecting through the per-epoch draws.
     core::mix_fault_plan(hash, config.faults);
-    // Deliberately excluded: queue_depth and slo_ms — their *effects*
-    // (shed masks) are journaled per window, so changing them across a
-    // restart only affects windows not yet applied.
+    // Deliberately excluded: queue_depth, which only bounds the daemon's
+    // ingest queue — no window's result depends on it.
     return hash;
 }
 
@@ -299,17 +286,16 @@ ApplyOutcome ServeEngine::apply(const WindowUpdate& update) {
         return out;
     }
 
-    const core::ServeEpochRecord* forced =
-        box.replay.empty() ? nullptr : &box.replay.front();
     core::ServeEpochRecord record;
-    out = apply_window(update.box_index, update, forced, record);
-    if (forced != nullptr) {
-        // Replay consistency: the recomputation under forced decisions
-        // must be bit-identical to what the journal recorded. A mismatch
-        // means the determinism contract is broken — fail loudly rather
-        // than serve silently-diverged recommendations.
-        if (record.ladder != forced->ladder || record.cpu != forced->cpu ||
-            record.ram != forced->ram) {
+    out = apply_window(update.box_index, update, record);
+    if (!box.replay.empty()) {
+        // Replay consistency: a re-sent window runs the same live code,
+        // which must reproduce the journaled record bit for bit. A
+        // mismatch means the determinism contract is broken — fail loudly
+        // rather than serve silently-diverged recommendations.
+        const core::ServeEpochRecord& journaled = box.replay.front();
+        if (record.ladder != journaled.ladder || record.cpu != journaled.cpu ||
+            record.ram != journaled.ram) {
             throw std::runtime_error(
                 "serve journal: replay diverged for box " + meta.name +
                 " epoch " + std::to_string(update.epoch));
@@ -324,7 +310,6 @@ ApplyOutcome ServeEngine::apply(const WindowUpdate& update) {
 
 ApplyOutcome ServeEngine::apply_window(int box_index,
                                        const WindowUpdate& update,
-                                       const core::ServeEpochRecord* forced,
                                        core::ServeEpochRecord& record) {
     BoxState& box = *boxes_[static_cast<std::size_t>(box_index)];
     record.box_index = box_index;
@@ -340,54 +325,33 @@ ApplyOutcome ServeEngine::apply_window(int box_index,
         return out;
     }
 
-    // The window's control decisions live in `record`: taken live (SLO,
-    // faults) or forced from the journal on replay — the only
-    // non-determinism the journal has to pin down for bit-identical warm
-    // restart.
-    if (forced != nullptr) {
-        record.ladder = forced->ladder;
-        record.searched = forced->searched;
-        record.retrained = forced->retrained;
-        // A ladder of *exactly* the ingest-only bit means an apply fault
-        // fired and model_work never ran live — replaying it would
-        // over-count shed counters. Any other mask (even ones including
-        // bit 8, e.g. "search shed, still no model") means model_work did
-        // run and must replay so its counters and the drift gauge land
-        // identically.
-        if (record.ladder != kShedIngestOnly) {
-            model_work(box_index, update.epoch, true, record, nullptr);
-        }
-    } else {
-        exec::CancellationToken slo;
-        const exec::CancellationToken* token = nullptr;
-        if (config_.slo_ms > 0.0) {
-            slo.arm_deadline_after(config_.slo_ms / 1000.0);
-            token = &slo;
-        }
-        exec::FaultContext fault;
-        fault.plan = config_.faults.empty() ? nullptr : &config_.faults;
-        fault.entity = static_cast<std::uint64_t>(box_index);
-        // +1 so epoch 0 still re-rolls per window (0 means "unset" in the
-        // fault-key chain).
-        fault.epoch = update.epoch + 1;
-        // The model work is deterministic, so a fired fault would fire
-        // again: the window settles as ingest-only on its first attempt.
-        try {
-            ATM_FAULT_SITE(fault, "serve.apply");
-            model_work(box_index, update.epoch, false, record, token);
-        } catch (const exec::InjectedFault&) {
-            record.ladder |= kShedIngestOnly;
-        }
+    // Every input of the window is deterministic, the fault draw
+    // included: it is keyed by (seed, box, epoch), so a replayed window
+    // draws exactly what the live one drew.
+    exec::FaultContext fault;
+    fault.plan = config_.faults.empty() ? nullptr : &config_.faults;
+    fault.entity = static_cast<std::uint64_t>(box_index);
+    // +1 so epoch 0 still re-rolls per window (0 means "unset" in the
+    // fault-key chain).
+    fault.epoch = update.epoch + 1;
+    // The model work is deterministic, so a fired fault would fire again:
+    // the window settles as ingest-only on its first attempt.
+    try {
+        ATM_FAULT_SITE(fault, "serve.apply");
+        model_work(box_index, update.epoch);
+    } catch (const exec::InjectedFault&) {
+        record.ladder = core::ServeEpochRecord::kIngestOnly;
     }
 
-    const bool ingest_only = (record.ladder & kShedIngestOnly) != 0;
-    if (ingest_only) counter("serve.degraded.ingest_only");
-    counter("serve.windows.applied");
-
-    if (!ingest_only && !box.rec_cpu.empty()) {
+    const bool ingest_only =
+        record.ladder == core::ServeEpochRecord::kIngestOnly;
+    if (ingest_only) {
+        counter("serve.degraded.ingest_only");
+    } else {
         record.cpu = box.rec_cpu;
         record.ram = box.rec_ram;
     }
+    counter("serve.windows.applied");
     out.status = ApplyStatus::kApplied;
     out.ladder = record.ladder;
     out.cpu = record.cpu;
@@ -450,96 +414,36 @@ void ServeEngine::ingest_samples(int box_index, const WindowUpdate& update) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-window model work (live + forced replay)
+// Per-window model work
 
-void ServeEngine::model_work(int box_index, std::uint64_t epoch, bool forced,
-                             core::ServeEpochRecord& d,
-                             const exec::CancellationToken* slo) {
+void ServeEngine::model_work(int box_index, std::uint64_t epoch) {
     BoxState& box = *boxes_[static_cast<std::size_t>(box_index)];
 
-    // Drift-gated signature search. The drift statistic is deterministic
-    // (history only), so live and replay agree on *wanting* a search; the
-    // journal pins whether one actually ran (SLO shed is wall-clock).
-    bool want_search = !box.spatial.fitted();
-    if (box.spatial.fitted()) {
+    // Drift-gated signature search; a box without a model always searches,
+    // and a search always lands one.
+    bool searched = !box.spatial.fitted();
+    if (!searched) {
         const double drift =
             std::abs(mean_abs_correlation(box) - box.corr_at_search);
         metrics_.gauges["serve.drift"] = drift;
-        if (drift > config_.drift_threshold) want_search = true;
+        searched = drift > config_.drift_threshold;
     }
-    if (forced ? d.searched : want_search) {
-        const bool committed =
-            run_search(box_index, forced ? nullptr : slo);
-        if (!forced) d.searched = committed;
-    }
-    if (d.searched) {
+    if (searched) {
+        run_search(box_index);
         counter("serve.search.runs");
-    } else if (want_search) {
-        counter("serve.degraded.skip_search");
-        if (!forced) d.ladder |= kShedRefresh;
     }
 
-    // Warm retrain on a fixed cadence (deterministic), skipped the window
-    // a search already cold-fit everything.
-    const bool retrain_due =
-        box.spatial.fitted() && !d.searched &&
+    // Warm retrain on a fixed cadence, skipped the window a search already
+    // cold-fit everything.
+    if (!searched &&
         config_.pipeline.temporal == forecast::TemporalModel::kNeuralNetwork &&
-        epoch % static_cast<std::uint64_t>(config_.retrain_every) == 0;
-    if (forced ? d.retrained != 0 : retrain_due) {
-        bool committed = false;
-        if (forced || slo == nullptr || !slo->cancelled()) {
-            committed = run_retrain(box_index, epoch, forced ? nullptr : slo);
-        }
-        if (!forced) d.retrained = committed ? 1 : 0;
-        if (committed || forced) counter("serve.retrain.warm");
-    }
-    if (retrain_due && d.retrained == 0) {
-        counter("serve.degraded.skip_retrain");
-        if (!forced) d.ladder |= kShedRefresh;
+        epoch % static_cast<std::uint64_t>(config_.retrain_every) == 0) {
+        run_retrain(box_index, epoch);
+        counter("serve.retrain.warm");
     }
 
-    if (!box.spatial.fitted()) {
-        // Nothing to shed to: no spatial model yet and this window's
-        // search did not land one.
-        d.ladder |= kShedIngestOnly;
-        return;
-    }
-
-    // Forecast the next window, or reuse the previous forecast under SLO
-    // pressure (rung 2).
-    bool reuse = forced && (d.ladder & kShedForecast) != 0;
-    if (!forced && slo != nullptr && slo->cancelled()) {
-        reuse = true;
-        d.ladder |= kShedForecast;
-    }
-    if (reuse && box.last_forecast.empty()) {
-        d.ladder |= kShedIngestOnly;
-        return;
-    }
-    if (reuse) {
-        counter("serve.degraded.reuse_forecast");
-    } else {
-        forecast_next(box_index);
-    }
-
-    // Resize on the forecast; under SLO pressure fall to max-min (rung 3),
-    // which needs no MCKP iterations.
-    bool max_min = forced && (d.ladder & kShedResize) != 0;
-    if (!forced && !max_min) {
-        try {
-            exec::checkpoint(slo, "serve.resize");
-            resize_window(box_index, false, slo);
-        } catch (const exec::OperationCancelled&) {
-            max_min = true;
-            d.ladder |= kShedResize;
-        }
-    }
-    if (max_min) {
-        resize_window(box_index, true, nullptr);
-        counter("serve.degraded.max_min");
-    } else if (forced) {
-        resize_window(box_index, false, nullptr);
-    }
+    forecast_next(box_index);
+    resize_window(box_index);
 }
 
 double ServeEngine::mean_abs_correlation(const BoxState& box) const {
@@ -577,85 +481,67 @@ double ServeEngine::mean_abs_correlation(const BoxState& box) const {
     return pairs == 0 ? 0.0 : total / static_cast<double>(pairs);
 }
 
-bool ServeEngine::run_search(int box_index,
-                             const exec::CancellationToken* slo) {
+void ServeEngine::run_search(int box_index) {
     BoxState& box = *boxes_[static_cast<std::size_t>(box_index)];
-    // Staged: everything lands in locals + a scratch registry, committed
-    // only when the whole unit finishes — an SLO trip mid-search leaves
-    // the previous model (and metrics) untouched, so replay (which skips
-    // the shed search entirely) reproduces the same state.
+    // The search and the cold fits count into a registry of their own,
+    // merged into the engine's snapshot once they finish.
     obs::MetricsRegistry scratch;
     core::PipelineConfig config = config_.pipeline;
     config.metrics = &scratch;
-    try {
-        // The batch ladder; its rungs count as robust.fallback.* in scratch.
-        std::vector<core::Degradation> degradations;
-        la::FlatMatrix series(box.history.size(), box.history[0].size());
-        for (std::size_t i = 0; i < box.history.size(); ++i) {
-            std::copy(box.history[i].begin(), box.history[i].end(),
-                      series[i].begin());
-        }
-        core::SignatureModel fit =
-            core::fit_signature_model(series, config, degradations, slo);
-        forecast::MlpForecasterOptions mlp;
-        mlp.seasonal_period = windows_per_day_;
-        mlp.train.epochs = config_.train_epochs;
-        const std::uint64_t box_seed =
-            exec::derive_seed(config.seed, static_cast<std::uint64_t>(box_index));
-        std::vector<SignatureForecaster> models;
-        for (const int series : fit.spatial.signature_indices()) {
-            const auto s = static_cast<std::size_t>(series);
-            if (config.temporal == forecast::TemporalModel::kSeasonalNaive) {
-                models.emplace_back(
-                    forecast::SeasonalNaiveForecaster(windows_per_day_));
-            } else {
-                forecast::MlpForecaster model(mlp);  // its first retrain is cold
-                model.retrain(box.history[s],
-                              retrain_options(config_.retrain_epochs,
-                                              exec::derive_seed(box_seed, s),
-                                              &scratch, slo));
-                models.emplace_back(std::move(model));
-            }
-            scratch.add("serve.retrain.cold");
-        }
-        box.spatial = std::move(fit.spatial);
-        box.models = std::move(models);
-        box.corr_at_search = mean_abs_correlation(box);
-        metrics_.merge(scratch.snapshot());
-        return true;
-    } catch (const exec::OperationCancelled&) {
-        return false;
+    // The batch ladder; its rungs count as robust.fallback.* in scratch.
+    std::vector<core::Degradation> degradations;
+    la::FlatMatrix series(box.history.size(), box.history[0].size());
+    for (std::size_t i = 0; i < box.history.size(); ++i) {
+        std::copy(box.history[i].begin(), box.history[i].end(),
+                  series[i].begin());
     }
+    core::SignatureModel fit =
+        core::fit_signature_model(series, config, degradations);
+    forecast::MlpForecasterOptions mlp;
+    mlp.seasonal_period = windows_per_day_;
+    mlp.train.epochs = config_.train_epochs;
+    const std::uint64_t box_seed =
+        exec::derive_seed(config.seed, static_cast<std::uint64_t>(box_index));
+    std::vector<SignatureForecaster> models;
+    for (const int series : fit.spatial.signature_indices()) {
+        const auto s = static_cast<std::size_t>(series);
+        if (config.temporal == forecast::TemporalModel::kSeasonalNaive) {
+            models.emplace_back(
+                forecast::SeasonalNaiveForecaster(windows_per_day_));
+        } else {
+            forecast::MlpForecaster model(mlp);  // its first retrain is cold
+            model.retrain(box.history[s],
+                          retrain_options(config_.retrain_epochs,
+                                          exec::derive_seed(box_seed, s),
+                                          &scratch));
+            models.emplace_back(std::move(model));
+        }
+        scratch.add("serve.retrain.cold");
+    }
+    box.spatial = std::move(fit.spatial);
+    box.models = std::move(models);
+    box.corr_at_search = mean_abs_correlation(box);
+    metrics_.merge(scratch.snapshot());
 }
 
-bool ServeEngine::run_retrain(int box_index, std::uint64_t epoch,
-                              const exec::CancellationToken* slo) {
+void ServeEngine::run_retrain(int box_index, std::uint64_t epoch) {
     BoxState& box = *boxes_[static_cast<std::size_t>(box_index)];
     obs::MetricsRegistry scratch;
     const std::uint64_t box_seed = exec::derive_seed(
         config_.pipeline.seed, static_cast<std::uint64_t>(box_index));
-    try {
-        // Staged copies: a cancelled retrain must leave the previous
-        // weights exactly as they were (replay skips the whole stage).
-        std::vector<SignatureForecaster> updated = box.models;
-        const std::vector<int>& signatures = box.spatial.signature_indices();
-        for (std::size_t k = 0; k < updated.size(); ++k) {
-            const auto series = static_cast<std::size_t>(signatures[k]);
-            const std::uint64_t sig_seed = exec::derive_seed(box_seed, series);
-            const bool rescaled =
-                std::get<forecast::MlpForecaster>(updated[k])
-                    .retrain(box.history[series],
-                             retrain_options(config_.retrain_epochs,
-                                             exec::derive_seed(sig_seed, epoch + 1),
-                                             &scratch, slo));
-            if (rescaled) scratch.add("serve.retrain.rescale");
-        }
-        box.models = std::move(updated);
-        metrics_.merge(scratch.snapshot());
-        return true;
-    } catch (const exec::OperationCancelled&) {
-        return false;
+    const std::vector<int>& signatures = box.spatial.signature_indices();
+    for (std::size_t k = 0; k < box.models.size(); ++k) {
+        const auto series = static_cast<std::size_t>(signatures[k]);
+        const std::uint64_t sig_seed = exec::derive_seed(box_seed, series);
+        const bool rescaled =
+            std::get<forecast::MlpForecaster>(box.models[k])
+                .retrain(box.history[series],
+                         retrain_options(config_.retrain_epochs,
+                                         exec::derive_seed(sig_seed, epoch + 1),
+                                         &scratch));
+        if (rescaled) scratch.add("serve.retrain.rescale");
     }
+    metrics_.merge(scratch.snapshot());
 }
 
 void ServeEngine::forecast_next(int box_index) {
@@ -686,8 +572,7 @@ void ServeEngine::forecast_next(int box_index) {
     }
 }
 
-void ServeEngine::resize_window(int box_index, bool max_min_only,
-                                const exec::CancellationToken* slo) {
+void ServeEngine::resize_window(int box_index) {
     const auto bi = static_cast<std::size_t>(box_index);
     const trace::BoxTrace& meta = meta_[bi];
     BoxState& box = *boxes_[bi];
@@ -709,27 +594,21 @@ void ServeEngine::resize_window(int box_index, bool max_min_only,
                                       tail);
             }
         }
-        resize::ResizeInput input = core::make_resize_input(
+        const resize::ResizeInput input = core::make_resize_input(
             meta, kind, std::move(demands), config_.pipeline.alpha,
             config_.pipeline.epsilon_pct, last_day);
-        input.cancel = slo;
         resize::ResizeResult result;
-        bool max_min = max_min_only;
-        if (!max_min_only) {
-            try {
-                result = resize::apply_policy(config_.policy, input);
-                max_min = !result.feasible;
-            } catch (const exec::OperationCancelled&) {
-                throw;
-            } catch (const std::exception&) {
-                max_min = true;
-            }
-            // Deterministic infeasibility (not an SLO trip): max-min
-            // replays identically, so no journal bit is needed.
-            if (max_min) counter("serve.resize.fallback");
+        bool max_min = false;
+        try {
+            result = resize::apply_policy(config_.policy, input);
+            max_min = !result.feasible;
+        } catch (const std::exception&) {
+            max_min = true;
         }
+        // An infeasible or failed policy falls back to max-min fairness,
+        // deterministically, so replay takes the same path.
         if (max_min) {
-            input.cancel = nullptr;
+            counter("serve.resize.fallback");
             result = resize::max_min_fairness_resize(input);
         }
         (kind == ts::ResourceKind::kCpu ? rec_cpu : rec_ram) =

@@ -24,8 +24,8 @@ namespace atm::serve {
 /// as the rolling-window length in days, alpha/epsilon/lower-bound
 /// resizing knobs, seed, sanitization threshold);
 /// serve adds streaming lifecycle knobs on top. Result-affecting knobs
-/// are bound into the journal header; execution-only knobs (queue depth,
-/// SLO) are not — their *effects* are journaled per window.
+/// are bound into the journal header; the execution-only queue depth is
+/// not.
 struct ServeConfig {
     core::PipelineConfig pipeline;
     /// Resize policy run per window (the paper's greedy by default).
@@ -34,10 +34,6 @@ struct ServeConfig {
     /// it are rejected with retry-after). Validated here so every serve
     /// knob has one range-check site; the engine itself ignores it.
     int queue_depth = 256;
-    /// Per-window latency SLO in milliseconds; 0 disables. A window that
-    /// overruns sheds work down the degradation ladder instead of
-    /// blocking ingest (see ServeEpochRecord::ladder).
-    double slo_ms = 0.0;
     /// Mean-absolute-correlation drift that re-triggers signature search
     /// (clustering + VIF + spatial refit + cold model fits).
     double drift_threshold = 0.25;
@@ -91,7 +87,7 @@ const char* to_string(ApplyStatus status);
 struct ApplyOutcome {
     ApplyStatus status = ApplyStatus::kApplied;
     std::uint64_t epoch = 0;   ///< epoch this outcome refers to
-    int ladder = 0;            ///< shed mask taken (ServeEpochRecord)
+    int ladder = 0;            ///< 0, or 8 ingest-only (ServeEpochRecord)
     std::vector<double> cpu;   ///< per-VM recommended CPU allocation
     std::vector<double> ram;   ///< per-VM recommended RAM allocation
     std::string error;         ///< reason for kGap / kBadShape
@@ -101,9 +97,10 @@ struct ApplyOutcome {
 /// rolling demand windows, drift-gated signature search, warm-started MLP
 /// retraining, per-window forecasts + resize recommendations (the batch
 /// pipeline's ladder, forecasters and resize input on a sliding window),
-/// SLO shedding, and a crash-safe epoch journal
-/// enabling bit-identical warm restart (clients resend from epoch 0 and
-/// journaled windows replay with their recorded control decisions forced).
+/// and a crash-safe epoch journal enabling bit-identical warm restart
+/// (clients re-send from epoch 0; each journaled window is re-applied by
+/// the same live code and checked against its record). Every window runs
+/// search, retrain, forecast and resize to completion.
 ///
 /// apply() is single-threaded by contract — the daemon funnels all
 /// updates through one worker. Metrics in `metrics()` are deterministic
@@ -148,22 +145,16 @@ class ServeEngine {
     struct BoxState;
 
     ApplyOutcome apply_window(int box_index, const WindowUpdate& update,
-                              const core::ServeEpochRecord* forced,
                               core::ServeEpochRecord& record);
     void ingest_samples(int box_index, const WindowUpdate& update);
-    /// Search, retrain, forecast and resize for one window, taking the
-    /// decisions in `d` (ladder, searched, retrained) live, or replaying
-    /// them when `forced`.
-    void model_work(int box_index, std::uint64_t epoch, bool forced,
-                    core::ServeEpochRecord& d,
-                    const exec::CancellationToken* slo);
+    /// Search (when drift calls for it), retrain (on its cadence),
+    /// forecast and resize for one window.
+    void model_work(int box_index, std::uint64_t epoch);
     [[nodiscard]] double mean_abs_correlation(const BoxState& box) const;
-    bool run_search(int box_index, const exec::CancellationToken* slo);
-    bool run_retrain(int box_index, std::uint64_t epoch,
-                     const exec::CancellationToken* slo);
+    void run_search(int box_index);
+    void run_retrain(int box_index, std::uint64_t epoch);
     void forecast_next(int box_index);
-    void resize_window(int box_index, bool max_min_only,
-                       const exec::CancellationToken* slo);
+    void resize_window(int box_index);
     void counter(const std::string& name, std::uint64_t delta = 1);
 
     ServeConfig config_;

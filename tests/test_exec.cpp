@@ -21,7 +21,6 @@
 #include "cluster/dtw.hpp"
 #include "core/fleet.hpp"
 #include "exec/arg_parser.hpp"
-#include "exec/cancel.hpp"
 #include "exec/io.hpp"
 #include "exec/journal.hpp"
 #include "exec/parallel_for.hpp"
@@ -627,51 +626,6 @@ TEST(JournalTest, LoadWithLiveWriterDropsInFlightTailThenSeesItComplete) {
     EXPECT_EQ(load.records, (std::vector<std::string>{"a", "b", "c", "d"}));
     writer.close();
     std::remove(path.c_str());
-}
-
-// -------------------------------------------------------------- cancellation
-
-TEST(CancellationTokenTest, CancelStaysTrippedAndCheckNamesThePoint) {
-    exec::CancellationToken token;
-    EXPECT_FALSE(token.cancelled());
-    token.cancel();
-    token.cancel();  // idempotent
-    EXPECT_TRUE(token.cancelled());
-    token.arm_deadline_after(3600.0);  // a later deadline does not revive it
-    EXPECT_TRUE(token.cancelled());
-    try {
-        token.check("unit.test");
-        FAIL() << "expected OperationCancelled";
-    } catch (const exec::OperationCancelled& e) {
-        EXPECT_STREQ(e.what(), "cancelled at unit.test");
-    }
-}
-
-TEST(CancellationTokenTest, ExpiredDeadlineSelfTrips) {
-    exec::CancellationToken token;
-    token.arm_deadline_after(1e-9);
-    // No watchdog anywhere: the next observation must trip the token.
-    EXPECT_TRUE(token.cancelled());
-    EXPECT_THROW(token.check("unit.test"), exec::OperationCancelled);
-
-    // From ~9.2e9 s the budget in nanoseconds overflows int64; it must
-    // saturate, not wrap into a deadline that has already passed.
-    for (const double seconds :
-         {3600.0, 1e10, 1e300, std::numeric_limits<double>::infinity()}) {
-        exec::CancellationToken patient;
-        patient.arm_deadline_after(seconds);
-        EXPECT_FALSE(patient.cancelled()) << seconds;
-        patient.arm_deadline_after(0.0);  // disarm
-        EXPECT_FALSE(patient.cancelled());
-    }
-}
-
-TEST(CancellationTokenTest, CheckpointToleratesNullToken) {
-    EXPECT_NO_THROW(exec::checkpoint(nullptr, "anywhere"));
-    exec::CancellationToken live;
-    EXPECT_NO_THROW(exec::checkpoint(&live, "anywhere"));
-    live.cancel();
-    EXPECT_THROW(exec::checkpoint(&live, "anywhere"), exec::OperationCancelled);
 }
 
 // ---------------------------------------------------------------------------

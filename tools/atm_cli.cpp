@@ -24,6 +24,7 @@
 // same way.
 
 #include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <string>
@@ -32,7 +33,6 @@
 #include "core/fleet.hpp"
 #include "core/metrics_report.hpp"
 #include "exec/arg_parser.hpp"
-#include "exec/cancel.hpp"
 #include "forecast/backtest.hpp"
 #include "linalg/simd/simd.hpp"
 #include "obs/metrics.hpp"
@@ -48,13 +48,15 @@ namespace {
 
 using namespace atm;
 
-/// Operator stop token for the fleet subcommands. `cancel()` is
-/// async-signal-safe (one lock-free atomic store), so the SIGINT handler
-/// may trip it directly.
-exec::CancellationToken g_stop;  // NOLINT(cert-err58-cpp)
+/// Operator stop flag of the fleet subcommands and the daemon. Setting it
+/// is one lock-free atomic store, so the SIGINT handler may set it
+/// directly (async-signal-safe).
+std::atomic<bool> g_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "the signal handler's store must be lock-free");
 
 extern "C" void handle_stop_signal(int sig) {
-    if (g_stop.cancelled()) {
+    if (g_stop.load()) {
         // Second signal: the operator wants out *now*. Restore the
         // default disposition and re-raise so the shell sees a real
         // signal death; the journal already holds every completed unit.
@@ -62,7 +64,7 @@ extern "C" void handle_stop_signal(int sig) {
         std::raise(sig);
         return;
     }
-    g_stop.cancel();
+    g_stop.store(true);
 }
 
 /// First SIGINT/SIGTERM drains (finish in-flight work, journal it, write
@@ -298,19 +300,42 @@ int cmd_characterize(int argc, char** argv) {
     return 0;
 }
 
+/// Reads the trace of `atm predict` / `atm resize`. A train window that
+/// fits no box of it is a configuration error (exit 2), reported before
+/// any box runs.
+trace::Trace read_fleet_trace(const exec::ArgParser& parser,
+                              const core::FleetConfig& config,
+                              obs::MetricsRegistry& cli_metrics) {
+    trace::Trace t = trace::read_trace_any_file(
+        parser.get("trace.csv"), 96,
+        config.collect_metrics ? &cli_metrics : nullptr);
+    if (const std::string problems = config.validate(t); !problems.empty()) {
+        throw exec::ArgParseError("FleetConfig: " + problems);
+    }
+    return t;
+}
+
 /// Exit status of `atm predict` / `atm resize` after their report: 130
-/// for an interrupted (drained) run, 1 when boxes failed and none was
-/// evaluated, 0 otherwise.
+/// for an interrupted (drained) run, 1 when no box was evaluated or
+/// replayed (every box failed, or none was selected), 0 otherwise.
 int fleet_exit_status(const core::FleetResult& fleet) {
     if (fleet.interrupted) {
         std::printf("interrupted: drained in-flight boxes and stopped; "
                     "re-run with --checkpoint <path> --resume to continue\n");
         return 130;  // 128 + SIGINT, the conventional interrupted status
     }
-    if (fleet.boxes_evaluated() == 0 && fleet.boxes_failed > 0) {
+    if (fleet.boxes_evaluated() == 0) {
         std::fflush(stdout);  // the report first, then the verdict
-        std::fprintf(stderr, "atm: every box failed (%zu); nothing evaluated\n",
-                     fleet.boxes_failed);
+        if (fleet.boxes_failed > 0) {
+            std::fprintf(stderr,
+                         "atm: every box failed (%zu); nothing evaluated\n",
+                         fleet.boxes_failed);
+        } else {
+            std::fprintf(stderr,
+                         "atm: nothing evaluated: the trace has no "
+                         "selectable box (%zu skipped)\n",
+                         fleet.boxes_skipped);
+        }
         return 1;
     }
     return 0;
@@ -331,9 +356,7 @@ int cmd_predict(int argc, char** argv) {
     // Trace loading happens outside any box pipeline, so its metrics live
     // in a CLI-owned registry merged into the report as `extra`.
     obs::MetricsRegistry cli_metrics;
-    const trace::Trace t = trace::read_trace_any_file(
-        parser.get("trace.csv"), 96,
-        config.collect_metrics ? &cli_metrics : nullptr);
+    const trace::Trace t = read_fleet_trace(parser, config, cli_metrics);
 
     const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
 
@@ -401,9 +424,7 @@ int cmd_resize(int argc, char** argv) {
     install_sigint_drain();
     config.stop = &g_stop;
     obs::MetricsRegistry cli_metrics;
-    const trace::Trace t = trace::read_trace_any_file(
-        parser.get("trace.csv"), 96,
-        config.collect_metrics ? &cli_metrics : nullptr);
+    const trace::Trace t = read_fleet_trace(parser, config, cli_metrics);
 
     const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
 
@@ -511,9 +532,6 @@ int cmd_serve(int argc, char** argv) {
         .option("queue-depth", "256",
                 "bounded ingest queue; beyond it clients get busy + "
                 "retry-after (backpressure)")
-        .option("slo-ms", "0",
-                "per-window latency SLO in ms; overruns shed work down "
-                "the degradation ladder (0 = off)")
         .option("drift-threshold", "0.25",
                 "mean-|correlation| drift that re-triggers signature search")
         .option("retrain-every", "4", "warm-retrain cadence in windows")
@@ -560,7 +578,6 @@ int cmd_serve(int argc, char** argv) {
     config.pipeline.train_days = parser.get_int("train-days");
     config.pipeline.seed = static_cast<unsigned>(parser.get_u64("seed"));
     config.queue_depth = parser.get_int("queue-depth");
-    config.slo_ms = parser.get_double("slo-ms");
     config.drift_threshold = parser.get_double("drift-threshold");
     config.retrain_every = parser.get_int("retrain-every");
     config.retrain_epochs = parser.get_int("retrain-epochs");
@@ -663,8 +680,9 @@ int cmd_play(int argc, char** argv) {
             } else if (response.status == "warming") {
                 ++warming;
             } else if (response.status == "stale") {
-                // Warm restart: the daemon's journal already has this
-                // window; re-sending from epoch 0 is the protocol.
+                // This daemon already applied the window (a client
+                // re-send). After a warm restart journaled windows are
+                // re-applied, so they count as applied or warming.
                 ++stale;
             } else {
                 std::fprintf(stderr, "play: box %s epoch %zu: %s\n",
@@ -675,7 +693,7 @@ int cmd_play(int argc, char** argv) {
         }
     }
     std::printf("play: %llu applied (%llu degraded), %llu warming, "
-                "%llu already journaled\n",
+                "%llu stale (already applied)\n",
                 static_cast<unsigned long long>(applied),
                 static_cast<unsigned long long>(degraded),
                 static_cast<unsigned long long>(warming),
