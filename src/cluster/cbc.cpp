@@ -15,9 +15,33 @@ la::FlatMatrix correlation_matrix(const la::FlatMatrix& series) {
 la::FlatMatrix correlation_matrix(std::span<const std::span<const double>> series) {
     const std::size_t n = series.size();
     la::FlatMatrix rho(n, n, 1.0);
+    if (n == 0) return rho;
+    // Centre each series once. Each deviation is the very double that
+    // ts::covariance computes for every pair, and the dot product below
+    // sums them in the same order and divides the same way, so every ρ is
+    // bit-identical to ts::pearson's.
+    const std::size_t len = series[0].size();
+    la::FlatMatrix deviations(n, len);
+    std::vector<double> spread(n);
     for (std::size_t i = 0; i < n; ++i) {
+        if (series[i].size() != len) {
+            throw std::invalid_argument("correlation_matrix: series lengths differ");
+        }
+        const double mean = ts::mean(series[i]);
+        std::span<double> d = deviations[i];
+        for (std::size_t t = 0; t < len; ++t) d[t] = series[i][t] - mean;
+        spread[i] = ts::stddev(series[i]);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::span<const double> di = deviations[i];
         for (std::size_t j = i + 1; j < n; ++j) {
-            const double r = ts::pearson(series[i], series[j]);
+            double r = 0.0;
+            if (spread[i] > 0.0 && spread[j] > 0.0) {
+                const std::span<const double> dj = deviations[j];
+                double acc = 0.0;
+                for (std::size_t t = 0; t < len; ++t) acc += di[t] * dj[t];
+                r = acc / static_cast<double>(len) / (spread[i] * spread[j]);
+            }
             rho(i, j) = r;
             rho(j, i) = r;
         }

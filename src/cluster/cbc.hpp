@@ -46,11 +46,14 @@ std::vector<CbcCluster> cbc_cluster_from_correlation(
 
 /// Pairwise Pearson correlation matrix over a series set (one series per
 /// row), as one n x n block with a unit diagonal. A zero-variance series
-/// has ρ = 0 against every other (ts::pearson's convention).
+/// has ρ = 0 against every other (ts::pearson's convention). Each series
+/// is centred once, and every entry is bit-identical to
+/// `ts::pearson` on that pair.
 la::FlatMatrix correlation_matrix(const la::FlatMatrix& series);
 
 /// Same over row views of equal-length series (e.g. a subset of a series
 /// set's rows, `FlatMatrix::row_views(rows)`), without copying them.
+/// Throws std::invalid_argument if the series differ in length.
 la::FlatMatrix correlation_matrix(std::span<const std::span<const double>> series);
 
 }  // namespace atm::cluster

@@ -1,9 +1,11 @@
 #include "tracegen/trace_binary.hpp"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,25 +38,18 @@ constexpr std::size_t kMagicBytes = 8;
                               "binary trace: " + message);
 }
 
-/// FNV-1a folded 8 bytes at a time. Byte-wise FNV is the bottleneck at
-/// paper scale (~1.7 GB payload); word folding keeps the full-payload
-/// integrity sweep under half a second. Word loads are native-endian,
-/// which is fine: the endian tag already pins the file to this host
-/// order before the fingerprint is checked.
-std::uint64_t fingerprint_payload(const unsigned char* data,
-                                  std::size_t bytes) {
-    constexpr std::uint64_t kPrime = 1099511628211ull;
-    std::uint64_t hash = 1469598103934665603ull;
-    std::size_t i = 0;
-    for (; i + 8 <= bytes; i += 8) {
-        std::uint64_t word;
-        std::memcpy(&word, data + i, 8);
-        hash = (hash ^ word) * kPrime;
-    }
-    for (; i < bytes; ++i) {
-        hash = (hash ^ data[i]) * kPrime;
-    }
-    return hash;
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+constexpr std::size_t kSampleBytes = 4 * sizeof(double);  // one window of a VM
+
+/// One step of the payload fingerprint: FNV-1a folded a 64-bit word (one
+/// sample) at a time. Byte-wise FNV is the bottleneck at paper scale
+/// (~1.7 GB payload); word folding keeps it to one multiply per sample.
+/// The payload is a whole number of doubles, so there is no byte tail.
+/// Word values are native-endian, which is fine: the endian tag already
+/// pins the file to this host order before any payload is read. The
+/// writer and the reader both fold through this one function.
+constexpr std::uint64_t fold_word(std::uint64_t hash, std::uint64_t word) {
+    return (hash ^ word) * 1099511628211ull;
 }
 
 void append_raw(std::string& out, const void* data, std::size_t bytes) {
@@ -110,8 +105,9 @@ struct Cursor {
 };
 
 /// Read-only view of a whole file: mmap when available (the loader's
-/// normal mode — pages fault in as the index/payload are walked), plain
-/// buffered read otherwise. The view lives until destruction.
+/// normal mode — pages fault in as the index/payload are walked, and
+/// release() drops them again), plain buffered read otherwise. The view
+/// lives until destruction.
 struct MappedFile {
     const unsigned char* data = nullptr;
     std::size_t size = 0;
@@ -147,6 +143,27 @@ struct MappedFile {
     MappedFile(const MappedFile&) = delete;
     MappedFile& operator=(const MappedFile&) = delete;
 
+    /// Hands the mapped pages wholly inside [from, to) back to the kernel
+    /// (MADV_DONTNEED): the bytes stay readable and would re-fault from
+    /// the file, but they stop counting as resident. A no-op for the
+    /// buffered fallback. Returns `to` rounded down to a page boundary,
+    /// where the next release should start.
+    std::size_t release(std::size_t from, std::size_t to) const {
+#if ATM_HAVE_MMAP
+        const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+        const std::size_t first = (from + page - 1) / page * page;
+        const std::size_t last = to / page * page;
+        if (map_ != nullptr && first < last) {
+            ::madvise(static_cast<char*>(map_) + first, last - first,
+                      MADV_DONTNEED);
+        }
+        return last;
+#else
+        (void)from;
+        return to;
+#endif
+    }
+
     ~MappedFile() {
 #if ATM_HAVE_MMAP
         if (map_ != nullptr) ::munmap(map_, size);
@@ -160,14 +177,38 @@ struct MappedFile {
     std::string buffer_;
 };
 
-double checked_sample(double value, const std::string& series_name) {
-    if (!std::isfinite(value)) {
-        fail("non-finite sample in series " + series_name);
+/// Copies `count` samples out of the mapped payload into `out`, folding
+/// each one into `hash` while it is in a register: the payload is read
+/// from the mapping exactly once. Returns false if any sample is
+/// non-finite or negative (NaN fails both comparisons).
+bool copy_and_fold(const unsigned char* block, std::size_t count,
+                   double* out, std::uint64_t& hash) {
+    bool valid = true;
+    // Fold into a local: `block` is a byte pointer that may alias `hash`,
+    // so folding into `hash` itself would store it on every sample.
+    std::uint64_t h = hash;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint64_t word;
+        std::memcpy(&word, block + i * sizeof(double), sizeof(double));
+        h = fold_word(h, word);
+        const auto value = std::bit_cast<double>(word);
+        out[i] = value;
+        valid &= value >= 0.0 && value <= std::numeric_limits<double>::max();
     }
-    if (value < 0.0) {
-        fail("negative sample in series " + series_name);
+    hash = h;
+    return valid;
+}
+
+/// The rejection message for the first non-finite or negative sample of
+/// a series that copy_and_fold() flagged (the CSV reader's wording).
+std::string sample_problem(const ts::Series& series) {
+    for (const double value : series.values()) {
+        if (!std::isfinite(value)) {
+            return "non-finite sample in series " + series.name();
+        }
+        if (value < 0.0) return "negative sample in series " + series.name();
     }
-    return value;
+    return {};
 }
 
 }  // namespace
@@ -230,6 +271,7 @@ void write_trace_binary_file(const std::string& path, const Trace& trace) {
     // alignment is mapping alignment).
     while (out.size() % 8 != 0) out.push_back('\0');
     const std::uint64_t payload_offset = out.size();
+    std::uint64_t fingerprint = kFnvOffset;
     for (const BoxTrace& box : trace.boxes) {
         for (const VmTrace& vm : box.vms) {
             for (const ts::Series* series :
@@ -237,6 +279,10 @@ void write_trace_binary_file(const std::string& path, const Trace& trace) {
                   &vm.ram_demand_gb}) {
                 append_raw(out, series->values().data(),
                            series->size() * sizeof(double));
+                for (const double value : series->values()) {
+                    fingerprint = fold_word(
+                        fingerprint, std::bit_cast<std::uint64_t>(value));
+                }
             }
         }
     }
@@ -246,11 +292,7 @@ void write_trace_binary_file(const std::string& path, const Trace& trace) {
     put_value(out, sample_count_at, samples);
     put_value(out, payload_offset_at, payload_offset);
     put_value(out, payload_bytes_at, payload_bytes);
-    put_value(out, fingerprint_at,
-              fingerprint_payload(
-                  reinterpret_cast<const unsigned char*>(out.data()) +
-                      payload_offset,
-                  payload_bytes));
+    put_value(out, fingerprint_at, fingerprint);
 
     exec::write_file_atomic(path, out);
 }
@@ -289,12 +331,19 @@ Trace read_trace_binary_file(const std::string& path,
         fail("truncated payload (index claims more bytes than the file has)");
     }
     if (payload_offset % 8 != 0) fail("misaligned payload offset");
-    if (payload_bytes != sample_count * 4 * sizeof(double)) {
+    // Divide rather than multiply: sample_count * 32 can wrap.
+    if (payload_bytes % kSampleBytes != 0 ||
+        payload_bytes / kSampleBytes != sample_count) {
         fail("payload size disagrees with sample count");
     }
-    if (fingerprint_payload(file.data + payload_offset, payload_bytes) !=
-        fingerprint) {
-        fail("payload fingerprint mismatch (corrupt or tampered file)");
+
+    // Every box entry takes at least 23 index bytes and every VM entry 26
+    // (empty names), so a count the index cannot hold is a lie: reject
+    // it before reserving room for it.
+    constexpr std::size_t kMinBoxEntry = 2 + 1 + 8 + 8 + 4;
+    constexpr std::size_t kMinVmEntry = 2 + 8 + 8 + 8;
+    if (box_count > (payload_offset - kHeaderBytes) / kMinBoxEntry) {
+        fail("box_count exceeds what the index can hold");
     }
 
     Trace trace;
@@ -311,6 +360,17 @@ Trace read_trace_binary_file(const std::string& path,
     const unsigned char* payload = file.data + payload_offset;
     std::uint64_t samples_seen = 0;
     std::uint64_t vms_seen = 0;
+    // One pass over the payload: each VM's blocks are copied into their
+    // series and folded into the fingerprint on the way. Nothing throws
+    // on the payload's content until the fingerprint has been checked,
+    // so the first bad sample is only remembered here.
+    std::uint64_t payload_fp = kFnvOffset;
+    std::string bad_sample;
+    // Pages behind the copy cursor are handed back every MiB, so the
+    // mapping keeps ~1 MiB resident instead of the whole file. Index
+    // pages stay: the index is read interleaved with the payload.
+    constexpr std::size_t kReleaseStep = std::size_t{1} << 20;
+    std::size_t released = payload_offset;
 
     for (std::uint64_t b = 0; b < box_count; ++b) {
         trace.boxes.emplace_back();
@@ -320,6 +380,9 @@ Trace read_trace_binary_file(const std::string& path,
         box.cpu_capacity_ghz = index.read<double>("box cpu capacity");
         box.ram_capacity_gb = index.read<double>("box ram capacity");
         const auto box_vms = index.read<std::uint32_t>("box vm count");
+        if (box_vms > (index.size - index.pos) / kMinVmEntry) {
+            fail("box vm count exceeds what the index can hold");
+        }
         box.vms.reserve(box_vms);
         for (std::uint32_t v = 0; v < box_vms; ++v) {
             box.vms.emplace_back();
@@ -331,8 +394,7 @@ Trace read_trace_binary_file(const std::string& path,
             if (len > sample_count - samples_seen) {
                 fail("index series lengths exceed sample count");
             }
-            const unsigned char* block =
-                payload + samples_seen * 4 * sizeof(double);
+            const unsigned char* block = payload + samples_seen * kSampleBytes;
             ts::Series* const series[4] = {&vm.cpu_usage_pct,
                                            &vm.ram_usage_pct,
                                            &vm.cpu_demand_ghz,
@@ -343,15 +405,32 @@ Trace read_trace_binary_file(const std::string& path,
                 series[s]->set_name(vm.name + suffix[s]);
                 std::vector<double>& values = series[s]->values();
                 values.resize(len);
-                std::memcpy(values.data(), block, len * sizeof(double));
-                for (const double value : values) {
-                    checked_sample(value, series[s]->name());
+                if (!copy_and_fold(block, len, values.data(), payload_fp) &&
+                    bad_sample.empty()) {
+                    bad_sample = sample_problem(*series[s]);
                 }
                 block += len * sizeof(double);
             }
             samples_seen += len;
             ++vms_seen;
+            const std::size_t copied =
+                payload_offset + samples_seen * kSampleBytes;
+            if (copied - released >= kReleaseStep) {
+                released = file.release(released, copied);
+            }
         }
+    }
+    // Samples the index never claimed are still payload: fold them too,
+    // so the fingerprint always covers every payload byte.
+    for (std::size_t at = samples_seen * kSampleBytes; at < payload_bytes;
+         at += sizeof(std::uint64_t)) {
+        std::uint64_t word;
+        std::memcpy(&word, payload + at, sizeof(word));
+        payload_fp = fold_word(payload_fp, word);
+    }
+
+    if (payload_fp != fingerprint) {
+        fail("payload fingerprint mismatch (corrupt or tampered file)");
     }
     if (samples_seen != sample_count) {
         fail("index series lengths disagree with sample count");
@@ -359,6 +438,7 @@ Trace read_trace_binary_file(const std::string& path,
     if (vms_seen != vm_count) {
         fail("index vm entries disagree with vm count");
     }
+    if (!bad_sample.empty()) fail(bad_sample);
 
     if (metrics != nullptr) {
         metrics->add("trace.rows", samples_seen);

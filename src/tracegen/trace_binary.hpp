@@ -12,9 +12,9 @@ namespace atm::trace {
 
 /// Compact binary columnar trace format `atm.trace.bin.v1`
 /// (DESIGN.md §7.14). Replaces per-line CSV parsing on the fleet hot
-/// path: loading is one mmap, header/index validation, a fingerprint
-/// sweep and a single bulk copy per series — no text parsing, no
-/// per-row allocation.
+/// path: loading is one mmap, header/index validation and one pass over
+/// the payload that copies each series out and folds it into the
+/// fingerprint — no text parsing, no per-row allocation.
 ///
 /// Layout (all integers little-or-native endian; the endian tag below
 /// rejects files written on a different-endian host):
@@ -44,10 +44,14 @@ namespace atm::trace {
 ///     cpu_demand_ghz, ram_demand_gb.
 ///
 /// Validation: bad magic, wrong endianness, unknown version, any
-/// offset/length outside the file (truncation), fingerprint mismatch,
-/// and non-finite/negative samples are all rejected with
-/// core::PipelineError{kTraceInvalid, "trace"} — the same taxonomy the
-/// fleet driver already reports per run.
+/// offset/length outside the file (truncation), counts the index cannot
+/// hold or disagrees with, fingerprint mismatch, and non-finite/negative
+/// samples are all rejected with core::PipelineError{kTraceInvalid,
+/// "trace"} — the same taxonomy the fleet driver already reports per
+/// run. Payload problems are reported in a fixed order: fingerprint
+/// mismatch first, then the index/header count checks, then the first
+/// bad sample in index order. So a corrupt file is reported as corrupt,
+/// and no sample reaches a caller before the fingerprint has matched.
 inline constexpr char kTraceBinarySchema[] = "atm.trace.bin.v1";
 inline constexpr char kTraceBinaryMagic[9] = "ATMTRB1\n";
 
@@ -63,10 +67,13 @@ inline constexpr char kTraceBinaryMagic[9] = "ATMTRB1\n";
 void write_trace_binary_file(const std::string& path, const Trace& trace);
 
 /// Loads a binary trace. The file is mmap'd read-only when possible
-/// (falling back to a buffered read), fully validated (see layout
-/// comment), and decoded with one bulk copy per series. Counters match
-/// the CSV reader: `trace.rows` / `trace.boxes` / `trace.vms` and timer
-/// `trace.load`.
+/// (falling back to a buffered read) and fully validated (see layout
+/// comment). Each payload byte is read from the mapping once: copied
+/// into its series and folded into the fingerprint in the same pass.
+/// Mapped payload pages behind the copy are released every MiB, so the
+/// load holds the trace about once (the returned copy), not twice.
+/// Counters match the CSV reader: `trace.rows` / `trace.boxes` /
+/// `trace.vms` and timer `trace.load`.
 [[nodiscard]] Trace read_trace_binary_file(
     const std::string& path, obs::MetricsRegistry* metrics = nullptr);
 

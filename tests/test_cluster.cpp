@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "cluster/cbc.hpp"
 #include "cluster/dtw.hpp"
 #include "cluster/hierarchical.hpp"
+#include "timeseries/stats.hpp"
 
 namespace atm::cluster {
 namespace {
@@ -223,6 +228,35 @@ TEST(CorrelationMatrixTest, UnitDiagonalSymmetric) {
     }
     EXPECT_NEAR(rho[0][1], 1.0, 1e-12);
     EXPECT_NEAR(rho[0][2], -1.0, 1e-12);
+}
+
+TEST(CorrelationMatrixTest, BitIdenticalToPairwisePearson) {
+    // Centring each series once must not move a single bit: CBC compares
+    // ρ against its threshold, so even a rounding change could flip a tie.
+    std::mt19937 rng(17);
+    std::normal_distribution<double> noise(50.0, 12.0);
+    la::FlatMatrix series(9, 480);
+    for (std::size_t i = 0; i < series.rows(); ++i) {
+        for (double& x : series[i]) x = i == 4 ? 37.5 : noise(rng);  // 4 is constant
+    }
+    const auto rho = correlation_matrix(series);
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    for (std::size_t i = 0; i < series.rows(); ++i) {
+        EXPECT_EQ(bits(rho[i][i]), bits(1.0));
+        for (std::size_t j = 0; j < series.rows(); ++j) {
+            if (i == j) continue;
+            EXPECT_EQ(bits(rho[i][j]), bits(ts::pearson(series[i], series[j])))
+                << "pair " << i << "," << j;
+        }
+    }
+    EXPECT_EQ(rho[4][0], 0.0);  // zero spread: ρ = 0 against every other
+}
+
+TEST(CorrelationMatrixTest, RejectsSeriesOfDifferentLengths) {
+    const std::vector<double> a{1, 2, 3, 4};
+    const std::vector<double> b{1, 2, 3};
+    const std::vector<std::span<const double>> views{a, b};
+    EXPECT_THROW((void)correlation_matrix(views), std::invalid_argument);
 }
 
 TEST(CbcTest, GroupsStronglyCorrelatedSeries) {

@@ -1,8 +1,11 @@
 // Binary trace format (atm.trace.bin.v1, src/tracegen/trace_binary.hpp):
-// pack -> mmap-load -> unpack round trips bit-identically against the
-// CSV loader, and malformed files (truncation, bad magic, wrong
-// endianness, corrupted payload) are rejected with the structured
-// PipelineError taxonomy instead of producing garbage traces.
+// pack -> load -> unpack round trips bit-identically against the CSV
+// loader, also across the loader's page releases on a multi-MiB file.
+// Malformed files (truncation, bad magic, wrong endianness, lying header
+// or index counts, misalignment, corrupted payload, bad samples) are
+// rejected with the structured PipelineError taxonomy instead of
+// producing garbage traces or escaping as allocation errors, and a
+// corrupt payload is reported as such before any bad sample in it.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -232,6 +236,157 @@ TEST(TraceBinaryTest, RejectsNonFiniteSamples) {
     const std::string path = temp_path("atm_trace_nan.bin");
     write_trace_binary_file(path, bad);
     expect_invalid(path, "sample");
+}
+
+/// Reads / overwrites a fixed-width field of a packed trace in place.
+template <typename T>
+T peek(const std::string& bytes, std::size_t at) {
+    T value;
+    std::memcpy(&value, bytes.data() + at, sizeof(T));
+    return value;
+}
+
+template <typename T>
+void poke(std::string& bytes, std::size_t at, T value) {
+    std::memcpy(bytes.data() + at, &value, sizeof(T));
+}
+
+// Header field offsets (see the layout comment in trace_binary.hpp).
+constexpr std::size_t kBoxCountAt = 24;
+constexpr std::size_t kVmCountAt = 32;
+constexpr std::size_t kSampleCountAt = 40;
+constexpr std::size_t kPayloadOffsetAt = 48;
+constexpr std::size_t kPayloadBytesAt = 56;
+
+/// Offset of the first box's u32 VM count: name, has_gaps, two capacities.
+std::size_t first_box_vm_count_at(const std::string& bytes) {
+    return 72 + 2 + peek<std::uint16_t>(bytes, 72) + 1 + 16;
+}
+
+/// Offset of the first VM's u64 series length: name, two capacities.
+std::size_t first_vm_series_len_at(const std::string& bytes) {
+    const std::size_t vm_at = first_box_vm_count_at(bytes) + 4;
+    return vm_at + 2 + peek<std::uint16_t>(bytes, vm_at) + 16;
+}
+
+/// Packs small_trace(), lets `edit` rewrite the bytes, and writes them back.
+template <typename Edit>
+std::string packed_and_edited(const std::string& name, Edit edit) {
+    const std::string path = temp_path(name);
+    write_trace_binary_file(path, small_trace());
+    std::string bytes = slurp(path);
+    edit(bytes);
+    spit(path, bytes);
+    return path;
+}
+
+TEST(TraceBinaryTest, RejectsABoxCountTheIndexCannotHold) {
+    // Reserving 2^61 boxes would throw std::length_error, outside the
+    // PipelineError taxonomy.
+    const std::string path = packed_and_edited(
+        "atm_trace_box_count.bin", [](std::string& bytes) {
+            poke<std::uint64_t>(bytes, kBoxCountAt, std::uint64_t{1} << 61);
+        });
+    expect_invalid(path, "box_count");
+}
+
+TEST(TraceBinaryTest, RejectsAVmCountTheIndexCannotHold) {
+    // Reserving this many VMs would ask for ~1.2 TB (std::bad_alloc).
+    const std::string path = packed_and_edited(
+        "atm_trace_vm_count.bin", [](std::string& bytes) {
+            poke<std::uint32_t>(bytes, first_box_vm_count_at(bytes), 0xFFFFFFF0u);
+        });
+    expect_invalid(path, "box vm count");
+}
+
+TEST(TraceBinaryTest, RejectsSeriesLengthsBeyondTheSampleCount) {
+    const std::string path = packed_and_edited(
+        "atm_trace_series_len.bin", [](std::string& bytes) {
+            poke<std::uint64_t>(bytes, first_vm_series_len_at(bytes),
+                                peek<std::uint64_t>(bytes, kSampleCountAt) + 1);
+        });
+    expect_invalid(path, "index series lengths exceed sample count");
+}
+
+TEST(TraceBinaryTest, RejectsAVmCountTheIndexDisagreesWith) {
+    const std::string path = packed_and_edited(
+        "atm_trace_vm_total.bin", [](std::string& bytes) {
+            poke<std::uint64_t>(bytes, kVmCountAt,
+                                peek<std::uint64_t>(bytes, kVmCountAt) + 1);
+        });
+    expect_invalid(path, "index vm entries disagree with vm count");
+}
+
+TEST(TraceBinaryTest, RejectsAPayloadSizeTheSampleCountDisagreesWith) {
+    const std::string path = packed_and_edited(
+        "atm_trace_sample_count.bin", [](std::string& bytes) {
+            poke<std::uint64_t>(bytes, kSampleCountAt,
+                                peek<std::uint64_t>(bytes, kSampleCountAt) + 1);
+        });
+    expect_invalid(path, "payload size disagrees with sample count");
+    // 2^59 more samples is the same byte count modulo 2^64 (32 bytes per
+    // sample): the check must not be fooled by the wrap.
+    const std::string wrapped = packed_and_edited(
+        "atm_trace_sample_wrap.bin", [](std::string& bytes) {
+            poke<std::uint64_t>(
+                bytes, kSampleCountAt,
+                peek<std::uint64_t>(bytes, kSampleCountAt) + (std::uint64_t{1} << 59));
+        });
+    expect_invalid(wrapped, "payload size disagrees with sample count");
+}
+
+TEST(TraceBinaryTest, RejectsAMisalignedPayloadOffset) {
+    const std::string path = packed_and_edited(
+        "atm_trace_misaligned.bin", [](std::string& bytes) {
+            // Keep the shifted payload inside the file, so only the
+            // alignment is wrong.
+            poke<std::uint64_t>(bytes, kPayloadOffsetAt,
+                                peek<std::uint64_t>(bytes, kPayloadOffsetAt) + 1);
+            poke<std::uint64_t>(bytes, kPayloadBytesAt,
+                                peek<std::uint64_t>(bytes, kPayloadBytesAt) - 8);
+        });
+    expect_invalid(path, "misaligned payload offset");
+}
+
+TEST(TraceBinaryTest, FingerprintMismatchOutranksABadSample) {
+    // The loader reads the payload in one pass and checks samples only
+    // after the fingerprint: a corrupt file carrying a NaN must still be
+    // reported as corrupt.
+    Trace bad = small_trace();
+    bad.boxes[0].vms[0].cpu_usage_pct.values()[3] =
+        std::numeric_limits<double>::quiet_NaN();
+    const std::string path = temp_path("atm_trace_nan_corrupt.bin");
+    write_trace_binary_file(path, bad);
+    std::string bytes = slurp(path);
+    bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0x40);
+    spit(path, bytes);
+    expect_invalid(path, "fingerprint");
+}
+
+TEST(TraceBinaryTest, TheFirstBadSampleInIndexOrderIsReported) {
+    Trace bad = small_trace();
+    VmTrace& first = bad.boxes.front().vms.front();
+    VmTrace& last = bad.boxes.back().vms.back();
+    ASSERT_NE(&first, &last);
+    first.ram_usage_pct.values()[5] = -1.0;
+    last.cpu_usage_pct.values()[0] = -2.0;
+    const std::string path = temp_path("atm_trace_two_negatives.bin");
+    write_trace_binary_file(path, bad);
+    expect_invalid(path, "negative sample in series " + first.name + "/RAM");
+}
+
+TEST(TraceBinaryTest, RoundTripSpanningManyReleasedPagesIsBitIdentical) {
+    // The loader hands payload pages back every MiB behind its copy
+    // cursor; a multi-MiB trace must still load exactly.
+    TraceGenOptions options;
+    options.num_boxes = 24;
+    options.num_days = 7;
+    options.seed = 5;
+    const Trace original = generate_trace(options);
+    const std::string path = temp_path("atm_trace_large.bin");
+    write_trace_binary_file(path, original);
+    ASSERT_GT(slurp(path).size(), std::size_t{4} << 20);
+    expect_bit_identical(original, read_trace_binary_file(path));
 }
 
 TEST(TraceBinaryTest, MissingFileThrowsPipelineError) {

@@ -18,8 +18,9 @@
 // selects the worker count (default: hardware concurrency).
 //
 // Trace inputs are format-sniffed: both the CSV schema of
-// src/tracegen/trace_io.hpp and the mmap-loaded binary format of
-// src/tracegen/trace_binary.hpp are accepted everywhere, so real
+// src/tracegen/trace_io.hpp and the binary format of
+// src/tracegen/trace_binary.hpp (read in one pass, without text
+// parsing) are accepted everywhere, so real
 // monitoring exports and packed paper-scale traces are analyzed the
 // same way.
 
@@ -241,7 +242,7 @@ int cmd_trace(int argc, char** argv) {
         exec::ArgParser parser(
             "atm trace pack",
             "convert a CSV trace to the binary atm.trace.bin.v1 format "
-            "(mmap-loaded, ~10x faster to read at fleet scale)");
+            "(validated and loaded in one pass, without text parsing)");
         parser.positional("in.csv", "input CSV trace")
             .positional("out.bin", "output binary trace");
         if (!parser.parse(argc, argv, 3)) return 0;
