@@ -23,9 +23,7 @@ int main() {
     const forecast::TemporalModel models[] = {
         forecast::TemporalModel::kNeuralNetwork,
         forecast::TemporalModel::kAutoregressive,
-        forecast::TemporalModel::kHoltWinters,
         forecast::TemporalModel::kSeasonalNaive,
-        forecast::TemporalModel::kEnsemble,
     };
 
     std::printf("%-16s %12s %12s %14s %14s\n", "model", "APE all(%)",

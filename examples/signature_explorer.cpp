@@ -1,5 +1,5 @@
 // Signature explorer: dissects the signature search on one box — pairwise
-// correlations, DTW vs CBC vs k-medoids clusterings, VIF values of the
+// correlations, DTW vs CBC clusterings, VIF values of the
 // initial signature set, the final signatures and how well each dependent
 // series is explained. Useful to understand *why* ATM picked a set.
 //
@@ -12,7 +12,6 @@
 #include "cluster/cbc.hpp"
 #include "cluster/dtw.hpp"
 #include "cluster/hierarchical.hpp"
-#include "cluster/kmedoids.hpp"
 #include "core/signature_search.hpp"
 #include "core/spatial_model.hpp"
 #include "linalg/ols.hpp"
@@ -57,19 +56,12 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
 
-    // --- three clusterings side by side --------------------------------------
+    // --- two clusterings side by side ----------------------------------------
     const auto dist = cluster::dtw_distance_matrix(series);
     const auto best = cluster::cluster_best_k(
         dist, 2, std::max(2, static_cast<int>(n) / 2));
     std::printf("\nDTW hierarchical: %d clusters (silhouette %.2f)\n",
                 best.num_clusters, best.silhouette);
-
-    const auto pam = cluster::k_medoids(dist, best.num_clusters);
-    std::printf("k-medoids (same k): cost %.1f, medoids:", pam.total_cost);
-    for (int m : pam.medoids) {
-        std::printf(" %s", series_name(static_cast<std::size_t>(m)));
-    }
-    std::printf("\n");
 
     const auto cbc = cluster::cbc_cluster(series);
     std::printf("CBC: %zu clusters, heads:", cbc.size());

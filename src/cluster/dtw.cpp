@@ -37,49 +37,6 @@ double dtw_distance(std::span<const double> p, std::span<const double> q, int ba
     return dtw_distance(p, q, band, workspace);
 }
 
-DtwAlignment dtw_align(std::span<const double> p, std::span<const double> q) {
-    DtwAlignment out;
-    const std::size_t n = p.size();
-    const std::size_t m = q.size();
-    if (n == 0 || m == 0) {
-        out.distance = (n == 0 && m == 0) ? 0.0 : kInf;
-        return out;
-    }
-    // Full table as one contiguous (n+1) x (m+1) block with a virtual
-    // row/column of infinities; table(0, 0) = 0.
-    la::FlatMatrix table(n + 1, m + 1, kInf);
-    table(0, 0) = 0.0;
-    for (std::size_t i = 1; i <= n; ++i) {
-        for (std::size_t j = 1; j <= m; ++j) {
-            const double diff = p[i - 1] - q[j - 1];
-            table(i, j) = diff * diff + std::min({table(i - 1, j - 1),
-                                                  table(i - 1, j),
-                                                  table(i, j - 1)});
-        }
-    }
-    out.distance = table(n, m);
-
-    // Backtrack greedily along the minimal predecessor.
-    std::size_t i = n;
-    std::size_t j = m;
-    while (i >= 1 && j >= 1) {
-        out.path.emplace_back(i - 1, j - 1);
-        const double diag = table(i - 1, j - 1);
-        const double up = table(i - 1, j);
-        const double left = table(i, j - 1);
-        if (diag <= up && diag <= left) {
-            --i;
-            --j;
-        } else if (up <= left) {
-            --i;
-        } else {
-            --j;
-        }
-    }
-    std::reverse(out.path.begin(), out.path.end());
-    return out;
-}
-
 std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band) {
     if (n == 0 || m == 0) return 0;
     if (band < 0) return static_cast<std::uint64_t>(n) * m;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "linalg/flat_matrix.hpp"
 #include "linalg/simd/simd.hpp"
@@ -71,17 +70,5 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band = -1);
 la::FlatMatrix dtw_distance_matrix(const la::FlatMatrix& series,
                                    int band = -1,
                                    obs::MetricsRegistry* metrics = nullptr);
-
-/// Full DTW alignment: the optimal warping path as (i, j) index pairs
-/// (0-based, monotone, from (0, 0) to (n-1, m-1)) plus the cumulative
-/// cost λ(n, m). Uses O(n·m) memory — one contiguous DP block — for
-/// backtracking; intended for inspection/diagnostics, not the inner
-/// clustering loop. An empty input series yields an empty path with
-/// infinite (or zero, if both empty) distance.
-struct DtwAlignment {
-    std::vector<std::pair<std::size_t, std::size_t>> path;
-    double distance = 0.0;
-};
-DtwAlignment dtw_align(std::span<const double> p, std::span<const double> q);
 
 }  // namespace atm::cluster

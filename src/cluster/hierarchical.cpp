@@ -17,32 +17,19 @@ void validate_square(const la::FlatMatrix& dist) {
 }
 
 double linkage_distance(const la::FlatMatrix& dist,
-                        const std::vector<int>& a, const std::vector<int>& b,
-                        Linkage linkage) {
-    double best = linkage == Linkage::kSingle
-                      ? std::numeric_limits<double>::infinity()
-                      : 0.0;
+                        const std::vector<int>& a, const std::vector<int>& b) {
     double sum = 0.0;
     for (int i : a) {
         for (int j : b) {
-            const double d = dist[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-            switch (linkage) {
-                case Linkage::kSingle: best = std::min(best, d); break;
-                case Linkage::kComplete: best = std::max(best, d); break;
-                case Linkage::kAverage: sum += d; break;
-            }
+            sum += dist[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
         }
     }
-    if (linkage == Linkage::kAverage) {
-        return sum / (static_cast<double>(a.size()) * static_cast<double>(b.size()));
-    }
-    return best;
+    return sum / (static_cast<double>(a.size()) * static_cast<double>(b.size()));
 }
 
 }  // namespace
 
-std::vector<int> hierarchical_cluster(
-    const la::FlatMatrix& dist, int k, Linkage linkage) {
+std::vector<int> hierarchical_cluster(const la::FlatMatrix& dist, int k) {
     validate_square(dist);
     const int n = static_cast<int>(dist.size());
     if (k < 1 || k > n) throw std::invalid_argument("hierarchical_cluster: bad k");
@@ -57,7 +44,7 @@ std::vector<int> hierarchical_cluster(
         double best_d = std::numeric_limits<double>::infinity();
         for (std::size_t a = 0; a < clusters.size(); ++a) {
             for (std::size_t b = a + 1; b < clusters.size(); ++b) {
-                const double d = linkage_distance(dist, clusters[a], clusters[b], linkage);
+                const double d = linkage_distance(dist, clusters[a], clusters[b]);
                 if (d < best_d) {
                     best_d = d;
                     best_a = a;
@@ -133,7 +120,7 @@ double mean_silhouette(const la::FlatMatrix& dist,
 }
 
 BestClustering cluster_best_k(const la::FlatMatrix& dist,
-                              int k_min, int k_max, Linkage linkage) {
+                              int k_min, int k_max) {
     validate_square(dist);
     const int n = static_cast<int>(dist.size());
     k_min = std::clamp(k_min, 1, n);
@@ -142,7 +129,7 @@ BestClustering cluster_best_k(const la::FlatMatrix& dist,
     BestClustering best;
     best.silhouette = -std::numeric_limits<double>::infinity();
     for (int k = k_min; k <= k_max; ++k) {
-        std::vector<int> labels = hierarchical_cluster(dist, k, linkage);
+        std::vector<int> labels = hierarchical_cluster(dist, k);
         const double sil = mean_silhouette(dist, labels);
         if (sil > best.silhouette) {
             best.silhouette = sil;

@@ -6,22 +6,15 @@
 
 namespace atm::cluster {
 
-/// Linkage criterion for agglomerative clustering.
-enum class Linkage {
-    kSingle,    ///< min pairwise distance between clusters
-    kComplete,  ///< max pairwise distance
-    kAverage,   ///< mean pairwise distance (the default used by ATM)
-};
-
-/// Agglomerative hierarchical clustering over a precomputed symmetric
-/// distance matrix, cut at exactly `k` clusters.
+/// Average-linkage agglomerative hierarchical clustering over a
+/// precomputed symmetric distance matrix, cut at exactly `k` clusters:
+/// each step merges the two clusters with the lowest mean pairwise
+/// distance.
 ///
 /// Returns one cluster label (0..k-1, dense) per item. Throws
 /// std::invalid_argument if the matrix is empty/non-square or k is not in
 /// [1, n]. O(n³) merge loop — adequate for per-box series counts.
-std::vector<int> hierarchical_cluster(
-    const la::FlatMatrix& dist, int k,
-    Linkage linkage = Linkage::kAverage);
+std::vector<int> hierarchical_cluster(const la::FlatMatrix& dist, int k);
 
 /// Mean silhouette value over all items for a given clustering
 /// (Section III-A, Eq. 3): s(i) = (b(i) − a(i)) / max{a(i), b(i)} with
@@ -46,8 +39,7 @@ struct BestClustering {
     double silhouette = 0.0;
 };
 BestClustering cluster_best_k(const la::FlatMatrix& dist,
-                              int k_min, int k_max,
-                              Linkage linkage = Linkage::kAverage);
+                              int k_min, int k_max);
 
 /// Index of the medoid of each cluster: the member with the lowest mean
 /// distance to its co-members (the paper's signature pick: "the series with

@@ -80,7 +80,6 @@ std::uint64_t pipeline_config_digest(const PipelineConfig& p) {
     mix_u64(hash, p.search.apply_stepwise ? 1 : 0);
     mix_u64(hash, static_cast<std::uint64_t>(
                       static_cast<std::int64_t>(p.search.dtw_band)));
-    mix_u64(hash, static_cast<std::uint64_t>(p.search.linkage));
     mix_u64(hash, static_cast<std::uint64_t>(p.temporal));
     mix_u64(hash, static_cast<std::uint64_t>(p.train_days));
     mix_double(hash, p.alpha);

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "cluster/dtw.hpp"
+#include "cluster/hierarchical.hpp"
 #include "linalg/ols.hpp"
 #include "obs/metrics.hpp"
 #include "timeseries/resource.hpp"
@@ -53,7 +54,7 @@ SignatureSearchResult find_signatures(const la::FlatMatrix& series,
         // at least its half"); n < 4 degenerates to k = 2.
         const int k_max = std::max(2, n / 2);
         const cluster::BestClustering best =
-            cluster::cluster_best_k(dist, 2, k_max, options.linkage);
+            cluster::cluster_best_k(dist, 2, k_max);
         result.num_clusters = best.num_clusters;
         result.silhouette = best.silhouette;
         result.initial_signatures = cluster::cluster_medoids(dist, best.labels);

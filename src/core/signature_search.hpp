@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "cluster/cbc.hpp"
-#include "cluster/hierarchical.hpp"
 #include "linalg/flat_matrix.hpp"
 
 namespace atm::obs {
@@ -38,7 +37,6 @@ struct SignatureSearchOptions {
     bool apply_stepwise = true;
     /// Sakoe–Chiba band for DTW; < 0 = unconstrained (paper recurrence).
     int dtw_band = -1;
-    cluster::Linkage linkage = cluster::Linkage::kAverage;
     /// Optional stage-metrics sink (not owned). Records search counters
     /// (`search.series`, `search.clusters`, `search.initial_signatures`,
     /// `search.final_signatures`), the clustering silhouette gauge, the

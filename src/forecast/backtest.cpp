@@ -70,9 +70,9 @@ std::vector<BacktestResult> compare_models(const std::vector<double>& series,
                                            int horizon, std::size_t step,
                                            unsigned seed) {
     const TemporalModel models[] = {
-        TemporalModel::kSeasonalNaive, TemporalModel::kAutoregressive,
-        TemporalModel::kHoltWinters,   TemporalModel::kNeuralNetwork,
-        TemporalModel::kEnsemble,
+        TemporalModel::kSeasonalNaive,
+        TemporalModel::kAutoregressive,
+        TemporalModel::kNeuralNetwork,
     };
     std::vector<BacktestResult> results;
     for (const TemporalModel m : models) {

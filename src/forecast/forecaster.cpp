@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "forecast/ar.hpp"
-#include "forecast/holt_winters.hpp"
 #include "forecast/mlp_forecaster.hpp"
 #include "forecast/seasonal_naive.hpp"
 
@@ -25,19 +24,6 @@ std::unique_ptr<Forecaster> make_forecaster(TemporalModel model,
             options.train.metrics = metrics;
             return std::make_unique<MlpForecaster>(options);
         }
-        case TemporalModel::kHoltWinters:
-            return std::make_unique<HoltWintersForecaster>(
-                seasonal_period > 1 ? seasonal_period : 2);
-        case TemporalModel::kEnsemble: {
-            std::vector<std::unique_ptr<Forecaster>> members;
-            members.push_back(make_forecaster(TemporalModel::kAutoregressive,
-                                              seasonal_period, seed, metrics));
-            members.push_back(make_forecaster(TemporalModel::kHoltWinters,
-                                              seasonal_period, seed, metrics));
-            members.push_back(make_forecaster(TemporalModel::kNeuralNetwork,
-                                              seasonal_period, seed, metrics));
-            return std::make_unique<EnsembleForecaster>(std::move(members));
-        }
     }
     throw std::invalid_argument("make_forecaster: unknown model");
 }
@@ -47,8 +33,6 @@ std::string to_string(TemporalModel model) {
         case TemporalModel::kSeasonalNaive: return "seasonal-naive";
         case TemporalModel::kAutoregressive: return "ar";
         case TemporalModel::kNeuralNetwork: return "mlp";
-        case TemporalModel::kHoltWinters: return "holt-winters";
-        case TemporalModel::kEnsemble: return "ensemble";
     }
     return "unknown";
 }

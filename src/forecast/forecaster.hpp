@@ -42,8 +42,6 @@ enum class TemporalModel {
     kSeasonalNaive,  ///< repeat the last full season
     kAutoregressive, ///< AR(p) via OLS
     kNeuralNetwork,  ///< MLP on lag + seasonal features (the paper's choice)
-    kHoltWinters,    ///< additive triple exponential smoothing
-    kEnsemble,       ///< mean of AR, Holt-Winters and the MLP
 };
 
 /// Factory for the built-in temporal models.

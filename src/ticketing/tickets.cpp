@@ -24,14 +24,6 @@ int count_demand_tickets(std::span<const double> demand, double capacity,
     return count;
 }
 
-std::vector<int> ticket_indicators(std::span<const double> demand,
-                                   double capacity, double alpha) {
-    const double limit = alpha * capacity;
-    std::vector<int> out(demand.size());
-    for (std::size_t t = 0; t < demand.size(); ++t) out[t] = demand[t] > limit ? 1 : 0;
-    return out;
-}
-
 BoxTicketStats count_box_tickets(const trace::BoxTrace& box, double threshold_pct,
                                  std::size_t first_window, long num_windows) {
     BoxTicketStats stats;

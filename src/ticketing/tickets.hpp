@@ -21,11 +21,6 @@ int count_usage_tickets(std::span<const double> usage_pct, double threshold_pct)
 int count_demand_tickets(std::span<const double> demand, double capacity,
                          double alpha);
 
-/// Ticket-window indicator vector for a demand series (1 = ticket), the
-/// I_{i,t} variables of the optimization formulation.
-std::vector<int> ticket_indicators(std::span<const double> demand,
-                                   double capacity, double alpha);
-
 /// Per-VM ticket counts of one box at one threshold.
 struct BoxTicketStats {
     std::vector<int> cpu_tickets_per_vm;

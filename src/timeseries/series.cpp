@@ -18,12 +18,4 @@ Series Series::scaled(double factor) const {
     return Series(name_, std::move(out));
 }
 
-TrainTestSplit split_train_test(const Series& s, std::size_t train_len) {
-    train_len = std::min(train_len, s.size());
-    return TrainTestSplit{
-        s.slice(0, train_len),
-        s.slice(train_len, s.size() - train_len),
-    };
-}
-
 }  // namespace atm::ts

@@ -62,12 +62,4 @@ class Series {
     std::vector<double> values_;
 };
 
-/// Splits a series into a training prefix and test suffix at `train_len`
-/// samples. `train_len` is clamped to the series length.
-struct TrainTestSplit {
-    Series train;
-    Series test;
-};
-TrainTestSplit split_train_test(const Series& s, std::size_t train_len);
-
 }  // namespace atm::ts

@@ -40,16 +40,6 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
     return covariance(xs, ys) / (sx * sy);
 }
 
-double min_value(std::span<const double> xs) {
-    if (xs.empty()) return 0.0;
-    return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_value(std::span<const double> xs) {
-    if (xs.empty()) return 0.0;
-    return *std::max_element(xs.begin(), xs.end());
-}
-
 double quantile(std::span<const double> xs, double q) {
     if (xs.empty()) return 0.0;
     q = std::clamp(q, 0.0, 1.0);

@@ -25,10 +25,6 @@ double covariance(std::span<const double> xs, std::span<const double> ys);
 /// Returns 0 when either span is constant (undefined correlation).
 double pearson(std::span<const double> xs, std::span<const double> ys);
 
-/// Smallest / largest element; 0 for an empty span.
-double min_value(std::span<const double> xs);
-double max_value(std::span<const double> xs);
-
 /// Linear-interpolated empirical quantile, q in [0, 1].
 /// q=0 -> min, q=0.5 -> median, q=1 -> max. 0 for an empty span.
 double quantile(std::span<const double> xs, double q);

@@ -374,7 +374,6 @@ Trace generate_trace(const TraceGenOptions& options) {
     check("windows_per_day", options.windows_per_day, 1);
     Trace trace;
     trace.windows_per_day = options.windows_per_day;
-    trace.num_days = options.num_days;
     trace.boxes.reserve(static_cast<std::size_t>(options.num_boxes));
     for (int b = 0; b < options.num_boxes; ++b) {
         trace.boxes.push_back(generate_box(options, b));

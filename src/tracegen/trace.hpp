@@ -86,7 +86,6 @@ struct Trace {
     std::vector<BoxTrace> boxes;
     /// Ticketing windows per day (96 = 15-minute windows).
     int windows_per_day = 96;
-    int num_days = 7;
 
     [[nodiscard]] std::size_t total_vms() const;
     [[nodiscard]] std::size_t total_series() const;

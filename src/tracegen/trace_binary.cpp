@@ -1,5 +1,6 @@
 #include "tracegen/trace_binary.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -229,7 +230,14 @@ void write_trace_binary_file(const std::string& path, const Trace& trace) {
     append_value(out, kEndianTag);
     append_value(out, kVersion);
     append_value(out, static_cast<std::uint32_t>(trace.windows_per_day));
-    append_value(out, static_cast<std::uint32_t>(trace.num_days));
+    std::size_t longest_box = 0;
+    for (const BoxTrace& box : trace.boxes) {
+        longest_box = std::max(longest_box, box.length());
+    }
+    append_value(out, static_cast<std::uint32_t>(
+                          trace.windows_per_day > 0
+                              ? longest_box / static_cast<std::size_t>(trace.windows_per_day)
+                              : 0));
     append_value(out, static_cast<std::uint64_t>(trace.boxes.size()));
     const std::size_t vm_count_at = out.size();
     append_value(out, std::uint64_t{0});  // vm_count
@@ -318,7 +326,7 @@ Trace read_trace_binary_file(const std::string& path,
         fail("unsupported version " + std::to_string(version));
     }
     const auto windows_per_day = cursor.read<std::uint32_t>("windows_per_day");
-    const auto num_days = cursor.read<std::uint32_t>("num_days");
+    (void)cursor.read<std::uint32_t>("num_days");
     const auto box_count = cursor.read<std::uint64_t>("box_count");
     const auto vm_count = cursor.read<std::uint64_t>("vm_count");
     const auto sample_count = cursor.read<std::uint64_t>("sample_count");
@@ -348,7 +356,6 @@ Trace read_trace_binary_file(const std::string& path,
 
     Trace trace;
     trace.windows_per_day = static_cast<int>(windows_per_day);
-    trace.num_days = static_cast<int>(num_days);
     trace.boxes.reserve(box_count);
 
     // The index Cursor must stay inside [header, payload): a corrupt

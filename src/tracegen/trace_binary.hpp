@@ -25,7 +25,8 @@ namespace atm::trace {
 ///                                    on a wrong-endian host)
 ///     [12] version          u32      1
 ///     [16] windows_per_day  u32
-///     [20] num_days         u32
+///     [20] num_days         u32      longest box length / windows_per_day;
+///                                    informational, readers skip it
 ///     [24] box_count        u64
 ///     [32] vm_count         u64
 ///     [40] sample_count     u64      total (vm, window) samples

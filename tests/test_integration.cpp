@@ -5,19 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "core/pipeline.hpp"
-#include "core/rolling.hpp"
-#include "forecast/holt_winters.hpp"
 #include "mediawiki/simulator.hpp"
-#include "resize/drf.hpp"
 #include "ticketing/characterization.hpp"
-#include "ticketing/incidents.hpp"
-#include "timeseries/analysis.hpp"
 #include "timeseries/repair.hpp"
-#include "timeseries/stats.hpp"
 #include "tracegen/generator.hpp"
 
 namespace atm {
@@ -87,30 +81,6 @@ TEST(IntegrationTest, GapRepairRestoresCharacterization) {
     EXPECT_LT(err_rep, 0.6 * err_gap);
 }
 
-TEST(IntegrationTest, DetectPeriodFindsDiurnalCycleInTrace) {
-    const trace::BoxTrace box = trace::generate_box(base_options(), 1);
-    // A driver-following VM should show the 96-window daily period. Scan
-    // all VMs; at least one must lock onto ~96.
-    int found = 0;
-    for (const trace::VmTrace& vm : box.vms) {
-        const int p = ts::detect_period(vm.cpu_usage_pct.view(), 48, 144, 0.25);
-        if (p >= 90 && p <= 102) ++found;
-    }
-    EXPECT_GE(found, 1);
-}
-
-TEST(IntegrationTest, IncidentsConsistentWithTicketCounts) {
-    const trace::BoxTrace box = trace::generate_box(base_options(), 0);
-    for (const trace::VmTrace& vm : box.vms) {
-        const auto stats =
-            ticketing::summarize_incidents(vm.cpu_usage_pct.view(), 60.0, 0);
-        const int tickets =
-            ticketing::count_usage_tickets(vm.cpu_usage_pct.view(), 60.0);
-        // With merge_gap 0 the incident windows partition the tickets.
-        EXPECT_EQ(stats.total_windows, tickets) << vm.name;
-    }
-}
-
 TEST(IntegrationTest, PipelineCapacityConservation) {
     // Whatever the policy, allocated capacity never exceeds the box's.
     const trace::BoxTrace box = trace::generate_box(base_options(), 3);
@@ -130,72 +100,6 @@ TEST(IntegrationTest, PipelineCapacityConservation) {
         const double used = std::accumulate(result.capacities.begin(),
                                             result.capacities.end(), 0.0);
         EXPECT_LE(used, box.cpu_capacity_ghz + 1e-6) << resize::to_string(policy);
-    }
-}
-
-TEST(IntegrationTest, HoltWintersPluggedIntoPipeline) {
-    const trace::BoxTrace box = trace::generate_box(base_options(), 5);
-    core::PipelineConfig config;
-    config.temporal = forecast::TemporalModel::kHoltWinters;
-    const auto result = core::run_pipeline_on_box(
-        box, 96, config, {resize::ResizePolicy::kAtmGreedy});
-    EXPECT_GT(result.ape_all, 0.0);
-    EXPECT_LT(result.ape_all, 1.2);
-}
-
-TEST(IntegrationTest, RollingMatchesOneShotOnFinalDay) {
-    // The rolling pipeline's last day uses the same training window as a
-    // one-shot run on the 6-day suffix: results must agree exactly.
-    trace::TraceGenOptions options = base_options();
-    options.num_days = 7;
-    const trace::BoxTrace box = trace::generate_box(options, 6);
-
-    core::PipelineConfig config;
-    config.temporal = forecast::TemporalModel::kSeasonalNaive;
-    config.train_days = 5;
-
-    const auto rolling = core::run_rolling_pipeline(box, 96, 7, config);
-    ASSERT_EQ(rolling.days.size(), 2u);
-
-    trace::BoxTrace suffix = box;
-    const std::size_t first = 96;  // days 1..6
-    for (trace::VmTrace& vm : suffix.vms) {
-        vm.cpu_usage_pct = vm.cpu_usage_pct.slice(first, 6 * 96);
-        vm.ram_usage_pct = vm.ram_usage_pct.slice(first, 6 * 96);
-        vm.cpu_demand_ghz = vm.cpu_demand_ghz.slice(first, 6 * 96);
-        vm.ram_demand_gb = vm.ram_demand_gb.slice(first, 6 * 96);
-    }
-    const auto one_shot = core::run_pipeline_on_box(
-        suffix, 96, config, {resize::ResizePolicy::kAtmGreedy});
-    EXPECT_DOUBLE_EQ(rolling.days[1].ape_all, one_shot.ape_all);
-    EXPECT_EQ(rolling.days[1].cpu_after, one_shot.policies[0].cpu_after);
-}
-
-TEST(IntegrationTest, DrfNeverBeatsAtmOnTickets) {
-    // ATM optimizes tickets directly; DRF optimizes fairness. On any box
-    // ATM's combined ticket count is <= DRF's (sanity of both).
-    trace::TraceGenOptions options = base_options();
-    options.num_days = 2;
-    for (int b = 0; b < 6; ++b) {
-        const trace::BoxTrace box = trace::generate_box(options, b);
-        const auto demands = box.demand_matrix();
-        resize::MultiResourceInput multi;
-        multi.alpha = 0.6;
-        multi.cpu_capacity = box.cpu_capacity_ghz;
-        multi.ram_capacity = box.ram_capacity_gb;
-        for (std::size_t i = 0; i < box.vms.size(); ++i) {
-            const auto& cpu_row = demands[i * 2];
-            const auto& ram_row = demands[i * 2 + 1];
-            multi.cpu_demands.emplace_back(cpu_row.end() - 96, cpu_row.end());
-            multi.ram_demands.emplace_back(ram_row.end() - 96, ram_row.end());
-        }
-        const auto drf = resize::drf_resize(multi);
-
-        const auto atm_results = core::evaluate_resize_policies_on_actuals(
-            box, 96, 1, 0.6, 0.0, {resize::ResizePolicy::kAtmGreedy},
-            /*use_lower_bounds=*/false);
-        const int atm_total = atm_results[0].cpu_after + atm_results[0].ram_after;
-        EXPECT_LE(atm_total, drf.cpu_tickets + drf.ram_tickets + 1) << "box " << b;
     }
 }
 

@@ -264,17 +264,6 @@ TEST(KernelsDtwTest, MatrixAllocationsDoNotGrowWithSeriesCount) {
     EXPECT_EQ(allocations_for(few), allocations_for(many));
 }
 
-TEST(KernelsDtwTest, AlignDistanceMatchesDistanceKernel) {
-    const std::vector<double> p = wave(60, 7, 0.0);
-    const std::vector<double> q = wave(75, 8, 1.1);
-    const cluster::DtwAlignment alignment = cluster::dtw_align(p, q);
-    EXPECT_EQ(alignment.distance, cluster::dtw_distance(p, q));
-    ASSERT_FALSE(alignment.path.empty());
-    EXPECT_EQ(alignment.path.front(), (std::pair<std::size_t, std::size_t>{0, 0}));
-    EXPECT_EQ(alignment.path.back(),
-              (std::pair<std::size_t, std::size_t>{p.size() - 1, q.size() - 1}));
-}
-
 // ---- FlatMatrix ------------------------------------------------------------
 
 TEST(KernelsFlatMatrixTest, ConvertsFromNestedVectorsAndRejectsRagged) {

@@ -80,8 +80,7 @@ WindowUpdate update_at(const trace::Trace& trace, int box_index,
 std::map<std::pair<int, std::uint64_t>, ApplyOutcome> feed_all(
     ServeEngine& engine, const trace::Trace& trace) {
     std::map<std::pair<int, std::uint64_t>, ApplyOutcome> outcomes;
-    const std::uint64_t windows = static_cast<std::uint64_t>(
-        trace.num_days * trace.windows_per_day);
+    const std::uint64_t windows = trace.boxes.front().length();
     for (std::uint64_t epoch = 0; epoch < windows; ++epoch) {
         for (int box = 0; box < engine.num_boxes(); ++box) {
             outcomes[{box, epoch}] = engine.apply(update_at(trace, box, epoch));

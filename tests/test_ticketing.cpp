@@ -24,16 +24,6 @@ TEST(TicketCountTest, DemandAgainstAlphaCapacity) {
     EXPECT_EQ(count_demand_tickets(demand, 10.0, 0.6), 2);
 }
 
-TEST(TicketCountTest, IndicatorsMatchCount) {
-    const std::vector<double> demand{1, 7, 3, 9, 6};
-    const auto ind = ticket_indicators(demand, 10.0, 0.6);
-    ASSERT_EQ(ind.size(), 5u);
-    EXPECT_EQ(ind, (std::vector<int>{0, 1, 0, 1, 0}));
-    int sum = 0;
-    for (int i : ind) sum += i;
-    EXPECT_EQ(sum, count_demand_tickets(demand, 10.0, 0.6));
-}
-
 trace::BoxTrace make_test_box() {
     trace::BoxTrace box;
     box.name = "test";
@@ -117,7 +107,6 @@ TEST(CharacterizeTest, DayParameterSelectsWindow) {
     // select the right window.
     trace::Trace t;
     t.windows_per_day = 4;
-    t.num_days = 2;
     trace::BoxTrace box;
     trace::VmTrace vm;
     vm.cpu_capacity_ghz = 4.0;

@@ -393,6 +393,35 @@ TEST(TraceBinaryTest, MissingFileThrowsPipelineError) {
     expect_invalid(temp_path("atm_trace_does_not_exist.bin"), "open");
 }
 
+TEST(TraceBinaryTest, DayCountWordComesFromTheSamplesNotTheSource) {
+    // Header word [20] is the longest box's length in whole days, so a
+    // trace packed from its CSV unpacking carries the same word as one
+    // packed straight from the generator, and an empty trace carries 0.
+    const auto day_word = [](const std::string& path) {
+        const std::string bytes = slurp(path);
+        std::uint32_t days = 0;
+        std::memcpy(&days, bytes.data() + 20, sizeof days);
+        return days;
+    };
+    TraceGenOptions options;
+    options.num_boxes = 4;
+    options.num_days = 6;
+    options.seed = 3;
+    const Trace generated = generate_trace(options);
+    const std::string direct = temp_path("atm_trace_days_direct.bin");
+    const std::string csv = temp_path("atm_trace_days.csv");
+    const std::string repacked = temp_path("atm_trace_days_repacked.bin");
+    write_trace_binary_file(direct, generated);
+    write_trace_csv_file(csv, read_trace_binary_file(direct));
+    write_trace_binary_file(repacked, read_trace_csv_file(csv));
+    EXPECT_EQ(day_word(direct), 6u);
+    EXPECT_EQ(day_word(repacked), 6u);
+
+    const std::string empty = temp_path("atm_trace_days_empty.bin");
+    write_trace_binary_file(empty, Trace{});
+    EXPECT_EQ(day_word(empty), 0u);
+}
+
 TEST(TraceBinaryTest, HeaderMetadataWinsOverCallerWindowsPerDay) {
     // read_trace_any_file's windows_per_day parameter is for CSV files
     // only; a binary file carries its own.

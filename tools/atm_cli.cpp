@@ -81,7 +81,7 @@ void install_sigint_drain() {
 void add_pipeline_flags(exec::ArgParser& parser) {
     parser.option("method", "cbc", "clustering method: dtw|cbc")
         .option("model", "mlp",
-                "temporal model: mlp|ar|holt-winters|seasonal-naive|ensemble")
+                "temporal model: mlp|ar|seasonal-naive")
         .option("threshold", "60", "ticket threshold in percent")
         .option("epsilon", "5", "discretization factor, % of VM capacity")
         .option("train-days", "5", "days of training history")
@@ -131,16 +131,11 @@ core::FleetConfig fleet_config_from_flags(const exec::ArgParser& parser) {
         config.pipeline.temporal = forecast::TemporalModel::kNeuralNetwork;
     } else if (model == "ar") {
         config.pipeline.temporal = forecast::TemporalModel::kAutoregressive;
-    } else if (model == "holt-winters") {
-        config.pipeline.temporal = forecast::TemporalModel::kHoltWinters;
     } else if (model == "seasonal-naive") {
         config.pipeline.temporal = forecast::TemporalModel::kSeasonalNaive;
-    } else if (model == "ensemble") {
-        config.pipeline.temporal = forecast::TemporalModel::kEnsemble;
     } else {
-        throw exec::ArgParseError(
-            "unknown --model '" + model +
-            "' (expected mlp|ar|holt-winters|seasonal-naive|ensemble)");
+        throw exec::ArgParseError("unknown --model '" + model +
+                                  "' (expected mlp|ar|seasonal-naive)");
     }
 
     config.pipeline.alpha = parser.get_double("threshold") / 100.0;
