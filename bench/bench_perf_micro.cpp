@@ -7,7 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-
+#include <cstdint>
 #include <random>
 #include <span>
 #include <string>
@@ -288,6 +288,25 @@ void BM_MlpTrain(benchmark::State& state, simd::Path path) {
     simd::set_path(ambient);
 }
 
+/// The hidden activation (KernelTable::mlp_activate_n, tanh bit-identical
+/// to libm on every path) over 4096 pre-activations drawn uniformly from
+/// [-3, 3], under a pinned SIMD kernel path; items/s counts values.
+void BM_MlpActivate(benchmark::State& state, simd::Path path) {
+    const simd::KernelTable& kernels = simd::kernels_for(path);
+    std::mt19937 rng(7);
+    std::uniform_real_distribution<double> dist(-3.0, 3.0);
+    std::vector<double> in(4096);
+    for (double& x : in) x = dist(rng);
+    std::vector<double> out(in.size());
+    for (auto _ : state) {
+        kernels.mlp_activate_n(in.data(), out.data(), in.size());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(in.size()));
+}
+
 /// Pairwise DTW matrix under a pinned SIMD kernel path and band — one row
 /// per (path, days) pair so BENCH_kernels.json carries the scalar vs
 /// vector speedup explicitly instead of only the dispatched winner.
@@ -329,6 +348,10 @@ void register_per_path_benchmarks() {
             ("BM_MlpTrain" + tag).c_str(),
             [path](benchmark::State& state) { BM_MlpTrain(state, path); })
             ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(
+            ("BM_MlpActivate" + tag).c_str(),
+            [path](benchmark::State& state) { BM_MlpActivate(state, path); })
+            ->Unit(benchmark::kMicrosecond);
     }
 }
 

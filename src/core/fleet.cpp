@@ -114,8 +114,9 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
 
     // Checkpoint journal: load the replayable prefix (resume) and open the
     // writer. A header mismatch — different trace, result-affecting
-    // config, or seed — means the old journal answers a different
-    // question, so it is ignored and the file starts fresh.
+    // config, seed or SIMD path — means the old journal answers a
+    // different question, so it is ignored, the file starts fresh, and
+    // the result says why.
     std::map<int, FleetBoxResult> replayed;
     std::optional<exec::JournalWriter> journal;
     if (!config.checkpoint_path.empty()) {
@@ -144,6 +145,9 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
                 journal.emplace(exec::JournalWriter::append_after(
                     config.checkpoint_path, keep_bytes));
                 fresh = false;
+            } else if (load.exists) {
+                fleet.checkpoint_discarded =
+                    journal_header_mismatch(load.header, header);
             }
         }
         if (fresh) {

@@ -182,6 +182,12 @@ struct FleetResult {
     /// resume-equivalence contract (it describes how the run executed,
     /// not what it computed).
     std::size_t boxes_replayed = 0;
+    /// Set when FleetConfig::resume found a checkpoint journal written for
+    /// a different run: the journal was started afresh and no box was
+    /// replayed. Names what differs (journal_header_mismatch), e.g.
+    /// "trace"; empty otherwise. Like boxes_replayed, outside
+    /// the resume-equivalence contract.
+    std::string checkpoint_discarded;
     /// True when FleetConfig::stop drained this run: some boxes were
     /// recorded as kCancelled without being evaluated (or journaled).
     bool interrupted = false;

@@ -135,6 +135,51 @@ std::string journal_header(const char* schema, const trace::Trace& trace,
     return obs::json::serialize(header, 0);
 }
 
+std::string journal_header_mismatch(const std::string& found,
+                                    const std::string& expected) {
+    if (found == expected) return "";
+    Value old;
+    try {
+        old = obs::json::parse(found);
+    } catch (const std::runtime_error&) {
+        return "no readable header";
+    }
+    if (old.type != Value::Type::kObject) return "no readable header";
+    const Value now = obs::json::parse(expected);
+    // Header key, what it binds, and whether its values mean something
+    // to an operator (digests do not).
+    struct Field {
+        const char* key;
+        const char* what;
+        bool show_values;
+    };
+    constexpr Field kFields[] = {
+        {"schema", "journal schema", false},
+        {"fingerprint", "trace", false},
+        {"config", "config", false},
+        {"seed", "seed", true},
+        {"simd", "SIMD path", true},
+    };
+    const auto bare = [](std::string text) {  // a JSON string unquoted
+        if (text.size() >= 2 && text.front() == '"') {
+            text = text.substr(1, text.size() - 2);
+        }
+        return text;
+    };
+    std::string differs;
+    for (const Field& field : kFields) {
+        const std::string was =
+            old.has(field.key) ? obs::json::serialize(old.at(field.key), 0) : "none";
+        const std::string is = obs::json::serialize(now.at(field.key), 0);
+        if (was == is) continue;
+        if (!differs.empty()) differs += ", ";
+        differs += field.what;
+        if (field.show_values) {
+            differs += " (" + bare(was) + ", now " + bare(is) + ")";
+        }
+    }
+    return differs.empty() ? "header" : differs;
+}
 
 std::string encode_box_record(const FleetBoxResult& box) {
     Value record = Value::make_object();

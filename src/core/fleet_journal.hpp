@@ -49,6 +49,16 @@ void mix_fault_plan(std::uint64_t& hash, const exec::FaultPlan& plan);
                                          std::uint64_t config_digest,
                                          unsigned seed);
 
+/// What differs between a journal's header `found` and the header this
+/// run expects (journal_header): the fields that differ, in header
+/// order, as "journal schema", "trace", "config", "seed (42, now 43)"
+/// and "SIMD path (avx2, now avx512)", comma-separated; "no readable
+/// header" when `found` is empty or does not parse. Empty when the two
+/// are equal. The config digest covers the seed, so a changed seed
+/// reads "config, seed (…)".
+[[nodiscard]] std::string journal_header_mismatch(const std::string& found,
+                                                  const std::string& expected);
+
 /// Encodes one completed box outcome as a compact single-line JSON
 /// payload for exec::JournalWriter. Everything that feeds the fleet
 /// aggregates and the resume-equivalence contract is included: the error

@@ -84,9 +84,10 @@ void MlpNetwork::forward(std::span<const double> inputs,
         const auto fan_out = static_cast<std::size_t>(layer.fan_out);
         kernels.mlp_forward_layer(layer.weights.data(), layer.biases.data(),
                                   in, fan_in, fan_out, pre);
-        for (std::size_t j = 0; j < fan_out; ++j) {
-            // Linear output unit.
-            out[j] = is_output ? pre[j] : simd::mlp_activate(pre[j]);
+        if (is_output) {
+            std::copy(pre, pre + fan_out, out);  // linear output unit
+        } else {
+            kernels.mlp_activate_n(pre, out, fan_out);
         }
     }
 }

@@ -49,6 +49,11 @@ void mlp_forward_layer_avx2(const double* weights, const double* biases,
     mlp_forward_layer_vec<VecAvx2>(weights, biases, in, fan_in, fan_out, pre);
 }
 
+// libm per value, as on the scalar path (simd.hpp's tolerance policy).
+void mlp_activate_n_avx2(const double* in, double* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = mlp_activate(in[i]);
+}
+
 void mlp_train_epoch_avx2(const MlpLaneEpoch& epoch) {
     mlp_train_epoch_vec<VecAvx2>(epoch);
 }
@@ -65,6 +70,7 @@ const KernelTable& avx2_kernel_table() {
         /*dtw_batch_width=*/VecAvx2::kWidth,
         dtw_distance_batch_avx2,
         mlp_forward_layer_avx2,
+        mlp_activate_n_avx2,
         /*mlp_lanes=*/VecAvx2::kWidth,
         mlp_train_epoch_avx2,
         mlp_train_one_avx2,

@@ -8,6 +8,12 @@
 //                  sums lane partials over full W-blocks, folds them with
 //                  the W-wide hsum pairing (fold_partials), adds the fold
 //                  to the bias, then the tail terms in order
+//   V::activate_n  optional: tanh over n contiguous values, bit-identical
+//                  to std::tanh (AVX-512's vector tanh). The training
+//                  kernel then activates a hidden layer's units of every
+//                  lane in one call and zeroes the idle lanes; without
+//                  it, each active lane calls mlp_activate (libm) per
+//                  unit. Both give std::tanh's bits.
 // Each path's translation unit instantiates these under its own target
 // flags: the lane-training kernel once over its vector registers and
 // once over OneLane for a lone network. Every instantiation
@@ -248,10 +254,18 @@ void mlp_train_epoch_vec(const MlpLaneEpoch& epoch) {
                 for (std::size_t v = 0; v < fan_out * kW; ++v) out[v] = pre[v];
                 continue;
             }
-            for (std::size_t j = 0; j < fan_out; ++j) {
+            if constexpr (requires { V::activate_n(pre, out, fan_out); }) {
+                V::activate_n(pre, out, fan_out * kW);
                 for (std::size_t b = 0; b < kW; ++b) {
-                    out[j * kW + b] =
-                        active[b] ? mlp_activate(pre[j * kW + b]) : 0.0;
+                    if (active[b]) continue;
+                    for (std::size_t j = 0; j < fan_out; ++j) out[j * kW + b] = 0.0;
+                }
+            } else {
+                for (std::size_t j = 0; j < fan_out; ++j) {
+                    for (std::size_t b = 0; b < kW; ++b) {
+                        out[j * kW + b] =
+                            active[b] ? mlp_activate(pre[j * kW + b]) : 0.0;
+                    }
                 }
             }
         }

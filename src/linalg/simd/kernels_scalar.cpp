@@ -85,6 +85,10 @@ void mlp_forward_layer_scalar(const double* weights, const double* biases,
     }
 }
 
+void mlp_activate_n_scalar(const double* in, double* out, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = mlp_activate(in[i]);
+}
+
 /// One network at a time, dot products summed sequentially from the
 /// bias exactly as mlp_forward_layer_scalar does.
 void mlp_train_epoch_scalar(const MlpLaneEpoch& epoch) {
@@ -99,6 +103,7 @@ const KernelTable& scalar_kernel_table() {
         /*dtw_batch_width=*/1,
         dtw_distance_batch_scalar,
         mlp_forward_layer_scalar,
+        mlp_activate_n_scalar,
         /*mlp_lanes=*/1,
         mlp_train_epoch_scalar,
         mlp_train_epoch_scalar,

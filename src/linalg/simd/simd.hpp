@@ -34,8 +34,18 @@
 ///     same-topology networks train together, one per SIMD lane, and
 ///     each lane runs exactly the per-network arithmetic of its path.
 ///     Backprop sums and SGD/momentum updates keep the scalar element
-///     order, so they are the same on every path. Activations call libm
-///     per active lane (never a vector approximation).
+///     order, so they are the same on every path.
+///   * The hidden activation is **libm's tanh, bit for bit, on every
+///     path** (mlp_activate_n). Scalar and AVX2 call std::tanh per value.
+///     AVX-512 runs one 8-lane tanh that reproduces glibc 2.36's
+///     (fdlibm's tanh over the FMA build of expm1, which x86-64 glibc
+///     dispatches to on any FMA CPU, so on every AVX-512 CPU): the same
+///     operations, with exactly that build's fused multiply-adds as
+///     explicit intrinsics — no approximation and no tolerance.
+///     SimdMlpTest.ActivationEqualsLibmBitForBit pins it against the
+///     host libm. AVX2 stays on libm: its translation unit is built
+///     without FMA, dispatch does not check for FMA, and without FMA
+///     glibc runs a different expm1.
 ///   * MLP forward dot products **reassociate on vector paths**: a
 ///     W-wide path (W = 4 on AVX2, 8 on AVX-512) sums lane partials over
 ///     full W-blocks, folds them with that path's horizontal-sum pairing,
@@ -77,8 +87,10 @@ struct DtwScratch {
     std::vector<std::size_t> jhi;
 };
 
-/// The hidden-unit activation, shared by every path's MLP kernels: libm
-/// std::tanh, never a vector approximation (the output unit is linear).
+/// The hidden-unit activation of the scalar and AVX2 kernels, one value
+/// at a time: libm's std::tanh (the output unit is linear). The AVX-512
+/// kernels run a vector tanh that equals it bit for bit (tolerance
+/// policy above; KernelTable::mlp_activate_n).
 inline double mlp_activate(double x) { return std::tanh(x); }
 
 /// Weights and biases of an MLP with `layer_sizes` = {in, hidden..., out}.
@@ -170,6 +182,13 @@ struct KernelTable {
     void (*mlp_forward_layer)(const double* weights, const double* biases,
                               const double* in, std::size_t fan_in,
                               std::size_t fan_out, double* pre);
+
+    /// out[i] = tanh(in[i]) for i < n, bit-identical to std::tanh on
+    /// every path: mlp_activate per value on scalar and AVX2, 8 values
+    /// per vector tanh (and one masked tail block) on AVX-512.
+    /// Prediction activates its hidden units through this; the training
+    /// kernels run the same tanh.
+    void (*mlp_activate_n)(const double* in, double* out, std::size_t n);
 
     /// Networks one mlp_train_epoch call trains side by side (1 on the
     /// scalar path, the register lane count on vector paths).

@@ -779,6 +779,8 @@ TEST(CheckpointResumeTest, HeaderMismatchStartsFreshInsteadOfReplayingLies) {
     other.pipeline.seed = 43;
     const core::FleetResult resumed = core::run_pipeline_on_fleet(t, other);
     EXPECT_EQ(resumed.boxes_replayed, 0u);
+    // The config digest covers the seed too.
+    EXPECT_EQ(resumed.checkpoint_discarded, "config, seed (42, now 43)");
 
     core::FleetConfig clean = chaos_config("", 1);
     clean.pipeline.seed = 43;
@@ -795,6 +797,42 @@ std::string replace_first(std::string text, const std::string& from,
     EXPECT_NE(at, std::string::npos) << from;
     if (at != std::string::npos) text.replace(at, from.size(), to);
     return text;
+}
+
+TEST(CheckpointResumeTest, DiscardedCheckpointNamesWhatDiffers) {
+    const trace::Trace t = chaos_trace(3);
+    const std::string path = journal_path("atm_resume_discarded.jsonl");
+    std::remove(path.c_str());
+    core::FleetConfig config = chaos_config("", 1);
+    config.checkpoint_path = path;
+    config.resume = true;
+    // Nothing to resume from, then a matching journal: nothing discarded.
+    EXPECT_EQ(core::run_pipeline_on_fleet(t, config).checkpoint_discarded, "");
+    const core::FleetResult replayed = core::run_pipeline_on_fleet(t, config);
+    EXPECT_EQ(replayed.boxes_replayed, 3u);
+    EXPECT_EQ(replayed.checkpoint_discarded, "");
+
+    // Another trace: its journal no longer matches, and the fresh one
+    // written in its place matches the next resume again.
+    const trace::Trace other = chaos_trace(2);
+    EXPECT_EQ(core::run_pipeline_on_fleet(other, config).checkpoint_discarded,
+              "trace");
+    EXPECT_EQ(core::run_pipeline_on_fleet(other, config).boxes_replayed, 2u);
+    std::remove(path.c_str());
+
+    const std::string header = core::journal_header(
+        core::kFleetJournalSchema, t, core::fleet_config_digest(config), 42);
+    const std::string simd = std::string("\"simd\":\"") +
+                             simd::to_string(simd::active_path()) + "\"";
+    const std::string foreign =
+        replace_first(header, simd, "\"simd\":\"neon\"");
+    EXPECT_EQ(core::journal_header_mismatch(foreign, header),
+              std::string("SIMD path (neon, now ") +
+                  simd::to_string(simd::active_path()) + ")");
+    EXPECT_EQ(core::journal_header_mismatch(header, header), "");
+    EXPECT_EQ(core::journal_header_mismatch("", header), "no readable header");
+    EXPECT_EQ(core::journal_header_mismatch("{\"schema\":", header),
+              "no readable header");
 }
 
 TEST(JournalCodecTest, OutOfRangeIntegersAreRejected) {

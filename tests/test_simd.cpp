@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -524,6 +525,115 @@ TEST(SimdMlpTest, ForwardLayerTailLanesAreScalarExact) {
     }
 }
 
+/// Inputs at and around every branch point of glibc's tanh and of the
+/// expm1 it calls on 2|x| (|x| ≥ 1) or −2|x|: ±4096 ULP steps around
+/// each threshold, both signs.
+std::vector<double> tanh_threshold_inputs() {
+    const auto from_high_word = [](std::uint64_t high) {
+        return std::bit_cast<double>(high << 32);
+    };
+    constexpr double kLn2 = 0.6931471805599453;
+    const std::vector<double> thresholds{
+        0x1p-55,  // tanh's x·(1 + x) below this
+        0x1p-54,
+        0.5 * from_high_word(0x3fd62e43),  // 0.1733: expm1's k = 0 edge
+        0.5 * from_high_word(0x3ff0a2b2),  // 0.5199: 1.5·ln2, k = −1 both sides
+        2.5 * kLn2 / 2.0,   // k = −2 / −3
+        1.0,                // tanh's expm1(2|x|) from here
+        19.5 * kLn2 / 2.0,  // k = 19 / 20: the two positive reconstructions
+        7.0,
+        10.0,
+        55.5 * kLn2 / 2.0,  // k = 55 / 56
+        0.5 * from_high_word(0x4043687a),  // 19.4: |y| ≥ 56·ln2
+        56.5 * kLn2 / 2.0,  // k = 56 / 57: the k > 56 reconstruction
+        22.0,               // ±1 from here
+    };
+    std::vector<double> xs;
+    for (const double edge : thresholds) {
+        const auto bits = std::bit_cast<std::int64_t>(edge);
+        for (std::int64_t step = -4096; step <= 4096; ++step) {
+            const double x = std::bit_cast<double>(bits + step);
+            xs.push_back(x);
+            xs.push_back(-x);
+        }
+    }
+    return xs;
+}
+
+TEST(SimdMlpTest, ActivationEqualsLibmBitForBit) {
+    // Every path's activation is std::tanh to the bit: scalar and AVX2
+    // call it, AVX-512 replays glibc 2.36's tanh and FMA expm1 in
+    // vector code. This pins a fact of the host's libm, the one the test
+    // links against: a libm other than glibc's (or a glibc whose tanh or
+    // FMA expm1 changed) may round some inputs differently, and the
+    // AVX-512 rows then fail here.
+    std::mt19937_64 rng(2718);
+    std::vector<double> xs;
+    for (const double half_width : {25.0, 3.0, 0.2}) {
+        std::uniform_real_distribution<double> dist(-half_width, half_width);
+        for (int i = 0; i < 250'000; ++i) xs.push_back(dist(rng));
+    }
+    for (int i = 0; i < 250'000; ++i) xs.push_back(std::bit_cast<double>(rng()));
+    const std::vector<double> edges = tanh_threshold_inputs();
+    xs.insert(xs.end(), edges.begin(), edges.end());
+    const double kDenormMin = std::numeric_limits<double>::denorm_min();
+    const double kMin = std::numeric_limits<double>::min();
+    const std::vector<double> specials{
+        0.0,
+        -0.0,
+        kInf,
+        -kInf,
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::signaling_NaN(),
+        std::bit_cast<double>(std::uint64_t{0x7ff8000000abcdef}),
+        std::bit_cast<double>(std::uint64_t{0xfff0000000000001}),
+        kDenormMin,
+        -kDenormMin,
+        kMin - kDenormMin,  // the largest subnormal
+        -(kMin - kDenormMin),
+        kMin,
+        std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(),
+    };
+    xs.insert(xs.end(), specials.begin(), specials.end());
+
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    std::vector<std::uint64_t> expected(xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) expected[i] = bits(std::tanh(xs[i]));
+    for (Path path : supported_paths()) {
+        const KernelTable& kernels = kernels_for(path);
+        std::vector<double> out(xs.size());
+        kernels.mlp_activate_n(xs.data(), out.data(), xs.size());
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            if (bits(out[i]) == expected[i]) continue;
+            if (++mismatches <= 5) {
+                ADD_FAILURE() << to_string(path) << ": tanh(" << std::hexfloat
+                              << xs[i] << ") = " << out[i] << ", libm "
+                              << std::bit_cast<double>(expected[i]);
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << to_string(path) << " of " << xs.size();
+
+        // Tails: every n below two vector blocks, at an unaligned start,
+        // writes exactly out[0, n) — the specials and threshold steps
+        // included.
+        for (std::size_t n = 1; n <= 15; ++n) {
+            for (const std::size_t start : {std::size_t{1}, xs.size() - n}) {
+                std::vector<double> tail(n + 2, -7.0);
+                kernels.mlp_activate_n(xs.data() + start, tail.data() + 1, n);
+                EXPECT_EQ(tail.front(), -7.0) << to_string(path) << " n " << n;
+                EXPECT_EQ(tail.back(), -7.0) << to_string(path) << " n " << n;
+                for (std::size_t i = 0; i < n; ++i) {
+                    EXPECT_EQ(bits(tail[i + 1]), expected[start + i])
+                        << to_string(path) << " n " << n << " at " << i;
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Lane-batched MLP training
 
@@ -666,7 +776,9 @@ TEST(SimdMlpTest, LaneBatchedTrainingMatchesOneAtATime) {
     // per path: the batched kernel must reproduce that loop's arithmetic
     // exactly. The two-hidden-layer 7→11→6→1 networks backpropagate
     // through a hidden layer with unit counts off every vector width;
-    // batched must equal alone for them too.
+    // batched must equal alone for them too. So must groups of 1, 3 and
+    // 7 networks: a lone network (mlp_train_one) and batches with lanes
+    // idle from the first epoch on.
     const std::map<Path, std::string> pinned{
         {Path::kScalar, "e587f9563359fe4d"},
         {Path::kAvx2, "aa2ace014f8a390f"},
@@ -686,18 +798,30 @@ TEST(SimdMlpTest, LaneBatchedTrainingMatchesOneAtATime) {
             const std::vector<LaneOutcome> alone = train_lane_nets_alone(nets, sizes);
             const std::vector<LaneOutcome> batched =
                 train_lane_nets_batched(nets, sizes);
+            const auto expect_same = [&](const LaneOutcome& a,
+                                         const LaneOutcome& b,
+                                         const std::string& at) {
+                EXPECT_EQ(ulp_distance(a.cold_loss, b.cold_loss), 0u) << at;
+                EXPECT_EQ(ulp_distance(a.warm_loss, b.warm_loss), 0u) << at;
+                EXPECT_EQ(a.cold_epochs, b.cold_epochs) << at;
+                EXPECT_EQ(a.warm_epochs, b.warm_epochs) << at;
+                EXPECT_EQ(a.cold_predictions, b.cold_predictions) << at;
+                EXPECT_EQ(a.warm_predictions, b.warm_predictions) << at;
+            };
             ASSERT_EQ(alone.size(), batched.size());
             std::set<std::uint64_t> stop_epochs;
             for (std::size_t n = 0; n < alone.size(); ++n) {
-                const LaneOutcome& a = alone[n];
-                const LaneOutcome& b = batched[n];
-                EXPECT_EQ(ulp_distance(a.cold_loss, b.cold_loss), 0u) << where(n);
-                EXPECT_EQ(ulp_distance(a.warm_loss, b.warm_loss), 0u) << where(n);
-                EXPECT_EQ(a.cold_epochs, b.cold_epochs) << where(n);
-                EXPECT_EQ(a.warm_epochs, b.warm_epochs) << where(n);
-                EXPECT_EQ(a.cold_predictions, b.cold_predictions) << where(n);
-                EXPECT_EQ(a.warm_predictions, b.warm_predictions) << where(n);
-                stop_epochs.insert(a.cold_epochs);
+                expect_same(alone[n], batched[n], where(n));
+                stop_epochs.insert(alone[n].cold_epochs);
+            }
+            for (const std::size_t group : {1u, 3u, 7u}) {
+                const std::vector<LaneOutcome> small = train_lane_nets_batched(
+                    std::vector<LaneNet>(nets.begin(), nets.begin() + group), sizes);
+                ASSERT_EQ(small.size(), group);
+                for (std::size_t n = 0; n < group; ++n) {
+                    expect_same(alone[n], small[n],
+                                where(n) + " of a group of " + std::to_string(group));
+                }
             }
             // The scenario exercises refills: networks stop at many
             // different epochs, and the patient one runs to the cap.

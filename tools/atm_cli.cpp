@@ -337,6 +337,20 @@ int fleet_exit_status(const core::FleetResult& fleet) {
     return 0;
 }
 
+/// One stderr line when --resume found a checkpoint written for a
+/// different run, which the run then discarded: every box was
+/// recomputed, none replayed.
+void report_discarded_checkpoint(const core::FleetConfig& config,
+                                 const core::FleetResult& fleet) {
+    if (fleet.checkpoint_discarded.empty()) return;
+    std::fprintf(stderr,
+                 "atm: --resume: checkpoint %s was written for a different "
+                 "run, so it was started afresh and every box recomputed; "
+                 "differs: %s\n",
+                 config.checkpoint_path.c_str(),
+                 fleet.checkpoint_discarded.c_str());
+}
+
 int cmd_predict(int argc, char** argv) {
     exec::ArgParser parser(
         "atm predict",
@@ -355,6 +369,7 @@ int cmd_predict(int argc, char** argv) {
     const trace::Trace t = read_fleet_trace(parser, config, cli_metrics);
 
     const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
+    report_discarded_checkpoint(config, fleet);
 
     // Partial outputs are still written on an interrupted (drained) run:
     // the report is atomic and the journal holds every finished box.
@@ -423,6 +438,7 @@ int cmd_resize(int argc, char** argv) {
     const trace::Trace t = read_fleet_trace(parser, config, cli_metrics);
 
     const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
+    report_discarded_checkpoint(config, fleet);
 
     if (const std::string& out = parser.get("metrics-out"); !out.empty()) {
         core::write_metrics_report_file(out, fleet, "resize",
