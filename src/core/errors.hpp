@@ -8,24 +8,21 @@ namespace atm::core {
 /// Structured failure taxonomy of the per-box pipeline. Every way a box
 /// can fail (or degrade) maps to exactly one code, so fleet runs over
 /// malformed production exports report *what* went wrong per box instead
-/// of one opaque exception string, and chaos tests can assert that an
-/// injected fault surfaced as the code it should.
+/// of one opaque exception string.
 ///
 /// The names are stable: `to_string` values are used as metric suffixes
 /// (`robust.error.<code>`, see DESIGN.md §7.11) and in reports.
 enum class PipelineErrorCode {
-    kNone = 0,          ///< no error (default for successful boxes)
-    kTraceInvalid,      ///< input rejected: empty/short/too-corrupt trace
-    kRepairFailed,      ///< a series had no valid sample to repair from
-    kSearchDegenerate,  ///< clustering collapsed / silhouette undefined
-    kModelFitFailed,    ///< temporal model non-finite or failed to fit
-    kSolverSingular,    ///< OLS solve failed; ridge fallback engaged
-    kResizeInfeasible,  ///< MCKP infeasible even at minimal candidates
-    // Ordinals are fixed (7 is unused) because digests of fleet results
-    // mix them.
-    kCancelled = 8,     ///< operator stop drained the run before this box
-    kFaultInjected,     ///< thrown by an exec::FaultPlan site
-    kInternal,          ///< anything not classified above (catch-all)
+    // Ordinals are fixed (2, 7 and 9 are unused) because digests of fleet
+    // results mix them.
+    kNone = 0,              ///< no error (default for successful boxes)
+    kTraceInvalid = 1,      ///< input rejected: empty/short/ragged/bad sample
+    kSearchDegenerate = 3,  ///< clustering collapsed / silhouette undefined
+    kModelFitFailed = 4,    ///< temporal model non-finite or failed to fit
+    kSolverSingular = 5,    ///< OLS solve failed; ridge fallback engaged
+    kResizeInfeasible = 6,  ///< MCKP infeasible even at minimal candidates
+    kCancelled = 8,         ///< operator stop drained the run before this box
+    kInternal = 10,         ///< anything not classified above (catch-all)
 };
 
 /// Stable kebab-case name ("trace-invalid", ...); "none" / "internal" at
@@ -42,7 +39,7 @@ PipelineErrorCode error_code_from_string(const std::string& name);
 std::string error_counter_name(PipelineErrorCode code);
 
 /// Exception carrying the taxonomy: the code, the pipeline stage that
-/// raised it ("sanitize", "search", "forecast", ...), and a human-readable
+/// raised it ("input", "search", "forecast", ...), and a human-readable
 /// message. The fleet driver catches these and fills the structured
 /// FleetBoxResult fields instead of flattening everything into a string.
 class PipelineError : public std::runtime_error {

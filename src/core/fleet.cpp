@@ -187,19 +187,11 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
             return;
         }
         try {
-            const exec::FaultContext fault{
-                config.faults.empty() ? nullptr : &config.faults,
-                static_cast<std::uint64_t>(box_index)};
-            ATM_FAULT_SITE(fault, "fleet.box");
             evaluate_box(box_index, slot.result);
         } catch (const PipelineError& e) {
             slot.error = e.what();
             slot.error_code = e.code();
             slot.error_stage = e.stage();
-        } catch (const exec::InjectedFault& e) {
-            slot.error = e.what();
-            slot.error_code = PipelineErrorCode::kFaultInjected;
-            slot.error_stage = e.site();
         } catch (const std::invalid_argument& e) {
             // Precondition violations from lower layers (shape
             // mismatches, out-of-range days) mean the box's input was
@@ -307,41 +299,9 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
                 registry.emplace();
                 box_config.metrics = &*registry;
             }
-            const trace::BoxTrace* box =
-                &trace.boxes[static_cast<std::size_t>(box_index)];
-            const exec::FaultContext fault{
-                config.faults.empty() ? nullptr : &config.faults,
-                static_cast<std::uint64_t>(box_index)};
-            box_config.fault = fault;
-            // Data faults mutate the trace, so the box is copied first —
-            // only when a corruption/truncation rule is actually armed.
-            trace::BoxTrace corrupted;
-            if (fault.plan != nullptr && fault.plan->has_data_faults()) {
-                corrupted = *box;
-                const std::size_t keep = fault.truncated_length(corrupted.length());
-                std::uint64_t corrupted_samples = 0;
-                for (std::size_t v = 0; v < corrupted.vms.size(); ++v) {
-                    trace::VmTrace& vm = corrupted.vms[v];
-                    for (ts::Series* s :
-                         {&vm.cpu_usage_pct, &vm.ram_usage_pct,
-                          &vm.cpu_demand_ghz, &vm.ram_demand_gb}) {
-                        if (keep < s->size()) s->values().resize(keep);
-                    }
-                    // Streams 2v / 2v+1: one independent corruption stream
-                    // per demand series, stable under scheduling.
-                    corrupted_samples += fault.corrupt_samples(
-                        vm.cpu_demand_ghz.values(), 2 * v);
-                    corrupted_samples += fault.corrupt_samples(
-                        vm.ram_demand_gb.values(), 2 * v + 1);
-                }
-                if (registry && corrupted_samples > 0) {
-                    registry->add("robust.fault.samples_corrupted",
-                                  corrupted_samples);
-                }
-                box = &corrupted;
-            }
-            out = run_pipeline_on_box(*box, trace.windows_per_day, box_config,
-                                      config.policies);
+            out = run_pipeline_on_box(
+                trace.boxes[static_cast<std::size_t>(box_index)],
+                trace.windows_per_day, box_config, config.policies);
         });
 }
 

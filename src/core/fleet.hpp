@@ -50,13 +50,6 @@ struct FleetConfig {
     /// then runs with a null registry at near-zero overhead.
     bool collect_metrics = false;
 
-    /// Chaos-testing plan (see exec/fault.hpp): corrupts/truncates box
-    /// traces and arms the ATM_FAULT_SITE throw points, all derived from
-    /// (faults.seed, box index, site) so a chaos run is bit-identical for
-    /// every `jobs` value. Empty (the default) disables injection
-    /// entirely. Parse a CLI `--fault-spec` with exec::FaultPlan::parse.
-    exec::FaultPlan faults;
-
     /// Crash-safe checkpoint journal (DESIGN.md §7.12): when non-empty,
     /// every finished box is appended (framed + fsync'd) to this file as
     /// it completes, under a header binding (trace fingerprint, config
@@ -99,10 +92,9 @@ struct FleetBoxResult {
     std::string error;
     /// Structured failure taxonomy alongside the message: kNone while the
     /// box succeeded; PipelineError's own code for classified failures;
-    /// kFaultInjected for exec::InjectedFault; kInternal for anything the
-    /// taxonomy does not know.
+    /// kInternal for anything the taxonomy does not know.
     PipelineErrorCode error_code = PipelineErrorCode::kNone;
-    /// Stage (or fault site) the failure came from; empty on success.
+    /// Stage the failure came from; empty on success.
     std::string error_stage;
 };
 

@@ -86,8 +86,6 @@ std::uint64_t pipeline_config_digest(const PipelineConfig& p) {
     mix_double(hash, p.epsilon_pct);
     mix_u64(hash, p.use_lower_bounds ? 1 : 0);
     mix_u64(hash, static_cast<std::uint64_t>(p.scope));
-    mix_u64(hash, p.seed);
-    mix_double(hash, p.max_bad_sample_fraction);
     return hash;
 }
 
@@ -105,18 +103,7 @@ std::uint64_t fleet_config_digest(const FleetConfig& config) {
         mix_u64(hash, static_cast<std::uint64_t>(policy));
     }
     mix_u64(hash, config.collect_metrics ? 1 : 0);
-    mix_fault_plan(hash, config.faults);
     return hash;
-}
-
-void mix_fault_plan(std::uint64_t& hash, const exec::FaultPlan& plan) {
-    mix_u64(hash, plan.seed);
-    mix_u64(hash, plan.rules.size());
-    for (const exec::FaultRule& rule : plan.rules) {
-        mix_string(hash, rule.site);
-        mix_u64(hash, static_cast<std::uint64_t>(rule.action));
-        mix_double(hash, rule.rate);
-    }
 }
 
 std::string journal_header(const char* schema, const trace::Trace& trace,
@@ -311,7 +298,6 @@ std::string encode_epoch_record(const ServeEpochRecord& record) {
     Value out = Value::make_object();
     out.set("box", Value::of(static_cast<std::int64_t>(record.box_index)));
     out.set("epoch", Value::of(static_cast<std::uint64_t>(record.epoch)));
-    out.set("ladder", Value::of(static_cast<std::int64_t>(record.ladder)));
     out.set("cpu", double_array(record.cpu));
     out.set("ram", double_array(record.ram));
     return obs::json::serialize(out, 0);
@@ -322,10 +308,6 @@ ServeEpochRecord decode_epoch_record(const std::string& payload) {
     ServeEpochRecord record;
     record.box_index = int_from(in.at("box"));
     record.epoch = in.at("epoch").as_u64();
-    record.ladder = int_from(in.at("ladder"));
-    if (record.ladder != 0 && record.ladder != ServeEpochRecord::kIngestOnly) {
-        throw std::runtime_error("serve journal: ladder must be 0 or 8");
-    }
     record.cpu = double_array_from(in.at("cpu"));
     record.ram = double_array_from(in.at("ram"));
     return record;

@@ -15,7 +15,7 @@ inline constexpr const char* kFleetJournalSchema = "atm.fleet-journal.v2";
 /// Schema tag of the serve daemon's epoch journal. Same framing as the
 /// fleet journal (exec::JournalWriter), but each record is one applied
 /// streaming window rather than one finished box.
-inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v3";
+inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v4";
 
 /// Digest of everything about the *input data* that affects per-box
 /// results: windows_per_day, per-box names/gap flags/VM counts and the
@@ -23,7 +23,8 @@ inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v3";
 /// fingerprint produce the same fleet results for a given config.
 [[nodiscard]] std::uint64_t trace_fingerprint(const trace::Trace& trace);
 
-/// Digest of every PipelineConfig field that affects per-box results.
+/// Digest of every PipelineConfig field that affects per-box results,
+/// except the seed, which journal_header binds as a field of its own.
 /// Shared by the fleet digest below and the serve daemon's journal
 /// header (which binds serve knobs separately).
 [[nodiscard]] std::uint64_t pipeline_config_digest(const PipelineConfig& config);
@@ -35,10 +36,6 @@ inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v3";
 /// stop token (drained boxes are never journaled, so a resume evaluates
 /// them).
 [[nodiscard]] std::uint64_t fleet_config_digest(const FleetConfig& config);
-
-/// Mixes a chaos plan (its seed and every rule) into a config digest;
-/// shared by the fleet and serve digests.
-void mix_fault_plan(std::uint64_t& hash, const exec::FaultPlan& plan);
 
 /// A journal's header payload: one compact JSON line binding the file to
 /// (schema, trace fingerprint, config digest, seed, SIMD path). A resume
@@ -54,8 +51,8 @@ void mix_fault_plan(std::uint64_t& hash, const exec::FaultPlan& plan);
 /// order, as "journal schema", "trace", "config", "seed (42, now 43)"
 /// and "SIMD path (avx2, now avx512)", comma-separated; "no readable
 /// header" when `found` is empty or does not parse. Empty when the two
-/// are equal. The config digest covers the seed, so a changed seed
-/// reads "config, seed (…)".
+/// are equal. The config digest leaves the seed out, so a changed seed
+/// reads "seed (…)" alone.
 [[nodiscard]] std::string journal_header_mismatch(const std::string& found,
                                                   const std::string& expected);
 
@@ -79,13 +76,8 @@ void mix_fault_plan(std::uint64_t& hash, const exec::FaultPlan& plan);
 /// epoch with the same live code and checks the result against this
 /// record; a mismatch is a broken determinism contract.
 struct ServeEpochRecord {
-    /// `ladder` of a window whose injected apply fault fired: no model
-    /// output, no recommendation.
-    static constexpr int kIngestOnly = 8;
-
     int box_index = 0;
     std::uint64_t epoch = 0;
-    int ladder = 0;  ///< 0 full work, or kIngestOnly
     std::vector<double> cpu;  ///< per-VM recommended CPU allocation (GHz)
     std::vector<double> ram;  ///< per-VM recommended RAM allocation (GB)
 };

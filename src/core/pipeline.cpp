@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "forecast/mlp_forecaster.hpp"
-#include "timeseries/repair.hpp"
 #include "timeseries/stats.hpp"
 
 namespace atm::core {
@@ -33,13 +32,10 @@ void note_degradation(std::vector<Degradation>& degradations,
 }
 
 /// Classifies an in-flight exception for degradation bookkeeping:
-/// injected faults and PipelineErrors keep their own code; anything else
-/// gets the rung's default code.
+/// PipelineErrors keep their own code; anything else gets the rung's
+/// default code.
 PipelineErrorCode classify_current(const std::exception& e,
                                    PipelineErrorCode fallback_code) {
-    if (dynamic_cast<const exec::InjectedFault*>(&e) != nullptr) {
-        return PipelineErrorCode::kFaultInjected;
-    }
     if (const auto* pe = dynamic_cast<const PipelineError*>(&e)) {
         return pe->code();
     }
@@ -49,7 +45,10 @@ PipelineErrorCode classify_current(const std::exception& e,
 /// Input checks shared by the box entry points: `who` names the entry
 /// point, `need` is the sample count the call reads, and `short_detail`
 /// explains a box shorter than that. Every series must hold
-/// box.length() samples, the shape demand_matrix() copies.
+/// box.length() samples, the shape demand_matrix() copies, and every
+/// demand sample must be finite and non-negative: the rule both trace
+/// readers apply at load, so a box built in memory gets the verdict a
+/// trace file would.
 void check_box_input(const trace::BoxTrace& box, std::size_t need,
                      const std::string& who, const std::string& short_detail) {
     if (box.vms.empty()) {
@@ -64,6 +63,19 @@ void check_box_input(const trace::BoxTrace& box, std::size_t need,
         throw PipelineError(PipelineErrorCode::kTraceInvalid, "input",
                             who + ": " + short_detail);
     }
+    for (const trace::VmTrace& vm : box.vms) {
+        for (const auto& [resource, series] :
+             {std::pair{"cpu", &vm.cpu_demand_ghz}, {"ram", &vm.ram_demand_gb}}) {
+            const std::vector<double>& xs = series->values();
+            for (std::size_t t = 0; t < xs.size(); ++t) {
+                if (std::isfinite(xs[t]) && xs[t] >= 0.0) continue;
+                throw PipelineError(PipelineErrorCode::kTraceInvalid, "input",
+                                    who + ": VM " + vm.name + " has a non-finite "
+                                    "or negative " + resource +
+                                    " demand at window " + std::to_string(t));
+            }
+        }
+    }
 }
 
 /// Resize policies evaluated for one resource kind on `input` (built by
@@ -74,8 +86,8 @@ void run_policies_for_kind(
     const resize::ResizeInput& input,
     const std::vector<std::vector<double>>& actual_demands,
     const std::vector<resize::ResizePolicy>& policies,
-    std::vector<PolicyTickets>& results, const exec::FaultContext& fault,
-    std::vector<Degradation>* degradations) {
+    std::vector<PolicyTickets>& results,
+    std::vector<Degradation>& degradations) {
     const std::size_t m = box.vms.size();
     const double alpha = input.alpha;
     obs::MetricsRegistry* metrics = input.metrics;
@@ -91,38 +103,24 @@ void run_policies_for_kind(
         obs::ScopedTimer policy_timer(
             metrics, "resize.policy." + resize::to_string(policies[p]));
         // The ATM policies optimize against a capacity budget and can come
-        // back infeasible (lower bounds alone exceed C) or be killed by an
-        // injected fault; both degrade to the always-feasible max-min
+        // back infeasible: effective_lower_bounds keeps only bound sets that
+        // fit it, but a VM's smallest candidate may sit up to the 1e-9
+        // dedup tolerance above its bound (a current capacity that close
+        // stands in for the bound), so a box whose bounds sum to its budget
+        // can overshoot it. That degrades to the always-feasible max-min
         // water-filling. The baselines have no budget to violate, so their
         // (informational) feasible flag is passed through untouched.
         const bool is_atm =
             policies[p] == resize::ResizePolicy::kAtmGreedy ||
             policies[p] == resize::ResizePolicy::kAtmGreedyNoDiscretization;
-        resize::ResizeResult r;
-        PipelineErrorCode degrade_code = PipelineErrorCode::kNone;
-        std::string degrade_detail;
-        try {
-            if (is_atm) ATM_FAULT_SITE(fault, "resize.mckp");
-            r = resize::apply_policy(policies[p], input);
-            if (is_atm && !r.feasible) {
-                degrade_code = PipelineErrorCode::kResizeInfeasible;
-                degrade_detail = resize::to_string(policies[p]) +
-                                 " infeasible under capacity budget";
-            }
-        } catch (const std::exception& e) {
-            degrade_code =
-                classify_current(e, PipelineErrorCode::kResizeInfeasible);
-            degrade_detail =
-                resize::to_string(policies[p]) + " threw: " + e.what();
-        }
-        if (degrade_code != PipelineErrorCode::kNone) {
+        resize::ResizeResult r = resize::apply_policy(policies[p], input);
+        if (is_atm && !r.feasible) {
             r = resize::max_min_fairness_resize(input);
-            if (metrics != nullptr) metrics->add("robust.fallback.resize", 1);
-            if (degradations != nullptr) {
-                degradations->push_back(Degradation{
-                    degrade_code, "resize",
-                    degrade_detail + "; fell back to max-min fairness"});
-            }
+            note_degradation(degradations, metrics,
+                             PipelineErrorCode::kResizeInfeasible, "resize",
+                             resize::to_string(policies[p]) +
+                                 " infeasible under capacity budget; fell "
+                                 "back to max-min fairness");
         }
         policy_timer.stop();
         const int after =
@@ -154,11 +152,9 @@ SignatureModel fit_signature_model(const la::FlatMatrix& series,
     SignatureModel model;
     {
         obs::ScopedTimer timer(metrics, "stage.search");
-        ATM_FAULT_SITE(config.fault, "pipeline.search");
         SignatureSearchOptions search = config.search;
         search.metrics = metrics;
         try {
-            ATM_FAULT_SITE(config.fault, "search.step1");
             model.search = find_signatures(series, search);
             if (model.search.signatures.empty()) {
                 throw PipelineError(PipelineErrorCode::kSearchDegenerate,
@@ -183,9 +179,7 @@ SignatureModel fit_signature_model(const la::FlatMatrix& series,
     }
     {
         obs::ScopedTimer timer(metrics, "stage.spatial_fit");
-        ATM_FAULT_SITE(config.fault, "pipeline.spatial");
         try {
-            ATM_FAULT_SITE(config.fault, "spatial.ols");
             model.spatial.fit(series, model.search.signatures);
             if (model.spatial.ridge_fallbacks() > 0) {
                 note_degradation(degradations, metrics,
@@ -194,8 +188,8 @@ SignatureModel fit_signature_model(const la::FlatMatrix& series,
                                      " dependent series refit with ridge");
             }
         } catch (const std::exception& e) {
-            // Even ridge failed (or a fault fired): collapse to the
-            // all-signature set, which has no regressions left to solve.
+            // Even ridge failed: collapse to the all-signature set, which
+            // has no regressions left to solve.
             const PipelineErrorCode code =
                 classify_current(e, PipelineErrorCode::kSolverSingular);
             model.search.signatures = all_signatures();
@@ -247,10 +241,6 @@ std::string PipelineConfig::validate() const {
         add("epsilon_pct must be in [0, 100) (0 disables discretization), got " +
             std::to_string(epsilon_pct));
     }
-    if (!(max_bad_sample_fraction >= 0.0 && max_bad_sample_fraction <= 1.0)) {
-        add("max_bad_sample_fraction must be in [0, 1], got " +
-            std::to_string(max_bad_sample_fraction));
-    }
     // A VIF is never below 1, so a threshold under 1 (or NaN) would strip
     // every box to a single signature.
     if (!(search.vif_threshold >= 1.0 && std::isfinite(search.vif_threshold))) {
@@ -273,96 +263,16 @@ const std::vector<resize::ResizePolicy>& default_policies() {
 BoxPipelineResult run_pipeline_on_box(
     const trace::BoxTrace& box, int windows_per_day, const PipelineConfig& config,
     const std::vector<resize::ResizePolicy>& policies) {
-    ATM_FAULT_SITE(config.fault, "pipeline.start");
     const auto wpd = static_cast<std::size_t>(windows_per_day);
     const std::size_t train_len = static_cast<std::size_t>(config.train_days) * wpd;
     check_box_input(box, train_len + wpd, "run_pipeline_on_box",
                     "trace too short for config");
 
-    la::FlatMatrix demands = box.demand_matrix();
+    const la::FlatMatrix demands = box.demand_matrix();
     const std::vector<int> scope = scope_indices(demands.size(), config.scope);
 
     BoxPipelineResult result;
     obs::MetricsRegistry* metrics = config.metrics;
-
-    // --- input sanitization (ladder rung 1) ----------------------------------
-    // Real monitoring exports carry NaN/Inf/negative samples. Count them
-    // over the scoped demand matrix; past the configured fraction the box
-    // is not trustworthy and is rejected, otherwise bad samples are zeroed
-    // and gap-repaired so every later stage sees finite, non-negative data.
-    {
-        ATM_FAULT_SITE(config.fault, "pipeline.sanitize");
-        std::size_t total_samples = 0;
-        std::size_t bad_samples = 0;
-        for (int idx : scope) {
-            const std::span<const double> row =
-                demands[static_cast<std::size_t>(idx)];
-            total_samples += row.size();
-            for (const double x : row) {
-                if (!std::isfinite(x) || x < 0.0) ++bad_samples;
-            }
-        }
-        if (bad_samples > 0) {
-            obs::ScopedTimer timer(metrics, "stage.sanitize");
-            if (static_cast<double>(bad_samples) >
-                config.max_bad_sample_fraction *
-                    static_cast<double>(total_samples)) {
-                throw PipelineError(
-                    PipelineErrorCode::kTraceInvalid, "sanitize",
-                    std::to_string(bad_samples) + " of " +
-                        std::to_string(total_samples) +
-                        " scoped demand samples are non-finite or negative "
-                        "(max_bad_sample_fraction exceeded)");
-            }
-            std::size_t repaired_series = 0;
-            for (int idx : scope) {
-                const std::span<double> row =
-                    demands[static_cast<std::size_t>(idx)];
-                // Explicit bad-sample runs (length >= 1): find_gaps's
-                // default min_run of 2 deliberately ignores isolated
-                // zero-ish samples, but a corrupted sample must be repaired
-                // even when isolated.
-                std::vector<ts::Gap> gaps;
-                std::size_t row_bad = 0;
-                for (std::size_t t = 0; t < row.size(); ++t) {
-                    if (std::isfinite(row[t]) && row[t] >= 0.0) continue;
-                    row[t] = 0.0;
-                    ++row_bad;
-                    if (!gaps.empty() &&
-                        gaps.back().first + gaps.back().length == t) {
-                        ++gaps.back().length;
-                    } else {
-                        gaps.push_back(ts::Gap{t, 1});
-                    }
-                }
-                if (gaps.empty()) continue;
-                const std::vector<double> repaired = ts::repair_gaps(
-                    row, gaps, ts::RepairMethod::kSeasonal, windows_per_day);
-                std::copy(repaired.begin(), repaired.end(), row.begin());
-                if (row_bad == row.size()) {
-                    note_degradation(result.degradations, metrics,
-                                     PipelineErrorCode::kRepairFailed,
-                                     "sanitize",
-                                     "series " + std::to_string(idx) +
-                                         " had no valid sample; pinned to "
-                                         "flat zeros");
-                } else {
-                    ++repaired_series;
-                }
-            }
-            if (metrics != nullptr) {
-                metrics->add("robust.sanitize.bad_samples", bad_samples);
-            }
-            if (repaired_series > 0) {
-                note_degradation(result.degradations, metrics,
-                                 PipelineErrorCode::kTraceInvalid, "sanitize",
-                                 "repaired " + std::to_string(bad_samples) +
-                                     " bad samples across " +
-                                     std::to_string(repaired_series) +
-                                     " series");
-            }
-        }
-    }
 
     la::FlatMatrix scoped_train(scope.size(), train_len);
     for (std::size_t k = 0; k < scope.size(); ++k) {
@@ -381,7 +291,6 @@ BoxPipelineResult run_pipeline_on_box(
     la::FlatMatrix signature_forecasts(spatial.signature_indices().size(), wpd);
     {
         obs::ScopedTimer timer(metrics, "stage.forecast");
-        ATM_FAULT_SITE(config.fault, "pipeline.forecast");
         const auto make = [&](forecast::TemporalModel model, int s) {
             return forecast::make_forecaster(
                 model, windows_per_day, config.seed + static_cast<unsigned>(s),
@@ -402,35 +311,23 @@ BoxPipelineResult run_pipeline_on_box(
             }
             return values;
         };
-        const auto fit_and_forecast = [&](forecast::TemporalModel model,
-                                          int s) -> std::vector<double> {
-            const std::string model_name = forecast::to_string(model);
-            auto forecaster = make(model, s);
-            {
-                obs::ScopedTimer fit_timer(metrics, "forecast.fit." + model_name);
-                forecaster->fit(scoped_train[static_cast<std::size_t>(s)]);
-            }
-            return checked_forecast(*forecaster, model_name);
-        };
         const std::vector<int>& signatures = spatial.signature_indices();
-        // A failed primary attempt's first error, for its fallback note.
-        std::vector<PipelineErrorCode> first_code(signatures.size(),
-                                                  PipelineErrorCode::kNone);
-        std::vector<std::string> first_error(signatures.size());
+        // A failed primary attempt's error, for its fallback note.
+        std::vector<PipelineErrorCode> fail_code(signatures.size(),
+                                                 PipelineErrorCode::kNone);
+        std::vector<std::string> fail_error(signatures.size());
         std::vector<std::unique_ptr<forecast::Forecaster>> primary(
             signatures.size());
         const auto fail_primary = [&](std::size_t k, const std::exception& e) {
-            first_code[k] =
+            fail_code[k] =
                 classify_current(e, PipelineErrorCode::kModelFitFailed);
-            first_error[k] = e.what();
+            fail_error[k] = e.what();
             primary[k].reset();
         };
 
-        // Primary attempts: the configured model, with the only fault
-        // site of the ladder (the fallbacks are the recovery path under
-        // test), drawn for every signature in order first. The surviving
-        // MLP networks then train together (MlpForecaster::fit_batch)
-        // under one forecast.fit.mlp timer; other models fit one by one.
+        // Primary attempts: the configured model for every signature. The
+        // MLP networks train together (MlpForecaster::fit_batch) under one
+        // forecast.fit.mlp timer; other models fit one by one.
         const std::string primary_name = forecast::to_string(config.temporal);
         std::vector<forecast::MlpForecaster*> mlps;
         std::vector<std::span<const double>> mlp_histories;
@@ -439,7 +336,6 @@ BoxPipelineResult run_pipeline_on_box(
             const std::span<const double> history =
                 scoped_train[static_cast<std::size_t>(signatures[k])];
             try {
-                ATM_FAULT_SITE(config.fault, "forecast.fit");
                 primary[k] = make(config.temporal, signatures[k]);
                 if (auto* mlp = dynamic_cast<forecast::MlpForecaster*>(
                         primary[k].get())) {
@@ -464,46 +360,36 @@ BoxPipelineResult run_pipeline_on_box(
             }
         }
 
-        // Per-signature model ladder: the primary model, then AR, then
-        // seasonal-naive (which cannot fail on finite input).
-        const forecast::TemporalModel ladder[] = {
-            config.temporal, forecast::TemporalModel::kAutoregressive,
-            forecast::TemporalModel::kSeasonalNaive};
+        // Per-signature fallback: a primary model that failed to fit or
+        // forecast a finite day gives way to seasonal-naive, which repeats
+        // the last training day and so cannot fail on the finite history
+        // the input check guarantees.
         for (std::size_t k = 0; k < signatures.size(); ++k) {
             const int s = signatures[k];
             std::vector<double> values;
-            bool done = false;
             if (primary[k] != nullptr) {
                 try {
                     values = checked_forecast(*primary[k], primary_name);
-                    done = true;
                 } catch (const std::exception& e) {
                     fail_primary(k, e);
                 }
             }
-            for (std::size_t a = 1; a < std::size(ladder) && !done; ++a) {
-                bool already_tried = false;
-                for (std::size_t b = 0; b < a; ++b) {
-                    if (ladder[b] == ladder[a]) already_tried = true;
+            if (primary[k] == nullptr) {
+                const forecast::TemporalModel fallback =
+                    forecast::TemporalModel::kSeasonalNaive;
+                const std::string fallback_name = forecast::to_string(fallback);
+                const auto forecaster = make(fallback, s);
+                {
+                    obs::ScopedTimer fit_timer(metrics,
+                                               "forecast.fit." + fallback_name);
+                    forecaster->fit(scoped_train[static_cast<std::size_t>(s)]);
                 }
-                if (already_tried) continue;
-                try {
-                    values = fit_and_forecast(ladder[a], s);
-                    done = true;
-                    note_degradation(
-                        result.degradations, metrics, first_code[k], "forecast",
-                        "signature " + std::to_string(s) + ": " +
-                            first_error[k] + "; fell back to " +
-                            forecast::to_string(ladder[a]));
-                } catch (const std::exception&) {
-                    // This rung failed too; try the next one.
-                }
-            }
-            if (!done) {
-                throw PipelineError(PipelineErrorCode::kModelFitFailed,
-                                    "forecast",
-                                    "every temporal model failed for signature " +
-                                        std::to_string(s) + ": " + first_error[k]);
+                values = checked_forecast(*forecaster, fallback_name);
+                note_degradation(result.degradations, metrics, fail_code[k],
+                                 "forecast",
+                                 "signature " + std::to_string(s) + ": " +
+                                     fail_error[k] + "; fell back to " +
+                                     fallback_name);
             }
             std::copy(values.begin(), values.end(),
                       signature_forecasts[k].begin());
@@ -511,7 +397,6 @@ BoxPipelineResult run_pipeline_on_box(
     }
 
     // --- spatial reconstruction of every scoped series -----------------------
-    ATM_FAULT_SITE(config.fault, "pipeline.reconstruct");
     obs::ScopedTimer reconstruct_timer(metrics, "stage.reconstruct");
     const la::FlatMatrix scoped_pred = spatial.reconstruct(signature_forecasts);
 
@@ -524,7 +409,6 @@ BoxPipelineResult run_pipeline_on_box(
     reconstruct_timer.stop();
 
     // --- prediction accuracy on the evaluation day ---------------------------
-    ATM_FAULT_SITE(config.fault, "pipeline.accuracy");
     obs::ScopedTimer accuracy_timer(metrics, "stage.accuracy");
     double ape_sum = 0.0;
     std::size_t ape_count = 0;
@@ -571,7 +455,6 @@ BoxPipelineResult run_pipeline_on_box(
         result.policies[p].policy = policies[p];
     }
 
-    ATM_FAULT_SITE(config.fault, "pipeline.resize");
     obs::ScopedTimer resize_timer(metrics, "stage.resize");
     const std::size_t m = box.vms.size();
     for (ts::ResourceKind kind : {ts::ResourceKind::kCpu, ts::ResourceKind::kRam}) {
@@ -602,8 +485,7 @@ BoxPipelineResult run_pipeline_on_box(
                               config.epsilon_pct, last_day);
         input.metrics = metrics;
         run_policies_for_kind(box, kind, input, actual_eval, policies,
-                              result.policies, config.fault,
-                              &result.degradations);
+                              result.policies, result.degradations);
     }
     resize_timer.stop();
     if (metrics != nullptr) result.metrics = metrics->snapshot();
@@ -624,6 +506,9 @@ std::vector<PolicyTickets> evaluate_resize_policies_on_actuals(
     for (std::size_t p = 0; p < policies.size(); ++p) results[p].policy = policies[p];
 
     const std::size_t m = box.vms.size();
+    // Fired resize rungs still count under robust.fallback.resize; the
+    // notes themselves have no result to land in.
+    std::vector<Degradation> degradations;
     for (ts::ResourceKind kind : {ts::ResourceKind::kCpu, ts::ResourceKind::kRam}) {
         std::vector<std::vector<double>> day_demands(m);
         std::vector<std::span<const double>> last_day;
@@ -641,7 +526,7 @@ std::vector<PolicyTickets> evaluate_resize_policies_on_actuals(
             box, kind, day_demands, alpha, epsilon_pct, last_day);
         input.metrics = metrics;
         run_policies_for_kind(box, kind, input, day_demands, policies, results,
-                              exec::FaultContext{}, nullptr);
+                              degradations);
     }
     return results;
 }

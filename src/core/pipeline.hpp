@@ -7,7 +7,6 @@
 #include "core/errors.hpp"
 #include "core/signature_search.hpp"
 #include "core/spatial_model.hpp"
-#include "exec/fault.hpp"
 #include "forecast/forecaster.hpp"
 #include "obs/metrics.hpp"
 #include "resize/policies.hpp"
@@ -38,15 +37,6 @@ struct PipelineConfig {
     /// Restrict the model to a resource subset (Fig. 7 ablation).
     ResourceScope scope = ResourceScope::kInter;
     unsigned seed = 42;
-    /// Sanitization threshold: a box whose scoped demand matrix contains
-    /// more than this fraction of bad samples (non-finite or negative) is
-    /// rejected with PipelineErrorCode::kTraceInvalid; at or below it, bad
-    /// samples are repaired in place (ts::repair_gaps) and the box
-    /// continues with a `degradations` entry. Must be in [0, 1].
-    double max_bad_sample_fraction = 0.5;
-    /// Chaos-testing context (see exec/fault.hpp). Default (null plan) is
-    /// inert: every ATM_FAULT_SITE reduces to one pointer test.
-    exec::FaultContext fault;
     /// Optional stage-metrics sink (not owned). When set, the pipeline
     /// records per-stage timers (`stage.search`, `stage.spatial_fit`,
     /// `stage.forecast`, `stage.reconstruct`, `stage.accuracy`,
@@ -60,9 +50,8 @@ struct PipelineConfig {
     /// run). Null disables all instrumentation at near-zero cost.
     obs::MetricsRegistry* metrics = nullptr;
 
-    /// Range-checks alpha, train_days, epsilon_pct,
-    /// max_bad_sample_fraction, search.vif_threshold (finite, >= 1) and
-    /// search.rho_threshold ([-1, 1]); NaN fails. "" when valid, else
+    /// Range-checks alpha, train_days, epsilon_pct, search.vif_threshold
+    /// (finite, >= 1) and search.rho_threshold ([-1, 1]); NaN fails. "" when valid, else
     /// every violation joined with "; ". Fleet and serve validation start
     /// here.
     [[nodiscard]] std::string validate() const;
@@ -154,12 +143,12 @@ const std::vector<resize::ResizePolicy>& default_policies();
 /// the *actual* evaluation-day demands.
 ///
 /// Failure behavior (DESIGN.md §7.11): a box that is empty, too short,
-/// or whose VMs' series differ in length is rejected with
-/// PipelineError(kTraceInvalid, "input"); malformed samples are sanitized
-/// or the box is rejected with PipelineError(kTraceInvalid); recoverable stage
-/// failures (degenerate clustering, singular OLS, diverging temporal
-/// model, infeasible MCKP) engage per-stage fallbacks recorded in
-/// BoxPipelineResult::degradations; anything unrecoverable throws
+/// whose VMs' series differ in length, or that holds a non-finite or
+/// negative demand sample is rejected with PipelineError(kTraceInvalid,
+/// "input"), the rule both trace readers apply at load; recoverable stage
+/// failures (degenerate clustering, singular OLS, a failed or non-finite
+/// temporal model, infeasible MCKP) engage per-stage fallbacks recorded
+/// in BoxPipelineResult::degradations; anything unrecoverable throws
 /// PipelineError carrying the taxonomy code and stage.
 ///
 /// Fleet-scale callers should prefer `run_pipeline_on_fleet` (core/fleet.hpp),

@@ -1,6 +1,7 @@
 #include "core/signature_search.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -35,7 +36,12 @@ SignatureSearchResult find_signatures(const la::FlatMatrix& series,
         metrics->add("search.initial_signatures",
                      result.initial_signatures.size());
         metrics->add("search.final_signatures", result.signatures.size());
-        metrics->set_gauge("search.silhouette", result.silhouette);
+        // An undefined silhouette (NaN once DTW distances overflow) stays
+        // out: JSON has no NaN, so a journaled box holding it would never
+        // replay, and the pipeline reports that search as a degradation.
+        if (std::isfinite(result.silhouette)) {
+            metrics->set_gauge("search.silhouette", result.silhouette);
+        }
     };
 
     // ---- Step 1: time-series clustering -------------------------------------

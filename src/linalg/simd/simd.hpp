@@ -168,8 +168,9 @@ struct KernelTable {
     /// rows — identical band windows across lanes, per-cell arithmetic
     /// exactly the scalar sequence — so every lane's result is
     /// bit-identical to the scalar kernel's for finite inputs (NaN
-    /// propagation is unspecified — the pipeline repairs series before
-    /// DTW). This is the one DTW entry point: single pairs pass count = 1.
+    /// propagation is unspecified — the pipeline rejects a box with a
+    /// non-finite sample before DTW). This is the one DTW entry point:
+    /// single pairs pass count = 1.
     void (*dtw_distance_batch)(const double* const* ps,
                                const double* const* qs, std::size_t count,
                                std::size_t n, std::size_t m, int band,

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "core/metrics_report.hpp"
-#include "exec/fault.hpp"
 #include "exec/io.hpp"
 #include "obs/json.hpp"
 
@@ -71,8 +70,6 @@ ServeDaemon::ServeDaemon(const trace::Trace& trace, ServeConfig config,
     if (options_.socket_path.empty()) {
         throw std::invalid_argument("serve daemon: socket path is required");
     }
-    deliveries_.assign(static_cast<std::size_t>(engine_->num_boxes()),
-                       {0, 0});
     listener_ = exec::UnixListener::bind(options_.socket_path);
 }
 
@@ -197,35 +194,6 @@ void ServeDaemon::handle_window(const std::shared_ptr<Connection>& conn,
         transport_.add("transport.bad_requests");
         conn->send(encode_error("unknown box '" + request.box + "'"));
         return;
-    }
-
-    // "serve.ingest" chaos site: a firing rule models a transient ingest
-    // failure (e.g. a dropped datagram) — reported as "busy" so a
-    // well-behaved client re-sends, which re-rolls the draw via the
-    // delivery count in FaultContext::attempt.
-    if (!config_.faults.empty()) {
-        std::uint64_t delivery = 0;
-        {
-            const std::lock_guard<std::mutex> lock(delivery_mutex_);
-            auto& [epoch, count] = deliveries_[static_cast<std::size_t>(box_index)];
-            if (epoch != request.epoch) {
-                epoch = request.epoch;
-                count = 0;
-            }
-            delivery = count++;
-        }
-        exec::FaultContext fault;
-        fault.plan = &config_.faults;
-        fault.entity = static_cast<std::uint64_t>(box_index);
-        fault.attempt = delivery;
-        fault.epoch = request.epoch + 1;
-        try {
-            ATM_FAULT_SITE(fault, "serve.ingest");
-        } catch (const exec::InjectedFault&) {
-            transport_.add("serve.rejected.fault");
-            conn->send(encode_busy(options_.retry_after_ms));
-            return;
-        }
     }
 
     IngestJob job;

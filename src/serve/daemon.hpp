@@ -132,10 +132,6 @@ class ServeDaemon {
     exec::UnixListener listener_;
     IngestQueue queue_;
     obs::MetricsRegistry transport_;
-    /// Per-box (epoch, delivery count) so client re-sends of the same
-    /// window re-roll the "serve.ingest" fault draw (FaultContext::attempt).
-    std::mutex delivery_mutex_;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> deliveries_;
     std::atomic<bool> shutdown_requested_{false};
 };
 

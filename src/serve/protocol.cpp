@@ -124,7 +124,7 @@ std::string encode_ack(const ApplyOutcome& outcome) {
     out.set("type", Value::of("ack"));
     out.set("status", Value::of(to_string(outcome.status)));
     out.set("epoch", Value::of(outcome.epoch));
-    out.set("ladder", Value::of(static_cast<std::int64_t>(outcome.ladder)));
+    out.set("ladder", Value::of(std::int64_t{0}));  // reserved, always 0
     out.set("cpu", double_array(outcome.cpu));
     out.set("ram", double_array(outcome.ram));
     if (!outcome.error.empty()) out.set("message", Value::of(outcome.error));

@@ -46,6 +46,8 @@ struct Response {
     bool resumed = false;  ///< hello
     std::string status;    ///< ack: ApplyStatus to_string value
     std::uint64_t epoch = 0;
+    /// ack: reserved, always 0 (a window always runs to completion); kept
+    /// so atm.serve.v1 clients that read it still parse.
     int ladder = 0;
     std::vector<double> cpu;  ///< ack: recommended allocations (may be empty)
     std::vector<double> ram;

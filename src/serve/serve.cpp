@@ -117,8 +117,6 @@ std::uint64_t serve_config_digest(const ServeConfig& config) {
     exec::mix_u64(hash, static_cast<std::uint64_t>(config.retrain_every));
     exec::mix_u64(hash, static_cast<std::uint64_t>(config.retrain_epochs));
     exec::mix_u64(hash, static_cast<std::uint64_t>(config.train_epochs));
-    // The fault plan is result-affecting through the per-epoch draws.
-    core::mix_fault_plan(hash, config.faults);
     // Deliberately excluded: queue_depth, which only bounds the daemon's
     // ingest queue — no window's result depends on it.
     return hash;
@@ -294,8 +292,7 @@ ApplyOutcome ServeEngine::apply(const WindowUpdate& update) {
         // mismatch means the determinism contract is broken — fail loudly
         // rather than serve silently-diverged recommendations.
         const core::ServeEpochRecord& journaled = box.replay.front();
-        if (record.ladder != journaled.ladder || record.cpu != journaled.cpu ||
-            record.ram != journaled.ram) {
+        if (record.cpu != journaled.cpu || record.ram != journaled.ram) {
             throw std::runtime_error(
                 "serve journal: replay diverged for box " + meta.name +
                 " epoch " + std::to_string(update.epoch));
@@ -325,35 +322,11 @@ ApplyOutcome ServeEngine::apply_window(int box_index,
         return out;
     }
 
-    // Every input of the window is deterministic, the fault draw
-    // included: it is keyed by (seed, box, epoch), so a replayed window
-    // draws exactly what the live one drew.
-    exec::FaultContext fault;
-    fault.plan = config_.faults.empty() ? nullptr : &config_.faults;
-    fault.entity = static_cast<std::uint64_t>(box_index);
-    // +1 so epoch 0 still re-rolls per window (0 means "unset" in the
-    // fault-key chain).
-    fault.epoch = update.epoch + 1;
-    // The model work is deterministic, so a fired fault would fire again:
-    // the window settles as ingest-only on its first attempt.
-    try {
-        ATM_FAULT_SITE(fault, "serve.apply");
-        model_work(box_index, update.epoch);
-    } catch (const exec::InjectedFault&) {
-        record.ladder = core::ServeEpochRecord::kIngestOnly;
-    }
-
-    const bool ingest_only =
-        record.ladder == core::ServeEpochRecord::kIngestOnly;
-    if (ingest_only) {
-        counter("serve.degraded.ingest_only");
-    } else {
-        record.cpu = box.rec_cpu;
-        record.ram = box.rec_ram;
-    }
+    model_work(box_index, update.epoch);
+    record.cpu = box.rec_cpu;
+    record.ram = box.rec_ram;
     counter("serve.windows.applied");
     out.status = ApplyStatus::kApplied;
-    out.ladder = record.ladder;
     out.cpu = record.cpu;
     out.ram = record.ram;
     return out;

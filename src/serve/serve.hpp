@@ -9,7 +9,6 @@
 
 #include "core/fleet_journal.hpp"
 #include "core/pipeline.hpp"
-#include "exec/fault.hpp"
 #include "exec/journal.hpp"
 #include "forecast/nn.hpp"
 #include "obs/metrics.hpp"
@@ -22,8 +21,7 @@ namespace atm::serve {
 /// embedded PipelineConfig supplies the modelling knobs the batch
 /// pipeline already defines (search options, temporal model, train_days
 /// as the rolling-window length in days, alpha/epsilon/lower-bound
-/// resizing knobs, seed, sanitization threshold);
-/// serve adds streaming lifecycle knobs on top. Result-affecting knobs
+/// resizing knobs, seed); serve adds streaming lifecycle knobs on top. Result-affecting knobs
 /// are bound into the journal header; the execution-only queue depth is
 /// not.
 struct ServeConfig {
@@ -48,10 +46,6 @@ struct ServeConfig {
     /// Resume from an existing journal whose header matches; on mismatch
     /// (or no file) the daemon starts fresh.
     bool resume = false;
-    /// Chaos plan: "serve.apply" throw rules fire per (seed, box, epoch)
-    /// — see exec::FaultContext::epoch. A fired apply fault sends its
-    /// window to ingest-only; it is not retried.
-    exec::FaultPlan faults;
 
     /// Validates every serve knob: PipelineConfig::validate's range
     /// checks plus serve's own rules (train_days >= 2, inter scope, MLP or
@@ -87,7 +81,6 @@ const char* to_string(ApplyStatus status);
 struct ApplyOutcome {
     ApplyStatus status = ApplyStatus::kApplied;
     std::uint64_t epoch = 0;   ///< epoch this outcome refers to
-    int ladder = 0;            ///< 0, or 8 ingest-only (ServeEpochRecord)
     std::vector<double> cpu;   ///< per-VM recommended CPU allocation
     std::vector<double> ram;   ///< per-VM recommended RAM allocation
     std::string error;         ///< reason for kGap / kBadShape

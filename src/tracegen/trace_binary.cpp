@@ -94,6 +94,16 @@ struct Cursor {
         return value;
     }
 
+    /// A capacity, held to the CSV reader's rule for monitoring values:
+    /// finite and non-negative.
+    double read_capacity(const char* what) {
+        const auto value = read<double>(what);
+        if (!(value >= 0.0 && value <= std::numeric_limits<double>::max())) {
+            fail(std::string("non-finite or negative ") + what);
+        }
+        return value;
+    }
+
     std::string read_name(const char* what) {
         const auto len = read<std::uint16_t>(what);
         if (len > size - pos) {
@@ -326,6 +336,11 @@ Trace read_trace_binary_file(const std::string& path,
         fail("unsupported version " + std::to_string(version));
     }
     const auto windows_per_day = cursor.read<std::uint32_t>("windows_per_day");
+    if (windows_per_day == 0 ||
+        windows_per_day > static_cast<std::uint32_t>(std::numeric_limits<int>::max())) {
+        fail("windows_per_day " + std::to_string(windows_per_day) +
+             " outside [1, 2147483647]");
+    }
     (void)cursor.read<std::uint32_t>("num_days");
     const auto box_count = cursor.read<std::uint64_t>("box_count");
     const auto vm_count = cursor.read<std::uint64_t>("vm_count");
@@ -384,8 +399,8 @@ Trace read_trace_binary_file(const std::string& path,
         BoxTrace& box = trace.boxes.back();
         box.name = index.read_name("box name");
         box.has_gaps = index.read<std::uint8_t>("has_gaps") != 0;
-        box.cpu_capacity_ghz = index.read<double>("box cpu capacity");
-        box.ram_capacity_gb = index.read<double>("box ram capacity");
+        box.cpu_capacity_ghz = index.read_capacity("box cpu capacity");
+        box.ram_capacity_gb = index.read_capacity("box ram capacity");
         const auto box_vms = index.read<std::uint32_t>("box vm count");
         if (box_vms > (index.size - index.pos) / kMinVmEntry) {
             fail("box vm count exceeds what the index can hold");
@@ -395,8 +410,8 @@ Trace read_trace_binary_file(const std::string& path,
             box.vms.emplace_back();
             VmTrace& vm = box.vms.back();
             vm.name = index.read_name("vm name");
-            vm.cpu_capacity_ghz = index.read<double>("vm cpu capacity");
-            vm.ram_capacity_gb = index.read<double>("vm ram capacity");
+            vm.cpu_capacity_ghz = index.read_capacity("vm cpu capacity");
+            vm.ram_capacity_gb = index.read_capacity("vm ram capacity");
             const auto len = index.read<std::uint64_t>("series length");
             if (len > sample_count - samples_seen) {
                 fail("index series lengths exceed sample count");

@@ -44,10 +44,11 @@ namespace atm::trace {
 ///     series_len doubles — cpu_usage_pct, ram_usage_pct,
 ///     cpu_demand_ghz, ram_demand_gb.
 ///
-/// Validation: bad magic, wrong endianness, unknown version, any
-/// offset/length outside the file (truncation), counts the index cannot
-/// hold or disagrees with, fingerprint mismatch, and non-finite/negative
-/// samples are all rejected with core::PipelineError{kTraceInvalid,
+/// Validation: bad magic, wrong endianness, unknown version, a
+/// windows_per_day of 0 or past INT_MAX, any offset/length outside the
+/// file (truncation), counts the index cannot hold or disagrees with,
+/// non-finite/negative capacities, fingerprint mismatch, and
+/// non-finite/negative samples are all rejected with core::PipelineError{kTraceInvalid,
 /// "trace"} — the same taxonomy the fleet driver already reports per
 /// run. Payload problems are reported in a fixed order: fingerprint
 /// mismatch first, then the index/header count checks, then the first

@@ -74,13 +74,11 @@ TEST(FleetConfigTest, ReportsEveryOutOfRangeValue) {
     core::FleetConfig nan_config;
     nan_config.pipeline.alpha = std::nan("");
     nan_config.pipeline.epsilon_pct = std::nan("");
-    nan_config.pipeline.max_bad_sample_fraction = std::nan("");
     nan_config.pipeline.search.vif_threshold = std::nan("");
     nan_config.pipeline.search.rho_threshold = std::nan("");
     const std::string nan_problems = nan_config.validate();
     EXPECT_NE(nan_problems.find("alpha"), std::string::npos);
     EXPECT_NE(nan_problems.find("epsilon_pct"), std::string::npos);
-    EXPECT_NE(nan_problems.find("max_bad_sample_fraction"), std::string::npos);
     EXPECT_NE(nan_problems.find("search.vif_threshold"), std::string::npos);
     EXPECT_NE(nan_problems.find("search.rho_threshold"), std::string::npos);
 
@@ -121,9 +119,8 @@ TEST(FleetConfigTest, AcceptsBoundaryAlphaAndRejectsRangeEdges) {
     config.pipeline.epsilon_pct = 100.0;  // rounding to >= a full capacity is not
     EXPECT_NE(config.validate().find("epsilon_pct"), std::string::npos);
     config.pipeline.epsilon_pct = 5.0;
-    config.pipeline.max_bad_sample_fraction = 1.5;
-    EXPECT_NE(config.validate().find("max_bad_sample_fraction"),
-              std::string::npos);
+    config.pipeline.alpha = std::nextafter(1.0, 2.0);  // just past 100%
+    EXPECT_NE(config.validate().find("alpha"), std::string::npos);
 }
 
 TEST(FleetConfigTest, TraceValidationCatchesOverlongTraining) {
@@ -696,7 +693,7 @@ TEST(ShardTest, LowestIndexExceptionWins) {
 TEST(ShardTest, LowestIndexExceptionWinsAcrossMultiIndexShards) {
     // Several indices throw concurrently, one at the very last index; the
     // caller always sees the lowest one, independent of scheduling —
-    // chaos tests rely on this to assert exact failures.
+    // tests rely on this to assert exact failures.
     constexpr std::size_t kN = 128;
     for (int repeat = 0; repeat < 25; ++repeat) {
         try {

@@ -1,5 +1,5 @@
 // Cross-module integration tests: full flows through generator ->
-// repair/characterization -> signature search -> spatial model ->
+// characterization -> signature search -> spatial model ->
 // forecasting -> resizing, plus end-to-end determinism and conservation
 // properties that only hold when the modules agree on conventions.
 
@@ -11,7 +11,6 @@
 #include "core/pipeline.hpp"
 #include "mediawiki/simulator.hpp"
 #include "ticketing/characterization.hpp"
-#include "timeseries/repair.hpp"
 #include "tracegen/generator.hpp"
 
 namespace atm {
@@ -41,44 +40,6 @@ TEST(IntegrationTest, EndToEndDeterminism) {
     EXPECT_DOUBLE_EQ(a.ape_all, b.ape_all);
     EXPECT_EQ(a.policies[0].cpu_after, b.policies[0].cpu_after);
     EXPECT_EQ(a.predicted_demands, b.predicted_demands);
-}
-
-TEST(IntegrationTest, GapRepairRestoresCharacterization) {
-    // Inject gaps into a clean box, repair, and verify the day-0
-    // correlation structure is close to the clean one.
-    trace::TraceGenOptions options = base_options();
-    options.num_days = 2;
-    const trace::BoxTrace clean = trace::generate_box(options, 4);
-
-    trace::BoxTrace gappy = clean;
-    for (trace::VmTrace& vm : gappy.vms) {
-        // Gap on day 1 so the seasonal repair has a prior period to copy.
-        for (std::size_t t = 126; t < 141; ++t) {
-            vm.cpu_usage_pct[t] = 0.0;
-            vm.ram_usage_pct[t] = 0.0;
-        }
-    }
-    trace::BoxTrace repaired = gappy;
-    for (trace::VmTrace& vm : repaired.vms) {
-        vm.cpu_usage_pct = ts::Series(
-            vm.cpu_usage_pct.name(),
-            ts::repair_series(vm.cpu_usage_pct.view(), ts::RepairMethod::kSeasonal, 96));
-        vm.ram_usage_pct = ts::Series(
-            vm.ram_usage_pct.name(),
-            ts::repair_series(vm.ram_usage_pct.view(), ts::RepairMethod::kSeasonal, 96));
-    }
-
-    const auto& vm0_clean = clean.vms[0].cpu_usage_pct;
-    const auto& vm0_rep = repaired.vms[0].cpu_usage_pct;
-    // Repaired series close to the clean one on the gap (day-2 seasonal
-    // copy); the gappy one is just zero there.
-    double err_rep = 0.0;
-    double err_gap = 0.0;
-    for (std::size_t t = 126; t < 141; ++t) {
-        err_rep += std::abs(vm0_rep[t] - vm0_clean[t]);
-        err_gap += std::abs(gappy.vms[0].cpu_usage_pct[t] - vm0_clean[t]);
-    }
-    EXPECT_LT(err_rep, 0.6 * err_gap);
 }
 
 TEST(IntegrationTest, PipelineCapacityConservation) {

@@ -1,9 +1,15 @@
-// Chaos suite (ctest -L robust): the fault-injection plan grammar, the
-// deterministic fault draws, and the fleet under escalating fault plans.
-// The fleet runs assert the robustness contract of DESIGN.md §7.11: no
-// crash, structured error codes matching the injected faults, exact
-// exclusion of failed boxes from aggregates, finite outputs from degraded
-// boxes, and bit-identical results for jobs=1 vs jobs=8.
+// Robustness suite (ctest -L robust): the degradation ladder and the
+// fleet's failure isolation driven from hostile trace files. The fleet
+// runs assert the robustness contract of DESIGN.md §7.11: no crash,
+// structured error codes, exact exclusion of failed boxes from
+// aggregates, finite outputs from degraded boxes, and bit-identical
+// results for jobs=1 vs jobs=8 and for a resume from any cut point.
+//
+// Every degraded or failed box in a fleet here comes from CSV text the
+// test writes and reads back through read_trace_csv, the path a trace
+// file takes. Both readers reject non-finite and negative samples at
+// load, so the pipeline's own rejection of them is checked on boxes
+// built in memory.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +19,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,207 +32,119 @@
 #include "core/fleet_journal.hpp"
 #include "core/pipeline.hpp"
 #include "core/spatial_model.hpp"
-#include "exec/fault.hpp"
 #include "exec/journal.hpp"
 #include "exec/seed.hpp"
 #include "linalg/simd/simd.hpp"
 #include "tracegen/generator.hpp"
+#include "tracegen/trace_io.hpp"
 
 namespace atm {
 namespace {
 
 using core::PipelineErrorCode;
 
-// ---------------------------------------------------------------- FaultPlan
+constexpr int kWindowsPerDay = 24;
 
-TEST(FaultPlanTest, ParsesSpecGrammar) {
-    const exec::FaultPlan plan = exec::FaultPlan::parse(
-        "samples=nan@0.05,series=truncate@0.5,pipeline.forecast=throw", 7);
-    EXPECT_EQ(plan.seed, 7u);
-    ASSERT_EQ(plan.rules.size(), 3u);
-    EXPECT_EQ(plan.rules[0].site, "samples");
-    EXPECT_EQ(plan.rules[0].action, exec::FaultAction::kNan);
-    EXPECT_DOUBLE_EQ(plan.rules[0].rate, 0.05);
-    EXPECT_EQ(plan.rules[1].site, "series");
-    EXPECT_EQ(plan.rules[1].action, exec::FaultAction::kTruncate);
-    EXPECT_DOUBLE_EQ(plan.rules[1].rate, 0.5);
-    EXPECT_EQ(plan.rules[2].site, "pipeline.forecast");
-    EXPECT_EQ(plan.rules[2].action, exec::FaultAction::kThrow);
-    EXPECT_DOUBLE_EQ(plan.rules[2].rate, 1.0);  // default rate
-    EXPECT_FALSE(plan.empty());
-    EXPECT_TRUE(plan.has_data_faults());
-}
+// ------------------------------------------------------------ hostile traces
 
-TEST(FaultPlanTest, EmptySpecDisablesInjection) {
-    const exec::FaultPlan plan = exec::FaultPlan::parse("", 42);
-    EXPECT_TRUE(plan.empty());
-    EXPECT_FALSE(plan.has_data_faults());
-    // A throw-only plan carries no data faults.
-    EXPECT_FALSE(exec::FaultPlan::parse("fleet.box=throw@0.5", 1).has_data_faults());
-}
-
-TEST(FaultPlanTest, RejectsMalformedSpecs) {
-    const std::vector<std::string> bad = {
-        "samples=bogus",        // unknown action
-        "nan@0.5",              // no '='
-        "=nan@0.5",             // empty site
-        "samples=nan@0",        // rate must be > 0
-        "samples=nan@1.5",      // rate must be <= 1
-        "samples=nan@x",        // unparseable rate
-        "pipeline.search=nan",  // sample action on a code site
-        "samples=truncate",     // truncate needs site 'series'
-        "samples=throw",        // throw needs a code site
-        "series=throw",         // ditto
-        ",,,",                  // non-empty spec without a single rule
-    };
-    for (const std::string& spec : bad) {
-        EXPECT_THROW(exec::FaultPlan::parse(spec, 1), std::invalid_argument)
-            << "spec: " << spec;
-    }
-}
-
-// -------------------------------------------------------------- FaultContext
-
-TEST(FaultContextTest, NullPlanIsInert) {
-    const exec::FaultContext ctx;
-    EXPECT_NO_THROW(ctx.check_site("pipeline.start"));
-    std::vector<double> xs(16, 1.0);
-    EXPECT_EQ(ctx.corrupt_samples(xs, 0), 0u);
-    EXPECT_EQ(xs, std::vector<double>(16, 1.0));
-    EXPECT_EQ(ctx.truncated_length(144), 144u);
-}
-
-TEST(FaultContextTest, SampleCorruptionIsDeterministicPerEntityAndStream) {
-    const exec::FaultPlan plan = exec::FaultPlan::parse("samples=nan@0.2", 7);
-    const auto corrupt = [&plan](std::uint64_t entity, std::uint64_t stream) {
-        const exec::FaultContext ctx{&plan, entity};
-        std::vector<double> xs(256, 1.0);
-        const std::uint64_t n = ctx.corrupt_samples(xs, stream);
-        std::vector<bool> pattern(xs.size());
-        for (std::size_t t = 0; t < xs.size(); ++t) pattern[t] = std::isnan(xs[t]);
-        EXPECT_GT(n, 0u);
-        EXPECT_LT(n, xs.size());
-        return pattern;
-    };
-    EXPECT_EQ(corrupt(3, 0), corrupt(3, 0));  // same key, same samples
-    EXPECT_NE(corrupt(3, 0), corrupt(4, 0));  // entity changes the draw
-    EXPECT_NE(corrupt(3, 0), corrupt(3, 1));  // so does the stream
-}
-
-TEST(FaultContextTest, CorruptionActionsProduceTheirValues) {
-    const auto apply = [](const std::string& spec) {
-        const exec::FaultPlan plan = exec::FaultPlan::parse(spec, 5);
-        const exec::FaultContext ctx{&plan, 0};
-        std::vector<double> xs(32, 1.0);
-        EXPECT_EQ(ctx.corrupt_samples(xs, 0), xs.size()) << spec;
-        return xs;
-    };
-    for (const double x : apply("samples=nan@1")) EXPECT_TRUE(std::isnan(x));
-    for (const double x : apply("samples=inf@1")) EXPECT_TRUE(std::isinf(x));
-    for (const double x : apply("samples=negative@1")) EXPECT_DOUBLE_EQ(x, -2.0);
-    for (const double x : apply("samples=zero-run@1")) EXPECT_DOUBLE_EQ(x, 0.0);
-}
-
-TEST(FaultContextTest, ThrowVerdictIsStablePerEntityAndSite) {
-    const exec::FaultPlan plan = exec::FaultPlan::parse("forecast.fit=throw@0.5", 11);
-    const auto fires = [&plan](std::uint64_t entity) {
-        const exec::FaultContext ctx{&plan, entity};
-        try {
-            ctx.check_site("forecast.fit");
-            return false;
-        } catch (const exec::InjectedFault& e) {
-            EXPECT_EQ(e.site(), "forecast.fit");
-            return true;
-        }
-    };
-    std::size_t fired = 0;
-    for (std::uint64_t entity = 0; entity < 64; ++entity) {
-        const bool verdict = fires(entity);
-        EXPECT_EQ(fires(entity), verdict);  // re-asking never flips it
-        EXPECT_EQ(fires(entity), verdict);
-        if (verdict) ++fired;
-        // An unarmed site never throws, whatever the entity.
-        const exec::FaultContext ctx{&plan, entity};
-        EXPECT_NO_THROW(ctx.check_site("pipeline.start"));
-    }
-    // At rate 0.5 over 64 entities both verdicts must occur.
-    EXPECT_GT(fired, 0u);
-    EXPECT_LT(fired, 64u);
-}
-
-TEST(FaultContextTest, EpochRerollsDrawsAndZeroEpochKeepsLegacyChain) {
-    const exec::FaultPlan plan =
-        exec::FaultPlan::parse("serve.apply=throw@0.5", 11);
-    const auto fires = [&plan](std::uint64_t entity, std::uint64_t epoch) {
-        exec::FaultContext ctx{&plan, entity};
-        ctx.epoch = epoch;
-        try {
-            ctx.check_site("serve.apply");
-            return false;
-        } catch (const exec::InjectedFault&) {
-            return true;
-        }
-    };
-    // Epoch 0 is bit-identical to a context without the field, so batch
-    // key chains (and golden chaos runs) are untouched.
-    for (std::uint64_t entity = 0; entity < 8; ++entity) {
-        const exec::FaultContext legacy{&plan, entity};
-        bool legacy_fires = false;
-        try {
-            legacy.check_site("serve.apply");
-        } catch (const exec::InjectedFault&) {
-            legacy_fires = true;
-        }
-        EXPECT_EQ(fires(entity, 0), legacy_fires);
-    }
-    // Each (entity, epoch) is an independent Bernoulli: deterministic on
-    // re-ask, and across 64 epochs both verdicts occur for a fixed box —
-    // no box is permanently wedged or permanently spared by a 0.5 plan.
-    std::size_t fired = 0;
-    for (std::uint64_t epoch = 1; epoch <= 64; ++epoch) {
-        const bool verdict = fires(3, epoch);
-        EXPECT_EQ(fires(3, epoch), verdict);
-        if (verdict) ++fired;
-    }
-    EXPECT_GT(fired, 0u);
-    EXPECT_LT(fired, 64u);
-    // Distinct boxes draw independently at the same epoch.
-    bool differs = false;
-    for (std::uint64_t entity = 0; entity < 32 && !differs; ++entity) {
-        differs = fires(entity, 7) != fires(entity + 32, 7);
-    }
-    EXPECT_TRUE(differs);
-}
-
-TEST(FaultContextTest, TruncationDropsTheTrailingQuarter) {
-    const exec::FaultPlan plan = exec::FaultPlan::parse("series=truncate@1", 3);
-    const exec::FaultContext ctx{&plan, 0};
-    EXPECT_EQ(ctx.truncated_length(144), 108u);
-    EXPECT_EQ(ctx.truncated_length(7), 6u);
-    EXPECT_EQ(ctx.truncated_length(0), 0u);
-    const exec::FaultPlan no_truncate = exec::FaultPlan::parse("samples=nan@1", 3);
-    EXPECT_EQ((exec::FaultContext{&no_truncate, 0}).truncated_length(144), 144u);
-}
-
-// -------------------------------------------------------------- chaos fleets
-
-trace::Trace chaos_trace(int boxes) {
+trace::Trace small_trace(int boxes) {
     trace::TraceGenOptions options;
     options.num_boxes = boxes;
     options.num_days = 6;  // 5 training days + 1 evaluation day
-    options.windows_per_day = 24;
+    options.windows_per_day = kWindowsPerDay;
     options.gappy_box_fraction = 0.0;
     options.seed = 20150403;
     return trace::generate_trace(options);
 }
 
-core::FleetConfig chaos_config(const std::string& spec, std::uint64_t fault_seed) {
+std::string to_csv(const trace::Trace& t) {
+    std::ostringstream out;
+    trace::write_trace_csv(out, t);
+    return out.str();
+}
+
+trace::Trace from_csv(const std::string& csv) {
+    std::istringstream in(csv);
+    return trace::read_trace_csv(in, kWindowsPerDay);
+}
+
+/// Rewrites the data rows of box `box` in CSV text: `edit` gets each
+/// row's nine fields and returns false to drop the row.
+std::string edit_rows(const std::string& csv, const std::string& box,
+                      const std::function<bool(std::vector<std::string>&)>& edit) {
+    std::istringstream in(csv);
+    std::string out;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind(box + ",", 0) == 0) {
+            std::vector<std::string> fields;
+            std::istringstream row(line);
+            for (std::string f; std::getline(row, f, ',');) fields.push_back(f);
+            if (!edit(fields)) continue;
+            line.clear();
+            for (const std::string& f : fields) {
+                line += (line.empty() ? "" : ",") + f;
+            }
+        }
+        out += line + '\n';
+    }
+    return out;
+}
+
+/// Multiplies box `box`'s demand columns by `factor`: monitoring exported
+/// in the wrong unit. 1e200 is finite, so both readers load it, and large
+/// enough that DTW distances, OLS normal equations and AR fits overflow.
+std::string scale_demands(const std::string& csv, const std::string& box,
+                          double factor) {
+    return edit_rows(csv, box, [factor](std::vector<std::string>& f) {
+        for (const std::size_t col : {7u, 8u}) {
+            std::ostringstream value;
+            value.precision(17);
+            value << std::stod(f[col]) * factor;
+            f[col] = value.str();
+        }
+        return true;
+    });
+}
+
+/// Drops the rows of box `box` from window `from` on, for VM `vm` only
+/// (a ragged box) or for every VM when `vm` is empty (a short box).
+std::string cut_rows(const std::string& csv, const std::string& box,
+                     const std::string& vm, long from) {
+    return edit_rows(csv, box, [&](std::vector<std::string>& f) {
+        return (!vm.empty() && f[1] != vm) || std::stol(f[2]) < from;
+    });
+}
+
+constexpr int kHugeBox = 2;
+
+/// The hostile trace of the fleet-level tests, `boxes` >= 4 generated
+/// boxes read back from CSV: box kHugeBox has its demands scaled by 1e200
+/// (it degrades), the last box has its last VM cut to half a day (it is
+/// ragged and fails at input), and the rest are clean.
+trace::Trace hostile_trace(int boxes) {
+    const trace::Trace t = small_trace(boxes);
+    const trace::BoxTrace& last = t.boxes.back();
+    std::string csv = to_csv(t);
+    csv = scale_demands(csv, t.boxes[kHugeBox].name, 1e200);
+    csv = cut_rows(csv, last.name, last.vms.back().name, kWindowsPerDay / 2);
+    return from_csv(csv);
+}
+
+core::FleetConfig fleet_config() {
     core::FleetConfig config;
     config.pipeline.temporal = forecast::TemporalModel::kSeasonalNaive;
     config.pipeline.train_days = 5;
     config.jobs = 1;
     config.collect_metrics = true;
-    config.faults = exec::FaultPlan::parse(spec, fault_seed);
+    return config;
+}
+
+/// DTW search and AR forecasts: on the 1e200 box both fail, so the search
+/// and forecast rungs fire.
+core::FleetConfig ladder_config() {
+    core::FleetConfig config = fleet_config();
+    config.pipeline.temporal = forecast::TemporalModel::kAutoregressive;
     return config;
 }
 
@@ -235,34 +156,192 @@ bool has_degradation(const core::BoxPipelineResult& result,
     return false;
 }
 
-TEST(ChaosFleetTest, LightCorruptionDegradesButBoxesSurvive) {
-    const trace::Trace t = chaos_trace(6);
-    const core::FleetConfig config = chaos_config("samples=nan@0.03", 1);
-    const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
+bool has_degradation(const core::BoxPipelineResult& result,
+                     const std::string& stage) {
+    for (const core::Degradation& d : result.degradations) {
+        if (d.stage == stage) return true;
+    }
+    return false;
+}
 
-    ASSERT_EQ(fleet.boxes.size(), 6u);
-    EXPECT_EQ(fleet.boxes_failed, 0u);
-    EXPECT_TRUE(fleet.failures_by_code.empty());
-    std::size_t degraded = 0;
-    for (const core::FleetBoxResult& b : fleet.boxes) {
-        EXPECT_TRUE(b.error.empty());
-        EXPECT_EQ(b.error_code, PipelineErrorCode::kNone);
-        EXPECT_TRUE(std::isfinite(b.result.ape_all));
-        EXPECT_TRUE(std::isfinite(b.result.ape_peak));
-        if (has_degradation(b.result, "sanitize", PipelineErrorCode::kTraceInvalid)) {
-            ++degraded;
+// ------------------------------------------------- the ladder, from a file
+
+TEST(ChaosFleetTest, RecoverableSitesEngageFallbacksNotFailures) {
+    const trace::Trace t = hostile_trace(4);
+    for (const core::ClusteringMethod method :
+         {core::ClusteringMethod::kDtw, core::ClusteringMethod::kCbc}) {
+        SCOPED_TRACE(method == core::ClusteringMethod::kDtw ? "dtw" : "cbc");
+        core::FleetConfig config = ladder_config();
+        config.pipeline.search.method = method;
+        const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
+
+        ASSERT_EQ(fleet.boxes.size(), 4u);
+        EXPECT_EQ(fleet.boxes_failed, 1u);  // the ragged box, nothing else
+        for (const core::FleetBoxResult& b : fleet.boxes) {
+            if (b.box_index == 3) continue;
+            EXPECT_TRUE(b.error.empty()) << b.error;
+            EXPECT_TRUE(std::isfinite(b.result.ape_all));
+            EXPECT_TRUE(std::isfinite(b.result.ape_peak));
+            ASSERT_FALSE(b.result.policies.empty());
+            for (const core::PolicyTickets& p : b.result.policies) {
+                EXPECT_GE(p.cpu_after, 0);
+                EXPECT_GE(p.ram_after, 0);
+            }
+            if (b.box_index != kHugeBox) {
+                EXPECT_TRUE(b.result.degradations.empty()) << b.box_index;
+            }
+        }
+        const core::BoxPipelineResult& huge = fleet.boxes[kHugeBox].result;
+        // DTW distances overflow, so clustering has no finite silhouette;
+        // CBC still clusters (correlation ignores scale), but the OLS fit
+        // of the dependents overflows even with ridge.
+        if (method == core::ClusteringMethod::kDtw) {
+            EXPECT_TRUE(has_degradation(huge, "search",
+                                        PipelineErrorCode::kSearchDegenerate));
+            EXPECT_EQ(fleet.metrics.counter("robust.fallback.search"), 1u);
+            EXPECT_EQ(fleet.metrics.counter("robust.fallback.spatial"), 0u);
+        } else {
+            EXPECT_TRUE(has_degradation(huge, "spatial"));
+            EXPECT_EQ(fleet.metrics.counter("robust.fallback.search"), 0u);
+            EXPECT_EQ(fleet.metrics.counter("robust.fallback.spatial"), 1u);
+        }
+        EXPECT_TRUE(has_degradation(huge, "forecast",
+                                    PipelineErrorCode::kModelFitFailed));
+        EXPECT_EQ(fleet.metrics.counter("robust.fallback.forecast"),
+                  huge.search.signatures.size());
+        EXPECT_EQ(fleet.metrics.counter("robust.fallback.resize"), 0u);
+    }
+}
+
+TEST(DegradationLadderTest, ArForecastFallsBackToSeasonalNaiveOnHugeDemand) {
+    const trace::Trace clean = small_trace(1);
+    const trace::Trace t =
+        from_csv(scale_demands(to_csv(clean), clean.boxes[0].name, 1e200));
+    core::PipelineConfig config = ladder_config().pipeline;
+    obs::MetricsRegistry metrics;
+    config.metrics = &metrics;
+    const core::BoxPipelineResult result =
+        core::run_pipeline_on_box(t.boxes[0], kWindowsPerDay, config);
+
+    // The search fell back to the all-signature set, so every series is
+    // forecast on its own, and every AR fit failed: each prediction is
+    // the seasonal-naive one, the series' last training day.
+    const la::FlatMatrix demands = t.boxes[0].demand_matrix();
+    ASSERT_EQ(result.search.signatures.size(), demands.size());
+    ASSERT_EQ(result.predicted_demands.size(), demands.size());
+    const std::size_t last_day = 4 * kWindowsPerDay;
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+        const std::span<const double> want =
+            demands[i].subspan(last_day, kWindowsPerDay);
+        EXPECT_EQ(result.predicted_demands[i],
+                  std::vector<double>(want.begin(), want.end()))
+            << "series " << i;
+    }
+    std::size_t forecast_rungs = 0;
+    for (const core::Degradation& d : result.degradations) {
+        if (d.stage != "forecast") continue;
+        ++forecast_rungs;
+        EXPECT_EQ(d.code, PipelineErrorCode::kModelFitFailed);
+        EXPECT_NE(d.detail.find("; fell back to seasonal-naive"),
+                  std::string::npos)
+            << d.detail;
+    }
+    EXPECT_EQ(forecast_rungs, demands.size());
+    EXPECT_EQ(metrics.snapshot().counter("robust.fallback.forecast"),
+              demands.size());
+    EXPECT_TRUE(std::isfinite(result.ape_all));
+}
+
+TEST(DegradationLadderTest, ResizeFallsBackWhenKeptCapacitiesOvershootTheBudget) {
+    // Two VMs, each peaking at exactly 10 GHz every day, on a 20 GHz box:
+    // the lower bounds (yesterday's peaks) sum to the budget, so they are
+    // kept. Each VM's current capacity, 10 + 9e-10 GHz, is a candidate
+    // that passes its bound within the 1e-9 tolerance and is its cheapest
+    // one, yet the two together exceed the budget by 1.8e-9: no candidate
+    // choice fits, the ATM greedy reports infeasible, and the box falls
+    // back to max-min fairness.
+    std::string csv =
+        "box,vm,window,cpu_capacity_ghz,ram_capacity_gb,cpu_usage_pct,"
+        "ram_usage_pct,cpu_demand_ghz,ram_demand_gb\n#box,tight,20,200,0\n";
+    for (const char* vm : {"vm0", "vm1"}) {
+        for (int t = 0; t < 6 * kWindowsPerDay; ++t) {
+            const bool peak = t % kWindowsPerDay == kWindowsPerDay / 2;
+            csv += std::string("tight,") + vm + "," + std::to_string(t) +
+                   ",10.0000000009,40," + (peak ? "100" : "20") + ",12.5," +
+                   (peak ? "10" : "2") + ",5\n";
         }
     }
-    EXPECT_GT(degraded, 0u);  // ~3% of samples NaN: sanitize must fire
-    EXPECT_GT(fleet.metrics.counter("robust.fault.samples_corrupted"), 0u);
-    EXPECT_GT(fleet.metrics.counter("robust.sanitize.bad_samples"), 0u);
-    EXPECT_GE(fleet.metrics.counter("robust.fallback.sanitize"), degraded);
+    const trace::Trace t = from_csv(csv);
+    obs::MetricsRegistry metrics;
+    const std::vector<core::PolicyTickets> tickets =
+        core::evaluate_resize_policies_on_actuals(
+            t.boxes[0], kWindowsPerDay, 5, 0.6, 5.0, core::default_policies(),
+            /*use_lower_bounds=*/true, &metrics);
+    const obs::MetricsSnapshot snapshot = metrics.snapshot();
+    EXPECT_EQ(snapshot.counter("resize.mckp.infeasible"), 1u);  // CPU only
+    EXPECT_EQ(snapshot.counter("robust.fallback.resize"), 1u);
+    ASSERT_EQ(tickets.size(), 1u);
+    // Max-min fairness splits the 20 GHz evenly, and a 10 GHz peak on a
+    // 10 GHz allocation is still past the 60% threshold: each VM keeps the
+    // one ticket it had.
+    EXPECT_EQ(tickets[0].cpu_before, 2);
+    EXPECT_EQ(tickets[0].cpu_after, 2);
+}
+
+TEST(DegradationLadderTest, SpatialRidgeFallbackOnUnderdeterminedFit) {
+    // 3 training samples against 3 signatures + intercept: OLS is
+    // underdetermined and must hand the dependent series to ridge.
+    const la::FlatMatrix series({{1.0, 2.0, 3.0},
+                                 {2.0, 1.0, 4.0},
+                                 {0.5, 0.5, 1.0},
+                                 {1.5, 2.5, 3.5}});
+    core::SpatialModel model;
+    model.fit(series, {0, 1, 2});
+    EXPECT_TRUE(model.fitted());
+    EXPECT_EQ(model.ridge_fallbacks(), 1u);
+    const auto rebuilt = model.reconstruct(la::FlatMatrix(
+        {{1.0, 2.0, 3.0}, {2.0, 1.0, 4.0}, {0.5, 0.5, 1.0}}));
+    ASSERT_EQ(rebuilt.size(), 4u);
+    for (const double x : rebuilt[3]) EXPECT_TRUE(std::isfinite(x));
+}
+
+// ------------------------------------------------------ rejected input
+
+TEST(DegradationLadderTest, OverlyCorruptBoxIsRejectedWithTaxonomy) {
+    // The readers never load such a sample, but a box built in memory
+    // gets the same verdict: one bad sample rejects the whole box.
+    const trace::BoxTrace clean = small_trace(1).boxes[0];
+    core::PipelineConfig config = fleet_config().pipeline;
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(), -1.0}) {
+        trace::BoxTrace box = clean;
+        box.vms[0].ram_demand_gb.values()[7] = bad;
+        try {
+            core::run_pipeline_on_box(box, kWindowsPerDay, config);
+            FAIL() << "expected PipelineError for " << bad;
+        } catch (const core::PipelineError& e) {
+            EXPECT_EQ(e.code(), PipelineErrorCode::kTraceInvalid);
+            EXPECT_EQ(e.stage(), "input");
+            EXPECT_NE(std::string(e.what()).find(
+                          "VM " + box.vms[0].name +
+                          " has a non-finite or negative ram demand at "
+                          "window 7"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ChaosFleetTest, HeavyCorruptionRejectsEveryBox) {
-    const trace::Trace t = chaos_trace(4);
-    const core::FleetConfig config = chaos_config("samples=nan@0.9", 2);
-    const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
+    trace::Trace t = small_trace(4);
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(), -0.5,
+                          std::numeric_limits<double>::infinity(), -1e-300};
+    for (std::size_t b = 0; b < t.boxes.size(); ++b) {
+        trace::VmTrace& vm = t.boxes[b].vms.back();
+        (b % 2 == 0 ? vm.cpu_demand_ghz : vm.ram_demand_gb).values()[b * 11] =
+            bad[b];
+    }
+    const core::FleetResult fleet = core::run_pipeline_on_fleet(t, fleet_config());
 
     ASSERT_EQ(fleet.boxes.size(), 4u);
     EXPECT_EQ(fleet.boxes_failed, 4u);
@@ -270,7 +349,7 @@ TEST(ChaosFleetTest, HeavyCorruptionRejectsEveryBox) {
     for (const core::FleetBoxResult& b : fleet.boxes) {
         EXPECT_FALSE(b.error.empty());
         EXPECT_EQ(b.error_code, PipelineErrorCode::kTraceInvalid);
-        EXPECT_EQ(b.error_stage, "sanitize");
+        EXPECT_EQ(b.error_stage, "input");
         EXPECT_TRUE(b.result.policies.empty());
     }
     ASSERT_EQ(fleet.failures_by_code.size(), 1u);
@@ -287,28 +366,22 @@ TEST(ChaosFleetTest, HeavyCorruptionRejectsEveryBox) {
 }
 
 TEST(ChaosFleetTest, TruncationExcludesFailedBoxesFromAggregatesExactly) {
-    const trace::Trace t = chaos_trace(8);
-    const core::FleetConfig config = chaos_config("series=truncate@0.5", 5);
-
-    // The test derives the truncated set from the same plan the fleet
-    // uses: entity draws are position-keyed, so this is the ground truth.
-    std::set<int> truncated;
-    for (int b = 0; b < 8; ++b) {
-        const exec::FaultContext ctx{&config.faults, static_cast<std::uint64_t>(b)};
-        if (ctx.truncated_length(t.boxes[0].length()) != t.boxes[0].length()) {
-            truncated.insert(b);
-        }
+    // Boxes 1, 4 and 6 lose their last 1.5 days in the file and can no
+    // longer fit the 5-day training window: they must fail as invalid
+    // input, and the aggregates must be exactly the survivors' sums.
+    const trace::Trace generated = small_trace(8);
+    const std::string csv = to_csv(generated);
+    std::string truncated_csv = csv;
+    const std::set<int> truncated{1, 4, 6};
+    for (const int b : truncated) {
+        truncated_csv = cut_rows(truncated_csv, generated.boxes[b].name, "",
+                                 4 * kWindowsPerDay + kWindowsPerDay / 2);
     }
-    ASSERT_GT(truncated.size(), 0u);  // seed chosen so the plan is mixed
-    ASSERT_LT(truncated.size(), 8u);
+    const core::FleetResult baseline =
+        core::run_pipeline_on_fleet(from_csv(csv), fleet_config());
+    const core::FleetResult fleet =
+        core::run_pipeline_on_fleet(from_csv(truncated_csv), fleet_config());
 
-    core::FleetConfig clean = config;
-    clean.faults = exec::FaultPlan{};
-    const core::FleetResult baseline = core::run_pipeline_on_fleet(t, clean);
-    const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
-
-    // Truncated boxes lose 1.5 of 6 days and can no longer fit the
-    // 5-day training window: they must fail as invalid input.
     ASSERT_EQ(fleet.boxes.size(), 8u);
     EXPECT_EQ(fleet.boxes_failed, truncated.size());
     double ape_sum = 0.0;
@@ -320,7 +393,7 @@ TEST(ChaosFleetTest, TruncationExcludesFailedBoxesFromAggregatesExactly) {
             EXPECT_EQ(b.error_stage, "input");
             continue;
         }
-        // Survivors are untouched: bit-identical to the no-fault run.
+        // Survivors are untouched: bit-identical to the intact file.
         const core::FleetBoxResult& base = baseline.boxes[i];
         EXPECT_TRUE(b.error.empty());
         EXPECT_EQ(b.result.ape_all, base.result.ape_all);
@@ -335,8 +408,6 @@ TEST(ChaosFleetTest, TruncationExcludesFailedBoxesFromAggregatesExactly) {
         }
         ape_sum += b.result.ape_all;
     }
-    // Aggregates are exactly the survivor sums — nothing leaks in from
-    // the failed boxes.
     const std::size_t survivors = 8u - truncated.size();
     EXPECT_DOUBLE_EQ(fleet.mean_ape_all,
                      ape_sum / static_cast<double>(survivors));
@@ -360,7 +431,7 @@ void cut_vm(trace::BoxTrace& box, std::size_t vm, std::size_t len) {
 }
 
 TEST(RaggedBoxTest, BoxWithUnequalSeriesLengthsIsRejectedAtInput) {
-    trace::Trace t = chaos_trace(1);
+    trace::Trace t = small_trace(1);
     trace::BoxTrace& box = t.boxes[0];
     ASSERT_GE(box.vms.size(), 2u);
     cut_vm(box, box.vms.size() - 1, box.length() - 20);
@@ -387,15 +458,19 @@ TEST(RaggedBoxTest, BoxWithUnequalSeriesLengthsIsRejectedAtInput) {
 }
 
 TEST(RaggedBoxTest, RaggedBoxFailsAloneInAFleet) {
-    const trace::Trace clean = chaos_trace(3);
-    trace::Trace ragged = clean;
-    trace::BoxTrace& bad = ragged.boxes[1];
+    const trace::Trace generated = small_trace(3);
+    const trace::BoxTrace& bad = generated.boxes[1];
     ASSERT_GE(bad.vms.size(), 2u);
-    cut_vm(bad, 1, bad.length() / 2);
+    const std::string csv = to_csv(generated);
+    const trace::Trace clean = from_csv(csv);
+    const trace::Trace ragged = from_csv(
+        cut_rows(csv, bad.name, bad.vms[1].name,
+                 static_cast<long>(bad.length() / 2)));
 
-    const core::FleetConfig config = chaos_config("", 0);
-    const core::FleetResult baseline = core::run_pipeline_on_fleet(clean, config);
-    const core::FleetResult fleet = core::run_pipeline_on_fleet(ragged, config);
+    const core::FleetResult baseline =
+        core::run_pipeline_on_fleet(clean, fleet_config());
+    const core::FleetResult fleet =
+        core::run_pipeline_on_fleet(ragged, fleet_config());
 
     ASSERT_EQ(fleet.boxes.size(), 3u);
     EXPECT_EQ(fleet.boxes_failed, 1u);
@@ -418,67 +493,7 @@ TEST(RaggedBoxTest, RaggedBoxFailsAloneInAFleet) {
     }
 }
 
-TEST(ChaosFleetTest, BoundaryThrowFailsBoxesWithFaultInjected) {
-    const trace::Trace t = chaos_trace(8);
-    const core::FleetConfig config = chaos_config("pipeline.forecast=throw@0.4", 3);
-
-    std::set<int> expected;
-    for (int b = 0; b < 8; ++b) {
-        const exec::FaultContext ctx{&config.faults, static_cast<std::uint64_t>(b)};
-        try {
-            ctx.check_site("pipeline.forecast");
-        } catch (const exec::InjectedFault&) {
-            expected.insert(b);
-        }
-    }
-    ASSERT_GT(expected.size(), 0u);  // seed chosen so the plan is mixed
-    ASSERT_LT(expected.size(), 8u);
-
-    const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
-    ASSERT_EQ(fleet.boxes.size(), 8u);
-    EXPECT_EQ(fleet.boxes_failed, expected.size());
-    for (const core::FleetBoxResult& b : fleet.boxes) {
-        if (expected.count(b.box_index) != 0) {
-            EXPECT_EQ(b.error_code, PipelineErrorCode::kFaultInjected);
-            EXPECT_EQ(b.error_stage, "pipeline.forecast");
-        } else {
-            EXPECT_TRUE(b.error.empty());
-            EXPECT_TRUE(b.result.degradations.empty());
-        }
-    }
-    EXPECT_EQ(fleet.failures_by_code.at(PipelineErrorCode::kFaultInjected),
-              expected.size());
-    EXPECT_EQ(fleet.metrics.counter("robust.error.fault-injected"),
-              expected.size());
-}
-
-TEST(ChaosFleetTest, RecoverableSitesEngageFallbacksNotFailures) {
-    const trace::Trace t = chaos_trace(4);
-    const core::FleetConfig config = chaos_config(
-        "spatial.ols=throw@1,forecast.fit=throw@1,resize.mckp=throw@1", 9);
-    const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
-
-    ASSERT_EQ(fleet.boxes.size(), 4u);
-    EXPECT_EQ(fleet.boxes_failed, 0u);  // every rung recovers
-    for (const core::FleetBoxResult& b : fleet.boxes) {
-        EXPECT_TRUE(b.error.empty());
-        EXPECT_TRUE(has_degradation(b.result, "spatial",
-                                    PipelineErrorCode::kFaultInjected));
-        EXPECT_TRUE(has_degradation(b.result, "forecast",
-                                    PipelineErrorCode::kFaultInjected));
-        EXPECT_TRUE(has_degradation(b.result, "resize",
-                                    PipelineErrorCode::kFaultInjected));
-        EXPECT_TRUE(std::isfinite(b.result.ape_all));
-        ASSERT_FALSE(b.result.policies.empty());
-        for (const core::PolicyTickets& p : b.result.policies) {
-            EXPECT_GE(p.cpu_after, 0);
-            EXPECT_GE(p.ram_after, 0);
-        }
-    }
-    EXPECT_EQ(fleet.metrics.counter("robust.fallback.spatial"), 4u);
-    EXPECT_GE(fleet.metrics.counter("robust.fallback.forecast"), 4u);
-    EXPECT_GE(fleet.metrics.counter("robust.fallback.resize"), 4u);
-}
+// ------------------------------------------------- run-level determinism
 
 void expect_fleet_equal(const core::FleetResult& a, const core::FleetResult& b) {
     ASSERT_EQ(a.boxes.size(), b.boxes.size());
@@ -527,31 +542,25 @@ void expect_fleet_equal(const core::FleetResult& a, const core::FleetResult& b) 
 }
 
 TEST(ChaosFleetTest, MixedPlanIsBitIdenticalAcrossJobCounts) {
-    const trace::Trace t = chaos_trace(8);
-    const std::string spec =
-        "samples=nan@0.05,series=truncate@0.25,"
-        "pipeline.search=throw@0.3,forecast.fit=throw@0.5";
-
-    core::FleetConfig serial = chaos_config(spec, 13);
+    // Clean, degraded and failed boxes in one run.
+    const trace::Trace t = hostile_trace(8);
+    core::FleetConfig serial = ladder_config();
     serial.jobs = 1;
     const core::FleetResult a = core::run_pipeline_on_fleet(t, serial);
 
-    core::FleetConfig pooled = chaos_config(spec, 13);
+    core::FleetConfig pooled = ladder_config();
     pooled.jobs = 8;
     const core::FleetResult b = core::run_pipeline_on_fleet(t, pooled);
 
     expect_fleet_equal(a, b);
-    // The mixed plan must actually exercise both outcomes.
-    EXPECT_GT(a.boxes_failed, 0u);
-    EXPECT_LT(a.boxes_failed, a.boxes.size());
+    EXPECT_EQ(a.boxes_failed, 1u);
+    EXPECT_FALSE(a.boxes[kHugeBox].result.degradations.empty());
 }
 
-/// Per-box record of what the forecast ladder decided under an MLP fault
-/// plan: the box's error, every degradation (the fallback signatures are
-/// named in their details), its MLP fit and fallback counters, its APEs,
-/// its predicted demands (the signature forecasts and their spatial
-/// reconstruction) and its tickets, as one digest per box.
-std::vector<std::string> forecast_ladder_digests(const core::FleetResult& fleet) {
+/// Per-box digest of an MLP run: the box's error, every degradation, its
+/// MLP fit and fallback counters, its APEs, its predicted demands (the
+/// signature forecasts and their spatial reconstruction) and its tickets.
+std::vector<std::string> box_digests(const core::FleetResult& fleet) {
     std::vector<std::string> digests;
     for (const core::FleetBoxResult& b : fleet.boxes) {
         std::uint64_t hash = exec::kFnv1a64Offset;
@@ -579,77 +588,62 @@ std::vector<std::string> forecast_ladder_digests(const core::FleetResult& fleet)
     return digests;
 }
 
-core::FleetConfig mlp_fault_config(int jobs) {
-    core::FleetConfig config = chaos_config("forecast.fit=throw@0.5", 21);
+core::FleetConfig mlp_config(int jobs) {
+    core::FleetConfig config = fleet_config();
     config.pipeline.temporal = forecast::TemporalModel::kNeuralNetwork;
     config.pipeline.search.method = core::ClusteringMethod::kCbc;
     config.jobs = jobs;
     return config;
 }
 
-TEST(ChaosFleetTest, MlpFitFaultsFallBackPerSignatureUnderLaneBatching) {
-    // A box's MLP networks train together, after the forecast.fit fault
-    // is drawn for each signature. Per box, the fallback signatures,
-    // degradation notes, MLP fit counts, APEs, predictions and tickets
-    // must not depend on the job count, and must equal what the
-    // one-network-at-a-time loop produced (digests pinned per path; the
-    // boxes that fell back to AR never train a network, so theirs agree
-    // across paths).
+TEST(ChaosFleetTest, MlpLaneBatchingHoldsOnHostileInput) {
+    // A box's MLP networks train together. Per box, the predictions,
+    // degradation notes, MLP fit counts, APEs and tickets must not depend
+    // on the job count (digests pinned per path). The MLP clamps its
+    // output, so it needs no forecast fallback even on 1e200 demand: the
+    // huge box degrades in its spatial fit only.
     const std::map<simd::Path, std::vector<std::string>> pinned{
         {simd::Path::kScalar,
-         {"b409250a77cbe188", "450999ed6751c050", "134a47941d749995",
-          "d4f40b8fa313648b", "df4af53452ce702b", "bb274fa7845bd893"}},
+         {"585d8cb01685e757", "85842b339fc18837", "c8443fef35068018",
+          "ed29412155de3dc7", "068ed5092b90ac96", "83c6c58d959c4ca9"}},
         {simd::Path::kAvx2,
-         {"b409250a77cbe188", "450999ed6751c050", "f203f13217aebcb0",
-          "d4f40b8fa313648b", "df4af53452ce702b", "bcc724e070b3d9be"}},
+         {"d5f4475777401ac0", "de405991319fc59a", "91cd347d9f8bf522",
+          "0827541f7bc95499", "c15fc0c01af693f8", "2742e23759bfcb96"}},
         {simd::Path::kAvx512,
-         {"b409250a77cbe188", "450999ed6751c050", "989b301b83229a8a",
-          "d4f40b8fa313648b", "df4af53452ce702b", "5291caa1a4eda652"}},
+         {"c1e6e55173f914d2", "c3ae3c1e36a41ca1", "34d8991ddcfe6ffe",
+          "b2ebee74af0e57af", "3cfe7ce97ed50de9", "bbfb4ded6666bbbf"}},
     };
-    // Box 2's first series is constant, so that signature's MLP is
+    // Box 1's first series is constant, so that signature's MLP is
     // degenerate (nothing to train) while the box's other signatures
     // train in one batch: the batch must skip it without shifting the
     // others.
-    trace::Trace t = chaos_trace(6);
-    constexpr std::size_t kMixedBox = 2;
-    trace::VmTrace& flat_vm = t.boxes[kMixedBox].vms[0];
+    trace::Trace generated = small_trace(6);
+    constexpr std::size_t kMixedBox = 1;
+    trace::VmTrace& flat_vm = generated.boxes[kMixedBox].vms[0];
     for (double& v : flat_vm.cpu_demand_ghz.values()) {
         v = 0.4 * flat_vm.cpu_capacity_ghz;
     }
     for (double& v : flat_vm.cpu_usage_pct.values()) v = 40.0;
-    const core::FleetResult serial =
-        core::run_pipeline_on_fleet(t, mlp_fault_config(1));
-    const core::FleetResult pooled =
-        core::run_pipeline_on_fleet(t, mlp_fault_config(4));
-    expect_fleet_equal(serial, pooled);
-    EXPECT_EQ(forecast_ladder_digests(serial), pinned.at(simd::active_path()));
+    const trace::Trace t = from_csv(scale_demands(
+        to_csv(generated), generated.boxes[kHugeBox].name, 1e200));
 
-    // The plan exercises both outcomes: boxes whose every signature fell
-    // back to AR (no MLP fit) and boxes that trained their networks.
-    std::size_t fell_back = 0;
-    std::size_t trained = 0;
+    const core::FleetResult serial = core::run_pipeline_on_fleet(t, mlp_config(1));
+    const core::FleetResult pooled = core::run_pipeline_on_fleet(t, mlp_config(4));
+    expect_fleet_equal(serial, pooled);
+    EXPECT_EQ(box_digests(serial), pinned.at(simd::active_path()));
+
     for (const core::FleetBoxResult& b : serial.boxes) {
         ASSERT_TRUE(b.error.empty());
-        const std::uint64_t fits = b.result.metrics.counter("forecast.mlp.fits");
-        const std::uint64_t fallbacks =
-            b.result.metrics.counter("robust.fallback.forecast");
-        EXPECT_TRUE((fits == 0) != (fallbacks == 0)) << "box " << b.box_index;
-        if (fallbacks > 0) {
-            ++fell_back;
-            EXPECT_EQ(fallbacks, b.result.degradations.size());
-            for (const core::Degradation& d : b.result.degradations) {
-                EXPECT_EQ(d.code, PipelineErrorCode::kFaultInjected);
-                EXPECT_NE(d.detail.find("injected fault at site 'forecast.fit'; "
-                                        "fell back to ar"),
-                          std::string::npos)
-                    << d.detail;
-            }
+        EXPECT_EQ(b.result.metrics.counter("robust.fallback.forecast"), 0u)
+            << "box " << b.box_index;
+        EXPECT_TRUE(std::isfinite(b.result.ape_all));
+        if (b.box_index == kHugeBox) {
+            ASSERT_EQ(b.result.degradations.size(), 1u);
+            EXPECT_EQ(b.result.degradations[0].stage, "spatial");
         } else {
-            ++trained;
+            EXPECT_TRUE(b.result.degradations.empty()) << "box " << b.box_index;
         }
     }
-    EXPECT_GT(fell_back, 0u);
-    EXPECT_GT(trained, 0u);
 
     // The mixed box trained every signature but the constant one.
     const core::BoxPipelineResult& mixed = serial.boxes[kMixedBox].result;
@@ -658,7 +652,6 @@ TEST(ChaosFleetTest, MlpFitFaultsFallBackPerSignatureUnderLaneBatching) {
               signatures.end());
     ASSERT_GT(signatures.size(), 1u);
     EXPECT_EQ(mixed.metrics.counter("forecast.mlp.fits"), signatures.size() - 1);
-    EXPECT_TRUE(mixed.degradations.empty());
 }
 
 // --------------------------------------------------------- checkpoint/resume
@@ -686,17 +679,16 @@ void truncate_journal(const std::string& src, const std::string& dst,
 }
 
 TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalFromEveryCutPoint) {
-    const trace::Trace t = chaos_trace(6);
-    // A mixed plan so the journal holds successes, degraded boxes, AND
-    // settled failures — all three must replay faithfully.
-    const std::string spec = "samples=nan@0.05,pipeline.search=throw@0.3";
+    // The hostile trace, so the journal holds successes, a degraded box
+    // AND a settled failure — all three must replay faithfully.
+    const trace::Trace t = hostile_trace(6);
     const std::string full = journal_path("atm_resume_full.jsonl");
 
-    core::FleetConfig fresh = chaos_config(spec, 13);
+    core::FleetConfig fresh = ladder_config();
     fresh.checkpoint_path = full;
     const core::FleetResult baseline = core::run_pipeline_on_fleet(t, fresh);
-    EXPECT_GT(baseline.boxes_failed, 0u);
-    EXPECT_LT(baseline.boxes_failed, baseline.boxes.size());
+    EXPECT_EQ(baseline.boxes_failed, 1u);
+    EXPECT_FALSE(baseline.boxes[kHugeBox].result.degradations.empty());
     EXPECT_EQ(baseline.boxes_replayed, 0u);
     ASSERT_EQ(exec::load_journal(full).records.size(), 6u);
 
@@ -706,7 +698,7 @@ TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalFromEveryCutPoint) {
         for (const int jobs : {1, 8}) {
             SCOPED_TRACE("jobs=" + std::to_string(jobs));
             truncate_journal(full, cut, keep);
-            core::FleetConfig resume = chaos_config(spec, 13);
+            core::FleetConfig resume = ladder_config();
             resume.checkpoint_path = cut;
             resume.resume = true;
             resume.jobs = jobs;
@@ -724,9 +716,9 @@ TEST(CheckpointResumeTest, ResumedRunIsBitIdenticalFromEveryCutPoint) {
 }
 
 TEST(CheckpointResumeTest, TornTailAndCorruptRecordsAreRecovered) {
-    const trace::Trace t = chaos_trace(4);
+    const trace::Trace t = small_trace(4);
     const std::string full = journal_path("atm_resume_crash.jsonl");
-    core::FleetConfig fresh = chaos_config("", 1);
+    core::FleetConfig fresh = fleet_config();
     fresh.checkpoint_path = full;
     const core::FleetResult baseline = core::run_pipeline_on_fleet(t, fresh);
 
@@ -740,7 +732,7 @@ TEST(CheckpointResumeTest, TornTailAndCorruptRecordsAreRecovered) {
         std::ofstream out(full, std::ios::binary | std::ios::app);
         out << tail.substr(0, tail.size() / 2);
     }
-    core::FleetConfig resume = chaos_config("", 1);
+    core::FleetConfig resume = fleet_config();
     resume.checkpoint_path = full;
     resume.resume = true;
     const core::FleetResult after_tear = core::run_pipeline_on_fleet(t, resume);
@@ -764,27 +756,36 @@ TEST(CheckpointResumeTest, TornTailAndCorruptRecordsAreRecovered) {
 }
 
 TEST(CheckpointResumeTest, HeaderMismatchStartsFreshInsteadOfReplayingLies) {
-    const trace::Trace t = chaos_trace(4);
+    const trace::Trace t = small_trace(4);
     const std::string path = journal_path("atm_resume_header.jsonl");
-    core::FleetConfig first = chaos_config("", 1);
+    core::FleetConfig first = fleet_config();
     first.checkpoint_path = path;
     core::run_pipeline_on_fleet(t, first);
     ASSERT_EQ(exec::load_journal(path).records.size(), 4u);
 
     // Same journal, different pipeline seed: the journaled results answer
-    // a different question and must NOT be replayed.
-    core::FleetConfig other = chaos_config("", 1);
+    // a different question and must NOT be replayed. The header binds the
+    // seed once, as a field of its own.
+    core::FleetConfig other = fleet_config();
     other.checkpoint_path = path;
     other.resume = true;
     other.pipeline.seed = 43;
     const core::FleetResult resumed = core::run_pipeline_on_fleet(t, other);
     EXPECT_EQ(resumed.boxes_replayed, 0u);
-    // The config digest covers the seed too.
-    EXPECT_EQ(resumed.checkpoint_discarded, "config, seed (42, now 43)");
+    EXPECT_EQ(resumed.checkpoint_discarded, "seed (42, now 43)");
 
-    core::FleetConfig clean = chaos_config("", 1);
+    core::FleetConfig clean = fleet_config();
     clean.pipeline.seed = 43;
     expect_fleet_equal(core::run_pipeline_on_fleet(t, clean), resumed);
+
+    // A config change alone (the journal now holds seed 43) reads
+    // "config": the two are told apart.
+    core::FleetConfig threshold = other;
+    threshold.pipeline.alpha = 0.7;
+    const core::FleetResult rethresholded =
+        core::run_pipeline_on_fleet(t, threshold);
+    EXPECT_EQ(rethresholded.boxes_replayed, 0u);
+    EXPECT_EQ(rethresholded.checkpoint_discarded, "config");
     std::remove(path.c_str());
 }
 
@@ -800,10 +801,10 @@ std::string replace_first(std::string text, const std::string& from,
 }
 
 TEST(CheckpointResumeTest, DiscardedCheckpointNamesWhatDiffers) {
-    const trace::Trace t = chaos_trace(3);
+    const trace::Trace t = small_trace(3);
     const std::string path = journal_path("atm_resume_discarded.jsonl");
     std::remove(path.c_str());
-    core::FleetConfig config = chaos_config("", 1);
+    core::FleetConfig config = fleet_config();
     config.checkpoint_path = path;
     config.resume = true;
     // Nothing to resume from, then a matching journal: nothing discarded.
@@ -814,7 +815,7 @@ TEST(CheckpointResumeTest, DiscardedCheckpointNamesWhatDiffers) {
 
     // Another trace: its journal no longer matches, and the fresh one
     // written in its place matches the next resume again.
-    const trace::Trace other = chaos_trace(2);
+    const trace::Trace other = small_trace(2);
     EXPECT_EQ(core::run_pipeline_on_fleet(other, config).checkpoint_discarded,
               "trace");
     EXPECT_EQ(core::run_pipeline_on_fleet(other, config).boxes_replayed, 2u);
@@ -840,8 +841,8 @@ TEST(JournalCodecTest, OutOfRangeIntegersAreRejected) {
     box.box_index = 0;
     box.box_name = "b0";
     box.error = "boom";
-    box.error_code = PipelineErrorCode::kFaultInjected;
-    box.error_stage = "fleet.box";
+    box.error_code = PipelineErrorCode::kInternal;
+    box.error_stage = "fleet";
     const std::string record = core::encode_box_record(box);
     EXPECT_NO_THROW(core::decode_box_record(record));
     // A double-to-integer cast out of range is undefined behaviour, and an
@@ -867,23 +868,15 @@ TEST(JournalCodecTest, OutOfRangeIntegersAreRejected) {
 }
 
 TEST(JournalCodecTest, SeededMutationsDecodeOrThrowNeverCrash) {
-    // Real payloads of every record shape: a full box result (search,
+    // Real payloads of every record shape: full box results (search,
     // predictions, tickets, degradations, metrics), a settled failure, and
     // serve windows with and without a recommendation.
-    const trace::Trace t = chaos_trace(2);
-    const core::FleetResult fleet = core::run_pipeline_on_fleet(
-        t, chaos_config("samples=nan@0.05,pipeline.forecast=throw@0.5", 4));
+    const core::FleetResult fleet =
+        core::run_pipeline_on_fleet(hostile_trace(4), ladder_config());
     std::vector<std::string> payloads;
     for (const core::FleetBoxResult& box : fleet.boxes) {
         payloads.push_back(core::encode_box_record(box));
     }
-    core::FleetBoxResult failed;
-    failed.box_index = 1;
-    failed.box_name = "b1";
-    failed.error = "injected";
-    failed.error_code = PipelineErrorCode::kFaultInjected;
-    failed.error_stage = "fleet.box";
-    payloads.push_back(core::encode_box_record(failed));
     const std::size_t box_payloads = payloads.size();
     core::ServeEpochRecord window;
     window.box_index = 2;
@@ -891,7 +884,6 @@ TEST(JournalCodecTest, SeededMutationsDecodeOrThrowNeverCrash) {
     window.cpu = {0.5, 1.0 / 3.0};
     window.ram = {8.0, 1e-12};
     payloads.push_back(core::encode_epoch_record(window));
-    window.ladder = 8;
     window.cpu.clear();
     window.ram.clear();
     payloads.push_back(core::encode_epoch_record(window));
@@ -941,11 +933,11 @@ TEST(JournalCodecTest, SeededMutationsDecodeOrThrowNeverCrash) {
 // -------------------------------------------------------------- stop token
 
 TEST(StopTokenTest, PreCancelledStopDrainsEveryBoxAndResumeFinishesTheJob) {
-    const trace::Trace t = chaos_trace(4);
+    const trace::Trace t = small_trace(4);
     const std::string path = journal_path("atm_drain.jsonl");
     const std::atomic<bool> stop{true};
 
-    core::FleetConfig config = chaos_config("", 1);
+    core::FleetConfig config = fleet_config();
     config.checkpoint_path = path;
     config.stop = &stop;
     const core::FleetResult drained = core::run_pipeline_on_fleet(t, config);
@@ -958,14 +950,13 @@ TEST(StopTokenTest, PreCancelledStopDrainsEveryBoxAndResumeFinishesTheJob) {
     // Drained boxes are not journaled: nothing false to replay.
     EXPECT_TRUE(exec::load_journal(path).records.empty());
 
-    core::FleetConfig resume = chaos_config("", 1);
+    core::FleetConfig resume = fleet_config();
     resume.checkpoint_path = path;
     resume.resume = true;
     const core::FleetResult resumed = core::run_pipeline_on_fleet(t, resume);
     EXPECT_FALSE(resumed.interrupted);
     EXPECT_EQ(resumed.boxes_failed, 0u);
-    expect_fleet_equal(core::run_pipeline_on_fleet(t, chaos_config("", 1)),
-                       resumed);
+    expect_fleet_equal(core::run_pipeline_on_fleet(t, fleet_config()), resumed);
     std::remove(path.c_str());
 }
 
@@ -977,68 +968,6 @@ TEST(ResilienceConfigTest, ValidateReportsExactMessages) {
     EXPECT_EQ(config.validate(), "resume requires a non-empty checkpoint_path");
     config.checkpoint_path = "journal.jsonl";
     EXPECT_TRUE(config.validate().empty());
-}
-
-// -------------------------------------------------- degradation ladder units
-
-TEST(DegradationLadderTest, SpatialRidgeFallbackOnUnderdeterminedFit) {
-    // 3 training samples against 3 signatures + intercept: OLS is
-    // underdetermined and must hand the dependent series to ridge.
-    const la::FlatMatrix series({{1.0, 2.0, 3.0},
-                                 {2.0, 1.0, 4.0},
-                                 {0.5, 0.5, 1.0},
-                                 {1.5, 2.5, 3.5}});
-    core::SpatialModel model;
-    model.fit(series, {0, 1, 2});
-    EXPECT_TRUE(model.fitted());
-    EXPECT_EQ(model.ridge_fallbacks(), 1u);
-    const auto rebuilt = model.reconstruct(la::FlatMatrix(
-        {{1.0, 2.0, 3.0}, {2.0, 1.0, 4.0}, {0.5, 0.5, 1.0}}));
-    ASSERT_EQ(rebuilt.size(), 4u);
-    for (const double x : rebuilt[3]) EXPECT_TRUE(std::isfinite(x));
-}
-
-TEST(DegradationLadderTest, AllBadSeriesIsPinnedToZerosAndReported) {
-    trace::TraceGenOptions options;
-    options.num_days = 6;
-    options.windows_per_day = 24;
-    options.gappy_box_fraction = 0.0;
-    trace::BoxTrace box = trace::generate_box(options, 0);
-    ASSERT_GE(box.vms.size(), 2u);
-    for (double& x : box.vms[0].cpu_demand_ghz.values()) {
-        x = std::numeric_limits<double>::quiet_NaN();
-    }
-
-    core::PipelineConfig config;
-    config.temporal = forecast::TemporalModel::kSeasonalNaive;
-    config.train_days = 5;
-    const core::BoxPipelineResult result =
-        core::run_pipeline_on_box(box, options.windows_per_day, config);
-    EXPECT_TRUE(has_degradation(result, "sanitize",
-                                PipelineErrorCode::kRepairFailed));
-    EXPECT_TRUE(std::isfinite(result.ape_all));
-}
-
-TEST(DegradationLadderTest, OverlyCorruptBoxIsRejectedWithTaxonomy) {
-    trace::TraceGenOptions options;
-    options.num_days = 6;
-    options.windows_per_day = 24;
-    options.gappy_box_fraction = 0.0;
-    trace::BoxTrace box = trace::generate_box(options, 0);
-    box.vms[0].cpu_demand_ghz.values()[0] =
-        std::numeric_limits<double>::quiet_NaN();
-
-    core::PipelineConfig config;
-    config.temporal = forecast::TemporalModel::kSeasonalNaive;
-    config.train_days = 5;
-    config.max_bad_sample_fraction = 0.0;  // zero tolerance: one NaN rejects
-    try {
-        core::run_pipeline_on_box(box, options.windows_per_day, config);
-        FAIL() << "expected PipelineError";
-    } catch (const core::PipelineError& e) {
-        EXPECT_EQ(e.code(), PipelineErrorCode::kTraceInvalid);
-        EXPECT_EQ(e.stage(), "sanitize");
-    }
 }
 
 }  // namespace

@@ -2,24 +2,23 @@
 // The headline assertion is the crash-safety contract: an engine killed at
 // an arbitrary window (journal left with a torn tail, as after SIGKILL
 // mid-append) and warm-restarted with --resume replays to bit-identical
-// recommendations and deterministic metrics versus an uninterrupted run —
-// including runs whose windows went ingest-only under injected apply
-// faults, which replay re-draws identically.
+// recommendations and deterministic metrics versus an uninterrupted run.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/fleet_journal.hpp"
-#include "exec/fault.hpp"
 #include "exec/journal.hpp"
 #include "exec/socket.hpp"
 #include "linalg/simd/simd.hpp"
@@ -27,6 +26,7 @@
 #include "serve/protocol.hpp"
 #include "serve/serve.hpp"
 #include "tracegen/generator.hpp"
+#include "tracegen/trace_io.hpp"
 
 namespace atm {
 namespace {
@@ -95,7 +95,15 @@ std::map<std::pair<int, std::uint64_t>, ApplyOutcome> feed_all(
 void expect_metrics_equal(const obs::MetricsSnapshot& a,
                           const obs::MetricsSnapshot& b) {
     EXPECT_EQ(a.counters, b.counters);
-    EXPECT_EQ(a.gauges, b.gauges);
+    // Bit patterns, so a NaN gauge (serve.drift once a box's correlations
+    // overflow) must match a NaN.
+    ASSERT_EQ(a.gauges.size(), b.gauges.size());
+    for (const auto& [name, value] : a.gauges) {
+        ASSERT_TRUE(b.gauges.count(name)) << name;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(value),
+                  std::bit_cast<std::uint64_t>(b.gauges.at(name)))
+            << name;
+    }
     ASSERT_EQ(a.histograms.size(), b.histograms.size());
     for (const auto& [name, hist] : a.histograms) {
         ASSERT_TRUE(b.histograms.count(name)) << name;
@@ -142,15 +150,14 @@ TEST(ServeConfigTest, RejectsNanAndOutOfRangePipelineKnobs) {
     config = fast_config();
     config.pipeline.alpha = std::nan("");
     config.pipeline.epsilon_pct = std::nan("");
-    config.pipeline.max_bad_sample_fraction = std::nan("");
+    config.pipeline.train_days = 0;
     config.pipeline.search.vif_threshold = std::nan("");
     config.pipeline.search.rho_threshold = std::nan("");
     const std::string message = config.validate();
     EXPECT_NE(message.find("alpha must be in (0, 1]"), std::string::npos);
     EXPECT_NE(message.find("epsilon_pct must be in [0, 100)"),
               std::string::npos);
-    EXPECT_NE(message.find("max_bad_sample_fraction must be in [0, 1]"),
-              std::string::npos);
+    EXPECT_NE(message.find("train_days must be >= 1"), std::string::npos);
     EXPECT_NE(message.find("search.vif_threshold must be finite and >= 1"),
               std::string::npos);
     EXPECT_NE(message.find("search.rho_threshold must be in [-1, 1]"),
@@ -179,35 +186,14 @@ TEST(ServeJournalTest, EpochRecordRoundTripsBitExact) {
     core::ServeEpochRecord record;
     record.box_index = 3;
     record.epoch = 41;
-    record.ladder = 8;
     record.cpu = {0.1, 1.0 / 3.0, 2.7182818284590452};
     record.ram = {12.5, 1e-17};
     const core::ServeEpochRecord decoded =
         core::decode_epoch_record(core::encode_epoch_record(record));
     EXPECT_EQ(decoded.box_index, record.box_index);
     EXPECT_EQ(decoded.epoch, record.epoch);
-    EXPECT_EQ(decoded.ladder, record.ladder);
     EXPECT_EQ(decoded.cpu, record.cpu);  // bit-exact doubles
     EXPECT_EQ(decoded.ram, record.ram);
-}
-
-TEST(ServeJournalTest, DecodeRejectsLadderOutsideMaskRange) {
-    // A window either ran in full (0) or went ingest-only (8); any other
-    // mask is a corrupt record.
-    core::ServeEpochRecord record;
-    for (const int ladder : {0, 8}) {
-        record.ladder = ladder;
-        EXPECT_NO_THROW(
-            core::decode_epoch_record(core::encode_epoch_record(record)))
-            << ladder;
-    }
-    for (const int ladder : {1, 2, 4, 15, 16, -1}) {
-        record.ladder = ladder;
-        EXPECT_THROW(
-            core::decode_epoch_record(core::encode_epoch_record(record)),
-            std::runtime_error)
-            << ladder;
-    }
 }
 
 // ----------------------------------------------------------- ingest queue
@@ -269,12 +255,11 @@ TEST(ServeEngineTest, RejectsBadShapeGapAndStale) {
 /// Runs `config` uninterrupted as the baseline, then re-runs it journaled
 /// but killed after `kill_after` epochs (with a torn half-frame appended,
 /// as a SIGKILL mid-append leaves), resumes, and requires bit-identical
-/// recommendations and metrics. Shared by the plain / MLP / faulty
-/// variants below.
+/// recommendations and metrics. Shared by the variants below.
 void expect_kill_restart_equivalence(ServeConfig config,
                                      const std::string& stem,
-                                     std::uint64_t kill_after) {
-    const trace::Trace trace = tiny_trace();
+                                     std::uint64_t kill_after,
+                                     const trace::Trace& trace = tiny_trace()) {
     const std::string journal_path = temp_path(stem + ".journal");
     std::remove(journal_path.c_str());
 
@@ -323,8 +308,6 @@ void expect_kill_restart_equivalence(ServeConfig config,
         const ApplyOutcome& got = actual.at(key);
         EXPECT_EQ(got.status, want.status)
             << "box " << key.first << " epoch " << key.second;
-        EXPECT_EQ(got.ladder, want.ladder)
-            << "box " << key.first << " epoch " << key.second;
         EXPECT_EQ(got.cpu, want.cpu)  // bit-identical recommendations
             << "box " << key.first << " epoch " << key.second;
         EXPECT_EQ(got.ram, want.ram)
@@ -350,11 +333,25 @@ TEST(ServeRestartTest, KillAndResumeIsBitIdenticalWithMlp) {
 }
 
 TEST(ServeRestartTest, KillAndResumeIsBitIdenticalUnderFaults) {
-    // Apply faults send windows to ingest-only live; replay re-rolls the
-    // same (seed, box, epoch) draws, which must fire on the same windows.
-    ServeConfig config = fast_config();
-    config.faults = exec::FaultPlan::parse("serve.apply=throw@0.3", 77);
-    expect_kill_restart_equivalence(config, "serve_restart_fault", 34);
+    // Faulty input: box 1's demands exported in the wrong unit (x1e200),
+    // read back from CSV as a trace file would be. Every search of that
+    // box overflows its DTW distances and falls back to the all-signature
+    // set; replay must take the same rung on the same windows.
+    trace::Trace scaled = tiny_trace();
+    for (trace::VmTrace& vm : scaled.boxes[1].vms) {
+        for (double& v : vm.cpu_demand_ghz.values()) v *= 1e200;
+        for (double& v : vm.ram_demand_gb.values()) v *= 1e200;
+    }
+    std::ostringstream csv;
+    trace::write_trace_csv(csv, scaled);
+    std::istringstream in(csv.str());
+    const trace::Trace faulty =
+        trace::read_trace_csv(in, scaled.windows_per_day);
+    ServeEngine probe(faulty, fast_config());
+    feed_all(probe, faulty);
+    EXPECT_GT(probe.metrics().counters.at("robust.fallback.search"), 0u);
+    expect_kill_restart_equivalence(fast_config(), "serve_restart_fault", 34,
+                                    faulty);
 }
 
 TEST(ServeRestartTest, HeaderMismatchStartsFresh) {
@@ -380,14 +377,15 @@ TEST(ServeRestartTest, HeaderMismatchStartsFresh) {
         EXPECT_EQ(engine.next_epoch(0), 0u);
     }
 
-    // A journal of the previous schema, atm.serve-journal.v2, may hold
-    // sheds that no longer reproduce: even with a matching trace and
-    // config it starts fresh, so its records are never checked against
-    // the live windows (these would all diverge).
+    // A journal of the previous schema, atm.serve-journal.v3, may hold
+    // ingest-only windows (a "ladder" of 8, no recommendation) that no
+    // longer exist: even with a matching trace and config it starts
+    // fresh, so its records are never checked against the live windows
+    // (these would all diverge).
     {
         exec::JournalWriter old = exec::JournalWriter::create(
             journal_path,
-            core::journal_header("atm.serve-journal.v2", trace,
+            core::journal_header("atm.serve-journal.v3", trace,
                                  serve::serve_config_digest(config),
                                  config.pipeline.seed));
         for (std::uint64_t epoch = 0; epoch < 4; ++epoch) {
@@ -417,7 +415,6 @@ TEST(ServeEngineTest, EveryAppliedWindowRunsToCompletion) {
     const auto outcomes = feed_all(engine, trace);
     for (const auto& [key, out] : outcomes) {
         if (out.status != ApplyStatus::kApplied) continue;
-        EXPECT_EQ(out.ladder, 0);
         EXPECT_FALSE(out.cpu.empty());
         EXPECT_FALSE(out.ram.empty());
         for (double v : out.cpu) EXPECT_TRUE(std::isfinite(v));
@@ -488,48 +485,6 @@ TEST(ServeEngineTest, FirstForecastEqualsBatchPipelineBitForBit) {
     for (std::size_t i = 0; i < forecast.size(); ++i) {
         EXPECT_EQ(forecast[i], batch.predicted_demands[i][0]) << "series " << i;
     }
-}
-
-// ------------------------------------------------------- apply faults
-
-TEST(ServeEngineTest, InjectedApplyFaultGoesIngestOnlyOnFirstAttempt) {
-    // The model work is deterministic, so a fired "serve.apply" fault is
-    // not retried: exactly the windows whose (seed, box, epoch) draw fires
-    // shed to ingest-only (ladder 8) and emit no recommendation.
-    const trace::Trace trace = tiny_trace();
-    ServeConfig config = fast_config();
-    config.faults = exec::FaultPlan::parse("serve.apply=throw@0.5", 9);
-    ServeEngine engine(trace, config);
-    std::uint64_t fired = 0;
-    std::uint64_t clean = 0;
-    const auto outcomes = feed_all(engine, trace);
-    for (const auto& [key, out] : outcomes) {
-        if (out.status != ApplyStatus::kApplied) continue;
-        exec::FaultContext fault;
-        fault.plan = &config.faults;
-        fault.entity = static_cast<std::uint64_t>(key.first);
-        fault.epoch = key.second + 1;
-        bool fires = false;
-        try {
-            fault.check_site("serve.apply");
-        } catch (const exec::InjectedFault&) {
-            fires = true;
-        }
-        if (fires) {
-            ++fired;
-            EXPECT_EQ(out.ladder, 8) << "box " << key.first << " epoch "
-                                     << key.second;
-            EXPECT_TRUE(out.cpu.empty());
-        } else {
-            ++clean;
-            EXPECT_EQ(out.ladder & 8, 0) << "box " << key.first << " epoch "
-                                         << key.second;
-        }
-    }
-    ASSERT_GT(fired, 0u);  // rate 0.5 fires
-    ASSERT_GT(clean, 0u);
-    const auto& counters = engine.metrics().counters;
-    EXPECT_EQ(counters.at("serve.degraded.ingest_only"), fired);
 }
 
 // ------------------------------------------- journal with a live writer
@@ -609,7 +564,6 @@ TEST(ServeProtocolTest, ResponseRoundTrips) {
     ApplyOutcome outcome;
     outcome.status = ApplyStatus::kApplied;
     outcome.epoch = 9;
-    outcome.ladder = 8;
     outcome.cpu = {2.5};
     outcome.ram = {4.0};
     const serve::Response ack =
@@ -617,7 +571,7 @@ TEST(ServeProtocolTest, ResponseRoundTrips) {
     EXPECT_EQ(ack.type, "ack");
     EXPECT_EQ(ack.status, "applied");
     EXPECT_EQ(ack.epoch, 9u);
-    EXPECT_EQ(ack.ladder, 8);
+    EXPECT_EQ(ack.ladder, 0);  // reserved, always 0
     EXPECT_EQ(ack.cpu, outcome.cpu);
 
     const serve::Response busy = serve::parse_response(serve::encode_busy(12.5));

@@ -5,8 +5,7 @@
 // lane-batched MLP training bit-identical, per path, to training each
 // network alone and to the per-network loop it replaced. Shapes are
 // chosen to hit every tail/remainder case of every lane width (2, 4, 8),
-// and DTW inputs include NaN-gap series run through the pipeline's
-// repair step.
+// and DTW inputs include series with zero-run gaps, raw and filled.
 //
 // The whole binary also runs correctly with ATM_SIMD forced (CI does
 // scalar + each runner ISA): differential tests compare explicit paths
@@ -32,7 +31,6 @@
 #include "linalg/simd/simd.hpp"
 #include "obs/metrics.hpp"
 #include "timeseries/features.hpp"
-#include "timeseries/repair.hpp"
 
 namespace atm::simd {
 namespace {
@@ -239,31 +237,34 @@ TEST(SimdDtwTest, ExtremeSlopeEmptyDiagonalsBitwise) {
 }
 
 TEST(SimdDtwTest, RepairedGapSeriesBitwise) {
-    // The pipeline's DTW inputs are repaired monitoring series: inject
-    // zero-run gaps (how outages appear in traces), repair them, and
-    // check the kernels on the result — values with flat interpolated
-    // runs and exact repeats, adjacent to what were NaN-like gaps.
+    // Monitoring outages reach DTW as zero runs (a gappy box evaluated
+    // with --include-gappy is searched as is), and a series whose gaps
+    // were filled upstream carries flat runs of exact repeats. Check the
+    // kernels on both shapes, with gaps at the front, middle and back.
     std::mt19937 rng(4242);
     for (const std::size_t len :
          {std::size_t{96}, std::size_t{97}, std::size_t{192}}) {
         std::vector<double> p = random_series(rng, len, 1.0, 100.0);
         std::vector<double> q = random_series(rng, len, 1.0, 100.0);
-        // Gaps at the front, middle, and back; min_run for find_gaps is 2.
-        for (std::vector<double>* s : {&p, &q}) {
-            (*s)[0] = 0.0;
-            (*s)[1] = 0.0;
-            const std::size_t mid = len / 2;
-            (*s)[mid] = 0.0;
-            (*s)[mid + 1] = 0.0;
-            (*s)[len - 2] = 0.0;
-            (*s)[len - 1] = 0.0;
+        std::vector<double> p_filled = p;
+        std::vector<double> q_filled = q;
+        const std::size_t mid = len / 2;
+        for (const std::size_t at : {std::size_t{0}, mid, len - 2}) {
+            for (std::vector<double>* s : {&p, &q}) {
+                (*s)[at] = 0.0;
+                (*s)[at + 1] = 0.0;
+            }
+            // Fill from the nearest sample outside the gap.
+            const std::size_t from = at == 0 ? 2 : at - 1;
+            for (std::vector<double>* s : {&p_filled, &q_filled}) {
+                (*s)[at] = (*s)[from];
+                (*s)[at + 1] = (*s)[from];
+            }
         }
-        const std::vector<double> pr =
-            ts::repair_series(p, ts::RepairMethod::kSeasonal, 96);
-        const std::vector<double> qr =
-            ts::repair_series(q, ts::RepairMethod::kLinear, 96);
         for (const int band : {-1, 8}) {
-            expect_dtw_bitwise(pr, qr, band);
+            expect_dtw_bitwise(p, q, band);
+            expect_dtw_bitwise(p_filled, q_filled, band);
+            expect_dtw_bitwise(p, q_filled, band);
         }
     }
 }

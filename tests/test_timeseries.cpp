@@ -6,7 +6,6 @@
 
 #include "timeseries/cdf.hpp"
 #include "timeseries/features.hpp"
-#include "timeseries/repair.hpp"
 #include "timeseries/resource.hpp"
 #include "timeseries/series.hpp"
 #include "timeseries/stats.hpp"
@@ -208,110 +207,6 @@ TEST(ResourceTest, FlatIndexRoundTrip) {
     }
     EXPECT_EQ(to_string(ResourceKind::kCpu), "CPU");
     EXPECT_EQ(to_string(ResourceKind::kRam), "RAM");
-}
-
-// ------------------------------------------------------------------- repair
-
-std::vector<double> sine_series(int n, int period) {
-    std::vector<double> xs(static_cast<std::size_t>(n));
-    for (int t = 0; t < n; ++t) {
-        xs[static_cast<std::size_t>(t)] =
-            10.0 + 4.0 * std::sin(2.0 * std::numbers::pi * t / period);
-    }
-    return xs;
-}
-
-
-TEST(GapTest, FindsZeroRuns) {
-    const std::vector<double> xs{5, 0, 0, 0, 6, 0, 7, 0, 0};
-    const auto gaps = find_gaps(xs);
-    ASSERT_EQ(gaps.size(), 2u);  // single zero at index 5 ignored (min_run 2)
-    EXPECT_EQ(gaps[0].first, 1u);
-    EXPECT_EQ(gaps[0].length, 3u);
-    EXPECT_EQ(gaps[1].first, 7u);
-    EXPECT_EQ(gaps[1].length, 2u);
-}
-
-TEST(GapTest, MinRunRespected) {
-    const std::vector<double> xs{5, 0, 6, 0, 0, 7};
-    EXPECT_EQ(find_gaps(xs, 1e-9, 1).size(), 2u);
-    EXPECT_EQ(find_gaps(xs, 1e-9, 2).size(), 1u);
-    EXPECT_EQ(find_gaps(xs, 1e-9, 3).size(), 0u);
-}
-
-TEST(GapTest, NoGapsInCleanSeries) {
-    const std::vector<double> xs{1, 2, 3, 4};
-    EXPECT_TRUE(find_gaps(xs).empty());
-}
-
-TEST(RepairTest, LinearInterpolation) {
-    const std::vector<double> xs{10, 0, 0, 0, 50};
-    const auto fixed = repair_gaps(xs, find_gaps(xs), RepairMethod::kLinear);
-    EXPECT_DOUBLE_EQ(fixed[1], 20.0);
-    EXPECT_DOUBLE_EQ(fixed[2], 30.0);
-    EXPECT_DOUBLE_EQ(fixed[3], 40.0);
-    EXPECT_DOUBLE_EQ(fixed[0], 10.0);
-    EXPECT_DOUBLE_EQ(fixed[4], 50.0);
-}
-
-TEST(RepairTest, SeasonalCopiesPriorPeriod) {
-    // Period 4; the gap at positions 5-6 copies positions 1-2.
-    const std::vector<double> xs{1, 2, 3, 4, 1, 0, 0, 4};
-    const auto fixed = repair_gaps(xs, find_gaps(xs), RepairMethod::kSeasonal, 4);
-    EXPECT_DOUBLE_EQ(fixed[5], 2.0);
-    EXPECT_DOUBLE_EQ(fixed[6], 3.0);
-}
-
-TEST(RepairTest, SeasonalFallsBackToLinearInFirstPeriod) {
-    const std::vector<double> xs{10, 0, 0, 40, 5, 6, 7, 8};
-    const auto fixed = repair_gaps(xs, find_gaps(xs), RepairMethod::kSeasonal, 4);
-    EXPECT_DOUBLE_EQ(fixed[1], 20.0);
-    EXPECT_DOUBLE_EQ(fixed[2], 30.0);
-}
-
-TEST(RepairTest, EdgeGapsUseNearestValue) {
-    const std::vector<double> head{0, 0, 9, 9};
-    const auto fixed_head =
-        repair_gaps(head, find_gaps(head), RepairMethod::kLinear);
-    EXPECT_DOUBLE_EQ(fixed_head[0], 9.0);
-    EXPECT_DOUBLE_EQ(fixed_head[1], 9.0);
-
-    const std::vector<double> tail{7, 7, 0, 0};
-    const auto fixed_tail =
-        repair_gaps(tail, find_gaps(tail), RepairMethod::kLinear);
-    EXPECT_DOUBLE_EQ(fixed_tail[2], 7.0);
-    EXPECT_DOUBLE_EQ(fixed_tail[3], 7.0);
-}
-
-TEST(RepairTest, AllGapSeriesIsPinnedToZeros) {
-    // A gap spanning the whole series has no valid neighbor in any
-    // direction; repair pins it to flat zeros instead of leaving the gap
-    // values untouched (the pipeline reports this condition one layer up
-    // as PipelineErrorCode::kRepairFailed).
-    const std::vector<double> xs(8, std::numeric_limits<double>::quiet_NaN());
-    const std::vector<Gap> whole{{0, xs.size()}};
-    for (const RepairMethod method :
-         {RepairMethod::kLinear, RepairMethod::kSeasonal}) {
-        const auto fixed = repair_gaps(xs, whole, method, 4);
-        EXPECT_EQ(fixed, std::vector<double>(8, 0.0));
-    }
-}
-
-TEST(RepairTest, RepairSeriesConvenience) {
-    const auto clean = sine_series(96 * 2, 96);
-    std::vector<double> gappy = clean;
-    for (std::size_t t = 120; t < 130; ++t) gappy[t] = 0.0;
-    const auto fixed = repair_series(gappy, RepairMethod::kSeasonal, 96);
-    double max_err = 0.0;
-    for (std::size_t t = 120; t < 130; ++t) {
-        max_err = std::max(max_err, std::abs(fixed[t] - clean[t]));
-    }
-    EXPECT_LT(max_err, 0.5);  // seasonal copy restores the clean pattern
-}
-
-TEST(RepairTest, NoGapsIsIdentity) {
-    const std::vector<double> xs{1, 2, 3};
-    EXPECT_EQ(repair_series(xs), xs);
 }
 
 }  // namespace

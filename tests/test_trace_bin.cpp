@@ -6,6 +6,9 @@
 // rejected with the structured PipelineError taxonomy instead of
 // producing garbage traces or escaping as allocation errors, and a
 // corrupt payload is reported as such before any bad sample in it.
+// Seeded mutations (byte flips, truncation at every section boundary,
+// lying counts) of a packed trace and of a CSV must each load as a valid
+// trace or be rejected cleanly by the reader.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +19,10 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/errors.hpp"
+#include "exec/seed.hpp"
 #include "obs/metrics.hpp"
 #include "tracegen/generator.hpp"
 #include "tracegen/trace_binary.hpp"
@@ -435,6 +440,252 @@ TEST(TraceBinaryTest, HeaderMetadataWinsOverCallerWindowsPerDay) {
     write_trace_binary_file(path, original);
     const Trace loaded = read_trace_any_file(path, /*windows_per_day=*/96);
     EXPECT_EQ(loaded.windows_per_day, 48);
+}
+
+// ------------------------------------------------------ seeded mutations
+
+/// A small packed trace for the mutation runs: three boxes of one short
+/// day, so each mutant loads in microseconds.
+Trace mutation_trace() {
+    TraceGenOptions options;
+    options.num_boxes = 3;
+    options.num_days = 1;
+    options.windows_per_day = 8;
+    options.gappy_box_fraction = 0.0;
+    options.seed = 29;
+    return generate_trace(options);
+}
+
+/// What a reader may hand back: a positive day length, finite
+/// non-negative capacities and samples, and one length per VM for its
+/// four series (VMs of one box may still differ; the pipeline rejects
+/// such a box, the reader need not).
+void expect_valid(const Trace& t) {
+    EXPECT_GE(t.windows_per_day, 1);
+    const auto ok = [](double x) { return std::isfinite(x) && x >= 0.0; };
+    for (const BoxTrace& box : t.boxes) {
+        EXPECT_TRUE(ok(box.cpu_capacity_ghz) && ok(box.ram_capacity_gb))
+            << box.name;
+        for (const VmTrace& vm : box.vms) {
+            EXPECT_TRUE(ok(vm.cpu_capacity_ghz) && ok(vm.ram_capacity_gb))
+                << vm.name;
+            const std::size_t len = vm.cpu_usage_pct.size();
+            for (const ts::Series* series :
+                 {&vm.cpu_usage_pct, &vm.ram_usage_pct, &vm.cpu_demand_ghz,
+                  &vm.ram_demand_gb}) {
+                ASSERT_EQ(series->size(), len) << series->name();
+                for (const double x : series->values()) {
+                    ASSERT_TRUE(ok(x)) << series->name();
+                }
+            }
+        }
+    }
+}
+
+/// Loads `bytes` as a binary trace file: true when it loaded (and the
+/// trace is valid), false when the reader rejected it with a
+/// PipelineError. Any other exception (std::bad_alloc or
+/// std::length_error from an allocation sized by a lying count, a logic
+/// error) escapes and fails the test, and a crash or sanitizer report
+/// fails it too.
+bool load_packed(const std::string& path, const std::string& bytes) {
+    spit(path, bytes);
+    try {
+        expect_valid(read_trace_binary_file(path));
+        return true;
+    } catch (const core::PipelineError& e) {
+        EXPECT_EQ(e.code(), core::PipelineErrorCode::kTraceInvalid);
+        return false;
+    }
+}
+
+/// Same for CSV text; the CSV reader rejects with std::runtime_error.
+bool load_csv(const std::string& text) {
+    std::istringstream in(text);
+    try {
+        expect_valid(read_trace_csv(in, 8));
+        return true;
+    } catch (const std::runtime_error&) {
+        return false;
+    }
+}
+
+/// Offsets where a packed trace's sections and fields begin: every
+/// header field, every index entry and field, the payload start and
+/// every series block in it.
+std::vector<std::size_t> section_boundaries(const std::string& bytes) {
+    std::vector<std::size_t> at{0, 8, 12, 16, 20, 24, 32, 40, 48, 56, 64, 72};
+    std::size_t pos = 72;
+    const auto boxes = peek<std::uint64_t>(bytes, kBoxCountAt);
+    for (std::uint64_t b = 0; b < boxes; ++b) {
+        at.push_back(pos);                                   // name length
+        pos += 2 + peek<std::uint16_t>(bytes, pos);
+        at.insert(at.end(), {pos, pos + 1, pos + 9, pos + 17});
+        const auto vms = peek<std::uint32_t>(bytes, pos + 17);
+        pos += 21;
+        for (std::uint32_t v = 0; v < vms; ++v) {
+            at.push_back(pos);
+            pos += 2 + peek<std::uint16_t>(bytes, pos);
+            at.insert(at.end(), {pos, pos + 8, pos + 16});
+            pos += 24;
+        }
+    }
+    std::size_t payload = peek<std::uint64_t>(bytes, kPayloadOffsetAt);
+    at.insert(at.end(), {pos, payload});
+    const Trace t = mutation_trace();
+    for (const BoxTrace& box : t.boxes) {
+        for (const VmTrace& vm : box.vms) {
+            for (int s = 0; s < 4; ++s) {
+                payload += vm.cpu_usage_pct.size() * sizeof(double);
+                at.push_back(payload);
+            }
+        }
+    }
+    return at;
+}
+
+TEST(TraceMutationTest, BinaryTruncatedAtEverySectionBoundaryIsRejected) {
+    const std::string path = temp_path("atm_trace_mut_cut.bin");
+    write_trace_binary_file(path, mutation_trace());
+    const std::string whole = slurp(path);
+    const std::vector<std::size_t> cuts = section_boundaries(whole);
+    ASSERT_EQ(cuts.back(), whole.size());  // the walk covered the file
+    for (const std::size_t cut : cuts) {
+        for (const std::size_t at : {cut, cut + 1}) {
+            if (at >= whole.size()) continue;
+            EXPECT_FALSE(load_packed(path, whole.substr(0, at)))
+                << "cut at " << at;
+        }
+    }
+    EXPECT_TRUE(load_packed(path, whole));
+}
+
+TEST(TraceMutationTest, BinaryLyingCountsAreRejectedNotAllocated) {
+    const std::string path = temp_path("atm_trace_mut_count.bin");
+    write_trace_binary_file(path, mutation_trace());
+    const std::string whole = slurp(path);
+
+    // Every count and geometry word of the header, and the first box's
+    // VM count and first VM's series length in the index, each set to
+    // values a corrupt or hostile file could carry.
+    struct Field {
+        std::size_t at;
+        bool wide;  // u64, else u32
+    };
+    const std::vector<Field> fields{
+        {16, false},  // windows_per_day
+        {kBoxCountAt, true},      {kVmCountAt, true},
+        {kSampleCountAt, true},   {kPayloadOffsetAt, true},
+        {kPayloadBytesAt, true},  {first_box_vm_count_at(whole), false},
+        {first_vm_series_len_at(whole), true}};
+    std::size_t rejected = 0;
+    for (const Field& field : fields) {
+        const std::uint64_t truth =
+            field.wide ? peek<std::uint64_t>(whole, field.at)
+                       : peek<std::uint32_t>(whole, field.at);
+        for (const std::uint64_t lie :
+             {std::uint64_t{0}, std::uint64_t{1}, truth - 1, truth + 1,
+              truth * 2, std::uint64_t{1} << 31, (std::uint64_t{1} << 32) - 1,
+              std::uint64_t{1} << 32, std::uint64_t{1} << 62,
+              ~std::uint64_t{0}}) {
+            if (lie == truth) continue;
+            std::string bytes = whole;
+            if (field.wide) {
+                poke<std::uint64_t>(bytes, field.at, lie);
+            } else {
+                poke<std::uint32_t>(bytes, field.at,
+                                    static_cast<std::uint32_t>(lie));
+            }
+            if (!load_packed(path, bytes)) ++rejected;
+        }
+    }
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(TraceMutationTest, BinarySeededByteFlipsLoadValidOrThrowCleanly) {
+    const std::string path = temp_path("atm_trace_mut_flip.bin");
+    write_trace_binary_file(path, mutation_trace());
+    const std::string whole = slurp(path);
+    const std::size_t payload = peek<std::uint64_t>(whole, kPayloadOffsetAt);
+    std::uint64_t state = 0xb17f11b5;
+    const auto next = [&state](std::uint64_t bound) {
+        state = exec::derive_seed(state, bound);
+        return state % bound;
+    };
+    std::size_t loaded = 0;
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        std::string bytes = whole;
+        // Two thirds of the flips land in the header and index, where
+        // every field is parsed; the rest in the fingerprinted payload.
+        const std::size_t span = trial % 3 == 2 ? whole.size() : payload;
+        for (std::uint64_t e = 1 + next(3); e > 0; --e) {
+            const std::size_t at = next(span);
+            bytes[at] = static_cast<char>(bytes[at] ^ (1u << next(8)));
+        }
+        if (load_packed(path, bytes)) {
+            ++loaded;  // a flip in a name, a gap flag or a capacity
+        } else {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(TraceMutationTest, CsvSeededMutationsLoadValidOrThrowCleanly) {
+    std::ostringstream out;
+    write_trace_csv(out, mutation_trace());
+    const std::string whole = out.str();
+    // Bytes that steer the reader into its number, field, line and
+    // directive paths, plus arbitrary bytes.
+    const std::string alphabet = "0123456789-+.eE,\n#nafib";
+    std::uint64_t state = 0xc5f;
+    const auto next = [&state](std::uint64_t bound) {
+        state = exec::derive_seed(state, bound);
+        return state % bound;
+    };
+    std::size_t loaded = 0;
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        std::string text = whole;
+        for (std::uint64_t e = 1 + next(3); e > 0 && !text.empty(); --e) {
+            const std::size_t at = next(text.size());
+            switch (next(5)) {
+                case 0: text[at] = alphabet[next(alphabet.size())]; break;
+                case 1: text[at] = static_cast<char>(next(256)); break;
+                case 2: text.resize(at); break;  // truncation
+                case 3: text.erase(at, 1); break;
+                default: text.insert(at, "1e999"); break;  // overflow
+            }
+        }
+        if (load_csv(text)) {
+            ++loaded;
+        } else {
+            ++rejected;
+        }
+    }
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+TEST(TraceMutationTest, CsvLyingWindowsAndDirectivesAreRejected) {
+    // A CSV carries no counts; its lies are window numbers and box
+    // directives. Each must be a clean, line-numbered rejection.
+    const std::string header = "#box,b0,4,8,0\n";
+    for (const std::string& row :
+         {std::string("b0,vm0,-1,4,8,50,25,2,2\n"),
+          std::string("b0,vm0,18446744073709551615,4,8,50,25,2,2\n"),
+          std::string("b0,vm0,99999999999999999999,4,8,50,25,2,2\n"),
+          std::string("b0,vm0,1,4,8,50,25,2,2\n"),
+          std::string("b1,vm0,0,4,8,50,25,2,2\n")}) {
+        EXPECT_FALSE(load_csv(header + row)) << row;
+    }
+    for (const std::string& directive :
+         {std::string("#box,b0,4,8\n"), std::string("#box,b0,4,8,0,1\n"),
+          std::string("#box,b0,4,8,x\n"), std::string("#box,b0,1e999,8,0\n")}) {
+        EXPECT_FALSE(load_csv(directive)) << directive;
+    }
 }
 
 }  // namespace

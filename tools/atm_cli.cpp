@@ -98,10 +98,6 @@ void add_pipeline_flags(exec::ArgParser& parser) {
                 "negative = unlimited")
         .option("metrics-out", "",
                 "write a JSON stage-metrics report (atm.metrics.v1) here")
-        .option("fault-spec", "",
-                "chaos testing: comma-separated site=action[@rate] rules "
-                "(e.g. samples=nan@0.01,pipeline.forecast=throw@0.5)")
-        .option("fault-seed", "42", "seed for the deterministic fault plan")
         .option("checkpoint", "",
                 "append-only journal of completed boxes; enables --resume "
                 "after a crash or kill")
@@ -175,18 +171,6 @@ core::FleetConfig fleet_config_from_flags(const exec::ArgParser& parser) {
         config.checkpoint_path = checkpoint;
     }
     config.resume = parser.get_flag("resume");
-
-    // Reproducible chaos runs (see DESIGN.md §7.11); a malformed spec is a
-    // usage error reported before any work starts.
-    if (const std::string& fault_spec = parser.get("fault-spec");
-        !fault_spec.empty()) {
-        try {
-            config.faults =
-                exec::FaultPlan::parse(fault_spec, parser.get_u64("fault-seed"));
-        } catch (const std::invalid_argument& e) {
-            throw exec::ArgParseError(e.what());
-        }
-    }
 
     if (const std::string problems = config.validate(); !problems.empty()) {
         throw exec::ArgParseError(problems);
@@ -559,10 +543,6 @@ int cmd_serve(int argc, char** argv) {
         .option("retry-after-ms", "25", "backpressure hint sent with busy")
         .option("apply-delay-ms", "0",
                 "test seam: sleep before each apply (backpressure tests)")
-        .option("fault-spec", "",
-                "chaos testing, e.g. serve.ingest=throw@0.1 (answered "
-                "busy) or serve.apply=throw@0.05 (window ingest-only)")
-        .option("fault-seed", "42", "seed for the deterministic fault plan")
         .flag("resume", "warm-restart from --journal when its header matches");
     if (!parser.parse(argc, argv, 2)) return 0;
 
@@ -596,15 +576,6 @@ int cmd_serve(int argc, char** argv) {
     config.train_epochs = parser.get_int("train-epochs");
     config.journal_path = parser.get("journal");
     config.resume = parser.get_flag("resume");
-    if (const std::string& fault_spec = parser.get("fault-spec");
-        !fault_spec.empty()) {
-        try {
-            config.faults =
-                exec::FaultPlan::parse(fault_spec, parser.get_u64("fault-seed"));
-        } catch (const std::invalid_argument& e) {
-            throw exec::ArgParseError(e.what());
-        }
-    }
     if (const std::string problems = config.validate(); !problems.empty()) {
         throw exec::ArgParseError(problems);
     }
@@ -669,7 +640,6 @@ int cmd_play(int argc, char** argv) {
     std::uint64_t applied = 0;
     std::uint64_t warming = 0;
     std::uint64_t stale = 0;
-    std::uint64_t degraded = 0;
     std::vector<double> cpu;
     std::vector<double> ram;
     for (std::size_t epoch = 0; epoch < windows; ++epoch) {
@@ -688,7 +658,6 @@ int cmd_play(int argc, char** argv) {
             }
             if (response.status == "applied") {
                 ++applied;
-                if (response.ladder != 0) ++degraded;
             } else if (response.status == "warming") {
                 ++warming;
             } else if (response.status == "stale") {
@@ -704,10 +673,9 @@ int cmd_play(int argc, char** argv) {
             }
         }
     }
-    std::printf("play: %llu applied (%llu degraded), %llu warming, "
+    std::printf("play: %llu applied, %llu warming, "
                 "%llu stale (already applied)\n",
                 static_cast<unsigned long long>(applied),
-                static_cast<unsigned long long>(degraded),
                 static_cast<unsigned long long>(warming),
                 static_cast<unsigned long long>(stale));
     if (parser.get_flag("shutdown")) {
